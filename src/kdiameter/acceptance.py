@@ -62,22 +62,22 @@ def random_graph(n, p, rng):
     return Graph(n, edges)
 
 
-def random_regular_graph(n, d, rng, tries=200):
-    """Simple d-regular graph via the configuration model with rejection."""
-    for _ in range(tries):
-        stubs = [v for v in range(n) for _ in range(d)]
-        rng.shuffle(stubs)
-        edges = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v or (min(u, v), max(u, v)) in edges:
-                ok = False
-                break
-            edges.add((min(u, v), max(u, v)))
-        if ok:
-            return Graph(n, edges)
-    raise RuntimeError(f"no simple {d}-regular graph on {n} vertices found")
+def random_regular_graph(n, d, rng):
+    """Random simple d-regular graph: the circulant graph joining each vertex
+    to the d//2 next ones around a cycle (and to the opposite one for odd d),
+    scrambled by random degree-preserving edge switches."""
+    if not 0 <= d < n or n * d % 2:
+        raise ValueError(f"no simple {d}-regular graph on {n} vertices")
+    offsets = [*range(1, d // 2 + 1), *[n // 2] * (d % 2)]
+    edges = sorted({(min(v, w), max(v, w))
+                    for v in range(n) for w in ((v + s) % n for s in offsets)})
+    for _ in range(10 * len(edges)):
+        i, j = rng.randrange(len(edges)), rng.randrange(len(edges))
+        (a, b), (c, e) = edges[i], edges[j][::rng.choice((1, -1))]
+        new = (min(a, c), max(a, c)), (min(b, e), max(b, e))
+        if len({a, b, c, e}) == 4 and not set(new) & set(edges):
+            edges[i], edges[j] = new
+    return Graph(n, edges)
 
 
 def brute_force_cluster_diameter(pointset, k):
@@ -239,7 +239,7 @@ def criterion_8(budget=DEFAULT_BUDGET, seed=0):
 
     instance = build_region_instance((0, 1, 2), 12)
     clustering = remark_clustering(instance)
-    bound = remark_diameter_within_bound(clustering, instance)
+    bound = remark_diameter_within_bound(clustering)
     eb = instance.index_of[axis_key(1)]
     ec = instance.index_of[axis_key(2)]
     together = clustering.assignment[eb] == clustering.assignment[ec]

@@ -315,9 +315,6 @@ class _Parser(argparse.ArgumentParser):
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget-nodes", type=int, default=DEFAULT_BUDGET)
-    common.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface stability; searches are "
-                             "single-threaded")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None)
     common.add_argument("--json", action="store_true",

@@ -2,18 +2,20 @@
 
 Minimizing the largest intra-cluster distance over k clusters is equivalent
 to k-coloring the threshold graph whose edges join pairs farther than the
-candidate diameter, which is how the exact solver works.  Distances are
-integers for Hamming/l1/linf pointsets and exact squared surds for the
-sphere-lattice metric, so every comparison is exact.
+candidate diameter, which is how the exact solver works.  Every pair is
+ranked once by exact distance in a pair table (`geometry.PairTable`), and
+each threshold graph is a prefix of its ranked pair list.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 from kdiameter.coloring import DEFAULT_BUDGET, find_coloring
+from kdiameter.geometry import PairTable, key_at_least_scaled
 from kdiameter.graphs import Graph, odd_girth
 
 
@@ -55,29 +57,36 @@ def make_clustering(pointset, assignment, k):
     return Clustering(list(assignment), k, diameter, pair)
 
 
-def threshold_graph_at(pointset, cutoff):
-    """Graph with an edge wherever the pairwise distance strictly exceeds
-    `cutoff`; k-colorings of it are exactly the k-clusterings of diameter
-    at most `cutoff`."""
-    n = len(pointset)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pointset.distance(i, j) > cutoff:
-                edges.append((i, j))
-    return Graph(n, edges)
-
-
 def distinct_distances(pointset):
-    """Sorted distinct pairwise distances, always starting with 0."""
-    n = len(pointset)
-    values = [pointset.distance(i, j) for i in range(n) for j in range(i + 1, n)]
-    values.sort()
-    out = [0]
-    for v in values:
-        if v > out[-1]:
-            out.append(v)
-    return out
+    """The pointset's pair table (`geometry.PairTable`): every pair ranked by
+    its exact distance among the sorted distinct distances, which are the
+    candidate diameters, always led by 0."""
+    return PairTable(pointset)
+
+
+def threshold_graph_at(table, rank):
+    """Graph joining the pairs of rank >= `rank` in a pair table, the pairs
+    farther than table.keys[rank - 1]; its k-colorings are exactly the
+    k-clusterings of diameter at most that distance."""
+    n = table.n
+    return Graph(n, (divmod(p, n) for p in table.pairs[:table.above[rank]]))
+
+
+def _least_colorable(table, color, top):
+    """Binary search over the candidate diameters of a pair table: what
+    `color` gives for the threshold graph at the least candidate it colors,
+    or `top` when only the largest candidate (no edges) works.  Colorability
+    is monotone in the cutoff (larger cutoff, fewer edges)."""
+    lo, hi = 0, len(table.keys) - 1
+    best = top
+    while lo < hi:
+        mid = (lo + hi) // 2
+        coloring = color(threshold_graph_at(table, mid + 1))
+        if coloring is None:
+            lo = mid + 1
+        else:
+            best, hi = coloring, mid
+    return best
 
 
 def exact_cluster(pointset, k, budget=DEFAULT_BUDGET, max_points=400):
@@ -85,9 +94,13 @@ def exact_cluster(pointset, k, budget=DEFAULT_BUDGET, max_points=400):
 
     The optimum is either 0 or an attained pairwise distance, so searching
     the sorted distinct distances for the least k-colorable threshold is
-    exact.  Colorability is monotone in the cutoff (larger cutoff, fewer
-    edges), which justifies the binary search.
+    exact.
     """
+    return _exact_cluster(distinct_distances(_checked(pointset, k, max_points)),
+                          k, budget)
+
+
+def _checked(pointset, k, max_points=400):
     if not 1 <= k <= 4:
         raise ValueError("k must be between 1 and 4")
     n = len(pointset)
@@ -95,24 +108,21 @@ def exact_cluster(pointset, k, budget=DEFAULT_BUDGET, max_points=400):
         raise ValueError("empty pointset")
     if n > max_points:
         raise ValueError(f"pointset size {n} exceeds the cap {max_points}")
-    candidates = distinct_distances(pointset)
-    lo, hi = 0, len(candidates) - 1
-    colorings = {hi: list(range(n)) if k >= n else None}
-    if colorings[hi] is None:
-        colorings[hi] = find_coloring(threshold_graph_at(pointset, candidates[hi]),
-                                      k, budget=budget)
+    return pointset
+
+
+def _exact_cluster(table, k, budget):
+    n = table.n
+    if k >= n:
+        top = list(range(n))
+    else:
         # cutoff = overall diameter: the graph is edgeless, always colorable
-        assert colorings[hi] is not None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        coloring = find_coloring(threshold_graph_at(pointset, candidates[mid]),
-                                 k, budget=budget)
-        colorings[mid] = coloring
-        if coloring is not None:
-            hi = mid
-        else:
-            lo = mid + 1
-    return make_clustering(pointset, colorings[hi], k)
+        top = find_coloring(threshold_graph_at(table, len(table.keys)), k,
+                            budget=budget)
+        assert top is not None
+    coloring = _least_colorable(
+        table, lambda graph: find_coloring(graph, k, budget=budget), top)
+    return make_clustering(table.pointset, coloring, k)
 
 
 def two_cluster(pointset):
@@ -121,20 +131,9 @@ def two_cluster(pointset):
     n = len(pointset)
     if n == 0:
         raise ValueError("empty pointset")
-    candidates = distinct_distances(pointset)
-    lo, hi = 0, len(candidates) - 1
-    best = [0] * n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        coloring = _bipartition(threshold_graph_at(pointset, candidates[mid]))
-        if coloring is not None:
-            best = coloring
-            hi = mid
-        else:
-            lo = mid + 1
-    if lo == len(candidates) - 1:
-        best = _bipartition(threshold_graph_at(pointset, candidates[lo])) or best
-    return make_clustering(pointset, best, 2)
+    coloring = _least_colorable(distinct_distances(pointset), _bipartition,
+                                [0] * n)
+    return make_clustering(pointset, coloring, 2)
 
 
 def _bipartition(graph):
@@ -286,53 +285,41 @@ def barrier_screen(pointset, k=3, ratio=Fraction(3, 2)):
 
     Reports the exact diameter, the enclosing-ball diameter relative to the
     pointset diameter (float rendering; exact for integer-coordinate
-    metrics), and the odd girth of the threshold graph probed just below
-    `ratio` times the optimal k-clustering diameter.
+    metrics), and the odd girth of the probe graph joining the pairs at
+    distance at least `ratio` times the optimal k-clustering diameter
+    (`ratio` squared for the squared sphere distances).
     """
     from math import sqrt
 
     from kdiameter.geometry import pointset_diameter
 
     diam = pointset_diameter(pointset)
-    opt = exact_cluster(pointset, k)
+    table = distinct_distances(_checked(pointset, k))
+    opt = _exact_cluster(table, k, DEFAULT_BUDGET)
+    ratio = Fraction(ratio)
     if pointset.metric == "l2_sphere_lattice":
         dim = 1 + max(a for p in pointset.points for a, _ in p.key)
         coords = [p.float_coords(dim) for p in pointset.points]
         ball_diam_sq = 4 * _float_ball_radius_sq(coords)
         ball_ratio = sqrt(ball_diam_sq / float(diam))
-        cutoff = _scaled_sq_cutoff(opt.diameter, ratio)
+        base = table.key(opt.diameter)
+        probe = bisect_left(table.keys, True, key=lambda key: key_at_least_scaled(
+            key, ratio ** 2, base))
     else:
         coords = _rational_coords(pointset)
         ball = min_enclosing_ball(coords)
         ball_ratio = sqrt(4 * ball.radius_sq) / float(diam) if diam else 0.0
-        cutoff = _just_below(Fraction(ratio) * Fraction(opt.diameter))
-    gamma = threshold_graph_at(pointset, cutoff)
+        probe = bisect_left(table.keys, ratio * opt.diameter)
+    gamma = threshold_graph_at(table, probe)
     og = odd_girth(gamma)
     return {
         "diameter": diam,
         "optimal_k_diameter": opt.diameter,
         "ball_diameter_over_diameter": ball_ratio,
-        "probe_ratio": Fraction(ratio),
+        "probe_ratio": ratio,
         "odd_girth": og,
         "odd_cycle_obstruction": og != float("inf"),
     }
-
-
-def _scaled_sq_cutoff(diam_sq, ratio):
-    """Squared cutoff just below ratio^2 * diam_sq for surd diameters."""
-    r_sq = Fraction(ratio) ** 2
-    if isinstance(diam_sq, (int, Fraction)):
-        return _just_below(r_sq * diam_sq)
-    f = diam_sq.as_fraction()
-    if f is not None:
-        return _just_below(r_sq * f)
-    # irrational squared diameter: nudge via a float lower estimate
-    return Fraction(float(diam_sq) * float(r_sq)).limit_denominator(10**6) \
-        - Fraction(1, 10**6)
-
-
-def _just_below(x):
-    return Fraction(x) - Fraction(1, 10**9)
 
 
 def _rational_coords(pointset):

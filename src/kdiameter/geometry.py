@@ -3,12 +3,15 @@
 Every accept/reject comparison here is integer or rational arithmetic; floats
 only ever appear in diagnostic renderings.  Squared Euclidean distances between
 sphere-lattice points are kept in the surd form 1 - m/sqrt(n1*n2) and compared
-by sign analysis followed by squaring.
+through a rational order key.  `PairTable` ranks every pair of a pointset once,
+and every threshold graph is read off that ranking.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -190,26 +193,17 @@ def axis_point(axis, other_axes, kappa=1, negative=False):
 # exact squared distances
 
 
-def _cmp_ratio_vs_fraction(m, big_n, c):
-    """Sign of m/sqrt(big_n) - c for integer m, positive integer big_n, Fraction c."""
-    if m == 0:
-        return -_sign_fraction(c)
-    if c == 0:
-        return 1 if m > 0 else -1
-    sm, sc = (1 if m > 0 else -1), (1 if c > 0 else -1)
-    if sm != sc:
-        return sm
-    # same sign: compare m^2 / big_n with c^2, flipping for negatives
-    lhs = m * m * c.denominator * c.denominator
-    rhs = c.numerator * c.numerator * big_n
-    if lhs == rhs:
-        return 0
-    out = 1 if lhs > rhs else -1
-    return out if sm > 0 else -out
+def sphere_key(d):
+    """Order key (num, den), den > 0, of an exact squared sphere distance.
 
-
-def _sign_fraction(c):
-    return (c > 0) - (c < 0)
+    The key of 1 - m/sqrt(N) is -m|m|/N, strictly increasing in the distance;
+    a rational s has the key -u|u| with u = 1 - s.  Every sphere comparison
+    is one integer cross-multiplication of two keys.
+    """
+    if isinstance(d, SqDistance):
+        return -d.m * abs(d.m), d.big_n
+    u = 1 - Fraction(d)
+    return -u.numerator * abs(u.numerator), u.denominator ** 2
 
 
 class SqDistance:
@@ -227,17 +221,16 @@ class SqDistance:
 
     def cmp_fraction(self, t_sq):
         """Sign of (self - t_sq) for a rational t_sq."""
-        t_sq = Fraction(t_sq)
-        # self - t = (1 - t) - m/sqrt(N)
-        return -_cmp_ratio_vs_fraction(self.m, self.big_n, 1 - t_sq)
+        return self._cmp(Fraction(t_sq))
 
     def exceeds(self, t_sq):
         return self.cmp_fraction(t_sq) > 0
 
     def exceeds_one_plus_half_sqrt2(self):
-        """Decide self > 1 + sqrt(2)/2 exactly (the coordinate-rule diameter bound)."""
-        # 1 - m/sqrt(N) > 1 + sqrt(1/2)  iff  -m/sqrt(N) > sqrt(1/2)
-        return self.m < 0 and 2 * self.m * self.m > self.big_n
+        """Decide self > 1 + sqrt(2)/2 exactly (the coordinate-rule diameter
+        bound, whose order key is 1/2)."""
+        num, den = sphere_key(self)
+        return 2 * num > den
 
     def as_fraction(self):
         """Rational value when the surd collapses; None otherwise."""
@@ -249,24 +242,10 @@ class SqDistance:
         return None
 
     def _cmp(self, other):
-        if isinstance(other, SqDistance):
-            # self - other has the sign of m_o/sqrt(N_o) - m_s/sqrt(N_s)
-            mo, ms = other.m, self.m
-            if ms == mo == 0:
-                return 0
-            so = (mo > 0) - (mo < 0)
-            ss = (ms > 0) - (ms < 0)
-            if so != ss:
-                # opposite signs decide immediately; a zero side defers to
-                # the other side's sign
-                return so if so != 0 else -ss
-            lhs = mo * mo * self.big_n
-            rhs = ms * ms * other.big_n
-            if lhs == rhs:
-                return 0
-            out = 1 if lhs > rhs else -1
-            return out if so > 0 else -out
-        return self.cmp_fraction(Fraction(other))
+        a, b = sphere_key(self)
+        c, d = sphere_key(other)
+        lhs, rhs = a * d, c * b
+        return (lhs > rhs) - (lhs < rhs)
 
     def __eq__(self, other):
         if not isinstance(other, (SqDistance, int, Fraction)):
@@ -286,12 +265,9 @@ class SqDistance:
         return self._cmp(other) >= 0
 
     def __hash__(self):
+        # rational values hash like the equal int or Fraction
         f = self.as_fraction()
-        if f is not None:
-            return hash(f)
-        # reduce m^2/N to lowest terms for a representation-independent hash
-        frac = Fraction(self.m * self.m, self.big_n)
-        return hash((frac, self.m > 0))
+        return hash(f if f is not None else Fraction(*sphere_key(self)))
 
     def __float__(self):
         return 1.0 - self.m / (self.big_n ** 0.5)
@@ -427,3 +403,100 @@ def pointset_diameter(pointset):
             if best is None or d > best:
                 best = d
     return best
+
+
+# ---------------------------------------------------------------------------
+# the pair table
+
+
+class PairTable:
+    """Every pair of a pointset, ranked once by exact distance.
+
+    `keys` are the sorted distinct order keys of the pairwise distances, led
+    by the key of distance 0: the distances themselves for the integer
+    metrics, `sphere_key` values as Fractions for the sphere metric.  A
+    pair's rank is the index of its key.  `pairs` holds the pair ids i*n + j
+    (i < j) by falling rank, and `above[r]` counts the pairs of rank >= r, so
+    the pairs farther than keys[r - 1] are exactly pairs[:above[r]].
+    """
+
+    def __init__(self, pointset):
+        self.pointset = pointset
+        self.n = n = len(pointset)
+        distinct = {}       # distinct pair value -> id, in first-seen order
+        ids = array("l")    # per pair, row-major
+        for value in _pair_values(pointset):
+            ids.append(distinct.setdefault(value, len(distinct)))
+        values = ([Fraction(*v) for v in distinct]
+                  if pointset.metric == "l2_sphere_lattice" else list(distinct))
+        self.keys = sorted(set(values) | {self.key(0)})
+        rank = [bisect_right(self.keys, v) - 1 for v in values]
+        # counting sort by falling rank
+        self.above = above = [0] * (len(self.keys) + 1)
+        for c in ids:
+            above[rank[c]] += 1
+        for r in reversed(range(len(self.keys))):
+            above[r] += above[r + 1]
+        fill = above[1:]
+        self.pairs = pairs = array("q", [0]) * len(ids)
+        ranks = (rank[c] for c in ids)
+        for i in range(n):
+            for j in range(i + 1, n):
+                r = next(ranks)
+                pairs[fill[r]] = i * n + j
+                fill[r] += 1
+
+    def key(self, value):
+        """Order key of an exact distance (squared for the sphere metric)."""
+        if self.pointset.metric == "l2_sphere_lattice":
+            return Fraction(*sphere_key(value))
+        return value
+
+    def rank_above(self, value):
+        """Least rank whose pairs are all farther than `value`."""
+        return bisect_right(self.keys, self.key(value))
+
+
+def _pair_values(pointset):
+    """Each pair's exact distance in a hashable integer form, row-major over
+    i < j: the distance itself, or its `sphere_key` for the sphere metric."""
+    pts = pointset.points
+    n = len(pts)
+    if pointset.metric != "l2_sphere_lattice":
+        yield from (pointset.distance(i, j)
+                    for i in range(n) for j in range(i + 1, n))
+        return
+    entries = [dict(p.key) for p in pts]
+    norms = [p.norm_sq_int() for p in pts]
+    for i in range(n):
+        pe, ni = entries[i], norms[i]
+        for j in range(i + 1, n):
+            m = sum(v * pe.get(a, 0) for a, v in pts[j].key)
+            yield -m * abs(m), ni * norms[j]
+
+
+def key_at_least_scaled(key, ratio, base):
+    """Decide d(key) >= ratio * d(base) exactly for sphere order keys and a
+    rational `ratio`, where d(k) = 1 + sgn(k) sqrt(|k|) is the squared
+    distance with order key k.
+
+    The question is L >= R for L = 1 - ratio - ratio sgn(base) sqrt(|base|)
+    and R = -sgn(key) sqrt(|key|): decided by signs, else by squares.
+    """
+    q, u, t = 1 - ratio, -ratio * _sign(base), abs(base)
+    left, right = _sign_surd(q, u, t), -_sign(key)
+    if left != right:
+        return left > right
+    return left * _sign_surd(q * q + u * u * t - abs(key), 2 * q * u, t) >= 0
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _sign_surd(q, r, s):
+    """Sign of q + r sqrt(s) for rationals q, r and s >= 0."""
+    a, b = _sign(q), _sign(r * s)
+    if not a or not b or a == b:
+        return a or b
+    return a * _sign(q * q - r * r * s)

@@ -5,7 +5,7 @@ radius sqrt(2)/2 sphere: family a holds points with a positive a-coordinate
 and nonpositive b, c coordinates, given by nonnegative integer coefficient
 triples summing to kappa (and cyclically for b and c).  The three pure
 negative axis points are shared between two families each.  All distance
-comparisons go through the exact surd predicates in `geometry`.
+comparisons go through the exact order keys of `geometry`.
 """
 
 from __future__ import annotations
@@ -14,20 +14,18 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from kdiameter.clustering import make_clustering
+from kdiameter.clustering import (
+    distinct_distances,
+    make_clustering,
+    threshold_graph_at,
+)
 from kdiameter.coloring import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     find_coloring,
     forall_colorings,
 )
-from kdiameter.geometry import (
-    Pointset,
-    SphereLatticePoint,
-    sphere_point_sq_distance,
-    sq_distance_exceeds,
-)
-from kdiameter.graphs import Graph
+from kdiameter.geometry import Pointset, SphereLatticePoint
 
 SEPARATION_THRESHOLD = Fraction(163, 125)  # the 1.304 separation ratio
 
@@ -125,25 +123,10 @@ def build_P_G(hypergraph, kappa=12):
 # threshold graphs and the separation check
 
 
-@dataclass
-class ThresholdGraph:
-    instance: SphereInstance
-    threshold_sq: Fraction
-    graph: Graph
-
-
-def build_threshold_graph(instance, threshold_sq):
-    """Edges join point pairs at squared distance strictly above
-    `threshold_sq`; every comparison is the exact surd predicate."""
-    threshold_sq = Fraction(threshold_sq)
-    pts = instance.points
-    n = len(pts)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sq_distance_exceeds(pts[i], pts[j], threshold_sq):
-                edges.append((i, j))
-    return ThresholdGraph(instance, threshold_sq, Graph(n, edges))
+def build_threshold_graph(table, threshold_sq):
+    """Graph of a sphere pair table joining the pairs at squared distance
+    strictly above `threshold_sq`."""
+    return threshold_graph_at(table, table.rank_above(threshold_sq))
 
 
 def verify_anchor_separation(instance, threshold=SEPARATION_THRESHOLD,
@@ -158,13 +141,18 @@ def verify_anchor_separation(instance, threshold=SEPARATION_THRESHOLD,
     """
     if len(instance.regions) != 1:
         raise ValueError("separation check applies to single-region instances")
-    tg = build_threshold_graph(instance, Fraction(threshold) ** 2)
+    return _separation(instance, distinct_distances(instance.pointset()),
+                       threshold, budget, stats)
+
+
+def _separation(instance, table, threshold, budget, stats):
+    graph = build_threshold_graph(table, Fraction(threshold) ** 2)
     anchors = [instance.anchor_index[axis] for axis in instance.regions[0]]
-    base = find_coloring(tg.graph, 3, budget=budget, stats=stats)
+    base = find_coloring(graph, 3, budget=budget, stats=stats)
     if base is None:
         return False, None
     predicate = _distinct_on(anchors)
-    holds, witness = forall_colorings(tg.graph, 3, predicate, support=anchors,
+    holds, witness = forall_colorings(graph, 3, predicate, support=anchors,
                                       budget=budget, stats=stats)
     return holds, witness
 
@@ -223,17 +211,10 @@ def remark_clustering(instance):
     return make_clustering(instance.pointset(), assignment, 3)
 
 
-def remark_diameter_within_bound(clustering, instance):
+def remark_diameter_within_bound(clustering):
     """Exact check that the squared diameter is at most 1 + sqrt(2)/2."""
-    groups = clustering.clusters()
-    for group in groups:
-        for x in range(len(group)):
-            for y in range(x + 1, len(group)):
-                d = sphere_point_sq_distance(instance.points[group[x]],
-                                             instance.points[group[y]])
-                if d.exceeds_one_plus_half_sqrt2():
-                    return False
-    return True
+    d = clustering.diameter
+    return d == 0 or not d.exceeds_one_plus_half_sqrt2()
 
 
 def coloring_to_clustering(instance, hypergraph, coloring):
@@ -255,12 +236,7 @@ def coloring_to_clustering(instance, hypergraph, coloring):
     clustering = make_clustering(instance.pointset(), assignment, 3)
     # orthant argument: intra-cluster pairs have nonnegative inner product,
     # so squared distances stay at most 1
-    for group in clustering.clusters():
-        for x in range(len(group)):
-            for y in range(x + 1, len(group)):
-                d = sphere_point_sq_distance(instance.points[group[x]],
-                                             instance.points[group[y]])
-                assert d.m >= 0
+    assert clustering.diameter <= 1
     return clustering
 
 
@@ -283,13 +259,13 @@ def kappa_sweep(kappas, thresholds, budget=DEFAULT_BUDGET, axes=(0, 1, 2)):
     rows = []
     for kappa in kappas:
         instance = build_region_instance(axes, kappa)
+        table = distinct_distances(instance.pointset())
         for t in thresholds:
             t = Fraction(t)
             stats = {"nodes": 0}
             start = time.perf_counter()
             try:
-                holds, _ = verify_anchor_separation(instance, threshold=t,
-                                                    budget=budget, stats=stats)
+                holds, _ = _separation(instance, table, t, budget, stats)
                 verdict = "yes" if holds else "no"
             except BudgetExceeded:
                 verdict = "budget_exceeded"

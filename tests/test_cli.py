@@ -120,3 +120,7 @@ def test_usage_errors(capsys, tmp_path):
     assert main(["cluster", "exact", "--pointset",
                  str(tmp_path / "missing.json")]) == 3
     assert main(["sphere", "verify-lemma53", "--t", "not-a-fraction"]) == 3
+
+
+def test_threads_flag_is_gone(capsys):
+    assert main(["repro-all", "--threads", "2"]) == 3

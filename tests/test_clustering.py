@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,9 @@ from kdiameter.clustering import (
     two_cluster,
 )
 from kdiameter.geometry import BitVector, IntVector, Pointset
+from kdiameter.graphs import Graph, odd_girth
 from kdiameter.hadamard import hadamard_code
+from kdiameter.sphere import build_region_instance
 
 
 def test_make_clustering_validation():
@@ -33,10 +36,52 @@ def test_make_clustering_validation():
 def test_threshold_graph_and_distinct_distances():
     pts = [IntVector([0]), IntVector([2]), IntVector([5])]
     ps = Pointset("l1_int", pts)
+    table = distinct_distances(ps)
     # 0 is always a candidate diameter (singleton clusters)
-    assert distinct_distances(ps) == [0, 2, 3, 5]
-    g = threshold_graph_at(ps, 2)
+    assert table.keys == [0, 2, 3, 5]
+    g = threshold_graph_at(table, table.rank_above(2))
     assert g.has_edge(0, 2) and g.has_edge(1, 2) and not g.has_edge(0, 1)
+
+
+def _brute_candidates(ps):
+    n = len(ps)
+    values = sorted(ps.distance(i, j) for i in range(n) for j in range(i + 1, n))
+    out = [0]
+    for v in values:
+        if v > out[-1]:
+            out.append(v)
+    return out
+
+
+def _brute_graph(ps, farther_than):
+    n = len(ps)
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                     if farther_than(ps.distance(i, j))])
+
+
+def test_pair_table_graphs_match_brute_force():
+    rng = random.Random(41)
+    pointsets = []
+    for metric in ("l1_int", "linf_int", "l1_int"):
+        for _ in range(10):
+            pts = random_int_pointset(rng, max_points=9, span=3).points
+            pts += rng.sample(pts, 2)  # duplicate points: distance 0
+            pointsets.append(Pointset(metric, pts))
+    words = [BitVector(6, rng.getrandbits(6)) for _ in range(14)]
+    pointsets.append(Pointset("hamming", words + words[:3]))
+    pointsets += [build_region_instance((0, 1, 2), kappa).pointset()
+                  for kappa in (3, 4)]
+    for ps in pointsets:
+        n = len(ps)
+        table = distinct_distances(ps)
+        assert sorted(table.pairs) == [i * n + j for i in range(n)
+                                       for j in range(i + 1, n)]
+        candidates = _brute_candidates(ps)
+        assert len(table.keys) == len(candidates)
+        for rank, cutoff in enumerate(candidates):
+            assert table.rank_above(cutoff) == rank + 1
+            assert threshold_graph_at(table, rank + 1) == _brute_graph(
+                ps, lambda d: d > cutoff)
 
 
 def test_exact_cluster_matches_brute_force():
@@ -117,6 +162,33 @@ def test_barrier_screen_on_hadamard_pointset():
     assert report["probe_ratio"] == Fraction(3, 2)
     assert report["odd_cycle_obstruction"] == (
         report["odd_girth"] != float("inf"))
+
+
+def test_barrier_screen_sphere_probe_against_decimal_oracle():
+    rng = random.Random(43)
+    region = build_region_instance((0, 1, 2), 5).points
+    checked = 0
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for _ in range(12):
+            ps = Pointset("l2_sphere_lattice", rng.sample(region, 9))
+            ratio = Fraction(rng.randint(21, 40), 20)
+            report = barrier_screen(ps, k=2, ratio=ratio)
+            opt = report["optimal_k_diameter"]
+            bound = (Decimal(ratio.numerator) / ratio.denominator) ** 2 * (
+                1 - Decimal(opt.m) / Decimal(opt.big_n).sqrt())
+
+            def at_least(d):
+                gap = 1 - Decimal(d.m) / Decimal(d.big_n).sqrt() - bound
+                if abs(gap) > Decimal(10) ** -40:
+                    return gap > 0
+                # a tie needs both sides rational (ratio != 1)
+                return d.as_fraction() >= ratio ** 2 * opt.as_fraction()
+
+            probe = _brute_graph(ps, at_least)
+            assert report["odd_girth"] == odd_girth(probe)
+            checked += opt.as_fraction() is None
+    assert checked  # some optima are irrational
 
 
 def test_cluster_hamming_points():

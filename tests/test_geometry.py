@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import mpmath
@@ -11,9 +12,11 @@ from kdiameter.geometry import (
     SphereLatticePoint,
     axis_point,
     hamming_distance,
+    key_at_least_scaled,
     l1_distance,
     linf_distance,
     pointset_diameter,
+    sphere_key,
     sphere_point_sq_distance,
     sq_distance_exceeds,
 )
@@ -130,6 +133,73 @@ def test_sq_distance_total_order():
     as_exact = sorted(dists)
     for x, y in zip(as_float, as_exact):
         assert abs(float(x) - float(y)) < 1e-9
+
+
+def test_exceeds_one_plus_half_sqrt2_against_high_precision():
+    rng = random.Random(5)
+    outcomes = set()
+    for _ in range(600):
+        p, q = _random_lattice_point(rng), _random_lattice_point(rng)
+        exceeds = sphere_point_sq_distance(p, q).exceeds_one_plus_half_sqrt2()
+        with mpmath.workdps(60):
+            gap = _mpmath_sq_distance(p, q) - (1 + mpmath.sqrt(2) / 2)
+            tie = abs(gap) < mpmath.mpf(10) ** -40
+        # an exact tie does not exceed the bound
+        assert exceeds == (not tie and gap > 0)
+        outcomes.add("tie" if tie else exceeds)
+    assert outcomes == {True, False, "tie"}
+
+
+def _decimal_from_key(key):
+    """d(k) = 1 + sgn(k) sqrt(|k|) at the current decimal precision."""
+    root = (Decimal(abs(key.numerator)) / key.denominator).sqrt()
+    return 1 + root if key > 0 else 1 - root
+
+
+def test_key_at_least_scaled_against_decimal_oracle():
+    rng = random.Random(13)
+    keys = [Fraction(*sphere_key(sphere_point_sq_distance(
+        _random_lattice_point(rng), _random_lattice_point(rng))))
+        for _ in range(300)]
+    keys += [Fraction(rng.randint(-30, 30), 30) for _ in range(60)]
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for _ in range(4000):
+            key, base = rng.choice(keys), rng.choice(keys)
+            ratio = Fraction(rng.randint(1, 300), rng.randint(1, 100))
+            gap = (_decimal_from_key(key)
+                   - Decimal(ratio.numerator) / ratio.denominator
+                   * _decimal_from_key(base))
+            if abs(gap) < Decimal(10) ** -40:
+                continue  # exact ties are constructed below
+            assert key_at_least_scaled(key, ratio, base) == (gap > 0)
+
+
+def test_key_at_least_scaled_exact_ties():
+    rng = random.Random(19)
+    eps = Fraction(1, 10**12)
+    ties = 0
+    for _ in range(500):
+        ratio = Fraction(rng.randint(1, 60), rng.randint(1, 30))
+        if rng.random() < 0.3:
+            # irrational tie: d(key) = d(base), ratio 1
+            ratio = Fraction(1)
+            base = Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+            key = base
+        else:
+            # rational tie: 1 + v = ratio (1 + w) with key v|v|, base w|w|
+            w = Fraction(rng.randint(-20, 20), rng.randint(1, 20))
+            if abs(w) > 1:
+                continue
+            v = ratio * (1 + w) - 1
+            if abs(v) > 1:
+                continue
+            key, base = v * abs(v), w * abs(w)
+        assert key_at_least_scaled(key, ratio, base)
+        assert key_at_least_scaled(key + eps, ratio, base)
+        assert not key_at_least_scaled(key - eps, ratio, base)
+        ties += 1
+    assert ties > 200
 
 
 def test_diameter_trivial_and_hadamard4():

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from kdiameter.clustering import distinct_distances
 from kdiameter.coloring import find_coloring
-from kdiameter.graphs import Hypergraph, complete_graph, incidence_hypergraph
+from kdiameter.graphs import Graph, Hypergraph, complete_graph, incidence_hypergraph
 from kdiameter.sphere import (
     SEPARATION_THRESHOLD,
     axis_key,
@@ -49,9 +50,31 @@ def test_build_P_G_deduplicates_shared_axes():
 
 def test_threshold_graph_monotone():
     inst = build_region_instance((0, 1, 2), 3)
-    low = build_threshold_graph(inst, Fraction(1))
-    high = build_threshold_graph(inst, Fraction(169, 100))
-    assert set(high.graph.sorted_edges()) <= set(low.graph.sorted_edges())
+    table = distinct_distances(inst.pointset())
+    low = build_threshold_graph(table, Fraction(1))
+    high = build_threshold_graph(table, Fraction(169, 100))
+    assert high.edges <= low.edges
+
+
+def test_threshold_graph_strict_at_exact_tie():
+    inst = build_region_instance((0, 1, 2), 3)
+    table = distinct_distances(inst.pointset())
+    a, b = inst.anchor_index[0], inst.anchor_index[1]
+    # ||e_a - e_b||^2 is exactly 1: an edge only strictly below it
+    assert not build_threshold_graph(table, 1).has_edge(a, b)
+    assert build_threshold_graph(table, Fraction(99, 100)).has_edge(a, b)
+
+
+def test_threshold_graph_matches_per_pair_exceeds():
+    ps = build_region_instance((0, 1, 2), 8).pointset()
+    table = distinct_distances(ps)
+    n = len(ps)
+    dists = {(i, j): ps.distance(i, j) for i in range(n) for j in range(i + 1, n)}
+    for t in (1, Fraction(5, 4), Fraction(163, 125), Fraction(4, 3),
+              Fraction(3, 2)):
+        t_sq = Fraction(t) ** 2
+        expected = Graph(n, [e for e, d in dists.items() if d.exceeds(t_sq)])
+        assert build_threshold_graph(table, t_sq) == expected
 
 
 def test_anchor_separation_holds_at_kappa12():
@@ -67,7 +90,8 @@ def test_anchor_separation_fails_at_small_kappa():
     holds, witness = verify_anchor_separation(inst)
     assert not holds
     assert witness is not None
-    graph = build_threshold_graph(inst, SEPARATION_THRESHOLD ** 2).graph
+    graph = build_threshold_graph(distinct_distances(inst.pointset()),
+                                  SEPARATION_THRESHOLD ** 2)
     assert all(witness[u] != witness[v] for u, v in graph.edges)
     anchors = [inst.anchor_index[a] for a in (0, 1, 2)]
     assert len({witness[a] for a in anchors}) < 3
@@ -83,7 +107,7 @@ def test_completeness_clustering_diameter_at_most_one():
 def test_remark_clustering_bound_and_anchor_grouping():
     inst = build_region_instance((0, 1, 2), 6)
     cl = remark_clustering(inst)
-    assert remark_diameter_within_bound(cl, inst)
+    assert remark_diameter_within_bound(cl)
     eb = inst.index_of[axis_key(1)]
     ec = inst.index_of[axis_key(2)]
     assert cl.assignment[eb] == cl.assignment[ec]
@@ -106,6 +130,18 @@ def test_coloring_to_clustering_rejects_non_rainbow():
     inst = build_P_G(h, kappa=2)
     with pytest.raises(ValueError):
         coloring_to_clustering(inst, h, [0, 0, 1])
+
+
+def test_sweep_matches_single_verifications():
+    thresholds = [1, Fraction(5, 4), Fraction(163, 125), Fraction(3, 2)]
+    rows = kappa_sweep([2, 3, 4], thresholds)
+    for row in rows:
+        stats = {"nodes": 0}
+        holds, _ = verify_anchor_separation(
+            build_region_instance((0, 1, 2), row["kappa"]),
+            threshold=Fraction(row["t_num"], row["t_den"]), stats=stats)
+        assert row["separation_holds"] == ("yes" if holds else "no")
+        assert row["nodes_explored"] == stats["nodes"]
 
 
 def test_sweep_csv_shape():
