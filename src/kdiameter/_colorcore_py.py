@@ -1,9 +1,28 @@
 """Pure-Python k-coloring backtracking kernel.
 
-Same contract as the compiled `_colorcore` extension: DSATUR-style dynamic
-vertex selection, optional fixed assignments, optional color symmetry
-breaking, and a hard node budget.  `kdiameter.coloring` picks whichever
-implementation imports.
+Same contract as the compiled `_colorcore` extension: DSATUR vertex
+selection (Brélaz 1979), optional fixed assignments, optional color
+symmetry breaking, and a hard node budget.  `kdiameter.coloring` picks
+whichever implementation imports.
+
+The search visits the same nodes in the same order as `_colorcore.pyx`,
+node for node, with the per-node work done on bitsets:
+
+- Vertices are ranked once per call by (-degree, index).  A vertex's
+  neighborhood is re-encoded as a bitset of ranks the first time it is
+  colored, so a search that ends after a few nodes never pays for the
+  whole graph.
+- `buckets[s]` holds the ranks of the uncolored vertices of saturation s
+  (the number of distinct colors among their colored neighbors), for
+  s = 0..k.  The next vertex is the lowest rank in the highest non-empty
+  bucket: the maximum of (saturation, degree, -index), as in the compiled
+  kernel's `_pick`.
+- `seen[c]` holds the ranks with a neighbor of color c.  Coloring a vertex
+  c moves its uncolored neighbors outside `seen[c]` up one bucket; undoing
+  it moves the same set down again and restores `seen[c]` from the stack.
+
+The search runs on an explicit stack, so graph size is not limited by the
+interpreter's recursion limit.
 """
 
 BACKEND = "python"
@@ -30,98 +49,132 @@ def search(adj, k, fixed=None, mode=MODE_FIRST, limit=0, budget=10**9):
     first mode, a list of colorings in enumerate mode.
     """
     n = len(adj)
+    empty = None if mode == MODE_FIRST else []
     colors = [-1] * n
-    counts = [[0] * k for _ in range(n)]
-    degrees = [adj[v].bit_count() for v in range(n)]
     symmetry = True
     if fixed is not None:
         for v, c in enumerate(fixed):
             if c is None or c < 0:
                 continue
             if c >= k:
-                return STATUS_OK, None if mode == MODE_FIRST else [], 0
+                return STATUS_OK, empty, 0
             symmetry = False
             colors[v] = c
-        for v in range(n):
-            c = colors[v]
-            if c < 0:
-                continue
-            nb = adj[v]
-            while nb:
-                w = (nb & -nb).bit_length() - 1
-                nb &= nb - 1
-                if colors[w] == c:
-                    return STATUS_OK, None if mode == MODE_FIRST else [], 0
-                counts[w][c] += 1
-    free = [v for v in range(n) if colors[v] < 0]
+
+    # a stable sort, so vertices of equal degree keep their index order
+    order = sorted(range(n), key=lambda v: -adj[v].bit_count())
+    rank_bit = [0] * n
+    for r, v in enumerate(order):
+        rank_bit[v] = 1 << r
+    nbrs = [-1] * n
+
+    def neighbors(r):
+        """The neighbors of rank r as a bitset of ranks, built on first use."""
+        nb, x = adj[order[r]], 0
+        while nb:
+            low = nb & -nb
+            x |= rank_bit[low.bit_length() - 1]
+            nb ^= low
+        nbrs[r] = x
+        return x
+
+    seen = [0] * k
+    classes = [0] * k
+    for r, v in enumerate(order):
+        if colors[v] >= 0:
+            seen[colors[v]] |= neighbors(r)
+            classes[colors[v]] |= 1 << r
+    # a fixed vertex next to one of its own color: nothing to search
+    if any(seen[c] & classes[c] for c in range(k)):
+        return STATUS_OK, empty, 0
+    free = (1 << n) - 1 - sum(classes)
+    buckets = [free] + [0] * k
+    for c in range(k):
+        for s in reversed(range(c + 1)):
+            m = buckets[s] & seen[c]
+            buckets[s] ^= m
+            buckets[s + 1] |= m
+
     full = (1 << k) - 1
+    used = max(colors, default=-1) + 1
+    depth, nfree = 0, free.bit_count()
+    # one frame per colored free vertex: its rank, its bucket, the colors
+    # left to try, its color (-1 before the first), the ranks its color
+    # moved up a bucket, the `seen` it replaced, and `used` before it
+    f_rank, f_level, f_avail, f_color, f_moved, f_seen, f_used = (
+        [0] * nfree for _ in range(7))
     nodes = 0
     found = []
-
-    def saturation(v):
-        return sum(1 for c in range(k) if counts[v][c])
-
-    def pick():
-        best, best_key = -1, None
-        for v in free:
-            if colors[v] >= 0:
-                continue
-            key = (saturation(v), degrees[v], -v)
-            if best_key is None or key > best_key:
-                best, best_key = v, key
-        return best
-
-    def rec(remaining, used):
-        nonlocal nodes
-        if remaining == 0:
-            if mode == MODE_FIRST:
-                found.append(list(colors))
-                return True
+    while True:
+        if depth == nfree:
             found.append(list(colors))
-            return bool(limit) and len(found) >= limit
-        v = pick()
-        avail = full
-        for c in range(k):
-            if counts[v][c]:
-                avail &= ~(1 << c)
-        if symmetry:
-            avail &= (1 << min(k, used + 1)) - 1
-        while avail:
-            c = (avail & -avail).bit_length() - 1
-            avail &= avail - 1
+            if mode == MODE_FIRST or (limit and len(found) >= limit):
+                break
+        else:
+            s = k
+            while not buckets[s]:
+                s -= 1
+            bit = buckets[s] & -buckets[s]
+            avail = full
+            for c in range(k):
+                if seen[c] & bit:
+                    avail ^= 1 << c
+            if symmetry:
+                avail &= (1 << min(k, used + 1)) - 1
+            buckets[s] ^= bit
+            free ^= bit
+            f_rank[depth] = bit.bit_length() - 1
+            f_level[depth], f_avail[depth] = s, avail
+            f_color[depth], f_used[depth] = -1, used
+            depth += 1
+        while depth:
+            d = depth - 1
+            c = f_color[d]
+            if c >= 0:
+                seen[c] = f_seen[d]
+                moved, s = f_moved[d], 1
+                while moved:
+                    m = buckets[s] & moved
+                    if m:
+                        buckets[s] ^= m
+                        buckets[s - 1] |= m
+                        moved ^= m
+                    s += 1
+            avail = f_avail[d]
+            if not avail:
+                bit = 1 << f_rank[d]
+                buckets[f_level[d]] |= bit
+                free |= bit
+                depth = d
+                continue
+            low = avail & -avail
+            c = low.bit_length() - 1
+            f_avail[d] = avail ^ low
             nodes += 1
             if nodes > budget:
-                raise _Budget
-            colors[v] = c
-            nb = adj[v]
-            while nb:
-                w = (nb & -nb).bit_length() - 1
-                nb &= nb - 1
-                counts[w][c] += 1
-            if rec(remaining - 1, max(used, c + 1)):
-                colors[v] = -1
-                nb = adj[v]
-                while nb:
-                    w = (nb & -nb).bit_length() - 1
-                    nb &= nb - 1
-                    counts[w][c] -= 1
-                return True
-            colors[v] = -1
-            nb = adj[v]
-            while nb:
-                w = (nb & -nb).bit_length() - 1
-                nb &= nb - 1
-                counts[w][c] -= 1
-        return False
-
-    class _Budget(Exception):
-        pass
-
-    try:
-        used0 = max((c + 1 for c in colors if c >= 0), default=0)
-        rec(len(free), used0)
-    except _Budget:
-        return STATUS_BUDGET, None if mode == MODE_FIRST else found, nodes
+                return STATUS_BUDGET, None if mode == MODE_FIRST else found, nodes
+            r = f_rank[d]
+            f_color[d] = c
+            colors[order[r]] = c
+            nb = nbrs[r]
+            if nb < 0:
+                nb = neighbors(r)
+            old = seen[c]
+            f_seen[d] = old
+            seen[c] = old | nb
+            moved = nb & free & ~old
+            f_moved[d], s = moved, k - 1
+            while moved:
+                m = buckets[s] & moved
+                if m:
+                    buckets[s] ^= m
+                    buckets[s + 1] |= m
+                    moved ^= m
+                s -= 1
+            used = max(f_used[d], c + 1)
+            break
+        else:
+            break
 
     if mode == MODE_FIRST:
         return STATUS_OK, (found[0] if found else None), nodes

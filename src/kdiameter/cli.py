@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from kdiameter import __version__
 from kdiameter.clustering import exact_cluster, gonzalez_cluster, two_cluster
-from kdiameter.coloring import BudgetExceeded, DEFAULT_BUDGET
+from kdiameter.coloring import BUDGET_ERROR, BudgetExceeded, DEFAULT_BUDGET
 from kdiameter.gadgets import (
     GadgetH,
     build_composite,
@@ -379,6 +379,9 @@ def build_parser():
 
 
 def main(argv=None):
+    if BUDGET_ERROR:
+        print(f"usage error: {BUDGET_ERROR}", file=sys.stderr)
+        return EXIT_USAGE
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

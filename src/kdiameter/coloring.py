@@ -17,7 +17,23 @@ except ImportError:
 
 KERNEL_BACKEND = _kernel.BACKEND
 
-DEFAULT_BUDGET = int(os.environ.get("KDIAMETER_BUDGET", 10**9))
+
+def _environment_budget():
+    """The default node budget, from KDIAMETER_BUDGET when it is set.
+
+    A setting that is not an integer leaves the budget at 10**9 and comes
+    back as the second value, the reason it was refused, so that importing
+    the package never fails; the CLI reports it as a usage error."""
+    raw = os.environ.get("KDIAMETER_BUDGET")
+    if raw is None:
+        return 10**9, None
+    try:
+        return int(raw), None
+    except ValueError:
+        return 10**9, f"KDIAMETER_BUDGET must be an integer, got {raw!r}"
+
+
+DEFAULT_BUDGET, BUDGET_ERROR = _environment_budget()
 
 ENUMERATION_GUARD_NODES = 2**30
 

@@ -14,6 +14,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, isqrt
 
 
@@ -427,10 +428,12 @@ class PairTable:
         ids = array("l")    # per pair, row-major
         for value in _pair_values(pointset):
             ids.append(distinct.setdefault(value, len(distinct)))
-        values = ([Fraction(*v) for v in distinct]
-                  if pointset.metric == "l2_sphere_lattice" else list(distinct))
-        self.keys = sorted(set(values) | {self.key(0)})
-        rank = [bisect_right(self.keys, v) - 1 for v in values]
+        if pointset.metric == "l2_sphere_lattice":
+            self.keys, rank = _rank_sphere_keys(list(distinct))
+        else:
+            self.keys = sorted(set(distinct) | {0})
+            index = {key: r for r, key in enumerate(self.keys)}
+            rank = [index[v] for v in distinct]
         # counting sort by falling rank
         self.above = above = [0] * (len(self.keys) + 1)
         for c in ids:
@@ -455,6 +458,24 @@ class PairTable:
     def rank_above(self, value):
         """Least rank whose pairs are all farther than `value`."""
         return bisect_right(self.keys, self.key(value))
+
+
+def _rank_sphere_keys(values):
+    """Sorted distinct Fraction keys of the (num, den) sphere keys `values`,
+    led by the key of distance 0, and the rank of each value.
+
+    The values are sorted by integer cross-multiplication (den > 0), and
+    equal ones merged, so a Fraction is built only for each distinct key.
+    """
+    ordered = sorted(values + [sphere_key(0)],
+                     key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
+    keys, rank_of, last = [], {}, None
+    for value in ordered:
+        if last is None or value[0] * last[1] != last[0] * value[1]:
+            keys.append(Fraction(*value))
+            last = value
+        rank_of[value] = len(keys) - 1
+    return keys, [rank_of[v] for v in values]
 
 
 def _pair_values(pointset):

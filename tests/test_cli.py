@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import kdiameter
 
 from kdiameter.cli import main
 from kdiameter.graphs import complete_graph, incidence_hypergraph, path_graph
@@ -124,3 +130,13 @@ def test_usage_errors(capsys, tmp_path):
 
 def test_threads_flag_is_gone(capsys):
     assert main(["repro-all", "--threads", "2"]) == 3
+
+
+def test_malformed_budget_environment_is_a_usage_error():
+    env = dict(os.environ, KDIAMETER_BUDGET="abc",
+               PYTHONPATH=str(Path(kdiameter.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-m", "kdiameter.cli", "gadget", "build"],
+                            env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 3
+    assert result.stderr.splitlines() == [
+        "usage error: KDIAMETER_BUDGET must be an integer, got 'abc'"]

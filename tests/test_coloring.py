@@ -1,11 +1,15 @@
+import importlib.util
 import random
+import shutil
+import subprocess
+import sysconfig
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from kdiameter import _colorcore_py
 from kdiameter.coloring import (
-    KERNEL_BACKEND,
     BudgetExceeded,
     EnumerationGuard,
     count_colorings_total,
@@ -23,11 +27,6 @@ from kdiameter.graphs import (
     cycle_graph,
     petersen_graph,
 )
-
-try:
-    from kdiameter import _colorcore
-except ImportError:
-    _colorcore = None
 
 
 def random_graph(n, p, rng):
@@ -142,14 +141,47 @@ def test_rainbow_modes():
         rainbow_k_colorings(h, 3, mode="bogus")
 
 
-@pytest.mark.skipif(_colorcore is None, reason="compiled kernel unavailable")
-def test_backends_agree():
-    assert KERNEL_BACKEND == "cython"
+def test_search_depth_is_not_limited_by_recursion():
+    g = cycle_graph(3001)
+    assert is_proper(g, find_coloring(g, 3), 3)
+    assert find_coloring(cycle_graph(1201), 2) is None
+
+
+@pytest.fixture(scope="session")
+def compiled_kernel(tmp_path_factory):
+    """The committed `_colorcore.c` built with the system C compiler into a
+    temporary directory, so the package's own backend stays as it is."""
+    compiler = shutil.which("cc") or shutil.which("gcc")
+    include = Path(sysconfig.get_paths()["include"])
+    if compiler is None or not (include / "Python.h").exists():
+        pytest.skip("no C compiler or Python headers")
+    source = Path(_colorcore_py.__file__).with_name("_colorcore.c")
+    target = (tmp_path_factory.mktemp("colorcore")
+              / ("_colorcore" + sysconfig.get_config_var("EXT_SUFFIX")))
+    subprocess.run([compiler, "-O2", "-shared", "-fPIC", "-w", f"-I{include}",
+                    str(source), "-o", str(target)], check=True, timeout=300)
+    spec = importlib.util.spec_from_file_location("_colorcore", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_backends_agree(compiled_kernel):
     rng = random.Random(8)
+    for _ in range(300):
+        g = random_graph(rng.randint(0, 40), rng.random() * 0.5, rng)
+        adj = g.adjacency_bitsets()
+        k = rng.randint(1, 4)
+        fixed = [rng.choice([-1] * 8 + list(range(k))) for _ in range(g.n)]
+        for kwargs in ({}, {"fixed": fixed},
+                       {"fixed": fixed, "budget": rng.randint(0, 50)},
+                       {"budget": rng.randint(0, 50)},
+                       {"mode": _colorcore_py.MODE_ENUMERATE, "budget": 200}):
+            assert (compiled_kernel.search(adj, k, **kwargs)
+                    == _colorcore_py.search(adj, k, **kwargs))
     for _ in range(40):
         g = random_graph(rng.randint(1, 8), rng.random(), rng)
         adj = g.adjacency_bitsets()
         for k in (2, 3):
-            a = _colorcore.search(adj, k, mode=_colorcore.MODE_ENUMERATE)
-            b = _colorcore_py.search(adj, k, mode=_colorcore_py.MODE_ENUMERATE)
-            assert a == b
+            assert (compiled_kernel.search(adj, k, mode=compiled_kernel.MODE_ENUMERATE)
+                    == _colorcore_py.search(adj, k, mode=_colorcore_py.MODE_ENUMERATE))

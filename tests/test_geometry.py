@@ -1,4 +1,6 @@
 import random
+from bisect import bisect_right
+from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import pytest
 from kdiameter.geometry import (
     BitVector,
     IntVector,
+    PairTable,
     Pointset,
     SphereLatticePoint,
     axis_point,
@@ -20,6 +23,7 @@ from kdiameter.geometry import (
     sphere_point_sq_distance,
     sq_distance_exceeds,
 )
+from kdiameter.sphere import build_region_instance
 
 
 def test_hamming_identity_and_complement():
@@ -236,3 +240,26 @@ def test_pointset_json_roundtrip():
     assert back.labels == ps.labels
     order = ps.canonical_order()
     assert sorted(order) == [0, 1]
+
+
+def _fraction_pair_table(ps):
+    """(keys, above, pairs) of a sphere pointset from one Fraction key per
+    pair, sorted and located by Fraction comparison."""
+    n = len(ps)
+    ids = [i * n + j for i in range(n) for j in range(i + 1, n)]
+    values = [Fraction(*sphere_key(ps.distance(*divmod(p, n)))) for p in ids]
+    keys = sorted(set(values) | {Fraction(*sphere_key(0))})
+    rank = [bisect_right(keys, v) - 1 for v in values]
+    counts = Counter(rank)
+    above = [0] * (len(keys) + 1)
+    for r in reversed(range(len(keys))):
+        above[r] = above[r + 1] + counts[r]
+    pairs = [ids[p] for p in sorted(range(len(ids)), key=lambda p: -rank[p])]
+    return keys, above, pairs
+
+
+@pytest.mark.parametrize("kappa", range(3, 13))
+def test_sphere_pair_table_matches_fraction_construction(kappa):
+    ps = build_region_instance((0, 1, 2), kappa).pointset()
+    table = PairTable(ps)
+    assert (table.keys, table.above, list(table.pairs)) == _fraction_pair_table(ps)
