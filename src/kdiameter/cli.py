@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 from kdiameter import __version__
-from kdiameter.clustering import exact_cluster, gonzalez_cluster, two_cluster
+from kdiameter.clustering import MAX_K, exact_cluster, gonzalez_cluster, two_cluster
 from kdiameter.coloring import BUDGET_ERROR, BudgetExceeded, DEFAULT_BUDGET
 from kdiameter.gadgets import (
     GadgetH,
@@ -29,7 +29,7 @@ from kdiameter.gadgets import (
 from kdiameter.geometry import Pointset
 from kdiameter.graphs import Graph, Hypergraph, incidence_hypergraph
 from kdiameter.hadamard import verify_embedding
-from kdiameter.lp import max_embeddability
+from kdiameter.lp import MAX_VERTICES, max_embeddability
 from kdiameter.sphere import (
     SEPARATION_THRESHOLD,
     build_P_G,
@@ -53,14 +53,42 @@ def _load_graph(path):
     with open(path) as f:
         text = f.read()
     try:
-        return Graph.from_json(text)
-    except (json.JSONDecodeError, KeyError, TypeError):
-        return Graph.from_edge_list_text(text)
+        try:
+            return Graph.from_json(text)
+        except (json.JSONDecodeError, KeyError, TypeError):
+            return Graph.from_edge_list_text(text)
+    except ValueError as e:
+        raise _UsageError(f"bad graph in {path}: {e}")
 
 
 def _load_hypergraph(path):
     with open(path) as f:
-        return Hypergraph.from_dict(json.load(f))
+        text = f.read()
+    try:
+        hypergraph = Hypergraph.from_json(text)
+    except (ValueError, KeyError, TypeError) as e:
+        raise _UsageError(f"bad hypergraph in {path}: {e}")
+    if not hypergraph.is_3_uniform():
+        raise _UsageError(f"hypergraph in {path} is not 3-uniform")
+    return hypergraph
+
+
+def _load_pointset(path):
+    with open(path) as f:
+        text = f.read()
+    try:
+        payload = json.loads(text)
+        if "pointset" in payload:
+            payload = payload["pointset"]
+        pointset = Pointset.from_dict(payload)
+        # points of mixed lengths raise DimensionMismatch here, not mid-search
+        for i in range(1, len(pointset)):
+            pointset.distance(0, i)
+    except (ValueError, KeyError, TypeError) as e:
+        raise _UsageError(f"bad pointset in {path}: {e}")
+    if not len(pointset):
+        raise _UsageError(f"pointset in {path} is empty")
+    return pointset
 
 
 def _parse_fraction(s):
@@ -70,12 +98,22 @@ def _parse_fraction(s):
         raise _UsageError(f"bad fraction {s!r}: {e}")
 
 
-def _parse_range(s):
-    """Parse "4..16" or a comma list into a list of ints."""
+def _parse_kappa(s):
+    try:
+        kappa = int(s)
+    except ValueError:
+        raise _UsageError(f"bad kappa {s!r}: not an integer")
+    if kappa < 1:
+        raise _UsageError(f"bad kappa {s!r}: must be positive")
+    return kappa
+
+
+def _parse_kappas(s):
+    """Parse "4..16" or a comma list into a list of positive ints."""
     if ".." in s:
         lo, hi = s.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in s.split(",")]
+        return list(range(_parse_kappa(lo), _parse_kappa(hi) + 1))
+    return [_parse_kappa(x) for x in s.split(",")]
 
 
 def _exact_value(x):
@@ -212,7 +250,7 @@ def cmd_sphere_reduce(args):
 
 
 def cmd_sphere_sweep(args):
-    kappas = _parse_range(args.kappa)
+    kappas = _parse_kappas(args.kappa)
     thresholds = [_parse_fraction(t) for t in args.t_grid.split(",")]
     rows = kappa_sweep(kappas, thresholds, budget=args.budget_nodes)
     csv = sweep_csv(rows)
@@ -225,11 +263,9 @@ def cmd_sphere_sweep(args):
 
 
 def cmd_cluster(args):
-    with open(args.pointset) as f:
-        payload = json.load(f)
-    if "pointset" in payload:
-        payload = payload["pointset"]
-    pointset = Pointset.from_dict(payload)
+    pointset = _load_pointset(args.pointset)
+    if args.mode == "exact" and not 1 <= args.k <= MAX_K:
+        raise _UsageError(f"cluster exact needs 1 <= k <= {MAX_K}, got {args.k}")
     if args.mode == "exact":
         clustering = exact_cluster(pointset, args.k, budget=args.budget_nodes)
     elif args.mode == "gonzalez":
@@ -246,6 +282,9 @@ def cmd_cluster(args):
 
 def cmd_embeddability(args):
     graph = _load_graph(args.graph)
+    if not 1 <= graph.n <= MAX_VERTICES:
+        raise _UsageError(f"embeddability needs 1 to {MAX_VERTICES} vertices, "
+                          f"got {graph.n}")
     result = max_embeddability(graph)
     cert = {"unbounded": result["unbounded"], "verified": result["certified"]}
     if result["ratio"] is not None:
@@ -341,16 +380,16 @@ def build_parser():
 
     sphere = sub.add_parser("sphere").add_subparsers(dest="sub", required=True)
     p = sphere.add_parser("region", parents=[common])
-    p.add_argument("--kappa", type=int, required=True)
+    p.add_argument("--kappa", type=_parse_kappa, required=True)
     p.add_argument("--axes", type=int, nargs=3, default=(0, 1, 2))
     p.set_defaults(func=cmd_sphere_region)
     p = sphere.add_parser("verify-lemma53", parents=[common])
-    p.add_argument("--kappa", type=int, default=12)
+    p.add_argument("--kappa", type=_parse_kappa, default=12)
     p.add_argument("--t", default=str(SEPARATION_THRESHOLD))
     p.set_defaults(func=cmd_sphere_verify)
     p = sphere.add_parser("reduce", parents=[common])
     p.add_argument("--hypergraph", required=True)
-    p.add_argument("--kappa", type=int, default=12)
+    p.add_argument("--kappa", type=_parse_kappa, default=12)
     p.set_defaults(func=cmd_sphere_reduce)
     p = sphere.add_parser("sweep", parents=[common])
     p.add_argument("--kappa", required=True, help="range like 4..16 or list")

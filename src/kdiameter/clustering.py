@@ -18,6 +18,8 @@ from kdiameter.coloring import DEFAULT_BUDGET, find_coloring
 from kdiameter.geometry import PairTable, key_at_least_scaled
 from kdiameter.graphs import Graph, odd_girth
 
+MAX_K = 4   # exact_cluster's largest k
+
 
 @dataclass
 class Clustering:
@@ -101,8 +103,8 @@ def exact_cluster(pointset, k, budget=DEFAULT_BUDGET, max_points=400):
 
 
 def _checked(pointset, k, max_points=400):
-    if not 1 <= k <= 4:
-        raise ValueError("k must be between 1 and 4")
+    if not 1 <= k <= MAX_K:
+        raise ValueError(f"k must be between 1 and {MAX_K}")
     n = len(pointset)
     if n == 0:
         raise ValueError("empty pointset")

@@ -81,69 +81,15 @@ class GadgetH:
         return cls.from_dict(json.loads(s))
 
 
-def gadget_candidates(budget=DEFAULT_BUDGET):
-    """Certified gadgets, the designated one first.
-
-    The designated attachment sets are tried before a fallback enumeration
-    over single-edge removals that leave the base uniquely 3-colorable,
-    attaching each auxiliary to one vertex of each of the other two color
-    classes (pairwise disjoint, internally non-adjacent).  Every candidate
-    yielded is certified by exhaustive coloring: exactly one proper
-    3-coloring up to color permutation, auxiliaries pairwise distinct.
-    """
-    from itertools import product
-
-    full = chvatal_graph()
-    designated = GadgetH(full.remove_edge(*DESIGNATED_REMOVED_EDGE),
-                         DESIGNATED_REMOVED_EDGE, DESIGNATED_ATTACHMENTS)
-    if verify_gadget(designated, budget=budget):
-        yield designated
-    for removed in full.sorted_edges():
-        base = full.remove_edge(*removed)
-        canonical = enumerate_colorings(base, 3, budget=budget)
-        if len(canonical) != 1:
-            continue
-        coloring = canonical[0]
-        classes = [sorted(v for v in range(12) if coloring[v] == c)
-                   for c in range(3)]
-        role_options = []
-        for role in range(3):
-            a, b = (c for c in range(3) if c != role)
-            pairs = [(v, w) for v in classes[a] for w in classes[b]
-                     if not base.has_edge(v, w)]
-            role_options.append(pairs)
-        for combo in product(*role_options):
-            flat = [v for pair in combo for v in pair]
-            if len(set(flat)) != 6:
-                continue
-            gadget = GadgetH(base, removed,
-                             tuple(tuple(sorted(pair)) for pair in combo))
-            if verify_gadget(gadget, budget=budget):
-                yield gadget
-
-
 def build_gadget_H(budget=DEFAULT_BUDGET):
-    """First certified gadget candidate."""
-    for gadget in gadget_candidates(budget=budget):
-        return gadget
-    raise RuntimeError("no single-edge removal yields a certifiable gadget")
-
-
-def build_embeddable_gadget(budget=DEFAULT_BUDGET, max_candidates=20):
-    """First certified gadget admitting oriented embeddings.
-
-    Returns (gadget, library); the library holds one embedding per
-    orientation the gadget supports directly, which is enough for stitching
-    because composite slot maps send each hyperedge's minority-block vertex
-    to the last auxiliary slot.
-    """
-    for count, gadget in enumerate(gadget_candidates(budget=budget)):
-        if count >= max_candidates:
-            break
-        library = oriented_embedding_library(gadget, budget=budget)
-        if library:
-            return gadget, library
-    raise RuntimeError("no candidate gadget admits oriented embeddings")
+    """The designated gadget, certified by exhaustive coloring: exactly one
+    proper 3-coloring up to color permutation, auxiliaries pairwise
+    distinct."""
+    gadget = GadgetH(chvatal_graph().remove_edge(*DESIGNATED_REMOVED_EDGE),
+                     DESIGNATED_REMOVED_EDGE, DESIGNATED_ATTACHMENTS)
+    if not verify_gadget(gadget, budget=budget):
+        raise RuntimeError("the designated gadget does not verify")
+    return gadget
 
 
 def verify_gadget(gadget, budget=DEFAULT_BUDGET):

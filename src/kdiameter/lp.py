@@ -4,8 +4,13 @@ A binary embedding of a graph is a multiset of cut words w in {0,1}^n; the
 distance between vertices a, b is the total weight of words with w_a != w_b.
 Maximizing the ratio r with non-edge distances normalized to 1 is the linear
 program: maximize r subject to edge cut sums >= r, non-edge cut sums <= 1,
-x_w >= 0.  Solved with a dense simplex over Fractions and Bland's rule, so
-the optimum is exact and the witness is rational.
+x_w >= 0.  Solved exactly by a dense simplex with Bland's rule that pivots
+fraction-free over ints: the tableau is kept as int rows over one common
+denominator, so no gcd is ever taken, and the pivots, the optimum and the
+rational witness are those of the same tableau over Fractions.  The final
+objective row also gives the optimal dual, which `dual_certifies` checks
+in ints against every cut word, so a certified ratio is proved optimal,
+not only attained.
 """
 
 from __future__ import annotations
@@ -17,7 +22,9 @@ from math import lcm
 from kdiameter.geometry import BitVector
 from kdiameter.hadamard import Embedding
 
-MAX_VERTICES = 16
+# largest n whose cycle C_n solves in under a minute on a 2-vCPU VM: C10
+# takes 3,813 pivots (about 27 s), C11 was still pivoting after 150 s
+MAX_VERTICES = 10
 
 
 @dataclass
@@ -33,6 +40,7 @@ class LPResult:
     status: str        # "optimal" | "unbounded"
     ratio: object      # Fraction when optimal
     weights: dict      # word mask -> positive Fraction
+    dual: list | None = None   # one Fraction per LP row when optimal
 
 
 def build_embeddability_lp(graph, max_n=MAX_VERTICES):
@@ -63,45 +71,65 @@ def solve_lp(lp):
 
     Always feasible (x = 0, r = 0).  Unbounded exactly when the edge
     constraints can be scaled freely, e.g. graphs with no non-edges or no
-    edges at all.
+    edges at all.  An optimal result carries the simplex's dual solution.
     """
     # columns: 0 = r, then one per word; rows: edges (r - cut sum <= 0),
     # then non-edges (cut sum <= 1)
-    num_vars = 1 + len(lp.words)
-    rows = []
-    rhs = []
-    for a, b in lp.edge_pairs:
-        row = [Fraction(1)] + [Fraction(-_cuts(w, a, b)) for w in lp.words]
-        rows.append(row)
-        rhs.append(Fraction(0))
-    for a, b in lp.nonedge_pairs:
-        row = [Fraction(0)] + [Fraction(_cuts(w, a, b)) for w in lp.words]
-        rows.append(row)
-        rhs.append(Fraction(1))
-    objective = [Fraction(1)] + [Fraction(0)] * len(lp.words)
-    status, value, solution = simplex_max(rows, rhs, objective)
+    rows = [[1] + [-_cuts(w, a, b) for w in lp.words] for a, b in lp.edge_pairs]
+    rows += [[0] + [_cuts(w, a, b) for w in lp.words]
+             for a, b in lp.nonedge_pairs]
+    rhs = [0] * len(lp.edge_pairs) + [1] * len(lp.nonedge_pairs)
+    objective = [1] + [0] * len(lp.words)
+    stats = {}
+    status, value, solution = simplex_max(rows, rhs, objective, stats=stats)
     if status == "unbounded":
         return LPResult("unbounded", None, {})
     weights = {w: solution[1 + i] for i, w in enumerate(lp.words) if solution[1 + i]}
-    return LPResult("optimal", value, weights)
+    return LPResult("optimal", value, weights, stats["dual"])
 
 
-def simplex_max(rows, rhs, objective):
+def simplex_max(rows, rhs, objective, stats=None):
     """Maximize objective . x subject to rows . x <= rhs, x >= 0, rhs >= 0.
 
-    Dense tableau simplex with Bland's anti-cycling rule over Fractions.
-    Returns ("optimal", value, x) or ("unbounded", None, None).
+    Dense tableau simplex with Bland's anti-cycling rule, pivoting
+    fraction-free over ints (Edmonds; Bareiss): the tableau is T / D with
+    one common denominator D, starting at 1.  A pivot on p = T[r][s] keeps
+    row r, replaces every other row i (the objective too) by
+    (T[i] * p - T[i][s] * T[r]) // D, an exact division, and sets D = p.
+    Since D > 0, the entering column (the first negative objective entry)
+    and the ratio test, compared by cross-multiplication with ties broken
+    toward the smaller basic index, are those of the same tableau over
+    Fractions, so the pivots and the returned x are too.
+
+    Entries may be ints or Fractions: each row is scaled with its rhs by
+    the LCM of its denominators (its slack keeps coefficient 1), and the
+    objective by the LCM of its own.  Positive scaling leaves Bland's
+    pivots unchanged; it is divided back out of the value and the dual.
+
+    Returns ("optimal", value, x) with Fraction entries or ("unbounded",
+    None, None).  `stats`, when given, is a dict whose "pivots" entry
+    accumulates the pivot count; an optimal solve sets its "dual" entry to
+    the optimal dual solution y (one Fraction per row, read from the final
+    objective row's slack columns), with y >= 0, y . rows >= objective
+    column by column, and y . rhs = value.
     """
     m = len(rows)
     n = len(objective)
     if any(b < 0 for b in rhs):
         raise ValueError("rhs must be nonnegative (slack basis start)")
-    # tableau: m constraint rows of [A | I | b], then the objective row
-    tab = [list(rows[i]) + [Fraction(int(i == j)) for j in range(m)] + [rhs[i]]
-           for i in range(m)]
-    obj = [-c for c in objective] + [Fraction(0)] * (m + 1)
-    basis = [n + i for i in range(m)]
     width = n + m
+    scales = [_denominator_lcm([*rows[i], rhs[i]]) for i in range(m)]
+    tab = []
+    for i in range(m):
+        s = scales[i]
+        row = [int(a * s) for a in rows[i]] + [0] * m + [int(rhs[i] * s)]
+        row[n + i] = 1
+        tab.append(row)
+    obj_scale = _denominator_lcm(objective)
+    obj = [-int(c * obj_scale) for c in objective] + [0] * (m + 1)
+    basis = [n + i for i in range(m)]
+    d = 1
+    pivots = 0
 
     while True:
         enter = -1
@@ -111,32 +139,83 @@ def simplex_max(rows, rhs, objective):
                 break
         if enter == -1:
             break
-        leave, best = -1, None
+        leave, best_b, best_a = -1, 0, 1
         for i in range(m):
             a = tab[i][enter]
             if a > 0:
-                ratio = tab[i][width] / a
-                if best is None or ratio < best or (ratio == best
+                b = tab[i][width]
+                left, right = b * best_a, best_b * a
+                if leave == -1 or left < right or (left == right
                                                    and basis[i] < basis[leave]):
-                    leave, best = i, ratio
+                    leave, best_b, best_a = i, b, a
         if leave == -1:
-            return "unbounded", None, None
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
+            break
+        prow = tab[leave]
+        p = prow[enter]
         for i in range(m):
-            if i != leave and tab[i][enter]:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-        if obj[enter]:
-            f = obj[enter]
-            obj = [x - f * y for x, y in zip(obj, tab[leave])]
+            if i != leave:
+                tab[i] = _pivot_row(tab[i], prow, p, d, enter)
+        obj = _pivot_row(obj, prow, p, d, enter)
         basis[leave] = enter
+        d = p
+        pivots += 1
 
+    if stats is not None:
+        stats["pivots"] = stats.get("pivots", 0) + pivots
+    if enter != -1:  # no row bounds the entering column
+        return "unbounded", None, None
     x = [Fraction(0)] * n
     for i, bv in enumerate(basis):
         if bv < n:
-            x[bv] = tab[i][width]
-    return "optimal", obj[width], x
+            x[bv] = Fraction(tab[i][width], d)
+    if stats is not None:
+        stats["dual"] = [Fraction(obj[n + i] * scales[i], d * obj_scale)
+                         for i in range(m)]
+    return "optimal", Fraction(obj[width], d * obj_scale), x
+
+
+def _denominator_lcm(values):
+    return lcm(*(v.denominator for v in values))
+
+
+def _pivot_row(row, prow, p, d, enter):
+    """Row of the integer tableau after pivoting on prow[enter] = p."""
+    f = row[enter]
+    if f == 0:
+        if p == d:
+            return row
+        return [a * p // d for a in row]
+    return [(a * p - f * b) // d for a, b in zip(row, prow)]
+
+
+def dual_certifies(lp, ratio, dual):
+    """True when `dual` proves that no embedding beats `ratio`.
+
+    `dual` holds one multiplier per LP row, edge rows first.  It is dual
+    feasible when every multiplier is >= 0, the edge multipliers sum to at
+    least 1 (the column of r) and, for every cut word, the non-edge
+    multipliers over the pairs it cuts sum to at least the edge
+    multipliers over the pairs it cuts (the word's column).  The non-edge
+    multipliers then sum to an upper bound on every feasible r (weak
+    duality), so equality with `ratio` makes `ratio` optimal.  Checked in
+    ints, with every value scaled by one common denominator.
+    """
+    if dual is None or len(dual) != len(lp.edge_pairs) + len(lp.nonedge_pairs):
+        return False
+    scale = lcm(ratio.denominator, *(v.denominator for v in dual))
+    y = [v.numerator * (scale // v.denominator) for v in dual]
+    if any(v < 0 for v in y):
+        return False
+    edge_y = list(zip(lp.edge_pairs, y))
+    nonedge_y = list(zip(lp.nonedge_pairs, y[len(lp.edge_pairs):]))
+    if sum(v for _, v in edge_y) < scale:
+        return False
+    for w in lp.words:
+        if (sum(v for (a, b), v in nonedge_y if _cuts(w, a, b))
+                < sum(v for (a, b), v in edge_y if _cuts(w, a, b))):
+            return False
+    return (sum(v for _, v in nonedge_y)
+            == ratio.numerator * (scale // ratio.denominator))
 
 
 def extract_integer_embedding(graph, result):
@@ -167,20 +246,25 @@ def max_embeddability(graph):
     """Largest r for which the graph embeds into binary Hamming space.
 
     Returns {"unbounded": bool, "ratio": Fraction | None,
-             "certified": bool, "embedding": Embedding | None}.
+             "certified": bool, "embedding": Embedding | None,
+             "dual": list | None}.
+    A bounded ratio is certified when the LP dual proves it optimal
+    (`dual_certifies`) and the extracted embedding verifies at it.
     """
     lp = build_embeddability_lp(graph)
     result = solve_lp(lp)
     if result.status == "unbounded":
         return {"unbounded": True, "ratio": None, "certified": True,
-                "embedding": None}
+                "embedding": None, "dual": None}
+    optimal = dual_certifies(lp, result.ratio, result.dual)
     if not result.weights or result.ratio <= 0:
-        return {"unbounded": False, "ratio": result.ratio, "certified": True,
-                "embedding": None}
+        return {"unbounded": False, "ratio": result.ratio, "certified": optimal,
+                "embedding": None, "dual": result.dual}
     embedding = extract_integer_embedding(graph, result)
     from kdiameter.hadamard import verify_embedding
 
     report = verify_embedding(embedding)
-    certified = report["ok"] and report["achieved_ratio"] == result.ratio
+    certified = (optimal and report["ok"]
+                 and report["achieved_ratio"] == result.ratio)
     return {"unbounded": False, "ratio": result.ratio, "certified": certified,
-            "embedding": embedding}
+            "embedding": embedding, "dual": result.dual}

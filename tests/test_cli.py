@@ -10,6 +10,7 @@ import kdiameter
 
 from kdiameter.cli import main
 from kdiameter.graphs import complete_graph, incidence_hypergraph, path_graph
+from kdiameter.lp import MAX_VERTICES
 
 
 @pytest.fixture
@@ -140,3 +141,34 @@ def test_malformed_budget_environment_is_a_usage_error():
     assert result.returncode == 3
     assert result.stderr.splitlines() == [
         "usage error: KDIAMETER_BUDGET must be an integer, got 'abc'"]
+
+
+BAD_INPUTS = {
+    "graph_over_lp_cap": json.dumps(path_graph(MAX_VERTICES + 1).to_dict()),
+    "self_loop.json": json.dumps({"n": 3, "edges": [[0, 0], [0, 1]]}),
+    "malformed.json": '{"n": 3, "edges": [[0, 1]',
+    "mixed.json": json.dumps({"metric": "l1_int", "points": [[0, 0], [1, 2, 3]]}),
+    "points.json": json.dumps({"metric": "l1_int", "points": [[0, 0], [1, 2]]}),
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["embeddability", "--graph", "graph_over_lp_cap"],
+    ["embeddability", "--graph", "self_loop.json"],
+    ["embeddability", "--graph", "malformed.json"],
+    ["cluster", "exact", "--pointset", "mixed.json"],
+    ["cluster", "exact", "--pointset", "points.json", "--k", "7"],
+    ["sphere", "verify-lemma53", "--kappa", "0"],
+    ["sphere", "sweep", "--kappa", "4..x", "--t-grid", "1"],
+], ids=["lp-cap", "self-loop", "malformed-json", "mixed-lengths", "k7",
+        "kappa0", "kappa-range"])
+def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
+    for name, text in BAD_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(Path(kdiameter.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-m", "kdiameter.cli", *argv],
+                            cwd=tmp_path, env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 3
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: ")

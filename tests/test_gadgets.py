@@ -10,11 +10,9 @@ from kdiameter.gadgets import (
     ORIENTATIONS,
     GadgetH,
     build_composite,
-    build_embeddable_gadget,
     build_gadget_H,
     edge_orientations,
     find_oriented_embedding,
-    gadget_candidates,
     oriented_embedding_library,
     stitch_embedding,
     stitch_slot_maps,
@@ -83,23 +81,6 @@ def test_gadget_json_roundtrip(gadget):
     assert back.removed_edge == gadget.removed_edge
     assert back.attachments == gadget.attachments
     assert back.base == gadget.base
-
-
-def test_fallback_candidates_are_certified():
-    gen = gadget_candidates()
-    seen = []
-    for _ in range(4):
-        g = next(gen)
-        assert verify_gadget(g)
-        seen.append(g)
-    # enumeration continues past the designated gadget
-    assert any(g.attachments != DESIGNATED_ATTACHMENTS for g in seen)
-
-
-def test_build_embeddable_gadget(gadget):
-    g, lib = build_embeddable_gadget()
-    assert g.attachments == gadget.attachments
-    assert lib
 
 
 # ---------------------------------------------------------------------------
