@@ -1,21 +1,12 @@
 """Build script: compiles the optional coloring kernel extension.
 
-The package works without the extension (a pure-Python kernel is selected
-at import time), so a missing compiler or Cython only costs speed.
+`kdiameter._colorcore` is a hand-written C extension built from
+`src/kdiameter/_colorcore.c` with the system C compiler.  It is optional:
+without a compiler the build still succeeds, and the package runs on the
+pure-Python kernel `_colorcore_py`, selected at import time.
 """
 
-from setuptools import setup
+from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-    from setuptools import Extension
-
-    ext_modules = cythonize(
-        [Extension("kdiameter._colorcore", ["src/kdiameter/_colorcore.pyx"])],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    pass
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[Extension("kdiameter._colorcore", ["src/kdiameter/_colorcore.c"],
+                             optional=True)])

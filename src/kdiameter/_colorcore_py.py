@@ -5,8 +5,8 @@ selection (Brélaz 1979), optional fixed assignments, optional color
 symmetry breaking, and a hard node budget.  `kdiameter.coloring` picks
 whichever implementation imports.
 
-The search visits the same nodes in the same order as `_colorcore.pyx`,
-node for node, with the per-node work done on bitsets:
+The search visits the same nodes in the same order as the C kernel
+`_colorcore.c`, node for node, with the per-node work done on bitsets:
 
 - Vertices are ranked once per call by (-degree, index).  A vertex's
   neighborhood is re-encoded as a bitset of ranks the first time it is
@@ -16,7 +16,7 @@ node for node, with the per-node work done on bitsets:
   (the number of distinct colors among their colored neighbors), for
   s = 0..k.  The next vertex is the lowest rank in the highest non-empty
   bucket: the maximum of (saturation, degree, -index), as in the compiled
-  kernel's `_pick`.
+  kernel's `pick`.
 - `seen[c]` holds the ranks with a neighbor of color c.  Coloring a vertex
   c moves its uncolored neighbors outside `seen[c]` up one bucket; undoing
   it moves the same set down again and restores `seen[c]` from the stack.
@@ -34,15 +34,14 @@ STATUS_OK = 0
 STATUS_BUDGET = 1
 
 
-def search(adj, k, fixed=None, mode=MODE_FIRST, limit=0, budget=10**9):
+def search(adj, k, fixed=None, mode=MODE_FIRST, budget=10**9):
     """Backtracking search over proper k-colorings.
 
     adj    -- list of neighbor bitsets (int), one per vertex
-    fixed  -- per-vertex preassigned color or -1
+    fixed  -- per-vertex preassigned color, or -1 or None for a free vertex
     mode   -- MODE_FIRST returns the first proper coloring found;
               MODE_ENUMERATE collects colorings (canonical representatives
               under color permutation when nothing is fixed)
-    limit  -- cap on collected colorings in enumerate mode (0 = no cap)
     budget -- node budget; exceeding it aborts with STATUS_BUDGET
 
     Returns (status, payload, nodes): payload is a coloring list or None in
@@ -108,7 +107,7 @@ def search(adj, k, fixed=None, mode=MODE_FIRST, limit=0, budget=10**9):
     while True:
         if depth == nfree:
             found.append(list(colors))
-            if mode == MODE_FIRST or (limit and len(found) >= limit):
+            if mode == MODE_FIRST:
                 break
         else:
             s = k

@@ -27,8 +27,8 @@ from kdiameter.gadgets import (
     verify_gadget,
 )
 from kdiameter.geometry import Pointset
-from kdiameter.graphs import Graph, Hypergraph, incidence_hypergraph
-from kdiameter.hadamard import verify_embedding
+from kdiameter.graphs import Graph, Hypergraph, cut_edges, incidence_hypergraph
+from kdiameter.hadamard import Embedding, verify_embedding
 from kdiameter.lp import MAX_VERTICES, max_embeddability
 from kdiameter.sphere import (
     SEPARATION_THRESHOLD,
@@ -59,6 +59,35 @@ def _load_graph(path):
             return Graph.from_edge_list_text(text)
     except ValueError as e:
         raise _UsageError(f"bad graph in {path}: {e}")
+
+
+def _load_cubic_graph(path):
+    """A graph the composite construction accepts: cubic and bridgeless."""
+    graph = _load_graph(path)
+    if not graph.is_regular(3) or cut_edges(graph):
+        raise _UsageError(f"graph in {path} is not cubic and bridgeless")
+    return graph
+
+
+def _load_gadget(path):
+    with open(path) as f:
+        text = f.read()
+    try:
+        payload = json.loads(text)
+        if "gadget" in payload:
+            payload = payload["gadget"]
+        return GadgetH.from_dict(payload)
+    except (ValueError, KeyError, TypeError) as e:
+        raise _UsageError(f"bad gadget in {path}: {e}")
+
+
+def _load_embedding(path):
+    with open(path) as f:
+        text = f.read()
+    try:
+        return Embedding.from_json(text)
+    except (ValueError, KeyError, TypeError) as e:
+        raise _UsageError(f"bad embedding in {path}: {e}")
 
 
 def _load_hypergraph(path):
@@ -156,11 +185,7 @@ def cmd_gadget_build(args):
 
 def cmd_gadget_verify(args):
     if args.gadget:
-        with open(args.gadget) as f:
-            payload = json.load(f)
-        if "gadget" in payload:
-            payload = payload["gadget"]
-        gadget = GadgetH.from_dict(payload)
+        gadget = _load_gadget(args.gadget)
     else:
         gadget = build_gadget_H(budget=args.budget_nodes)
     ok = verify_gadget(gadget, budget=args.budget_nodes)
@@ -171,7 +196,7 @@ def cmd_gadget_verify(args):
 
 
 def _composite_from_args(args):
-    J = _load_graph(args.graph)
+    J = _load_cubic_graph(args.graph)
     gadget = build_gadget_H(budget=args.budget_nodes)
     hypergraph = incidence_hypergraph(J)
     slot_maps = stitch_slot_maps(J)
@@ -207,6 +232,9 @@ def cmd_composite_embed(args):
 
 
 def cmd_sphere_region(args):
+    if len(set(args.axes)) != 3 or min(args.axes) < 0:
+        raise _UsageError(f"--axes needs three distinct non-negative indices, "
+                          f"got {args.axes}")
     instance = build_region_instance(tuple(args.axes), args.kappa)
     report = _report(args, "sphere region", kappa=args.kappa,
                      points=len(instance.points),
@@ -266,6 +294,8 @@ def cmd_cluster(args):
     pointset = _load_pointset(args.pointset)
     if args.mode == "exact" and not 1 <= args.k <= MAX_K:
         raise _UsageError(f"cluster exact needs 1 <= k <= {MAX_K}, got {args.k}")
+    if args.mode == "gonzalez" and args.k < 1:
+        raise _UsageError(f"cluster gonzalez needs k >= 1, got {args.k}")
     if args.mode == "exact":
         clustering = exact_cluster(pointset, args.k, budget=args.budget_nodes)
     elif args.mode == "gonzalez":
@@ -301,10 +331,7 @@ def cmd_embeddability(args):
 
 
 def cmd_embedding_verify(args):
-    from kdiameter.hadamard import Embedding
-
-    with open(args.embedding) as f:
-        emb = Embedding.from_json(f.read())
+    emb = _load_embedding(args.embedding)
     result = verify_embedding(emb)
     report = _report(args, "embedding verify",
                      verdicts={"verified": result["ok"]},

@@ -1,7 +1,9 @@
 """Vertex- and rainbow-coloring search API on top of the backtracking kernel.
 
-The kernel is the compiled `_colorcore` extension when available, else the
-pure-Python `_colorcore_py` module; both expose the same `search` function.
+The kernel is the compiled `_colorcore` extension, hand-written C that
+`setup.py` builds when a C compiler exists, else the pure-Python
+`_colorcore_py` module.  Both expose the same `search` function and visit
+the same nodes; `KERNEL_BACKEND` is "c" or "python".
 """
 
 from __future__ import annotations

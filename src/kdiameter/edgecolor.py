@@ -177,7 +177,7 @@ def three_edge_color_via_bridge_splitting(graph, budget=DEFAULT_BUDGET):
     """
     if graph.max_degree() > 3:
         raise ValueError("max degree must be at most 3")
-    colors = _color_edge_set(graph, set(graph.edges), budget)
+    colors = _color_edge_set(set(graph.edges), budget)
     if colors is None:
         return None
     return EdgeColoring(graph, colors, 3)
@@ -206,7 +206,7 @@ def _components_of_edges(edges):
     return comps
 
 
-def _color_edge_set(graph, edges, budget):
+def _color_edge_set(edges, budget):
     if not edges:
         return {}
     out = {}
@@ -232,32 +232,22 @@ def _color_component(edges, budget):
         return {(min(verts[u], verts[v]), max(verts[u], verts[v])): c
                 for (u, v), c in coloring.colors.items()}
     bridge = min(bridges)
-    rest = edges - {bridge}
-    parts = _components_of_edges(rest)
-    colored = {}
-    for part in parts:
-        sub_colors = _color_edge_set(None, part, budget)
+    parts = []
+    for part in _components_of_edges(edges - {bridge}):
+        sub_colors = _color_edge_set(part, budget)
         if sub_colors is None:
             return None
-        colored.update({id(part): None})  # placeholder; merged below
-        colored[id(part)] = sub_colors
+        parts.append((part, sub_colors))
     u, v = bridge
     out = {}
-    used_u = set()
-    used_v = set()
-    for part in parts:
-        sub_colors = colored[id(part)]
+    for part, sub_colors in parts:
         part_verts = {x for e in part for x in e}
-        at_u = {c for e, c in sub_colors.items() if u in e}
-        at_v = {c for e, c in sub_colors.items() if v in e}
         if v in part_verts and u not in part_verts:
             # rename this part so its colors at v avoid forcing a third color
-            perm = _merge_permutation(used_u | at_u_global(out, u), at_v)
+            at_v = {c for e, c in sub_colors.items() if v in e}
+            perm = _merge_permutation(at_u_global(out, u), at_v)
             sub_colors = {e: perm[c] for e, c in sub_colors.items()}
-            at_v = {perm[c] for c in at_v}
         out.update(sub_colors)
-        used_u |= at_u if u in part_verts else set()
-        used_v |= at_v if v in part_verts else set()
     both = at_u_global(out, u) | at_u_global(out, v)
     free = [c for c in range(3) if c not in both]
     if not free:

@@ -149,6 +149,13 @@ BAD_INPUTS = {
     "malformed.json": '{"n": 3, "edges": [[0, 1]',
     "mixed.json": json.dumps({"metric": "l1_int", "points": [[0, 0], [1, 2, 3]]}),
     "points.json": json.dumps({"metric": "l1_int", "points": [[0, 0], [1, 2]]}),
+    "path.json": json.dumps(path_graph(4).to_dict()),
+    # two K4s with one edge subdivided each, the subdivision vertices joined:
+    # cubic, with the bridge (4, 9)
+    "bridge.json": json.dumps({"n": 10, "edges": [
+        [0, 4], [4, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3],
+        [5, 9], [9, 6], [5, 7], [5, 8], [6, 7], [6, 8], [7, 8], [4, 9]]}),
+    "no_removed_edge.json": json.dumps({"attachments": [[0, 1, 2]]}),
 }
 
 
@@ -160,8 +167,17 @@ BAD_INPUTS = {
     ["cluster", "exact", "--pointset", "points.json", "--k", "7"],
     ["sphere", "verify-lemma53", "--kappa", "0"],
     ["sphere", "sweep", "--kappa", "4..x", "--t-grid", "1"],
+    ["composite", "build", "--graph", "path.json"],
+    ["composite", "embed", "--graph", "bridge.json"],
+    ["cluster", "gonzalez", "--pointset", "points.json", "--k", "0"],
+    ["sphere", "region", "--kappa", "2", "--axes", "0", "0", "1"],
+    ["sphere", "region", "--kappa", "2", "--axes", "-1", "0", "1"],
+    ["gadget", "verify", "--gadget", "no_removed_edge.json"],
+    ["embedding", "verify", "--embedding", "path.json"],
 ], ids=["lp-cap", "self-loop", "malformed-json", "mixed-lengths", "k7",
-        "kappa0", "kappa-range"])
+        "kappa0", "kappa-range", "composite-not-cubic", "composite-bridge",
+        "gonzalez-k0", "axes-repeated", "axes-negative", "gadget-no-removed-edge",
+        "not-an-embedding"])
 def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
     for name, text in BAD_INPUTS.items():
         (tmp_path / name).write_text(text)

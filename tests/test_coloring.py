@@ -149,8 +149,8 @@ def test_search_depth_is_not_limited_by_recursion():
 
 @pytest.fixture(scope="session")
 def compiled_kernel(tmp_path_factory):
-    """The committed `_colorcore.c` built with the system C compiler into a
-    temporary directory, so the package's own backend stays as it is."""
+    """`_colorcore.c` built with the system C compiler into a temporary
+    directory, so the package's own backend stays as it is."""
     compiler = shutil.which("cc") or shutil.which("gcc")
     include = Path(sysconfig.get_paths()["include"])
     if compiler is None or not (include / "Python.h").exists():
@@ -158,12 +158,20 @@ def compiled_kernel(tmp_path_factory):
     source = Path(_colorcore_py.__file__).with_name("_colorcore.c")
     target = (tmp_path_factory.mktemp("colorcore")
               / ("_colorcore" + sysconfig.get_config_var("EXT_SUFFIX")))
-    subprocess.run([compiler, "-O2", "-shared", "-fPIC", "-w", f"-I{include}",
-                    str(source), "-o", str(target)], check=True, timeout=300)
+    subprocess.run([compiler, "-O2", "-shared", "-fPIC", "-Wall", "-Wextra",
+                    "-Werror", f"-I{include}", str(source), "-o", str(target)],
+                   check=True, timeout=300)
     spec = importlib.util.spec_from_file_location("_colorcore", target)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_compiled_kernel_refuses_bits_outside_the_graph(compiled_kernel):
+    for n in (1, 7, 8, 9, 17):
+        for row in (1 << n, 1 << (n + 20), -1):
+            with pytest.raises(ValueError):
+                compiled_kernel.search([row] + [0] * (n - 1), 3)
 
 
 def test_backends_agree(compiled_kernel):
@@ -171,8 +179,9 @@ def test_backends_agree(compiled_kernel):
     for _ in range(300):
         g = random_graph(rng.randint(0, 40), rng.random() * 0.5, rng)
         adj = g.adjacency_bitsets()
-        k = rng.randint(1, 4)
-        fixed = [rng.choice([-1] * 8 + list(range(k))) for _ in range(g.n)]
+        k = rng.randint(0, 4)
+        fixed = [rng.choice([-1] * 8 + [None, k] + list(range(k)))
+                 for _ in range(g.n)]
         for kwargs in ({}, {"fixed": fixed},
                        {"fixed": fixed, "budget": rng.randint(0, 50)},
                        {"budget": rng.randint(0, 50)},
@@ -185,3 +194,7 @@ def test_backends_agree(compiled_kernel):
         for k in (2, 3):
             assert (compiled_kernel.search(adj, k, mode=compiled_kernel.MODE_ENUMERATE)
                     == _colorcore_py.search(adj, k, mode=_colorcore_py.MODE_ENUMERATE))
+    # the deep searches of test_search_depth_is_not_limited_by_recursion
+    for n, k in ((3001, 3), (1201, 2)):
+        adj = cycle_graph(n).adjacency_bitsets()
+        assert compiled_kernel.search(adj, k) == _colorcore_py.search(adj, k)
