@@ -15,7 +15,13 @@ import time
 from fractions import Fraction
 
 from kdiameter import __version__
-from kdiameter.clustering import MAX_K, exact_cluster, gonzalez_cluster, two_cluster
+from kdiameter.clustering import (
+    MAX_K,
+    MAX_POINTS,
+    exact_cluster,
+    gonzalez_cluster,
+    two_cluster,
+)
 from kdiameter.coloring import BUDGET_ERROR, BudgetExceeded, DEFAULT_BUDGET
 from kdiameter.gadgets import (
     GadgetH,
@@ -127,6 +133,13 @@ def _parse_fraction(s):
         raise _UsageError(f"bad fraction {s!r}: {e}")
 
 
+def _parse_threshold(s):
+    t = _parse_fraction(s)
+    if t <= 0:
+        raise _UsageError(f"bad threshold {s!r}: must be positive")
+    return t
+
+
 def _parse_kappa(s):
     try:
         kappa = int(s)
@@ -141,7 +154,10 @@ def _parse_kappas(s):
     """Parse "4..16" or a comma list into a list of positive ints."""
     if ".." in s:
         lo, hi = s.split("..", 1)
-        return list(range(_parse_kappa(lo), _parse_kappa(hi) + 1))
+        kappas = list(range(_parse_kappa(lo), _parse_kappa(hi) + 1))
+        if not kappas:
+            raise _UsageError(f"bad kappa range {s!r}: empty")
+        return kappas
     return [_parse_kappa(x) for x in s.split(",")]
 
 
@@ -245,7 +261,7 @@ def cmd_sphere_region(args):
 
 def cmd_sphere_verify(args):
     instance = build_region_instance((0, 1, 2), args.kappa)
-    threshold = _parse_fraction(args.t)
+    threshold = _parse_threshold(args.t)
     stats = {"nodes": 0}
     try:
         holds, witness = verify_anchor_separation(
@@ -279,7 +295,7 @@ def cmd_sphere_reduce(args):
 
 def cmd_sphere_sweep(args):
     kappas = _parse_kappas(args.kappa)
-    thresholds = [_parse_fraction(t) for t in args.t_grid.split(",")]
+    thresholds = [_parse_threshold(t) for t in args.t_grid.split(",")]
     rows = kappa_sweep(kappas, thresholds, budget=args.budget_nodes)
     csv = sweep_csv(rows)
     if args.out:
@@ -294,6 +310,9 @@ def cmd_cluster(args):
     pointset = _load_pointset(args.pointset)
     if args.mode == "exact" and not 1 <= args.k <= MAX_K:
         raise _UsageError(f"cluster exact needs 1 <= k <= {MAX_K}, got {args.k}")
+    if args.mode == "exact" and len(pointset) > MAX_POINTS:
+        raise _UsageError(f"cluster exact takes at most {MAX_POINTS} points, "
+                          f"got {len(pointset)}")
     if args.mode == "gonzalez" and args.k < 1:
         raise _UsageError(f"cluster gonzalez needs k >= 1, got {args.k}")
     if args.mode == "exact":

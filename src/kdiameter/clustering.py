@@ -19,6 +19,7 @@ from kdiameter.geometry import PairTable, key_at_least_scaled
 from kdiameter.graphs import Graph, odd_girth
 
 MAX_K = 4   # exact_cluster's largest k
+MAX_POINTS = 400   # exact_cluster's largest pointset
 
 
 @dataclass
@@ -91,25 +92,25 @@ def _least_colorable(table, color, top):
     return best
 
 
-def exact_cluster(pointset, k, budget=DEFAULT_BUDGET, max_points=400):
+def exact_cluster(pointset, k, budget=DEFAULT_BUDGET):
     """Optimal k-clustering by binary search over candidate diameters.
 
     The optimum is either 0 or an attained pairwise distance, so searching
     the sorted distinct distances for the least k-colorable threshold is
     exact.
     """
-    return _exact_cluster(distinct_distances(_checked(pointset, k, max_points)),
+    return _exact_cluster(distinct_distances(_checked(pointset, k)),
                           k, budget)
 
 
-def _checked(pointset, k, max_points=400):
+def _checked(pointset, k):
     if not 1 <= k <= MAX_K:
         raise ValueError(f"k must be between 1 and {MAX_K}")
     n = len(pointset)
     if n == 0:
         raise ValueError("empty pointset")
-    if n > max_points:
-        raise ValueError(f"pointset size {n} exceeds the cap {max_points}")
+    if n > MAX_POINTS:
+        raise ValueError(f"pointset size {n} exceeds the cap {MAX_POINTS}")
     return pointset
 
 

@@ -1,11 +1,10 @@
-"""Proper edge colorings: Misra-Gries fan recoloring for Delta+1 colors,
-exact backtracking for Delta colors, matching decomposition, and the
-bridge-splitting route to 3-edge-colorings of subcubic graphs."""
+"""Proper edge colorings: Misra-Gries fan recoloring for Delta+1 colors and
+exact backtracking on the line graph for Delta colors."""
 
 from __future__ import annotations
 
 from kdiameter.coloring import DEFAULT_BUDGET, find_coloring
-from kdiameter.graphs import Graph, cut_edges
+from kdiameter.graphs import Graph
 
 
 class EdgeColoring:
@@ -29,26 +28,6 @@ class EdgeColoring:
 
     def color_of(self, u, v):
         return self.colors[(min(u, v), max(u, v))]
-
-    def permuted(self, relabel):
-        return EdgeColoring(self.graph,
-                            {e: relabel[c] for e, c in self.colors.items()},
-                            self.num_colors)
-
-
-def matching_decomposition(graph, coloring):
-    """Color classes of a proper edge coloring, as edge sets M_1..M_c."""
-    classes = [set() for _ in range(coloring.num_colors)]
-    for e, c in coloring.colors.items():
-        classes[c].add(e)
-    for m in classes:
-        endpoints = [v for e in m for v in e]
-        if len(endpoints) != len(set(endpoints)):
-            raise ValueError("color class is not a matching")
-    covered = set().union(*classes) if classes else set()
-    if covered != set(graph.edges):
-        raise ValueError("classes do not partition the edge set")
-    return classes
 
 
 def line_graph(graph):
@@ -171,151 +150,9 @@ def _misra_gries(graph, num_colors):
 def three_edge_color_via_bridge_splitting(graph, budget=DEFAULT_BUDGET):
     """Proper 3-edge-coloring of a graph with max degree <= 3, or None.
 
-    Bridges are split off recursively; bridgeless pieces are solved exactly;
-    pieces are merged by renaming one side's colors so the bridge can take
-    the remaining color (bridge endpoints keep degree <= 2 inside pieces).
+    The exact search of `edge_coloring(graph, 3)`; only the degree check is
+    added.  The name is kept for the callers that import it.
     """
     if graph.max_degree() > 3:
         raise ValueError("max degree must be at most 3")
-    colors = _color_edge_set(set(graph.edges), budget)
-    if colors is None:
-        return None
-    return EdgeColoring(graph, colors, 3)
-
-
-def _components_of_edges(edges):
-    adj = {}
-    for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    seen = set()
-    comps = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        stack, comp_v = [start], set()
-        seen.add(start)
-        while stack:
-            x = stack.pop()
-            comp_v.add(x)
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        comps.append({e for e in edges if e[0] in comp_v})
-    return comps
-
-
-def _color_edge_set(edges, budget):
-    if not edges:
-        return {}
-    out = {}
-    for comp in _components_of_edges(edges):
-        part = _color_component(comp, budget)
-        if part is None:
-            return None
-        out.update(part)
-    return out
-
-
-def _color_component(edges, budget):
-    verts = sorted({v for e in edges for v in e})
-    relabel = {v: i for i, v in enumerate(verts)}
-    sub = Graph(len(verts), [(relabel[u], relabel[v]) for u, v in edges])
-    if sub.max_degree() <= 2:
-        return _color_paths_and_cycles(edges)
-    bridges = {(verts[u], verts[v]) for u, v in cut_edges(sub)}
-    if not bridges:
-        coloring = edge_coloring(sub, 3, budget=budget)
-        if coloring is None:
-            return None
-        return {(min(verts[u], verts[v]), max(verts[u], verts[v])): c
-                for (u, v), c in coloring.colors.items()}
-    bridge = min(bridges)
-    parts = []
-    for part in _components_of_edges(edges - {bridge}):
-        sub_colors = _color_edge_set(part, budget)
-        if sub_colors is None:
-            return None
-        parts.append((part, sub_colors))
-    u, v = bridge
-    out = {}
-    for part, sub_colors in parts:
-        part_verts = {x for e in part for x in e}
-        if v in part_verts and u not in part_verts:
-            # rename this part so its colors at v avoid forcing a third color
-            at_v = {c for e, c in sub_colors.items() if v in e}
-            perm = _merge_permutation(at_u_global(out, u), at_v)
-            sub_colors = {e: perm[c] for e, c in sub_colors.items()}
-        out.update(sub_colors)
-    both = at_u_global(out, u) | at_u_global(out, v)
-    free = [c for c in range(3) if c not in both]
-    if not free:
-        raise AssertionError("bridge endpoints exhausted all colors")
-    out[bridge] = free[0]
-    return out
-
-
-def at_u_global(colors, v):
-    return {c for e, c in colors.items() if v in e}
-
-
-def _merge_permutation(avoid_with, at_v):
-    """Permutation of {0,1,2} mapping at_v into a set that together with
-    avoid_with still leaves a color free."""
-    from itertools import permutations
-
-    for perm in permutations(range(3)):
-        mapped = {perm[c] for c in at_v}
-        if len(avoid_with | mapped) <= 2:
-            return perm
-    raise AssertionError("no merge permutation; endpoint degrees exceed 2")
-
-
-def _color_paths_and_cycles(edges):
-    """3-edge-coloring of a degree <= 2 edge set (paths and cycles)."""
-    adj = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    out = {}
-    visited = set()
-
-    def walk(start, first):
-        """Follow the path/cycle from start, alternating colors 0/1."""
-        seq = [start]
-        prev, cur = start, first
-        while True:
-            seq.append(cur)
-            nxts = [w for w in adj[cur] if w != prev]
-            if not nxts or nxts[0] == start and len(seq) > 2:
-                if nxts and nxts[0] == start:
-                    seq.append(start)
-                return seq
-            prev, cur = cur, nxts[0]
-
-    for v in sorted(adj):
-        if v in visited or len(adj[v]) != 1:
-            continue
-        # path starting at a degree-1 endpoint
-        seq = walk(v, adj[v][0])
-        for i in range(len(seq) - 1):
-            e = (min(seq[i], seq[i + 1]), max(seq[i], seq[i + 1]))
-            out[e] = i % 2
-        visited.update(seq)
-    for v in sorted(adj):
-        if v in visited:
-            continue
-        # cycle: alternate 0/1, last edge 2 when odd
-        seq = walk(v, adj[v][0])
-        visited.update(seq)
-        m = len(seq) - 1
-        for i in range(m):
-            e = (min(seq[i], seq[i + 1]), max(seq[i], seq[i + 1]))
-            if i == m - 1 and m % 2 == 1:
-                out[e] = 2
-            elif i == m - 1:
-                out[e] = 1
-            else:
-                out[e] = i % 2
-    return out
+    return edge_coloring(graph, 3, budget=budget)

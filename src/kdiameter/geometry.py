@@ -297,7 +297,7 @@ def sq_distance_exceeds(p, s, threshold_sq):
 
 METRICS = ("hamming", "l1_int", "linf_int", "l2_sphere_lattice")
 
-_DISTANCE = {
+DISTANCE = {
     "hamming": hamming_distance,
     "l1_int": l1_distance,
     "linf_int": linf_distance,
@@ -327,7 +327,7 @@ class Pointset:
                 raise ValueError("labels must be unique")
 
     def distance(self, i, j):
-        return _DISTANCE[self.metric](self.points[i], self.points[j])
+        return DISTANCE[self.metric](self.points[i], self.points[j])
 
     def __len__(self):
         return len(self.points)

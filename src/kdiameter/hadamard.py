@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
-from kdiameter.geometry import (
-    BitVector,
-    IntVector,
-    hamming_distance,
-    l1_distance,
-    linf_distance,
-)
+from kdiameter.geometry import DISTANCE, BitVector, IntVector, hamming_distance
 from kdiameter.graphs import Graph
 
 
@@ -60,15 +54,6 @@ def hadamard_code(q):
 TARGET_METRICS = ("hamming", "l1_int", "linf_int", "l2_binary")
 
 
-def _embedding_distance(metric, p, s):
-    if metric in ("hamming", "l2_binary"):
-        # squared Euclidean distance of binary points equals Hamming distance
-        return hamming_distance(p, s)
-    if metric == "l1_int":
-        return l1_distance(p, s)
-    return linf_distance(p, s)
-
-
 @dataclass
 class Embedding:
     """Vertex map into a target metric with the exact short/long thresholds
@@ -86,7 +71,11 @@ class Embedding:
             raise ValueError(f"unknown target metric {self.target_metric!r}")
 
     def distance(self, u, v):
-        return _embedding_distance(self.target_metric, self.image[u], self.image[v])
+        metric = self.target_metric
+        # squared Euclidean distance of binary points equals Hamming distance
+        if metric == "l2_binary":
+            metric = "hamming"
+        return DISTANCE[metric](self.image[u], self.image[v])
 
     # -- serialization ------------------------------------------------------
 

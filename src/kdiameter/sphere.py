@@ -146,7 +146,10 @@ def verify_anchor_separation(instance, threshold=SEPARATION_THRESHOLD,
 
 
 def _separation(instance, table, threshold, budget, stats):
-    graph = build_threshold_graph(table, Fraction(threshold) ** 2)
+    threshold = Fraction(threshold)
+    if threshold <= 0:
+        raise ValueError("threshold must be positive")
+    graph = build_threshold_graph(table, threshold ** 2)
     anchors = [instance.anchor_index[axis] for axis in instance.regions[0]]
     base = find_coloring(graph, 3, budget=budget, stats=stats)
     if base is None:

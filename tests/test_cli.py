@@ -9,6 +9,7 @@ import pytest
 import kdiameter
 
 from kdiameter.cli import main
+from kdiameter.clustering import MAX_POINTS
 from kdiameter.graphs import complete_graph, incidence_hypergraph, path_graph
 from kdiameter.lp import MAX_VERTICES
 
@@ -156,6 +157,8 @@ BAD_INPUTS = {
         [0, 4], [4, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3],
         [5, 9], [9, 6], [5, 7], [5, 8], [6, 7], [6, 8], [7, 8], [4, 9]]}),
     "no_removed_edge.json": json.dumps({"attachments": [[0, 1, 2]]}),
+    "over_cap.json": json.dumps({"metric": "l1_int",
+                                 "points": [[i] for i in range(MAX_POINTS + 1)]}),
 }
 
 
@@ -174,10 +177,16 @@ BAD_INPUTS = {
     ["sphere", "region", "--kappa", "2", "--axes", "-1", "0", "1"],
     ["gadget", "verify", "--gadget", "no_removed_edge.json"],
     ["embedding", "verify", "--embedding", "path.json"],
+    ["cluster", "exact", "--pointset", "over_cap.json"],
+    ["sphere", "verify-lemma53", "--kappa", "2", "--t", "-1"],
+    ["sphere", "verify-lemma53", "--kappa", "2", "--t", "0"],
+    ["sphere", "sweep", "--kappa", "2", "--t-grid", "1,-1"],
+    ["sphere", "sweep", "--kappa", "3..2", "--t-grid", "1"],
 ], ids=["lp-cap", "self-loop", "malformed-json", "mixed-lengths", "k7",
         "kappa0", "kappa-range", "composite-not-cubic", "composite-bridge",
         "gonzalez-k0", "axes-repeated", "axes-negative", "gadget-no-removed-edge",
-        "not-an-embedding"])
+        "not-an-embedding", "exact-over-cap", "t-negative", "t-zero",
+        "t-grid-negative", "kappa-range-empty"])
 def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
     for name, text in BAD_INPUTS.items():
         (tmp_path / name).write_text(text)

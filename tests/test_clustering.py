@@ -6,6 +6,7 @@ import pytest
 
 from kdiameter.acceptance import brute_force_cluster_diameter, random_int_pointset
 from kdiameter.clustering import (
+    MAX_POINTS,
     barrier_screen,
     distinct_distances,
     exact_cluster,
@@ -102,6 +103,12 @@ def test_exact_cluster_k_range():
         exact_cluster(ps, 5)
     with pytest.raises(ValueError):
         exact_cluster(ps, 0)
+
+
+def test_exact_cluster_refuses_more_than_max_points():
+    ps = Pointset("l1_int", [IntVector([i]) for i in range(MAX_POINTS + 1)])
+    with pytest.raises(ValueError):
+        exact_cluster(ps, 3)
 
 
 def test_two_cluster_optimal():

@@ -1,11 +1,11 @@
 import random
+from itertools import product
 
 import pytest
 
 from kdiameter.edgecolor import (
     edge_coloring,
     line_graph,
-    matching_decomposition,
     three_edge_color_via_bridge_splitting,
 )
 from kdiameter.graphs import (
@@ -62,20 +62,8 @@ def test_edge_coloring_infeasible():
     assert edge_coloring(petersen_graph(), 3) is None
 
 
-def test_matching_decomposition():
-    g = complete_bipartite_graph(3, 3)
-    coloring = edge_coloring(g, 3)
-    matchings = matching_decomposition(g, coloring)
-    assert len(matchings) == 3
-    covered = {e for m in matchings for e in m}
-    assert covered == set(g.sorted_edges())
-    for m in matchings:
-        touched = [v for e in m for v in e]
-        assert len(set(touched)) == len(touched)
-
-
-def test_bridge_splitting_on_bridged_cubic_graph():
-    # two K4-minus-edge blocks joined by a bridge: cubic with one cut edge
+def test_three_edge_coloring_of_cubic_graph_with_a_two_edge_cut():
+    # two K4-minus-edge blocks joined by two edges: cubic and bridgeless
     edges = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3),
              (4, 5), (4, 6), (5, 6), (5, 7), (6, 7), (0, 4)]
     g = Graph(8, edges + [(3, 7)])
@@ -84,19 +72,62 @@ def test_bridge_splitting_on_bridged_cubic_graph():
     assert_proper_edge_coloring(g, coloring, 3)
 
 
-def test_bridge_splitting_matches_direct_search():
-    rng = random.Random(21)
-    tried = 0
-    while tried < 15:
-        g = random_graph(rng.randint(4, 9), 0.4, rng)
-        if g.max_degree() > 3:
-            continue
-        tried += 1
-        split = three_edge_color_via_bridge_splitting(g)
-        direct = edge_coloring(g, 3)
-        assert (split is None) == (direct is None)
-        if split is not None:
-            assert_proper_edge_coloring(g, split, 3)
+def test_three_edge_coloring_of_triangle_with_pendant_path():
+    g = Graph(5, [(0, 2), (0, 3), (1, 3), (1, 4), (2, 3)])
+    coloring = three_edge_color_via_bridge_splitting(g)
+    assert coloring is not None
+    assert_proper_edge_coloring(g, coloring, 3)
+
+
+def test_cubic_graph_with_a_bridge_is_not_three_edge_colorable():
+    # two K4s with one edge subdivided each, the subdivision vertices joined:
+    # cubic, with the bridge (4, 9); a cubic graph with a bridge is class two
+    g = Graph(10, [(0, 4), (4, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                   (5, 9), (9, 6), (5, 7), (5, 8), (6, 7), (6, 8), (7, 8),
+                   (4, 9)])
+    assert g.is_regular(3)
+    assert three_edge_color_via_bridge_splitting(g) is None
+
+
+def brute_three_edge_colorable(graph):
+    edges = graph.sorted_edges()
+    for colors in product(range(3), repeat=len(edges)):
+        at = {}
+        for (u, v), c in zip(edges, colors):
+            if (u, c) in at or (v, c) in at:
+                break
+            at[u, c] = at[v, c] = True
+        else:
+            return True
+    return False
+
+
+def random_subcubic_graph(n, m, rng):
+    """Up to m edges in random order, each kept while both ends have degree
+    below 3."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    degree = [0] * n
+    edges = []
+    for u, v in pairs:
+        if len(edges) < m and degree[u] < 3 and degree[v] < 3:
+            edges.append((u, v))
+            degree[u] += 1
+            degree[v] += 1
+    return Graph(n, edges)
+
+
+def test_three_edge_coloring_matches_brute_force():
+    rng = random.Random(31)
+    verdicts = []
+    for _ in range(80):
+        g = random_subcubic_graph(rng.randint(4, 8), rng.randint(4, 10), rng)
+        coloring = three_edge_color_via_bridge_splitting(g)
+        verdicts.append(coloring is not None)
+        assert verdicts[-1] == brute_three_edge_colorable(g)
+        if coloring is not None:
+            assert_proper_edge_coloring(g, coloring, 3)
+    assert not all(verdicts)
 
 
 def test_bridge_splitting_refuses_high_degree():

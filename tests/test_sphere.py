@@ -97,6 +97,13 @@ def test_anchor_separation_fails_at_small_kappa():
     assert len({witness[a] for a in anchors}) < 3
 
 
+def test_anchor_separation_refuses_non_positive_threshold():
+    inst = build_region_instance((0, 1, 2), 2)
+    for t in (Fraction(-1), 0):
+        with pytest.raises(ValueError):
+            verify_anchor_separation(inst, threshold=t)
+
+
 def test_completeness_clustering_diameter_at_most_one():
     inst = build_region_instance((0, 1, 2), 6)
     cl = completeness_clustering(inst)
