@@ -200,7 +200,7 @@ def criterion_5(budget=DEFAULT_BUDGET, seed=0):
     J = complete_graph(4)
     comp = build_composite(incidence_hypergraph(J), gadget,
                            slot_maps=stitch_slot_maps(J))
-    emb = stitch_embedding(comp, J, library=library, budget=budget)
+    emb = stitch_embedding(comp, J, library=library)
     report = verify_embedding(emb)
     ratio_ok = report["ok"] and report["achieved_ratio"] == Fraction(3, 2)
     clustering = exact_cluster(Pointset("hamming", emb.image), 3, budget=budget)

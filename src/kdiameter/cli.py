@@ -140,14 +140,22 @@ def _parse_threshold(s):
     return t
 
 
-def _parse_kappa(s):
+def _parse_int(s, what, least):
     try:
-        kappa = int(s)
+        value = int(s)
     except ValueError:
-        raise _UsageError(f"bad kappa {s!r}: not an integer")
-    if kappa < 1:
-        raise _UsageError(f"bad kappa {s!r}: must be positive")
-    return kappa
+        raise _UsageError(f"bad {what} {s!r}: not an integer")
+    if value < least:
+        raise _UsageError(f"bad {what} {s!r}: must be at least {least}")
+    return value
+
+
+def _parse_kappa(s):
+    return _parse_int(s, "kappa", 1)
+
+
+def _parse_budget(s):
+    return _parse_int(s, "budget", 0)
 
 
 def _parse_kappas(s):
@@ -233,7 +241,7 @@ def cmd_composite_build(args):
 def cmd_composite_embed(args):
     J, gadget, comp = _composite_from_args(args)
     library = oriented_embedding_library(gadget, budget=args.budget_nodes)
-    emb = stitch_embedding(comp, J, library=library, budget=args.budget_nodes)
+    emb = stitch_embedding(comp, J, library=library)
     result = verify_embedding(emb)
     pointset = Pointset("hamming", emb.image)
     report = _report(args, "composite embed",
@@ -399,7 +407,8 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget-nodes", type=int, default=DEFAULT_BUDGET)
+    common.add_argument("--budget-nodes", type=_parse_budget,
+                        default=DEFAULT_BUDGET)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None)
     common.add_argument("--json", action="store_true",
@@ -471,10 +480,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as e:
+    except (_UsageError, OSError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceeded as e:

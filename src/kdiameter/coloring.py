@@ -1,4 +1,7 @@
-"""Vertex- and rainbow-coloring search API on top of the backtracking kernel.
+"""Vertex-coloring search API on top of the backtracking kernel.
+
+A rainbow coloring of a hypergraph is a proper coloring of its
+`Hypergraph.constraint_graph()`, so the same calls search it.
 
 The kernel is the compiled `_colorcore` extension, hand-written C that
 `setup.py` builds when a C compiler exists, else the pure-Python
@@ -23,16 +26,19 @@ KERNEL_BACKEND = _kernel.BACKEND
 def _environment_budget():
     """The default node budget, from KDIAMETER_BUDGET when it is set.
 
-    A setting that is not an integer leaves the budget at 10**9 and comes
-    back as the second value, the reason it was refused, so that importing
-    the package never fails; the CLI reports it as a usage error."""
+    A setting that is not a non-negative integer leaves the budget at 10**9
+    and comes back as the second value, the reason it was refused, so that
+    importing the package never fails; the CLI reports it as a usage error."""
     raw = os.environ.get("KDIAMETER_BUDGET")
     if raw is None:
         return 10**9, None
     try:
-        return int(raw), None
+        budget = int(raw)
     except ValueError:
         return 10**9, f"KDIAMETER_BUDGET must be an integer, got {raw!r}"
+    if budget < 0:
+        return 10**9, f"KDIAMETER_BUDGET must be non-negative, got {raw!r}"
+    return budget, None
 
 
 DEFAULT_BUDGET, BUDGET_ERROR = _environment_budget()
@@ -49,7 +55,7 @@ class BudgetExceeded(RuntimeError):
 
 
 class EnumerationGuard(ValueError):
-    """mode=all refused: the instance is too large to enumerate."""
+    """Enumeration refused: the instance is too large to enumerate."""
 
 
 def find_coloring(graph, k, fixed=None, budget=DEFAULT_BUDGET, stats=None):
@@ -67,10 +73,10 @@ def find_coloring(graph, k, fixed=None, budget=DEFAULT_BUDGET, stats=None):
     return payload
 
 
-def enumerate_colorings(graph, k, budget=DEFAULT_BUDGET, guard=True):
+def enumerate_colorings(graph, k, budget=DEFAULT_BUDGET):
     """All proper k-colorings up to color permutation (canonical representatives:
     color classes introduced in first-use order along the search)."""
-    if guard and k ** graph.n >= ENUMERATION_GUARD_NODES:
+    if k ** graph.n >= ENUMERATION_GUARD_NODES:
         raise EnumerationGuard(
             f"estimated {k}^{graph.n} search nodes exceeds the enumeration guard")
     status, payload, nodes = _kernel.search(
@@ -100,7 +106,7 @@ def expand_coloring(coloring, k):
 
 
 def forall_colorings(graph, k, predicate, support=None, budget=DEFAULT_BUDGET,
-                     guard=True, stats=None):
+                     stats=None):
     """Check that `predicate` holds for every proper k-coloring.
 
     Returns (True, None) or (False, counterexample_coloring).  Vacuously true
@@ -114,7 +120,7 @@ def forall_colorings(graph, k, predicate, support=None, budget=DEFAULT_BUDGET,
     matters for extendability).
     """
     if support is None:
-        for canonical in enumerate_colorings(graph, k, budget=budget, guard=guard):
+        for canonical in enumerate_colorings(graph, k, budget=budget):
             for coloring in expand_coloring(canonical, k):
                 if not predicate(coloring):
                     return False, coloring
@@ -124,7 +130,7 @@ def forall_colorings(graph, k, predicate, support=None, budget=DEFAULT_BUDGET,
     feasible_cache = {}
     for assignment in product(range(k), repeat=len(support)):
         trial = {v: c for v, c in zip(support, assignment)}
-        if predicate(_SupportColoring(trial)):
+        if predicate(trial):
             continue
         pattern = _partition_pattern(assignment)
         if pattern not in feasible_cache:
@@ -137,19 +143,8 @@ def forall_colorings(graph, k, predicate, support=None, budget=DEFAULT_BUDGET,
         if base is not None:
             # rename colors so the witness realizes the concrete assignment
             relabel = _pattern_relabel(pattern, assignment, k)
-            if relabel is not None:
-                return False, [relabel[c] for c in base]
+            return False, [relabel[c] for c in base]
     return True, None
-
-
-class _SupportColoring:
-    """Dict-backed stand-in passed to support predicates: indexable by vertex."""
-
-    def __init__(self, assignment):
-        self._assignment = assignment
-
-    def __getitem__(self, v):
-        return self._assignment[v]
 
 
 def _partition_pattern(assignment):
@@ -163,36 +158,12 @@ def _partition_pattern(assignment):
 
 
 def _pattern_relabel(pattern, assignment, k):
-    relabel = {}
-    for p, a in zip(pattern, assignment):
-        if relabel.setdefault(p, a) != a:
-            return None
+    """Color map sending `pattern`, the first-use relabelling of
+    `assignment`, back to it; unused colors fill in the rest."""
+    relabel = dict(zip(pattern, assignment))
     remaining = [c for c in range(k) if c not in relabel.values()]
     for c in range(k):
         if c not in relabel:
             relabel[c] = remaining.pop()
     return relabel
 
-
-def rainbow_k_colorings(hypergraph, k, mode="first", budget=DEFAULT_BUDGET):
-    """Rainbow k-coloring search on a hypergraph.
-
-    A rainbow coloring assigns every hyperedge pairwise-distinct colors, so
-    the search runs on the constraint graph with one edge per same-hyperedge
-    vertex pair.
-
-    mode -- "first": one coloring or None
-            "all": all colorings up to color permutation (guarded)
-            ("forall", predicate) or ("forall", predicate, support):
-              (holds, counterexample) as in `forall_colorings`
-    """
-    graph = hypergraph.constraint_graph()
-    if mode == "first":
-        return find_coloring(graph, k, budget=budget)
-    if mode == "all":
-        return enumerate_colorings(graph, k, budget=budget)
-    if isinstance(mode, tuple) and mode and mode[0] == "forall":
-        predicate = mode[1]
-        support = mode[2] if len(mode) > 2 else None
-        return forall_colorings(graph, k, predicate, support=support, budget=budget)
-    raise ValueError(f"unknown mode {mode!r}")

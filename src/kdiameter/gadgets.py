@@ -25,7 +25,6 @@ body vertices can ever disagree by a full codeword complement.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from kdiameter.coloring import DEFAULT_BUDGET, BudgetExceeded, enumerate_colorings
@@ -39,6 +38,9 @@ ORIENTATIONS = ((1, 2, 2), (2, 1, 2), (2, 2, 1),
 
 # role letters are 0, 1, 2; letters >= ROLE_LETTERS are gadget-local fresh
 ROLE_LETTERS = 3
+
+# the oriented-embedding search gives up beyond this many fresh letters
+MAX_FRESH = 6
 
 # the designated gadget: removing edge (6, 10) leaves the base uniquely
 # 3-colorable, and these attachment sets both force distinct auxiliary
@@ -73,13 +75,6 @@ class GadgetH:
         base = chvatal_graph().remove_edge(*removed)
         return cls(base, removed, tuple(tuple(t) for t in d["attachments"]))
 
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, s):
-        return cls.from_dict(json.loads(s))
-
 
 def build_gadget_H(budget=DEFAULT_BUDGET):
     """The designated gadget, certified by exhaustive coloring: exactly one
@@ -113,19 +108,6 @@ class OrientedGadgetEmbedding:
     pairs: list          # 15 entries of (letter1, sign1, letter2, sign2)
     fresh_count: int
 
-    def block_swapped(self):
-        """The opposite-orientation embedding: swap the two blocks of every
-        vertex, then complement each role letter globally so the auxiliary
-        pairs read (letter+, letter-) again."""
-        swapped = []
-        for l1, s1, l2, s2 in self.pairs:
-            a = (l2, -s2 if l2 < ROLE_LETTERS else s2)
-            b = (l1, -s1 if l1 < ROLE_LETTERS else s1)
-            swapped.append((a[0], a[1], b[0], b[1]))
-        flipped = tuple(3 - o for o in self.orientation)
-        return OrientedGadgetEmbedding(self.gadget, flipped, swapped,
-                                       self.fresh_count)
-
     def letter_positions_ok(self):
         """Each role letter appears among body pairs only at its oriented
         block position."""
@@ -137,23 +119,22 @@ class OrientedGadgetEmbedding:
                 return False
         return True
 
-    def materialize(self, q=None):
-        """Concrete codeword-pair embedding of the 15-vertex graph."""
-        letters = ROLE_LETTERS + self.fresh_count
-        if q is None:
-            q = next_power_of_two(max(2, letters))
-        if q < letters:
-            raise ValueError(f"q={q} cannot supply {letters} codewords")
+    def materialize(self):
+        """Concrete codeword-pair embedding of the 15-vertex graph, over the
+        least power of two q covering its letters."""
+        q = next_power_of_two(max(2, ROLE_LETTERS + self.fresh_count))
         code = hadamard_code(q)
-
-        def word(letter, sign):
-            w = code.plus_words[letter]
-            return w if sign > 0 else w.complement()
-
-        image = [word(l1, s1).concat(word(l2, s2))
-                 for l1, s1, l2, s2 in self.pairs]
+        image = [_pair_word(code, *pair) for pair in self.pairs]
         return Embedding(self.gadget.verification_graph(), "hamming", image,
                          short=q, long=3 * q // 2)
+
+
+def _pair_word(code, l1, s1, l2, s2):
+    """The word of two signed letters: per block, the letter's plus-word,
+    or its complement for a negative sign."""
+    first = code.plus_words[l1] if s1 > 0 else code.minus_words[l1]
+    second = code.plus_words[l2] if s2 > 0 else code.minus_words[l2]
+    return first.concat(second)
 
 
 def _pair_distance_units(p, r):
@@ -173,8 +154,7 @@ class EmbeddingSearchError(RuntimeError):
         self.best_depth = best_depth
 
 
-def find_oriented_embedding(gadget, orientation, max_fresh=6,
-                            budget=DEFAULT_BUDGET):
+def find_oriented_embedding(gadget, orientation, budget=DEFAULT_BUDGET):
     """Backtracking search for an oriented 3/2-embedding of the gadget.
 
     Auxiliary role r maps to (letter_r+, letter_r-); body vertices may use
@@ -243,7 +223,7 @@ def find_oriented_embedding(gadget, orientation, max_fresh=6,
                 pairs[v] = None
         return False
 
-    for fresh_cap in range(0, max_fresh + 1):
+    for fresh_cap in range(0, MAX_FRESH + 1):
         assigned = list(AUX)
         if rec(0, 0, assigned, fresh_cap):
             fresh_used = 0
@@ -254,7 +234,7 @@ def find_oriented_embedding(gadget, orientation, max_fresh=6,
             return OrientedGadgetEmbedding(gadget, tuple(orientation),
                                            list(pairs), fresh_used)
     raise EmbeddingSearchError(
-        f"no {tuple(orientation)}-oriented embedding within {max_fresh} "
+        f"no {tuple(orientation)}-oriented embedding within {MAX_FRESH} "
         "fresh letters", best_depth)
 
 
@@ -356,7 +336,7 @@ def stitch_slot_maps(J):
     return maps
 
 
-def stitch_embedding(composite, J, library=None, budget=DEFAULT_BUDGET):
+def stitch_embedding(composite, J, library):
     """3/2-embedding of the composite into {0,1}^{2q}.
 
     Original vertex v takes the pair (w_v, complement(w_v)) of its personal
@@ -364,13 +344,12 @@ def stitch_embedding(composite, J, library=None, budget=DEFAULT_BUDGET):
     its slots' block pattern, with role letters replaced by the owning
     vertices' codewords and fresh letters by copy-local codewords.  q is the
     least power of two covering the letter budget (vertex count plus fresh
-    letters per copy).
+    letters per copy).  `library` is `oriented_embedding_library`'s map
+    from orientation to oriented gadget embedding.
     """
     hypergraph = composite.source
     if hypergraph.hyperedges != incidence_hypergraph(J).hyperedges:
         raise ValueError("composite source must be the incidence hypergraph of J")
-    if library is None:
-        library = oriented_embedding_library(composite.gadget, budget=budget)
     sigma = edge_orientations(J)
     n = hypergraph.n
     per_edge = []
@@ -387,10 +366,6 @@ def stitch_embedding(composite, J, library=None, budget=DEFAULT_BUDGET):
     q = next_power_of_two(max(2, total_letters))
     code = hadamard_code(q)
 
-    def word(letter, sign):
-        w = code.plus_words[letter]
-        return w if sign > 0 else w.complement()
-
     def global_letter(e_idx, letter):
         if letter < ROLE_LETTERS:
             return composite.slot_maps[e_idx][letter]
@@ -398,11 +373,11 @@ def stitch_embedding(composite, J, library=None, budget=DEFAULT_BUDGET):
 
     image = [None] * composite.graph.n
     for v in range(n):
-        image[v] = word(v, 1).concat(word(v, -1))
+        image[v] = _pair_word(code, v, 1, v, -1)
     for e_idx, emb in enumerate(per_edge):
         offset = composite.gadget_offset(e_idx)
         for h in range(12):
             l1, s1, l2, s2 = emb.pairs[h]
-            image[offset + h] = word(global_letter(e_idx, l1), s1).concat(
-                word(global_letter(e_idx, l2), s2))
+            image[offset + h] = _pair_word(code, global_letter(e_idx, l1), s1,
+                                           global_letter(e_idx, l2), s2)
     return Embedding(composite.graph, "hamming", image, short=q, long=3 * q // 2)

@@ -9,7 +9,6 @@ and every threshold graph is read off that ranking.
 
 from __future__ import annotations
 
-import json
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -339,7 +338,7 @@ class Pointset:
         return {
             "metric": self.metric,
             "dim": dim,
-            "points": [_point_to_json(self.metric, p) for p in self.points],
+            "points": [point_to_json(self.metric, p) for p in self.points],
             "labels": self.labels,
         }
 
@@ -356,24 +355,12 @@ class Pointset:
     @classmethod
     def from_dict(cls, d):
         metric = d["metric"]
-        points = [_point_from_json(metric, p) for p in d["points"]]
+        points = [point_from_json(metric, p) for p in d["points"]]
         return cls(metric, points, d.get("labels"))
 
-    def to_json(self):
-        return json.dumps(self.to_dict())
 
-    @classmethod
-    def from_json(cls, s):
-        return cls.from_dict(json.loads(s))
-
-    def canonical_order(self):
-        """Indices sorted lexicographically by serialized form (stable file diffs)."""
-        serialized = [json.dumps(_point_to_json(self.metric, p), sort_keys=True)
-                      for p in self.points]
-        return sorted(range(len(self.points)), key=serialized.__getitem__)
-
-
-def _point_to_json(metric, p):
+def point_to_json(metric, p):
+    """JSON form of a point: a bit string, an entry list or a region dict."""
     if metric == "hamming":
         return p.to_string()
     if metric in ("l1_int", "linf_int"):
@@ -382,7 +369,8 @@ def _point_to_json(metric, p):
             "coeffs": list(p.coeffs), "kappa": p.kappa}
 
 
-def _point_from_json(metric, obj):
+def point_from_json(metric, obj):
+    """The point of `metric` whose JSON form is `obj`."""
     if metric == "hamming":
         return BitVector.from_string(obj)
     if metric in ("l1_int", "linf_int"):

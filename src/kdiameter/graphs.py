@@ -1,5 +1,5 @@
 """Graph and hypergraph structures plus the non-coloring combinatorial tools:
-bridges, DFS orientation, odd girth, induced-subgraph tests, file formats."""
+bridges, DFS orientation, odd girth, file formats."""
 
 from __future__ import annotations
 
@@ -272,7 +272,7 @@ def dfs_orientation(graph):
 
 
 # ---------------------------------------------------------------------------
-# odd girth and induced subgraphs
+# odd girth
 
 
 def odd_girth(graph):
@@ -297,39 +297,6 @@ def odd_girth(graph):
         if (s, 1) in dist:
             best = min(best, dist[(s, 1)])
     return best
-
-
-def is_induced_subgraph_free(graph, pattern):
-    """True iff no induced copy of `pattern` occurs in `graph`."""
-    if pattern.n > graph.n:
-        return True
-    order = sorted(range(pattern.n), key=pattern.degree, reverse=True)
-    mapping = {}
-    used = set()
-
-    def extend(idx):
-        if idx == pattern.n:
-            return True
-        pv = order[idx]
-        for gv in range(graph.n):
-            if gv in used:
-                continue
-            ok = True
-            for prev in order[:idx]:
-                want = pattern.has_edge(pv, prev)
-                if graph.has_edge(gv, mapping[prev]) != want:
-                    ok = False
-                    break
-            if ok:
-                mapping[pv] = gv
-                used.add(gv)
-                if extend(idx + 1):
-                    return True
-                used.discard(gv)
-                del mapping[pv]
-        return False
-
-    return not extend(0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,7 @@
 
 An r-embedding maps a graph into a metric space so that edges land at
 distance at least `long` and non-edges at most `short`, with ratio
-long/short = r.  Squared distances stand in for Euclidean ones on binary
-images, where ||x - y||_2^2 equals the Hamming distance.
+long/short = r.
 """
 
 from __future__ import annotations
@@ -13,7 +12,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
-from kdiameter.geometry import DISTANCE, BitVector, IntVector, hamming_distance
+from kdiameter.geometry import (
+    DISTANCE,
+    BitVector,
+    IntVector,
+    hamming_distance,
+    point_from_json,
+    point_to_json,
+)
 from kdiameter.graphs import Graph
 
 
@@ -51,14 +57,13 @@ def hadamard_code(q):
 # ---------------------------------------------------------------------------
 # embeddings
 
-TARGET_METRICS = ("hamming", "l1_int", "linf_int", "l2_binary")
+TARGET_METRICS = ("hamming", "l1_int", "linf_int")
 
 
 @dataclass
 class Embedding:
     """Vertex map into a target metric with the exact short/long thresholds
-    it is supposed to achieve.  For `l2_binary` the thresholds and all
-    verifier arithmetic are squared distances."""
+    it is supposed to achieve."""
 
     source: Graph
     target_metric: str
@@ -71,39 +76,42 @@ class Embedding:
             raise ValueError(f"unknown target metric {self.target_metric!r}")
 
     def distance(self, u, v):
-        metric = self.target_metric
-        # squared Euclidean distance of binary points equals Hamming distance
-        if metric == "l2_binary":
-            metric = "hamming"
-        return DISTANCE[metric](self.image[u], self.image[v])
+        return DISTANCE[self.target_metric](self.image[u], self.image[v])
 
     # -- serialization ------------------------------------------------------
 
     def to_dict(self):
-        if self.target_metric in ("hamming", "l2_binary"):
-            img = [p.to_string() for p in self.image]
-        else:
-            img = [list(p.entries) for p in self.image]
+        metric = self.target_metric
         return {
             "graph": self.source.to_dict(),
-            "metric": self.target_metric,
+            "metric": metric,
             "short": _exact_to_json(self.short),
             "long": _exact_to_json(self.long),
-            "image": {str(v): img[v] for v in range(len(img))},
+            "image": {str(v): point_to_json(metric, p)
+                      for v, p in enumerate(self.image)},
         }
 
     @classmethod
     def from_dict(cls, d):
+        """Raises ValueError on an image that misses a vertex or names one
+        outside 0..n-1, on points of mixed dimensions, and on a threshold
+        that is not an integer or a [num, den] pair."""
         metric = d["metric"]
         graph = Graph.from_dict(d["graph"])
         image = [None] * graph.n
         for key, val in d["image"].items():
-            if metric in ("hamming", "l2_binary"):
-                image[int(key)] = BitVector.from_string(val)
-            else:
-                image[int(key)] = IntVector(val)
-        return cls(graph, metric, image,
-                   _exact_from_json(d["short"]), _exact_from_json(d["long"]))
+            v = int(key)
+            if not 0 <= v < graph.n:
+                raise ValueError(f"image vertex {key!r} is not in 0..{graph.n - 1}")
+            image[v] = point_from_json(metric, val)
+        if any(p is None for p in image):
+            raise ValueError("image must cover every vertex")
+        embedding = cls(graph, metric, image,
+                        _exact_from_json(d["short"]), _exact_from_json(d["long"]))
+        # points of mixed dimensions raise DimensionMismatch here
+        for v in range(1, graph.n):
+            embedding.distance(0, v)
+        return embedding
 
     def to_json(self):
         return json.dumps(self.to_dict())
@@ -120,9 +128,12 @@ def _exact_to_json(x):
 
 
 def _exact_from_json(x):
-    if isinstance(x, list):
-        return Fraction(x[0], x[1])
-    return x
+    if type(x) is int:
+        return x
+    if (isinstance(x, list) and len(x) == 2 and all(type(c) is int for c in x)
+            and x[1] > 0):
+        return Fraction(*x)
+    raise ValueError(f"threshold {x!r} is not an integer or a [num, den] pair")
 
 
 def verify_embedding(embedding):
@@ -130,8 +141,7 @@ def verify_embedding(embedding):
 
     Returns {"ok", "worst_edge_pair", "worst_nonedge_pair", "achieved_ratio"}.
     The ratio is (min edge distance)/(max non-edge distance) as an exact
-    Fraction, or inf when either side has no pairs; for `l2_binary` it is a
-    ratio of squared distances.
+    Fraction, or inf when either side has no pairs.
     """
     g = embedding.source
     if len(embedding.image) != g.n or any(p is None for p in embedding.image):
@@ -230,12 +240,3 @@ def five_fourths_embedding(graph, edge_coloring):
         assert emb.distance(u, v) * 2 == 5 * q
     return emb
 
-
-def l2_transfer(embedding):
-    """Reinterpret a binary Hamming embedding as a Euclidean one: squared
-    l2 distances equal the l1 distances, so short/long carry over as the
-    squared thresholds and the achieved ratio becomes its square root."""
-    if embedding.target_metric != "hamming":
-        raise ValueError("transfer requires a binary Hamming-image embedding")
-    return Embedding(embedding.source, "l2_binary", list(embedding.image),
-                     short=embedding.short, long=embedding.long)

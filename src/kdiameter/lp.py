@@ -43,14 +43,14 @@ class LPResult:
     dual: list | None = None   # one Fraction per LP row when optimal
 
 
-def build_embeddability_lp(graph, max_n=MAX_VERTICES):
+def build_embeddability_lp(graph):
     """LP instance over canonical cut variables.
 
     A word and its complement induce the same cut, so only words with first
     bit 0 are kept; the all-zeros word cuts nothing and is dropped.
     """
-    if graph.n > max_n:
-        raise ValueError(f"vertex count {graph.n} exceeds the cap {max_n}")
+    if graph.n > MAX_VERTICES:
+        raise ValueError(f"vertex count {graph.n} exceeds the cap {MAX_VERTICES}")
     if graph.n < 1:
         raise ValueError("graph must have at least one vertex")
     words = [w for w in range(1, 1 << graph.n) if not (w & 1)]

@@ -10,7 +10,6 @@ comparisons go through the exact order keys of `geometry`.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -39,27 +38,21 @@ def region_points(axes, kappa):
     """
     if kappa < 1:
         raise ValueError("kappa must be positive")
-    a, b, c = axes
     seen = {}
-    for pos in (a, b, c):
-        for i in range(kappa + 1):
-            for j in range(kappa + 1 - i):
-                p = SphereLatticePoint((a, b, c), pos, (i, j, kappa - i - j), kappa)
-                seen.setdefault(p.key, p)
+    for pos in axes:
+        for p in _family_points(axes, pos, kappa):
+            seen.setdefault(p.key, p)
     points = list(seen.values())
     expected = 3 * (kappa + 1) * (kappa + 2) // 2 - 3
     assert len(points) == expected
     return points
 
 
-def _family_keys(axes, pos, kappa):
-    a, b, c = axes
-    keys = set()
+def _family_points(axes, pos, kappa):
+    """The points of family `pos` over `axes`: one per coefficient triple."""
     for i in range(kappa + 1):
         for j in range(kappa + 1 - i):
-            keys.add(SphereLatticePoint((a, b, c), pos, (i, j, kappa - i - j),
-                                        kappa).key)
-    return keys
+            yield SphereLatticePoint(axes, pos, (i, j, kappa - i - j), kappa)
 
 
 def axis_key(axis, negative=False):
@@ -85,8 +78,8 @@ class SphereInstance:
 
     def family_indices(self, axes, pos):
         """Indices of this instance's points lying in one family of a region."""
-        return [self.index_of[k] for k in sorted(_family_keys(axes, pos, self.kappa))
-                if k in self.index_of]
+        keys = {p.key for p in _family_points(axes, pos, self.kappa)}
+        return [self.index_of[k] for k in sorted(keys) if k in self.index_of]
 
 
 def build_region_instance(axes, kappa):
@@ -253,7 +246,7 @@ def clustering_to_coloring(instance, hypergraph, clustering):
 # conjecture frontier sweep
 
 
-def kappa_sweep(kappas, thresholds, budget=DEFAULT_BUDGET, axes=(0, 1, 2)):
+def kappa_sweep(kappas, thresholds, budget=DEFAULT_BUDGET):
     """Probe anchor separation across (kappa, threshold) pairs.
 
     Returns rows of dicts with CSV-ready fields; budget-exceeded rows are
@@ -261,12 +254,11 @@ def kappa_sweep(kappas, thresholds, budget=DEFAULT_BUDGET, axes=(0, 1, 2)):
     """
     rows = []
     for kappa in kappas:
-        instance = build_region_instance(axes, kappa)
+        instance = build_region_instance((0, 1, 2), kappa)
         table = distinct_distances(instance.pointset())
         for t in thresholds:
             t = Fraction(t)
             stats = {"nodes": 0}
-            start = time.perf_counter()
             try:
                 holds, _ = _separation(instance, table, t, budget, stats)
                 verdict = "yes" if holds else "no"
@@ -278,14 +270,12 @@ def kappa_sweep(kappas, thresholds, budget=DEFAULT_BUDGET, axes=(0, 1, 2)):
                 "t_den": t.denominator,
                 "separation_holds": verdict,
                 "nodes_explored": stats["nodes"],
-                "seconds": round(time.perf_counter() - start, 3),
             })
     return rows
 
 
 def sweep_csv(rows):
-    header = ["kappa", "t_num", "t_den", "separation_holds", "nodes_explored",
-              "seconds"]
+    header = ["kappa", "t_num", "t_den", "separation_holds", "nodes_explored"]
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(str(row[h]) for h in header))

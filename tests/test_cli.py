@@ -38,10 +38,22 @@ def test_gadget_build_and_verify(tmp_path, capsys):
 
 
 def test_reports_are_byte_identical(tmp_path, capsys):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert run(capsys, "gadget", "build", "--out", str(a))[0] == 0
-    assert run(capsys, "gadget", "build", "--out", str(b))[0] == 0
-    assert a.read_bytes() == b.read_bytes()
+    region = tmp_path / "region.json"
+    assert run(capsys, "sphere", "region", "--kappa", "3",
+               "--out", str(region))[0] == 0
+    p7 = tmp_path / "P7.json"
+    p7.write_text(json.dumps(path_graph(7).to_dict()))
+    for argv in (["gadget", "build"],
+                 # long enough that a wall-clock column would differ
+                 ["sphere", "sweep", "--kappa", "10..12",
+                  "--t-grid", "163/125,3/2"],
+                 ["sphere", "verify-lemma53", "--kappa", "4"],
+                 ["cluster", "exact", "--pointset", str(region)],
+                 ["embeddability", "--graph", str(p7)]):
+        a, b = tmp_path / "a.out", tmp_path / "b.out"
+        codes = [run(capsys, *argv, "--out", str(out))[0] for out in (a, b)]
+        assert codes[0] == codes[1]
+        assert a.read_bytes() == b.read_bytes(), argv
 
 
 def test_composite_embed_then_cluster(tmp_path, k4_file, capsys):
@@ -134,14 +146,32 @@ def test_threads_flag_is_gone(capsys):
     assert main(["repro-all", "--threads", "2"]) == 3
 
 
-def test_malformed_budget_environment_is_a_usage_error():
-    env = dict(os.environ, KDIAMETER_BUDGET="abc",
+def run_with_budget_environment(value):
+    env = dict(os.environ, KDIAMETER_BUDGET=value,
                PYTHONPATH=str(Path(kdiameter.__file__).parents[1]))
-    result = subprocess.run([sys.executable, "-m", "kdiameter.cli", "gadget", "build"],
-                            env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-m", "kdiameter.cli", "gadget", "build"],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_malformed_budget_environment_is_a_usage_error():
+    result = run_with_budget_environment("abc")
     assert result.returncode == 3
     assert result.stderr.splitlines() == [
         "usage error: KDIAMETER_BUDGET must be an integer, got 'abc'"]
+
+
+def test_negative_budget_environment_is_a_usage_error():
+    result = run_with_budget_environment("-5")
+    assert result.returncode == 3
+    assert result.stderr.splitlines() == [
+        "usage error: KDIAMETER_BUDGET must be non-negative, got '-5'"]
+
+
+def embedding_file(**changes):
+    """A Hamming embedding of P3 as JSON, with `changes` applied."""
+    embedding = {"graph": path_graph(3).to_dict(), "metric": "hamming",
+                 "short": 1, "long": 2, "image": {"0": "00", "1": "11", "2": "01"}}
+    return json.dumps({**embedding, **changes})
 
 
 BAD_INPUTS = {
@@ -159,6 +189,12 @@ BAD_INPUTS = {
     "no_removed_edge.json": json.dumps({"attachments": [[0, 1, 2]]}),
     "over_cap.json": json.dumps({"metric": "l1_int",
                                  "points": [[i] for i in range(MAX_POINTS + 1)]}),
+    "emb_missing_vertex.json": embedding_file(image={"0": "00", "1": "11"}),
+    "emb_vertex_out_of_range.json": embedding_file(
+        image={"0": "00", "1": "11", "2": "01", "3": "10"}),
+    "emb_mixed_lengths.json": embedding_file(
+        image={"0": "00", "1": "110", "2": "01"}),
+    "emb_short_not_a_number.json": embedding_file(short="short"),
 }
 
 
@@ -182,11 +218,22 @@ BAD_INPUTS = {
     ["sphere", "verify-lemma53", "--kappa", "2", "--t", "0"],
     ["sphere", "sweep", "--kappa", "2", "--t-grid", "1,-1"],
     ["sphere", "sweep", "--kappa", "3..2", "--t-grid", "1"],
+    ["embedding", "verify", "--embedding", "emb_missing_vertex.json"],
+    ["embedding", "verify", "--embedding", "emb_vertex_out_of_range.json"],
+    ["embedding", "verify", "--embedding", "emb_mixed_lengths.json"],
+    ["embedding", "verify", "--embedding", "emb_short_not_a_number.json"],
+    # the test's own temporary directory, where a file is expected
+    ["cluster", "exact", "--pointset", "."],
+    ["cluster", "exact", "--pointset", "points.json", "--out", "."],
+    ["gadget", "build", "--budget-nodes", "-5"],
 ], ids=["lp-cap", "self-loop", "malformed-json", "mixed-lengths", "k7",
         "kappa0", "kappa-range", "composite-not-cubic", "composite-bridge",
         "gonzalez-k0", "axes-repeated", "axes-negative", "gadget-no-removed-edge",
         "not-an-embedding", "exact-over-cap", "t-negative", "t-zero",
-        "t-grid-negative", "kappa-range-empty"])
+        "t-grid-negative", "kappa-range-empty", "embedding-missing-vertex",
+        "embedding-vertex-out-of-range", "embedding-mixed-lengths",
+        "embedding-short-not-a-number", "pointset-is-a-directory",
+        "out-is-a-directory", "budget-negative"])
 def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
     for name, text in BAD_INPUTS.items():
         (tmp_path / name).write_text(text)

@@ -17,7 +17,6 @@ from kdiameter.coloring import (
     expand_coloring,
     find_coloring,
     forall_colorings,
-    rainbow_k_colorings,
 )
 from kdiameter.graphs import (
     Graph,
@@ -127,18 +126,17 @@ def test_forall_vacuous_on_uncolorable():
 
 
 def test_rainbow_modes():
+    # a rainbow coloring is a proper coloring of the constraint graph
     h = Hypergraph(4, [(0, 1, 2), (1, 2, 3)])
-    coloring = rainbow_k_colorings(h, 3)
+    g = h.constraint_graph()
+    coloring = find_coloring(g, 3)
     for e in h.hyperedges:
         assert len({coloring[v] for v in e}) == 3
-    everything = rainbow_k_colorings(h, 3, mode="all")
+    everything = enumerate_colorings(g, 3)
     assert everything and all(len({c[v] for v in e}) == 3
                               for c in everything for e in h.hyperedges)
-    holds, _ = rainbow_k_colorings(
-        h, 3, mode=("forall", lambda c: c[0] != c[3], [0, 3]))
+    holds, _ = forall_colorings(g, 3, lambda c: c[0] != c[3], support=[0, 3])
     assert not holds  # colors of 0 and 3 can coincide across hyperedges
-    with pytest.raises(ValueError):
-        rainbow_k_colorings(h, 3, mode="bogus")
 
 
 def test_search_depth_is_not_limited_by_recursion():

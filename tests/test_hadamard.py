@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import inf, sqrt
+from math import inf
 
 import pytest
 
@@ -16,7 +16,6 @@ from kdiameter.hadamard import (
     five_fourths_embedding,
     hadamard_code,
     hamming_distance,
-    l2_transfer,
     linf_embedding,
     next_power_of_two,
     verify_embedding,
@@ -97,15 +96,3 @@ def test_embedding_json_roundtrip():
     assert (back.short, back.long) == (emb.short, emb.long)
     assert verify_embedding(back)["ok"]
 
-
-def test_l2_transfer():
-    g = complete_bipartite_graph(4, 4)
-    emb = five_fourths_embedding(g, edge_coloring(g, 4))
-    euc = l2_transfer(emb)
-    report = verify_embedding(euc)
-    assert report["ok"]
-    # squared ratio 5/4 means a Euclidean gap of sqrt(5)/2
-    assert float(report["achieved_ratio"]) == pytest.approx(5 / 4)
-    assert sqrt(float(report["achieved_ratio"])) == pytest.approx(sqrt(5) / 2)
-    with pytest.raises(ValueError):
-        l2_transfer(euc)

@@ -155,7 +155,7 @@ def test_sweep_csv_shape():
     rows = kappa_sweep([2, 3], [Fraction(163, 125)])
     csv = sweep_csv(rows)
     lines = csv.strip().split("\n")
-    assert lines[0] == "kappa,t_num,t_den,separation_holds,nodes_explored,seconds"
+    assert lines[0] == "kappa,t_num,t_den,separation_holds,nodes_explored"
     assert len(lines) == 3
     for row in rows:
         assert row["separation_holds"] in ("yes", "no", "budget_exceeded")
