@@ -186,7 +186,8 @@ def criterion_3(budget=DEFAULT_BUDGET, seed=0):
 def criterion_4(budget=DEFAULT_BUDGET, seed=0):
     """Gadget: exactly 6 proper 3-colorings, auxiliaries always distinct."""
     gadget = build_gadget_H(budget=budget)
-    total = count_colorings_total(gadget.verification_graph(), 3, budget=budget)
+    total = count_colorings_total(gadget.verification_graph().adjacency_bitsets(),
+                                  3, budget=budget)
     verified = verify_gadget(gadget, budget=budget)
     return {"ok": verified and total == 6, "total_colorings": total,
             "removed_edge": gadget.removed_edge}

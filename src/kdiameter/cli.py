@@ -70,6 +70,8 @@ def _load_graph(path):
 def _load_cubic_graph(path):
     """A graph the composite construction accepts: cubic and bridgeless."""
     graph = _load_graph(path)
+    if graph.n == 0:
+        raise _UsageError(f"graph in {path} has no vertices")
     if not graph.is_regular(3) or cut_edges(graph):
         raise _UsageError(f"graph in {path} is not cubic and bridgeless")
     return graph

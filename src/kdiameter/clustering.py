@@ -4,7 +4,10 @@ Minimizing the largest intra-cluster distance over k clusters is equivalent
 to k-coloring the threshold graph whose edges join pairs farther than the
 candidate diameter, which is how the exact solver works.  Every pair is
 ranked once by exact distance in a pair table (`geometry.PairTable`), and
-each threshold graph is a prefix of its ranked pair list.
+each threshold graph is a prefix of its ranked pair list.  The binary search
+keeps that prefix as one list of neighbor bitsets, the coloring kernel's
+input, and moves it between ranks by XORing in only the pairs between the
+old prefix and the new one; no `Graph` is built on the way.
 """
 
 from __future__ import annotations
@@ -36,13 +39,14 @@ class Clustering:
         return out
 
 
-def _cluster_diameter(pointset, assignment, k):
-    """Exact max intra-cluster distance with its witness pair."""
+def _cluster_diameter(pointset, assignment):
+    """Exact max intra-cluster distance with its witness pair.  Only the
+    cluster ids that occur are grouped, so the cost does not grow with k."""
     best, pair = 0, None
-    groups = [[] for _ in range(k)]
+    groups = {}
     for i, c in enumerate(assignment):
-        groups[c].append(i)
-    for group in groups:
+        groups.setdefault(c, []).append(i)
+    for _, group in sorted(groups.items()):
         for a in range(len(group)):
             for b in range(a + 1, len(group)):
                 d = pointset.distance(group[a], group[b])
@@ -56,7 +60,7 @@ def make_clustering(pointset, assignment, k):
         raise ValueError("assignment length must match the pointset")
     if any(not 0 <= c < k for c in assignment):
         raise ValueError("cluster ids out of range")
-    diameter, pair = _cluster_diameter(pointset, assignment, k)
+    diameter, pair = _cluster_diameter(pointset, assignment)
     return Clustering(list(assignment), k, diameter, pair)
 
 
@@ -70,21 +74,45 @@ def distinct_distances(pointset):
 def threshold_graph_at(table, rank):
     """Graph joining the pairs of rank >= `rank` in a pair table, the pairs
     farther than table.keys[rank - 1]; its k-colorings are exactly the
-    k-clusterings of diameter at most that distance."""
+    k-clusterings of diameter at most that distance.  A view for diagnostics
+    and tests: the solvers read the same prefix as bitsets (`prefix_bitsets`)."""
     n = table.n
     return Graph(n, (divmod(p, n) for p in table.pairs[:table.above[rank]]))
 
 
+def prefix_bitsets(table):
+    """A function of a rank r giving the threshold graph at r (the graph of
+    `threshold_graph_at(table, r)`) as a list of neighbor bitsets.
+
+    The function keeps one list and moves it from the last rank asked to r
+    by XORing in the pairs between the two prefixes, so a move costs the
+    pairs between them, up or down.  It returns that same list each time:
+    read it before the next call."""
+    adj = [0] * table.n
+    at = 0   # adj holds the pairs pairs[:at]
+
+    def at_rank(rank):
+        nonlocal at
+        stop = table.above[rank]
+        table.xor_pairs(adj, min(at, stop), max(at, stop))
+        at = stop
+        return adj
+
+    return at_rank
+
+
 def _least_colorable(table, color, top):
     """Binary search over the candidate diameters of a pair table: what
-    `color` gives for the threshold graph at the least candidate it colors,
-    or `top` when only the largest candidate (no edges) works.  Colorability
-    is monotone in the cutoff (larger cutoff, fewer edges)."""
+    `color` gives for the threshold graph (as neighbor bitsets) at the least
+    candidate it colors, or `top` when only the largest candidate (no edges)
+    works.  Colorability is monotone in the cutoff (larger cutoff, fewer
+    edges)."""
+    graph_at = prefix_bitsets(table)
     lo, hi = 0, len(table.keys) - 1
     best = top
     while lo < hi:
         mid = (lo + hi) // 2
-        coloring = color(threshold_graph_at(table, mid + 1))
+        coloring = color(graph_at(mid + 1))
         if coloring is None:
             lo = mid + 1
         else:
@@ -120,11 +148,10 @@ def _exact_cluster(table, k, budget):
         top = list(range(n))
     else:
         # cutoff = overall diameter: the graph is edgeless, always colorable
-        top = find_coloring(threshold_graph_at(table, len(table.keys)), k,
-                            budget=budget)
+        top = find_coloring([0] * n, k, budget=budget)
         assert top is not None
     coloring = _least_colorable(
-        table, lambda graph: find_coloring(graph, k, budget=budget), top)
+        table, lambda adj: find_coloring(adj, k, budget=budget), top)
     return make_clustering(table.pointset, coloring, k)
 
 
@@ -139,18 +166,23 @@ def two_cluster(pointset):
     return make_clustering(pointset, coloring, 2)
 
 
-def _bipartition(graph):
+def _bipartition(adj):
+    """BFS 2-coloring of the graph with neighbor bitsets `adj`, or None."""
     from collections import deque
 
-    color = [-1] * graph.n
-    for s in range(graph.n):
+    color = [-1] * len(adj)
+    for s in range(len(adj)):
         if color[s] != -1:
             continue
         color[s] = 0
         queue = deque([s])
         while queue:
             v = queue.popleft()
-            for w in graph.neighbors(v):
+            nb = adj[v]
+            while nb:
+                low = nb & -nb
+                nb ^= low
+                w = low.bit_length() - 1
                 if color[w] == -1:
                     color[w] = color[v] ^ 1
                     queue.append(w)

@@ -1,6 +1,11 @@
 """Vertex-coloring search API on top of the backtracking kernel.
 
-A rainbow coloring of a hypergraph is a proper coloring of its
+Every call takes a graph in the kernel's own input form: a list of neighbor
+bitsets `adj`, one int per vertex, with bit j of adj[i] set when i and j are
+adjacent.  The threshold-graph solvers maintain that list directly from a
+pair table; a caller holding a `graphs.Graph` passes
+`graph.adjacency_bitsets()`.  The search's node order depends only on the
+bitsets.  A rainbow coloring of a hypergraph is a proper coloring of its
 `Hypergraph.constraint_graph()`, so the same calls search it.
 
 The kernel is the compiled `_colorcore` extension, hand-written C that
@@ -58,14 +63,14 @@ class EnumerationGuard(ValueError):
     """Enumeration refused: the instance is too large to enumerate."""
 
 
-def find_coloring(graph, k, fixed=None, budget=DEFAULT_BUDGET, stats=None):
-    """First proper k-coloring respecting `fixed` (per-vertex color or -1), or None.
+def find_coloring(adj, k, fixed=None, budget=DEFAULT_BUDGET, stats=None):
+    """First proper k-coloring of the graph with neighbor bitsets `adj`
+    respecting `fixed` (per-vertex color or -1), or None.
 
     `stats`, when given, is a dict whose "nodes" entry accumulates the
     number of search nodes explored."""
     status, payload, nodes = _kernel.search(
-        graph.adjacency_bitsets(), k, fixed=fixed, mode=_kernel.MODE_FIRST,
-        budget=budget)
+        adj, k, fixed=fixed, mode=_kernel.MODE_FIRST, budget=budget)
     if stats is not None:
         stats["nodes"] = stats.get("nodes", 0) + nodes
     if status == _kernel.STATUS_BUDGET:
@@ -73,23 +78,25 @@ def find_coloring(graph, k, fixed=None, budget=DEFAULT_BUDGET, stats=None):
     return payload
 
 
-def enumerate_colorings(graph, k, budget=DEFAULT_BUDGET):
-    """All proper k-colorings up to color permutation (canonical representatives:
-    color classes introduced in first-use order along the search)."""
-    if k ** graph.n >= ENUMERATION_GUARD_NODES:
+def enumerate_colorings(adj, k, budget=DEFAULT_BUDGET):
+    """All proper k-colorings of the graph with neighbor bitsets `adj` up to
+    color permutation (canonical representatives: color classes introduced
+    in first-use order along the search)."""
+    if k ** len(adj) >= ENUMERATION_GUARD_NODES:
         raise EnumerationGuard(
-            f"estimated {k}^{graph.n} search nodes exceeds the enumeration guard")
+            f"estimated {k}^{len(adj)} search nodes exceeds the enumeration guard")
     status, payload, nodes = _kernel.search(
-        graph.adjacency_bitsets(), k, mode=_kernel.MODE_ENUMERATE, budget=budget)
+        adj, k, mode=_kernel.MODE_ENUMERATE, budget=budget)
     if status == _kernel.STATUS_BUDGET:
         raise BudgetExceeded(nodes)
     return payload
 
 
-def count_colorings_total(graph, k, budget=DEFAULT_BUDGET):
-    """Exact number of proper k-colorings (not up to symmetry)."""
+def count_colorings_total(adj, k, budget=DEFAULT_BUDGET):
+    """Exact number of proper k-colorings of the graph with neighbor bitsets
+    `adj` (not up to symmetry)."""
     total = 0
-    for coloring in enumerate_colorings(graph, k, budget=budget):
+    for coloring in enumerate_colorings(adj, k, budget=budget):
         used = len(set(coloring))
         total += perm(k, used)
     return total
@@ -105,9 +112,10 @@ def expand_coloring(coloring, k):
     return out
 
 
-def forall_colorings(graph, k, predicate, support=None, budget=DEFAULT_BUDGET,
+def forall_colorings(adj, k, predicate, support=None, budget=DEFAULT_BUDGET,
                      stats=None):
-    """Check that `predicate` holds for every proper k-coloring.
+    """Check that `predicate` holds for every proper k-coloring of the graph
+    with neighbor bitsets `adj`.
 
     Returns (True, None) or (False, counterexample_coloring).  Vacuously true
     when no proper coloring exists.
@@ -120,7 +128,7 @@ def forall_colorings(graph, k, predicate, support=None, budget=DEFAULT_BUDGET,
     matters for extendability).
     """
     if support is None:
-        for canonical in enumerate_colorings(graph, k, budget=budget):
+        for canonical in enumerate_colorings(adj, k, budget=budget):
             for coloring in expand_coloring(canonical, k):
                 if not predicate(coloring):
                     return False, coloring
@@ -134,10 +142,10 @@ def forall_colorings(graph, k, predicate, support=None, budget=DEFAULT_BUDGET,
             continue
         pattern = _partition_pattern(assignment)
         if pattern not in feasible_cache:
-            fixed = [-1] * graph.n
+            fixed = [-1] * len(adj)
             for v, c in zip(support, pattern):
                 fixed[v] = c
-            feasible_cache[pattern] = find_coloring(graph, k, fixed=fixed,
+            feasible_cache[pattern] = find_coloring(adj, k, fixed=fixed,
                                                     budget=budget, stats=stats)
         base = feasible_cache[pattern]
         if base is not None:

@@ -58,7 +58,7 @@ def edge_coloring(graph, c, budget=DEFAULT_BUDGET):
         colors = _misra_gries(graph, delta + 1)
         return EdgeColoring(graph, colors, c)
     lg, edges = line_graph(graph)
-    coloring = find_coloring(lg, c, budget=budget)
+    coloring = find_coloring(lg.adjacency_bitsets(), c, budget=budget)
     if coloring is None:
         return None
     return EdgeColoring(graph, dict(zip(edges, coloring)), c)

@@ -90,7 +90,7 @@ def build_gadget_H(budget=DEFAULT_BUDGET):
 def verify_gadget(gadget, budget=DEFAULT_BUDGET):
     """Exactly 6 proper 3-colorings, each giving the auxiliaries 3 colors."""
     graph = gadget.verification_graph()
-    canonical = enumerate_colorings(graph, 3, budget=budget)
+    canonical = enumerate_colorings(graph.adjacency_bitsets(), 3, budget=budget)
     if len(canonical) != 1:
         return False
     coloring = canonical[0]

@@ -437,6 +437,18 @@ class PairTable:
                 pairs[fill[r]] = i * n + j
                 fill[r] += 1
 
+    def xor_pairs(self, adj, start, stop):
+        """XOR the pairs pairs[start:stop] into `adj`, a list of n neighbor
+        bitsets (bit j of adj[i] joins i and j).  Each pair is its own
+        inverse, so XORing the pairs between two prefixes moves a threshold
+        graph from either of their ranks to the other."""
+        n = self.n
+        bit = [1 << v for v in range(n)]
+        for p in self.pairs[start:stop]:
+            i, j = divmod(p, n)
+            adj[i] ^= bit[j]
+            adj[j] ^= bit[i]
+
     def key(self, value):
         """Order key of an exact distance (squared for the sphere metric)."""
         if self.pointset.metric == "l2_sphere_lattice":
@@ -471,6 +483,16 @@ def _pair_values(pointset):
     i < j: the distance itself, or its `sphere_key` for the sphere metric."""
     pts = pointset.points
     n = len(pts)
+    if pointset.metric == "hamming":
+        for p in pts[1:]:
+            if p.length != pts[0].length:
+                raise DimensionMismatch(
+                    f"lengths differ: {pts[0].length} != {p.length}")
+        words = [p.word for p in pts]
+        for i in range(n):
+            wi = words[i]
+            yield from ((wi ^ w).bit_count() for w in words[i + 1:])
+        return
     if pointset.metric != "l2_sphere_lattice":
         yield from (pointset.distance(i, j)
                     for i in range(n) for j in range(i + 1, n))

@@ -16,6 +16,7 @@ from fractions import Fraction
 from kdiameter.clustering import (
     distinct_distances,
     make_clustering,
+    prefix_bitsets,
     threshold_graph_at,
 )
 from kdiameter.coloring import (
@@ -118,7 +119,8 @@ def build_P_G(hypergraph, kappa=12):
 
 def build_threshold_graph(table, threshold_sq):
     """Graph of a sphere pair table joining the pairs at squared distance
-    strictly above `threshold_sq`."""
+    strictly above `threshold_sq`: a `Graph` view of the bitsets that the
+    separation check reads off the same table prefix."""
     return threshold_graph_at(table, table.rank_above(threshold_sq))
 
 
@@ -139,16 +141,19 @@ def verify_anchor_separation(instance, threshold=SEPARATION_THRESHOLD,
 
 
 def _separation(instance, table, threshold, budget, stats):
+    """Anchor separation at `threshold` on the threshold graph read once
+    from the pair table's prefix as neighbor bitsets, which the first
+    coloring and every anchor pattern of the forall check share."""
     threshold = Fraction(threshold)
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    graph = build_threshold_graph(table, threshold ** 2)
+    adj = prefix_bitsets(table)(table.rank_above(threshold ** 2))
     anchors = [instance.anchor_index[axis] for axis in instance.regions[0]]
-    base = find_coloring(graph, 3, budget=budget, stats=stats)
+    base = find_coloring(adj, 3, budget=budget, stats=stats)
     if base is None:
         return False, None
     predicate = _distinct_on(anchors)
-    holds, witness = forall_colorings(graph, 3, predicate, support=anchors,
+    holds, witness = forall_colorings(adj, 3, predicate, support=anchors,
                                       budget=budget, stats=stats)
     return holds, witness
 

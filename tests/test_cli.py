@@ -181,6 +181,7 @@ BAD_INPUTS = {
     "mixed.json": json.dumps({"metric": "l1_int", "points": [[0, 0], [1, 2, 3]]}),
     "points.json": json.dumps({"metric": "l1_int", "points": [[0, 0], [1, 2]]}),
     "path.json": json.dumps(path_graph(4).to_dict()),
+    "empty.json": json.dumps({"n": 0, "edges": []}),
     # two K4s with one edge subdivided each, the subdivision vertices joined:
     # cubic, with the bridge (4, 9)
     "bridge.json": json.dumps({"n": 10, "edges": [
@@ -208,6 +209,8 @@ BAD_INPUTS = {
     ["sphere", "sweep", "--kappa", "4..x", "--t-grid", "1"],
     ["composite", "build", "--graph", "path.json"],
     ["composite", "embed", "--graph", "bridge.json"],
+    ["composite", "build", "--graph", "empty.json"],
+    ["composite", "embed", "--graph", "empty.json"],
     ["cluster", "gonzalez", "--pointset", "points.json", "--k", "0"],
     ["sphere", "region", "--kappa", "2", "--axes", "0", "0", "1"],
     ["sphere", "region", "--kappa", "2", "--axes", "-1", "0", "1"],
@@ -228,6 +231,7 @@ BAD_INPUTS = {
     ["gadget", "build", "--budget-nodes", "-5"],
 ], ids=["lp-cap", "self-loop", "malformed-json", "mixed-lengths", "k7",
         "kappa0", "kappa-range", "composite-not-cubic", "composite-bridge",
+        "composite-empty-build", "composite-empty-embed",
         "gonzalez-k0", "axes-repeated", "axes-negative", "gadget-no-removed-edge",
         "not-an-embedding", "exact-over-cap", "t-negative", "t-zero",
         "t-grid-negative", "kappa-range-empty", "embedding-missing-vertex",

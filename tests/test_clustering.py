@@ -14,13 +14,14 @@ from kdiameter.clustering import (
     jung_bound_holds,
     make_clustering,
     min_enclosing_ball,
+    prefix_bitsets,
     threshold_graph_at,
     two_cluster,
 )
 from kdiameter.geometry import BitVector, IntVector, Pointset
 from kdiameter.graphs import Graph, odd_girth
 from kdiameter.hadamard import hadamard_code
-from kdiameter.sphere import build_region_instance
+from kdiameter.sphere import build_region_instance, verify_anchor_separation
 
 
 def test_make_clustering_validation():
@@ -85,6 +86,58 @@ def test_pair_table_graphs_match_brute_force():
                 ps, lambda d: d > cutoff)
 
 
+def _walk_pointsets(rng):
+    """Random hamming, l1 and linf pointsets with duplicate points, and the
+    kappa = 3 and 4 sphere regions."""
+    pointsets = []
+    for metric in ("hamming", "l1_int", "linf_int"):
+        for _ in range(4):
+            if metric == "hamming":
+                pts = [BitVector(6, rng.getrandbits(6))
+                       for _ in range(rng.randint(1, 12))]
+            else:
+                pts = random_int_pointset(rng, max_points=9, span=3).points
+            pts += rng.choices(pts, k=2)  # duplicate points: distance 0
+            pointsets.append(Pointset(metric, pts))
+    pointsets += [build_region_instance((0, 1, 2), kappa).pointset()
+                  for kappa in (3, 4)]
+    return pointsets
+
+
+def test_prefix_bitsets_follow_any_walk_of_ranks():
+    rng = random.Random(47)
+    for ps in _walk_pointsets(rng):
+        table = distinct_distances(ps)
+        top = len(table.keys)
+        # up and down by random steps, repeated ranks, both ends
+        walk = [0, top, top, 0, 0]
+        for _ in range(16):
+            walk += [rng.randint(0, top)] * rng.randint(1, 2)
+        walk += [top, rng.randint(0, top), 0]
+        graph_at = prefix_bitsets(table)
+        for rank in walk:
+            assert graph_at(rank) == (
+                threshold_graph_at(table, rank).adjacency_bitsets())
+
+
+def test_solvers_build_no_graph(monkeypatch):
+    rng = random.Random(53)
+    pointsets = _walk_pointsets(rng)
+    regions = [build_region_instance((0, 1, 2), kappa) for kappa in (4, 12)]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a Graph was built")
+
+    monkeypatch.setattr(Graph, "__init__", refuse)
+    for ps in pointsets:
+        exact_cluster(ps, 3)
+        two_cluster(ps)
+    # separation fails at kappa = 4 with a merging witness and holds at 12
+    holds, witness = verify_anchor_separation(regions[0])
+    assert not holds and witness is not None
+    assert verify_anchor_separation(regions[1]) == (True, None)
+
+
 def test_exact_cluster_matches_brute_force():
     rng = random.Random(31)
     for _ in range(40):
@@ -125,6 +178,14 @@ def test_gonzalez_within_factor_two():
         for k in (2, 3):
             opt = brute_force_cluster_diameter(ps, k)
             assert gonzalez_cluster(ps, k).diameter <= 2 * opt
+
+
+def test_gonzalez_cost_does_not_grow_with_k():
+    ps = Pointset("l1_int", [IntVector([0]), IntVector([4]), IntVector([9])])
+    small = gonzalez_cluster(ps, 3)
+    huge = gonzalez_cluster(ps, 10**12)
+    assert huge.k == 10**12
+    assert (huge.assignment, huge.diameter) == (small.assignment, small.diameter)
 
 
 def test_min_enclosing_ball_known_cases():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from kdiameter import _colorcore_py
+from kdiameter.clustering import distinct_distances, prefix_bitsets
 from kdiameter.coloring import (
     BudgetExceeded,
     EnumerationGuard,
@@ -26,6 +27,7 @@ from kdiameter.graphs import (
     cycle_graph,
     petersen_graph,
 )
+from kdiameter.sphere import build_region_instance
 
 
 def random_graph(n, p, rng):
@@ -45,22 +47,27 @@ def brute_count(graph, k):
 
 
 def test_chromatic_facts():
-    assert find_coloring(cycle_graph(5), 2) is None
-    assert is_proper(cycle_graph(5), find_coloring(cycle_graph(5), 3), 3)
-    assert is_proper(cycle_graph(6), find_coloring(cycle_graph(6), 2), 2)
-    assert find_coloring(complete_graph(4), 3) is None
-    assert is_proper(petersen_graph(), find_coloring(petersen_graph(), 3), 3)
-    assert find_coloring(chvatal_graph(), 3) is None
-    assert is_proper(chvatal_graph(), find_coloring(chvatal_graph(), 4), 4)
+    for graph, k, colorable in ((cycle_graph(5), 2, False),
+                                (cycle_graph(5), 3, True),
+                                (cycle_graph(6), 2, True),
+                                (complete_graph(4), 3, False),
+                                (petersen_graph(), 3, True),
+                                (chvatal_graph(), 3, False),
+                                (chvatal_graph(), 4, True)):
+        coloring = find_coloring(graph.adjacency_bitsets(), k)
+        if colorable:
+            assert is_proper(graph, coloring, k)
+        else:
+            assert coloring is None
 
 
 def test_fixed_colors_respected():
     g = cycle_graph(4)
     fixed = [2, -1, -1, -1]
-    coloring = find_coloring(g, 3, fixed=fixed)
+    coloring = find_coloring(g.adjacency_bitsets(), 3, fixed=fixed)
     assert coloring[0] == 2 and is_proper(g, coloring, 3)
     # adjacent vertices pinned to the same color: infeasible
-    assert find_coloring(g, 3, fixed=[0, 0, -1, -1]) is None
+    assert find_coloring(g.adjacency_bitsets(), 3, fixed=[0, 0, -1, -1]) is None
 
 
 def test_count_against_brute_force():
@@ -68,12 +75,13 @@ def test_count_against_brute_force():
     for _ in range(30):
         g = random_graph(rng.randint(1, 6), rng.random(), rng)
         for k in (2, 3):
-            assert count_colorings_total(g, k) == brute_count(g, k)
+            assert (count_colorings_total(g.adjacency_bitsets(), k)
+                    == brute_count(g, k))
 
 
 def test_enumerate_canonical_and_expand():
     g = cycle_graph(5)
-    canonical = enumerate_colorings(g, 3)
+    canonical = enumerate_colorings(g.adjacency_bitsets(), 3)
     for coloring in canonical:
         assert is_proper(g, coloring, 3)
         # first-use order: color c appears only after colors < c
@@ -89,17 +97,18 @@ def test_enumerate_canonical_and_expand():
 
 def test_enumeration_guard():
     with pytest.raises(EnumerationGuard):
-        enumerate_colorings(random_graph(40, 0.1, random.Random(0)), 4)
+        enumerate_colorings(
+            random_graph(40, 0.1, random.Random(0)).adjacency_bitsets(), 4)
 
 
 def test_budget_exceeded():
     with pytest.raises(BudgetExceeded):
-        find_coloring(chvatal_graph(), 4, budget=3)
+        find_coloring(chvatal_graph().adjacency_bitsets(), 4, budget=3)
 
 
 def test_stats_accumulate_nodes():
     stats = {}
-    find_coloring(petersen_graph(), 3, stats=stats)
+    find_coloring(petersen_graph().adjacency_bitsets(), 3, stats=stats)
     assert stats["nodes"] > 0
 
 
@@ -107,13 +116,14 @@ def test_forall_with_and_without_support_agree():
     rng = random.Random(6)
     for _ in range(20):
         g = random_graph(rng.randint(3, 7), 0.4, rng)
+        adj = g.adjacency_bitsets()
         support = rng.sample(range(g.n), min(3, g.n))
 
         def predicate(coloring):
             return len({coloring[v] for v in support}) >= 2
 
-        plain = forall_colorings(g, 3, predicate)
-        fast = forall_colorings(g, 3, predicate, support=support)
+        plain = forall_colorings(adj, 3, predicate)
+        fast = forall_colorings(adj, 3, predicate, support=support)
         assert plain[0] == fast[0]
         if not fast[0]:
             witness = fast[1]
@@ -121,7 +131,8 @@ def test_forall_with_and_without_support_agree():
 
 
 def test_forall_vacuous_on_uncolorable():
-    holds, witness = forall_colorings(complete_graph(4), 3, lambda c: False)
+    holds, witness = forall_colorings(complete_graph(4).adjacency_bitsets(), 3,
+                                       lambda c: False)
     assert holds and witness is None
 
 
@@ -129,20 +140,21 @@ def test_rainbow_modes():
     # a rainbow coloring is a proper coloring of the constraint graph
     h = Hypergraph(4, [(0, 1, 2), (1, 2, 3)])
     g = h.constraint_graph()
-    coloring = find_coloring(g, 3)
+    coloring = find_coloring(g.adjacency_bitsets(), 3)
     for e in h.hyperedges:
         assert len({coloring[v] for v in e}) == 3
-    everything = enumerate_colorings(g, 3)
+    everything = enumerate_colorings(g.adjacency_bitsets(), 3)
     assert everything and all(len({c[v] for v in e}) == 3
                               for c in everything for e in h.hyperedges)
-    holds, _ = forall_colorings(g, 3, lambda c: c[0] != c[3], support=[0, 3])
+    holds, _ = forall_colorings(g.adjacency_bitsets(), 3, lambda c: c[0] != c[3],
+                                  support=[0, 3])
     assert not holds  # colors of 0 and 3 can coincide across hyperedges
 
 
 def test_search_depth_is_not_limited_by_recursion():
     g = cycle_graph(3001)
-    assert is_proper(g, find_coloring(g, 3), 3)
-    assert find_coloring(cycle_graph(1201), 2) is None
+    assert is_proper(g, find_coloring(g.adjacency_bitsets(), 3), 3)
+    assert find_coloring(cycle_graph(1201).adjacency_bitsets(), 2) is None
 
 
 @pytest.fixture(scope="session")
@@ -192,6 +204,19 @@ def test_backends_agree(compiled_kernel):
         for k in (2, 3):
             assert (compiled_kernel.search(adj, k, mode=compiled_kernel.MODE_ENUMERATE)
                     == _colorcore_py.search(adj, k, mode=_colorcore_py.MODE_ENUMERATE))
+    # threshold graphs as the solvers read them off a pair table, at every
+    # rank of a kappa = 5 region, free and with two anchors pinned together
+    region = build_region_instance((0, 1, 2), 5)
+    table = distinct_distances(region.pointset())
+    graph_at = prefix_bitsets(table)
+    pinned = [-1] * table.n
+    for anchor in list(region.anchor_index.values())[:2]:
+        pinned[anchor] = 0
+    for rank in range(len(table.keys) + 1):
+        adj = graph_at(rank)
+        for kwargs in ({}, {"fixed": pinned}):
+            assert (compiled_kernel.search(adj, 3, **kwargs)
+                    == _colorcore_py.search(adj, 3, **kwargs))
     # the deep searches of test_search_depth_is_not_limited_by_recursion
     for n, k in ((3001, 3), (1201, 2)):
         adj = cycle_graph(n).adjacency_bitsets()

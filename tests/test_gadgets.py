@@ -45,14 +45,14 @@ def test_designated_gadget_is_first_candidate(gadget):
 
 
 def test_gadget_base_uniquely_3_colorable(gadget):
-    assert find_coloring(chvatal_graph(), 3) is None
-    assert len(enumerate_colorings(gadget.base, 3)) == 1
+    assert find_coloring(chvatal_graph().adjacency_bitsets(), 3) is None
+    assert len(enumerate_colorings(gadget.base.adjacency_bitsets(), 3)) == 1
 
 
 def test_gadget_forces_distinct_auxiliaries(gadget):
     graph = gadget.verification_graph()
     assert graph.n == 15
-    canonical = enumerate_colorings(graph, 3)
+    canonical = enumerate_colorings(graph.adjacency_bitsets(), 3)
     assert len(canonical) == 1
     assert len({canonical[0][a] for a in AUX}) == 3
 
@@ -120,7 +120,7 @@ def test_composite_rainbow_equivalence_k4(gadget):
     h = incidence_hypergraph(J)
     comp = build_composite(h, gadget)
     assert comp.graph.n == h.n + 12 * len(h.hyperedges)
-    coloring = find_coloring(comp.graph, 3)
+    coloring = find_coloring(comp.graph.adjacency_bitsets(), 3)
     assert coloring is not None
     # the restriction to original vertices is a rainbow coloring
     for e in h.hyperedges:
@@ -132,7 +132,7 @@ def test_composite_rainbow_equivalence_petersen(gadget):
     comp = build_composite(h, gadget)
     # Petersen needs 4 edge colors, so no rainbow 3-coloring and hence no
     # proper 3-coloring of the composite
-    assert find_coloring(comp.graph, 3) is None
+    assert find_coloring(comp.graph.adjacency_bitsets(), 3) is None
 
 
 def test_composite_slot_map_validation(gadget):

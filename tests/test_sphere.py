@@ -124,7 +124,7 @@ def test_coloring_clustering_roundtrip():
     J = complete_graph(4)
     h = incidence_hypergraph(J)
     inst = build_P_G(h, kappa=3)
-    coloring = find_coloring(h.constraint_graph(), 3)
+    coloring = find_coloring(h.constraint_graph().adjacency_bitsets(), 3)
     assert coloring is not None
     cl = coloring_to_clustering(inst, h, coloring)
     back = clustering_to_coloring(inst, h, cl)
