@@ -55,16 +55,26 @@ class _UsageError(Exception):
     pass
 
 
-def _load_graph(path):
+def _parse_file(path, what, parse):
+    """`parse` applied to the text of the file at `path`; a ValueError,
+    KeyError or TypeError from it becomes a one-line usage error."""
     with open(path) as f:
         text = f.read()
     try:
-        try:
-            return Graph.from_json(text)
-        except (json.JSONDecodeError, KeyError, TypeError):
-            return Graph.from_edge_list_text(text)
-    except ValueError as e:
-        raise _UsageError(f"bad graph in {path}: {e}")
+        return parse(text)
+    except (ValueError, KeyError, TypeError) as e:
+        raise _UsageError(f"bad {what} in {path}: {e}")
+
+
+def _graph_from_text(text):
+    try:
+        return Graph.from_json(text)
+    except (json.JSONDecodeError, KeyError, TypeError):
+        return Graph.from_edge_list_text(text)
+
+
+def _load_graph(path):
+    return _parse_file(path, "graph", _graph_from_text)
 
 
 def _load_cubic_graph(path):
@@ -77,52 +87,37 @@ def _load_cubic_graph(path):
     return graph
 
 
+def _unwrap(payload, key):
+    """A report's `key` section, or the payload itself when it has none."""
+    return payload[key] if key in payload else payload
+
+
 def _load_gadget(path):
-    with open(path) as f:
-        text = f.read()
-    try:
-        payload = json.loads(text)
-        if "gadget" in payload:
-            payload = payload["gadget"]
-        return GadgetH.from_dict(payload)
-    except (ValueError, KeyError, TypeError) as e:
-        raise _UsageError(f"bad gadget in {path}: {e}")
+    return _parse_file(path, "gadget", lambda text: GadgetH.from_dict(
+        _unwrap(json.loads(text), "gadget")))
 
 
 def _load_embedding(path):
-    with open(path) as f:
-        text = f.read()
-    try:
-        return Embedding.from_json(text)
-    except (ValueError, KeyError, TypeError) as e:
-        raise _UsageError(f"bad embedding in {path}: {e}")
+    return _parse_file(path, "embedding", Embedding.from_json)
 
 
 def _load_hypergraph(path):
-    with open(path) as f:
-        text = f.read()
-    try:
-        hypergraph = Hypergraph.from_json(text)
-    except (ValueError, KeyError, TypeError) as e:
-        raise _UsageError(f"bad hypergraph in {path}: {e}")
+    hypergraph = _parse_file(path, "hypergraph", Hypergraph.from_json)
     if not hypergraph.is_3_uniform():
         raise _UsageError(f"hypergraph in {path} is not 3-uniform")
     return hypergraph
 
 
+def _pointset_from_text(text):
+    pointset = Pointset.from_dict(_unwrap(json.loads(text), "pointset"))
+    # points of mixed lengths raise DimensionMismatch here, not mid-search
+    for i in range(1, len(pointset)):
+        pointset.distance(0, i)
+    return pointset
+
+
 def _load_pointset(path):
-    with open(path) as f:
-        text = f.read()
-    try:
-        payload = json.loads(text)
-        if "pointset" in payload:
-            payload = payload["pointset"]
-        pointset = Pointset.from_dict(payload)
-        # points of mixed lengths raise DimensionMismatch here, not mid-search
-        for i in range(1, len(pointset)):
-            pointset.distance(0, i)
-    except (ValueError, KeyError, TypeError) as e:
-        raise _UsageError(f"bad pointset in {path}: {e}")
+    pointset = _parse_file(path, "pointset", _pointset_from_text)
     if not len(pointset):
         raise _UsageError(f"pointset in {path} is empty")
     return pointset

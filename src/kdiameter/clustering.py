@@ -13,13 +13,12 @@ old prefix and the new one; no `Graph` is built on the way.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 from kdiameter.coloring import DEFAULT_BUDGET, find_coloring
-from kdiameter.geometry import PairTable, key_at_least_scaled
-from kdiameter.graphs import Graph, odd_girth
+from kdiameter.geometry import PairTable
+from kdiameter.graphs import Graph
 
 MAX_K = 4   # exact_cluster's largest k
 MAX_POINTS = 400   # exact_cluster's largest pointset
@@ -31,12 +30,6 @@ class Clustering:
     k: int
     diameter: object      # int, or squared surd for the sphere metric
     witness_pair: object  # (i, j) attaining the diameter, None if diameter 0
-
-    def clusters(self):
-        out = [[] for _ in range(self.k)]
-        for i, c in enumerate(self.assignment):
-            out[c].append(i)
-        return out
 
 
 def _cluster_diameter(pointset, assignment):
@@ -127,8 +120,17 @@ def exact_cluster(pointset, k, budget=DEFAULT_BUDGET):
     the sorted distinct distances for the least k-colorable threshold is
     exact.
     """
-    return _exact_cluster(distinct_distances(_checked(pointset, k)),
-                          k, budget)
+    table = distinct_distances(_checked(pointset, k))
+    n = table.n
+    if k >= n:
+        top = list(range(n))
+    else:
+        # cutoff = overall diameter: the graph is edgeless, always colorable
+        top = find_coloring([0] * n, k, budget=budget)
+        assert top is not None
+    coloring = _least_colorable(
+        table, lambda adj: find_coloring(adj, k, budget=budget), top)
+    return make_clustering(pointset, coloring, k)
 
 
 def _checked(pointset, k):
@@ -140,19 +142,6 @@ def _checked(pointset, k):
     if n > MAX_POINTS:
         raise ValueError(f"pointset size {n} exceeds the cap {MAX_POINTS}")
     return pointset
-
-
-def _exact_cluster(table, k, budget):
-    n = table.n
-    if k >= n:
-        top = list(range(n))
-    else:
-        # cutoff = overall diameter: the graph is edgeless, always colorable
-        top = find_coloring([0] * n, k, budget=budget)
-        assert top is not None
-    coloring = _least_colorable(
-        table, lambda adj: find_coloring(adj, k, budget=budget), top)
-    return make_clustering(table.pointset, coloring, k)
 
 
 def two_cluster(pointset):
@@ -194,28 +183,25 @@ def _bipartition(adj):
 def gonzalez_cluster(pointset, k):
     """Farthest-point seeding followed by nearest-seed assignment; the
     classic 2-approximation.  Deterministic: the first seed is point 0 and
-    all ties break toward the lowest index."""
+    all ties break toward the lowest index.
+
+    One pass over the points per seed: each point keeps its distance to the
+    nearest seed so far and that seed's cluster id, and a new seed takes
+    over the points strictly nearer to it."""
     n = len(pointset)
     if n == 0:
         raise ValueError("empty pointset")
-    seeds = [0]
-    while len(seeds) < min(k, n):
-        best_i, best_d = None, None
+    near = [0] + [pointset.distance(i, 0) for i in range(1, n)]
+    assignment = [0] * n
+    is_seed = [True] + [False] * (n - 1)
+    for c in range(1, min(k, n)):
+        s = max((i for i in range(n) if not is_seed[i]), key=near.__getitem__)
         for i in range(n):
-            if i in seeds:
-                continue
-            d = min(pointset.distance(i, s) for s in seeds)
-            if best_d is None or d > best_d:
-                best_i, best_d = i, d
-        seeds.append(best_i)
-    assignment = []
-    for i in range(n):
-        best_s, best_d = 0, None
-        for si, s in enumerate(seeds):
-            d = 0 if i == s else pointset.distance(i, s)
-            if best_d is None or d < best_d:
-                best_s, best_d = si, d
-        assignment.append(best_s)
+            if not is_seed[i]:
+                d = 0 if i == s else pointset.distance(i, s)
+                if d < near[i]:
+                    near[i], assignment[i] = d, c
+        is_seed[s] = True
     return make_clustering(pointset, assignment, k)
 
 
@@ -313,59 +299,3 @@ def _solve_linear(a, b):
 def jung_bound_holds(ball, diam_sq, dim):
     """Exact check of radius^2 <= diam^2 * n / (2(n+1)) in n = dim dimensions."""
     return ball.radius_sq <= Fraction(diam_sq) * Fraction(dim, 2 * (dim + 1))
-
-
-def barrier_screen(pointset, k=3, ratio=Fraction(3, 2)):
-    """Diagnostic report for approximation-barrier preconditions.
-
-    Reports the exact diameter, the enclosing-ball diameter relative to the
-    pointset diameter (float rendering; exact for integer-coordinate
-    metrics), and the odd girth of the probe graph joining the pairs at
-    distance at least `ratio` times the optimal k-clustering diameter
-    (`ratio` squared for the squared sphere distances).
-    """
-    from math import sqrt
-
-    from kdiameter.geometry import pointset_diameter
-
-    diam = pointset_diameter(pointset)
-    table = distinct_distances(_checked(pointset, k))
-    opt = _exact_cluster(table, k, DEFAULT_BUDGET)
-    ratio = Fraction(ratio)
-    if pointset.metric == "l2_sphere_lattice":
-        dim = 1 + max(a for p in pointset.points for a, _ in p.key)
-        coords = [p.float_coords(dim) for p in pointset.points]
-        ball_diam_sq = 4 * _float_ball_radius_sq(coords)
-        ball_ratio = sqrt(ball_diam_sq / float(diam))
-        base = table.key(opt.diameter)
-        probe = bisect_left(table.keys, True, key=lambda key: key_at_least_scaled(
-            key, ratio ** 2, base))
-    else:
-        coords = _rational_coords(pointset)
-        ball = min_enclosing_ball(coords)
-        ball_ratio = sqrt(4 * ball.radius_sq) / float(diam) if diam else 0.0
-        probe = bisect_left(table.keys, ratio * opt.diameter)
-    gamma = threshold_graph_at(table, probe)
-    og = odd_girth(gamma)
-    return {
-        "diameter": diam,
-        "optimal_k_diameter": opt.diameter,
-        "ball_diameter_over_diameter": ball_ratio,
-        "probe_ratio": ratio,
-        "odd_girth": og,
-        "odd_cycle_obstruction": og != float("inf"),
-    }
-
-
-def _rational_coords(pointset):
-    if pointset.metric == "hamming":
-        return [list(p.bits) for p in pointset.points]
-    return [list(p.entries) for p in pointset.points]
-
-
-def _float_ball_radius_sq(coords):
-    """Float smallest-ball radius squared; diagnostics only."""
-    frac_coords = [[Fraction(c).limit_denominator(10**6) for c in p]
-                   for p in coords]
-    ball = min_enclosing_ball(frac_coords)
-    return float(ball.radius_sq)

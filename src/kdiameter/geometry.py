@@ -1,10 +1,10 @@
 """Exact point representations for Hamming, integer l1/linf, and sphere-lattice l2 space.
 
-Every accept/reject comparison here is integer or rational arithmetic; floats
-only ever appear in diagnostic renderings.  Squared Euclidean distances between
-sphere-lattice points are kept in the surd form 1 - m/sqrt(n1*n2) and compared
-through a rational order key.  `PairTable` ranks every pair of a pointset once,
-and every threshold graph is read off that ranking.
+Every comparison here is integer or rational arithmetic.  Squared Euclidean
+distances between sphere-lattice points are kept in the surd form
+1 - m/sqrt(n1*n2) and compared through a rational order key.  `PairTable`
+ranks every pair of a pointset once, and every threshold graph is read off
+that ranking.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd, isqrt
+from math import gcd
 
 
 class DimensionMismatch(ValueError):
@@ -160,15 +160,6 @@ class SphereLatticePoint:
         """Squared norm of the reduced integer support vector."""
         return sum(v * v for _, v in self.key)
 
-    def float_coords(self, dim):
-        """Float rendering in R^dim; diagnostics only."""
-        from math import sqrt
-        scale = sqrt(0.5 / self.norm_sq_int())
-        out = [0.0] * dim
-        for a, v in self.key:
-            out[a] = v * scale
-        return out
-
     def __eq__(self, other):
         return isinstance(other, SphereLatticePoint) and self.key == other.key
 
@@ -219,27 +210,11 @@ class SqDistance:
         self.n2 = n2
         self.big_n = n1 * n2
 
-    def cmp_fraction(self, t_sq):
-        """Sign of (self - t_sq) for a rational t_sq."""
-        return self._cmp(Fraction(t_sq))
-
-    def exceeds(self, t_sq):
-        return self.cmp_fraction(t_sq) > 0
-
     def exceeds_one_plus_half_sqrt2(self):
         """Decide self > 1 + sqrt(2)/2 exactly (the coordinate-rule diameter
         bound, whose order key is 1/2)."""
         num, den = sphere_key(self)
         return 2 * num > den
-
-    def as_fraction(self):
-        """Rational value when the surd collapses; None otherwise."""
-        if self.m == 0:
-            return Fraction(1)
-        r = isqrt(self.big_n)
-        if r * r == self.big_n:
-            return 1 - Fraction(self.m, r)
-        return None
 
     def _cmp(self, other):
         a, b = sphere_key(self)
@@ -264,14 +239,6 @@ class SqDistance:
     def __ge__(self, other):
         return self._cmp(other) >= 0
 
-    def __hash__(self):
-        # rational values hash like the equal int or Fraction
-        f = self.as_fraction()
-        return hash(f if f is not None else Fraction(*sphere_key(self)))
-
-    def __float__(self):
-        return 1.0 - self.m / (self.big_n ** 0.5)
-
     def __repr__(self):
         return f"SqDistance(m={self.m}, n1={self.n1}, n2={self.n2})"
 
@@ -288,7 +255,7 @@ def sq_distance_exceeds(p, s, threshold_sq):
     threshold_sq = Fraction(threshold_sq)
     if threshold_sq <= 0:
         raise ValueError("threshold must be positive")
-    return sphere_point_sq_distance(p, s).exceeds(threshold_sq)
+    return sphere_point_sq_distance(p, s) > threshold_sq
 
 
 # ---------------------------------------------------------------------------
@@ -376,22 +343,6 @@ def point_from_json(metric, obj):
     if metric in ("l1_int", "linf_int"):
         return IntVector(obj)
     return SphereLatticePoint(obj["axes"], obj["pos"], obj["coeffs"], obj["kappa"])
-
-
-def pointset_diameter(pointset):
-    """Maximum pairwise distance; 0 for a singleton; error on empty input."""
-    n = len(pointset)
-    if n == 0:
-        raise ValueError("empty pointset has no diameter")
-    if n == 1:
-        return 0
-    best = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = pointset.distance(i, j)
-            if best is None or d > best:
-                best = d
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -504,30 +455,3 @@ def _pair_values(pointset):
         for j in range(i + 1, n):
             m = sum(v * pe.get(a, 0) for a, v in pts[j].key)
             yield -m * abs(m), ni * norms[j]
-
-
-def key_at_least_scaled(key, ratio, base):
-    """Decide d(key) >= ratio * d(base) exactly for sphere order keys and a
-    rational `ratio`, where d(k) = 1 + sgn(k) sqrt(|k|) is the squared
-    distance with order key k.
-
-    The question is L >= R for L = 1 - ratio - ratio sgn(base) sqrt(|base|)
-    and R = -sgn(key) sqrt(|key|): decided by signs, else by squares.
-    """
-    q, u, t = 1 - ratio, -ratio * _sign(base), abs(base)
-    left, right = _sign_surd(q, u, t), -_sign(key)
-    if left != right:
-        return left > right
-    return left * _sign_surd(q * q + u * u * t - abs(key), 2 * q * u, t) >= 0
-
-
-def _sign(x):
-    return (x > 0) - (x < 0)
-
-
-def _sign_surd(q, r, s):
-    """Sign of q + r sqrt(s) for rationals q, r and s >= 0."""
-    a, b = _sign(q), _sign(r * s)
-    if not a or not b or a == b:
-        return a or b
-    return a * _sign(q * q - r * r * s)

@@ -220,14 +220,6 @@ class Orientation:
     def outdegree(self, v):
         return sum(1 for t, _ in self.directed if t == v)
 
-    def direction(self, u, v):
-        """+1 if oriented u->v, -1 if v->u."""
-        if (u, v) in self.directed:
-            return 1
-        if (v, u) in self.directed:
-            return -1
-        raise ValueError(f"no edge {(u, v)}")
-
 
 def dfs_orientation(graph):
     """Orient a bridgeless cubic graph along DFS traversal order.

@@ -113,9 +113,6 @@ class Embedding:
             embedding.distance(0, v)
         return embedding
 
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_json(cls, s):
         return cls.from_dict(json.loads(s))

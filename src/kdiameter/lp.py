@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import index
 
 from kdiameter.geometry import BitVector
 from kdiameter.hadamard import Embedding
@@ -99,12 +100,8 @@ def simplex_max(rows, rhs, objective, stats=None):
     Since D > 0, the entering column (the first negative objective entry)
     and the ratio test, compared by cross-multiplication with ties broken
     toward the smaller basic index, are those of the same tableau over
-    Fractions, so the pivots and the returned x are too.
-
-    Entries may be ints or Fractions: each row is scaled with its rhs by
-    the LCM of its denominators (its slack keeps coefficient 1), and the
-    objective by the LCM of its own.  Positive scaling leaves Bland's
-    pivots unchanged; it is divided back out of the value and the dual.
+    Fractions, so the pivots and the returned x are too.  Every entry
+    must be an int: a Fraction raises TypeError.
 
     Returns ("optimal", value, x) with Fraction entries or ("unbounded",
     None, None).  `stats`, when given, is a dict whose "pivots" entry
@@ -118,15 +115,12 @@ def simplex_max(rows, rhs, objective, stats=None):
     if any(b < 0 for b in rhs):
         raise ValueError("rhs must be nonnegative (slack basis start)")
     width = n + m
-    scales = [_denominator_lcm([*rows[i], rhs[i]]) for i in range(m)]
     tab = []
     for i in range(m):
-        s = scales[i]
-        row = [int(a * s) for a in rows[i]] + [0] * m + [int(rhs[i] * s)]
+        row = [index(a) for a in rows[i]] + [0] * m + [index(rhs[i])]
         row[n + i] = 1
         tab.append(row)
-    obj_scale = _denominator_lcm(objective)
-    obj = [-int(c * obj_scale) for c in objective] + [0] * (m + 1)
+    obj = [-index(c) for c in objective] + [0] * (m + 1)
     basis = [n + i for i in range(m)]
     d = 1
     pivots = 0
@@ -169,13 +163,8 @@ def simplex_max(rows, rhs, objective, stats=None):
         if bv < n:
             x[bv] = Fraction(tab[i][width], d)
     if stats is not None:
-        stats["dual"] = [Fraction(obj[n + i] * scales[i], d * obj_scale)
-                         for i in range(m)]
-    return "optimal", Fraction(obj[width], d * obj_scale), x
-
-
-def _denominator_lcm(values):
-    return lcm(*(v.denominator for v in values))
+        stats["dual"] = [Fraction(obj[n + i], d) for i in range(m)]
+    return "optimal", Fraction(obj[width], d), x
 
 
 def _pivot_row(row, prow, p, d, enter):

@@ -68,11 +68,7 @@ class SphereInstance:
     regions: list            # (a, b, c) axis triples
     points: list             # SphereLatticePoints, deduplicated
     anchor_index: dict       # axis v -> index of the point e_v
-    index_of: dict = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.index_of is None:
-            self.index_of = {p.key: i for i, p in enumerate(self.points)}
+    index_of: dict = field(repr=False)   # point key -> index
 
     def pointset(self):
         return Pointset("l2_sphere_lattice", self.points)
@@ -84,33 +80,28 @@ class SphereInstance:
 
 
 def build_region_instance(axes, kappa):
-    points = region_points(axes, kappa)
-    index = {p.key: i for i, p in enumerate(points)}
-    anchors = {}
-    for axis in axes:
-        key = axis_key(axis)
-        if key in index:
-            anchors[axis] = index[key]
-    return SphereInstance(kappa, [tuple(axes)], points, anchors)
+    return _union_instance([tuple(axes)], kappa)
 
 
 def build_P_G(hypergraph, kappa=12):
     """Union of one kappa-region per hyperedge over the shared axis universe."""
-    seen = {}
-    regions = []
     for e in hypergraph.hyperedges:
         if len(e) != 3:
             raise ValueError(f"hyperedge {e} is not a triple")
-        regions.append(tuple(e))
-        for p in region_points(tuple(e), kappa):
+    return _union_instance([tuple(e) for e in hypergraph.hyperedges], kappa)
+
+
+def _union_instance(regions, kappa):
+    """The instance over the points of `regions`, deduplicated in first-seen
+    order, whose anchors are the points e_v of the regions' axes v."""
+    seen = {}
+    for e in regions:
+        for p in region_points(e, kappa):
             seen.setdefault(p.key, p)
     points = list(seen.values())
-    index = {p.key: i for i, p in enumerate(points)}
-    anchors = {}
-    for e in regions:
-        for axis in e:
-            anchors[axis] = index[axis_key(axis)]
-    return SphereInstance(kappa, regions, points, anchors)
+    index_of = {key: i for i, key in enumerate(seen)}
+    anchors = {axis: index_of[axis_key(axis)] for e in regions for axis in e}
+    return SphereInstance(kappa, regions, points, anchors, index_of)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import inf
@@ -90,7 +91,7 @@ def test_verify_embedding_degenerate_ratio():
 
 def test_embedding_json_roundtrip():
     emb = linf_embedding(path_graph(4))
-    back = Embedding.from_json(emb.to_json())
+    back = Embedding.from_json(json.dumps(emb.to_dict()))
     assert back.source == emb.source
     assert back.image == emb.image
     assert (back.short, back.long) == (emb.short, emb.long)

@@ -68,15 +68,11 @@ def _random_program(rng):
     def coefficient():
         if rng.random() < 0.4:
             return 0
-        if rng.random() < 0.5:
-            return rng.randint(-3, 4)
-        return Fraction(rng.randint(-5, 7), rng.randint(1, 4))
+        return rng.randint(-5, 7)
 
     m, n = rng.randint(2, 6), rng.randint(2, 8)
     rows = [[coefficient() for _ in range(n)] for _ in range(m)]
-    rhs = [0 if rng.random() < 0.35 else
-           rng.choice([rng.randint(1, 5), Fraction(rng.randint(1, 9), rng.randint(1, 4))])
-           for _ in range(m)]
+    rhs = [0 if rng.random() < 0.35 else rng.randint(1, 9) for _ in range(m)]
     objective = [coefficient() for _ in range(n)]
     return rows, rhs, objective
 
@@ -132,18 +128,26 @@ def test_dual_certifies_optimality(graph):
 def test_simplex_on_known_program():
     # max x + y s.t. x <= 2, y <= 3, x + y <= 4, x,y >= 0 -> 4
     rows = [[1, 0], [0, 1], [1, 1]]
-    rhs = [Fraction(2), Fraction(3), Fraction(4)]
-    status, value, point = simplex_max(rows, rhs, [Fraction(1), Fraction(1)])
+    status, value, point = simplex_max(rows, [2, 3, 4], [1, 1])
     assert status == "optimal" and value == 4
     assert sum(point) == 4
     assert point[0] <= 2 and point[1] <= 3
 
 
 def test_simplex_unbounded():
-    status, value, point = simplex_max([[1, -1]], [Fraction(1)],
-                                       [Fraction(0), Fraction(1)])
+    status, value, point = simplex_max([[1, -1]], [1], [0, 1])
     assert status == "unbounded"
     assert value is None and point is None
+
+
+@pytest.mark.parametrize("rows, rhs, objective", [
+    ([[Fraction(1, 2)]], [1], [1]), ([[1]], [Fraction(3, 2)], [1]),
+    ([[1]], [1], [Fraction(1, 3)])], ids=["row", "rhs", "objective"])
+def test_simplex_refuses_fractions(rows, rhs, objective):
+    # the tableau is pivoted in ints: a Fraction entry is refused, not
+    # floor-divided into a wrong program
+    with pytest.raises(TypeError):
+        simplex_max(rows, rhs, objective)
 
 
 def test_lp_size_guard():

@@ -73,7 +73,7 @@ def test_threshold_graph_matches_per_pair_exceeds():
     for t in (1, Fraction(5, 4), Fraction(163, 125), Fraction(4, 3),
               Fraction(3, 2)):
         t_sq = Fraction(t) ** 2
-        expected = Graph(n, [e for e, d in dists.items() if d.exceeds(t_sq)])
+        expected = Graph(n, [e for e, d in dists.items() if d > t_sq])
         assert build_threshold_graph(table, t_sq) == expected
 
 
@@ -108,7 +108,7 @@ def test_completeness_clustering_diameter_at_most_one():
     inst = build_region_instance((0, 1, 2), 6)
     cl = completeness_clustering(inst)
     d = cl.diameter
-    assert d == 0 or not d.exceeds(Fraction(1))
+    assert d == 0 or not d > 1
 
 
 def test_remark_clustering_bound_and_anchor_grouping():
