@@ -163,14 +163,15 @@ def criterion_2(budget=DEFAULT_BUDGET, seed=0):
 def criterion_3(budget=DEFAULT_BUDGET, seed=0):
     """5/4-embedding of K44 and 20 random 4-edge-colorable 4-regular graphs."""
     rng = random.Random(seed)
-    graphs = [complete_bipartite_graph(4, 4)]
-    while len(graphs) < 21:
+    k44 = complete_bipartite_graph(4, 4)
+    colored = [(k44, edge_coloring(k44, 4, budget=budget))]
+    while len(colored) < 21:
         n = rng.choice((6, 8, 10, 12))
         g = random_regular_graph(n, 4, rng)
-        if edge_coloring(g, 4, budget=budget) is not None:
-            graphs.append(g)
-    for idx, g in enumerate(graphs):
         coloring = edge_coloring(g, 4, budget=budget)
+        if coloring is not None:
+            colored.append((g, coloring))
+    for idx, (g, coloring) in enumerate(colored):
         emb = five_fourths_embedding(g, coloring)
         q = emb.short // 2
         for u in range(g.n):
@@ -181,7 +182,7 @@ def criterion_3(budget=DEFAULT_BUDGET, seed=0):
                         return {"ok": False, "graph": idx, "pair": (u, v)}
                 elif d > 2 * q:
                     return {"ok": False, "graph": idx, "pair": (u, v)}
-    return {"ok": True, "graphs": len(graphs)}
+    return {"ok": True, "graphs": len(colored)}
 
 
 def criterion_4(budget=DEFAULT_BUDGET, seed=0):

@@ -1,7 +1,9 @@
 """Command-line front end composing the library into reproducible pipelines.
 
 Exit codes: 0 = verified/success, 1 = property refuted (report carries the
-witness), 2 = search budget exceeded, 3 = usage error.  Reports are JSON
+witness), 2 = search budget exceeded, 3 = usage error: a bad argument, an
+unreadable input file, or any ValueError the library raises on bad input
+(the library owns every bound on its inputs).  Reports are JSON
 with sorted keys and no timestamps, so identical inputs give identical
 bytes; the repro-all summary additionally records wall-clock per criterion.
 """
@@ -15,14 +17,8 @@ import time
 from fractions import Fraction
 
 from kdiameter import __version__
-from kdiameter.clustering import (
-    MAX_K,
-    MAX_POINTS,
-    exact_cluster,
-    gonzalez_cluster,
-    two_cluster,
-)
-from kdiameter.coloring import BUDGET_ERROR, BudgetExceeded, DEFAULT_BUDGET
+from kdiameter.clustering import exact_cluster, gonzalez_cluster, two_cluster
+from kdiameter.coloring import BudgetExceeded, DEFAULT_BUDGET
 from kdiameter.gadgets import (
     GadgetH,
     build_composite,
@@ -33,9 +29,9 @@ from kdiameter.gadgets import (
     verify_gadget,
 )
 from kdiameter.geometry import Pointset
-from kdiameter.graphs import Graph, Hypergraph, cut_edges, incidence_hypergraph
+from kdiameter.graphs import Graph, Hypergraph, incidence_hypergraph
 from kdiameter.hadamard import Embedding, verify_embedding
-from kdiameter.lp import MAX_VERTICES, max_embeddability
+from kdiameter.lp import max_embeddability
 from kdiameter.sphere import (
     SEPARATION_THRESHOLD,
     build_P_G,
@@ -77,16 +73,6 @@ def _load_graph(path):
     return _parse_file(path, "graph", _graph_from_text)
 
 
-def _load_cubic_graph(path):
-    """A graph the composite construction accepts: cubic and bridgeless."""
-    graph = _load_graph(path)
-    if graph.n == 0:
-        raise _UsageError(f"graph in {path} has no vertices")
-    if not graph.is_regular(3) or cut_edges(graph):
-        raise _UsageError(f"graph in {path} is not cubic and bridgeless")
-    return graph
-
-
 def _unwrap(payload, key):
     """A report's `key` section, or the payload itself when it has none."""
     return payload[key] if key in payload else payload
@@ -102,25 +88,12 @@ def _load_embedding(path):
 
 
 def _load_hypergraph(path):
-    hypergraph = _parse_file(path, "hypergraph", Hypergraph.from_json)
-    if not hypergraph.is_3_uniform():
-        raise _UsageError(f"hypergraph in {path} is not 3-uniform")
-    return hypergraph
-
-
-def _pointset_from_text(text):
-    pointset = Pointset.from_dict(_unwrap(json.loads(text), "pointset"))
-    # points of mixed lengths raise DimensionMismatch here, not mid-search
-    for i in range(1, len(pointset)):
-        pointset.distance(0, i)
-    return pointset
+    return _parse_file(path, "hypergraph", Hypergraph.from_json)
 
 
 def _load_pointset(path):
-    pointset = _parse_file(path, "pointset", _pointset_from_text)
-    if not len(pointset):
-        raise _UsageError(f"pointset in {path} is empty")
-    return pointset
+    return _parse_file(path, "pointset", lambda text: Pointset.from_dict(
+        _unwrap(json.loads(text), "pointset")))
 
 
 def _parse_fraction(s):
@@ -128,13 +101,6 @@ def _parse_fraction(s):
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as e:
         raise _UsageError(f"bad fraction {s!r}: {e}")
-
-
-def _parse_threshold(s):
-    t = _parse_fraction(s)
-    if t <= 0:
-        raise _UsageError(f"bad threshold {s!r}: must be positive")
-    return t
 
 
 def _parse_int(s, what, least):
@@ -217,7 +183,7 @@ def cmd_gadget_verify(args):
 
 
 def _composite_from_args(args):
-    J = _load_cubic_graph(args.graph)
+    J = _load_graph(args.graph)
     gadget = build_gadget_H(budget=args.budget_nodes)
     hypergraph = incidence_hypergraph(J)
     slot_maps = stitch_slot_maps(J)
@@ -253,9 +219,6 @@ def cmd_composite_embed(args):
 
 
 def cmd_sphere_region(args):
-    if len(set(args.axes)) != 3 or min(args.axes) < 0:
-        raise _UsageError(f"--axes needs three distinct non-negative indices, "
-                          f"got {args.axes}")
     instance = build_region_instance(tuple(args.axes), args.kappa)
     report = _report(args, "sphere region", kappa=args.kappa,
                      points=len(instance.points),
@@ -266,7 +229,7 @@ def cmd_sphere_region(args):
 
 def cmd_sphere_verify(args):
     instance = build_region_instance((0, 1, 2), args.kappa)
-    threshold = _parse_threshold(args.t)
+    threshold = _parse_fraction(args.t)
     stats = {"nodes": 0}
     try:
         holds, witness = verify_anchor_separation(
@@ -300,7 +263,7 @@ def cmd_sphere_reduce(args):
 
 def cmd_sphere_sweep(args):
     kappas = _parse_kappas(args.kappa)
-    thresholds = [_parse_threshold(t) for t in args.t_grid.split(",")]
+    thresholds = [_parse_fraction(t) for t in args.t_grid.split(",")]
     rows = kappa_sweep(kappas, thresholds, budget=args.budget_nodes)
     csv = sweep_csv(rows)
     if args.out:
@@ -313,13 +276,6 @@ def cmd_sphere_sweep(args):
 
 def cmd_cluster(args):
     pointset = _load_pointset(args.pointset)
-    if args.mode == "exact" and not 1 <= args.k <= MAX_K:
-        raise _UsageError(f"cluster exact needs 1 <= k <= {MAX_K}, got {args.k}")
-    if args.mode == "exact" and len(pointset) > MAX_POINTS:
-        raise _UsageError(f"cluster exact takes at most {MAX_POINTS} points, "
-                          f"got {len(pointset)}")
-    if args.mode == "gonzalez" and args.k < 1:
-        raise _UsageError(f"cluster gonzalez needs k >= 1, got {args.k}")
     if args.mode == "exact":
         clustering = exact_cluster(pointset, args.k, budget=args.budget_nodes)
     elif args.mode == "gonzalez":
@@ -335,11 +291,7 @@ def cmd_cluster(args):
 
 
 def cmd_embeddability(args):
-    graph = _load_graph(args.graph)
-    if not 1 <= graph.n <= MAX_VERTICES:
-        raise _UsageError(f"embeddability needs 1 to {MAX_VERTICES} vertices, "
-                          f"got {graph.n}")
-    result = max_embeddability(graph)
+    result = max_embeddability(_load_graph(args.graph))
     cert = {"unbounded": result["unbounded"], "verified": result["certified"]}
     if result["ratio"] is not None:
         cert["r_num"] = result["ratio"].numerator
@@ -470,14 +422,11 @@ def build_parser():
 
 
 def main(argv=None):
-    if BUDGET_ERROR:
-        print(f"usage error: {BUDGET_ERROR}", file=sys.stderr)
-        return EXIT_USAGE
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (_UsageError, OSError) as e:
+    except (_UsageError, OSError, ValueError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceeded as e:

@@ -188,6 +188,8 @@ def gonzalez_cluster(pointset, k):
     One pass over the points per seed: each point keeps its distance to the
     nearest seed so far and that seed's cluster id, and a new seed takes
     over the points strictly nearer to it."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
     n = len(pointset)
     if n == 0:
         raise ValueError("empty pointset")

@@ -16,7 +16,6 @@ the same nodes; `KERNEL_BACKEND` is "c" or "python".
 
 from __future__ import annotations
 
-import os
 from itertools import permutations, product
 from math import perm
 
@@ -28,25 +27,7 @@ except ImportError:
 KERNEL_BACKEND = _kernel.BACKEND
 
 
-def _environment_budget():
-    """The default node budget, from KDIAMETER_BUDGET when it is set.
-
-    A setting that is not a non-negative integer leaves the budget at 10**9
-    and comes back as the second value, the reason it was refused, so that
-    importing the package never fails; the CLI reports it as a usage error."""
-    raw = os.environ.get("KDIAMETER_BUDGET")
-    if raw is None:
-        return 10**9, None
-    try:
-        budget = int(raw)
-    except ValueError:
-        return 10**9, f"KDIAMETER_BUDGET must be an integer, got {raw!r}"
-    if budget < 0:
-        return 10**9, f"KDIAMETER_BUDGET must be non-negative, got {raw!r}"
-    return budget, None
-
-
-DEFAULT_BUDGET, BUDGET_ERROR = _environment_budget()
+DEFAULT_BUDGET = 10**9
 
 ENUMERATION_GUARD_NODES = 2**30
 

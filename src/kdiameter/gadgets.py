@@ -274,6 +274,8 @@ def build_composite(hypergraph, gadget, slot_maps=None):
     equivalence is slot-order independent, but stitching needs the maps
     produced by stitch_slot_maps.
     """
+    if not hypergraph.hyperedges:
+        raise ValueError("hypergraph has no hyperedges")
     if not hypergraph.is_3_uniform() or not hypergraph.is_2_regular():
         raise ValueError("hypergraph must be 3-uniform and 2-regular")
     if slot_maps is None:

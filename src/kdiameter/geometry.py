@@ -9,6 +9,7 @@ that ranking.
 
 from __future__ import annotations
 
+import operator
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -134,8 +135,8 @@ class SphereLatticePoint:
     def __init__(self, axes, positive_axis, coeffs, kappa):
         axes = tuple(axes)
         coeffs = tuple(int(c) for c in coeffs)
-        if len(axes) != 3 or len(set(axes)) != 3:
-            raise ValueError("axes must be three distinct indices")
+        if len(axes) != 3 or len(set(axes)) != 3 or min(axes) < 0:
+            raise ValueError("axes must be three distinct non-negative indices")
         if positive_axis not in axes:
             raise ValueError("positive_axis must be one of the axes")
         if any(c < 0 for c in coeffs) or sum(coeffs) != kappa or kappa <= 0:
@@ -216,28 +217,29 @@ class SqDistance:
         num, den = sphere_key(self)
         return 2 * num > den
 
-    def _cmp(self, other):
-        a, b = sphere_key(self)
-        c, d = sphere_key(other)
-        lhs, rhs = a * d, c * b
-        return (lhs > rhs) - (lhs < rhs)
-
-    def __eq__(self, other):
+    def _cmp(self, other, op):
+        """`op` on the order keys of self and `other`, which must be exact:
+        a float gives NotImplemented, so == is False and < raises TypeError."""
         if not isinstance(other, (SqDistance, int, Fraction)):
             return NotImplemented
-        return self._cmp(other) == 0
+        a, b = sphere_key(self)
+        c, d = sphere_key(other)
+        return op(a * d, c * b)
+
+    def __eq__(self, other):
+        return self._cmp(other, operator.eq)
 
     def __lt__(self, other):
-        return self._cmp(other) < 0
+        return self._cmp(other, operator.lt)
 
     def __le__(self, other):
-        return self._cmp(other) <= 0
+        return self._cmp(other, operator.le)
 
     def __gt__(self, other):
-        return self._cmp(other) > 0
+        return self._cmp(other, operator.gt)
 
     def __ge__(self, other):
-        return self._cmp(other) >= 0
+        return self._cmp(other, operator.ge)
 
     def __repr__(self):
         return f"SqDistance(m={self.m}, n1={self.n1}, n2={self.n2})"

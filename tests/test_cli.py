@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -54,6 +55,45 @@ def test_reports_are_byte_identical(tmp_path, capsys):
         codes = [run(capsys, *argv, "--out", str(out))[0] for out in (a, b)]
         assert codes[0] == codes[1]
         assert a.read_bytes() == b.read_bytes(), argv
+
+
+# sha256 of each command's report with default flags; a change to any report
+# byte on valid input shows here
+REPORT_DIGESTS = [
+    (["gadget", "build"],
+     "a00488e0254dca5a26948b2681319032161f3165859ade82c30b83ab1300ca08"),
+    (["composite", "build", "--graph", "K4.json"],
+     "80408e4da5786cea73d0ffbcfaa8a996b48c93a421f803d1cc95c1adf1b66ff6"),
+    (["composite", "embed", "--graph", "K4.json"],
+     "31d511649a78d5ba7f8130db4be872735a74265459a8f94d2b5d0d0965d3664b"),
+    (["sphere", "verify-lemma53", "--kappa", "4"],
+     "9b299911a49377e84c9fb4f1dccac0fdae895dfd8f0fa246597778b7cb8575b1"),
+    (["sphere", "reduce", "--hypergraph", "K4_incidence.json"],
+     "2f8883c787d0edf7bcd73c2eb2929775648d960de4b991a86804c0cfd4641c56"),
+    (["sphere", "sweep", "--kappa", "2..4", "--t-grid", "163/125,3/2"],
+     "d5ae9f46bdd671d49fa08dcbe0e42416e4a18f3d727a6b7b9e34c4566cbf9135"),
+    (["cluster", "exact", "--pointset", "region.json"],
+     "9b124f0b71825290bd7934324c05f6ffaa278ba1653c07038c3b3cd7759bd3e3"),
+    (["cluster", "two", "--pointset", "region.json"],
+     "2291dc9ca42d284f96cdf46d545a5f30373cf58894ed0744c5092adb4fe23aa9"),
+    (["cluster", "gonzalez", "--pointset", "region.json"],
+     "9523cbfd98ae99f0a7fd414cb53862d63bd7a67f0658a651710c2367238deff2"),
+    (["embeddability", "--graph", "P7.json"],
+     "cf6c16a1fd1f3b545c44889032c636f54139316db7d6d28143e1b65aeb105638"),
+]
+
+
+def test_report_digests(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("K4.json").write_text(json.dumps(complete_graph(4).to_dict()))
+    Path("K4_incidence.json").write_text(
+        json.dumps(incidence_hypergraph(complete_graph(4)).to_dict()))
+    Path("P7.json").write_text(json.dumps(path_graph(7).to_dict()))
+    assert run(capsys, "sphere", "region", "--kappa", "3",
+               "--out", "region.json")[0] == 0
+    for argv, digest in REPORT_DIGESTS:
+        run(capsys, *argv, "--out", "report")
+        assert hashlib.sha256(Path("report").read_bytes()).hexdigest() == digest, argv
 
 
 def test_composite_embed_then_cluster(tmp_path, k4_file, capsys):
@@ -146,27 +186,6 @@ def test_threads_flag_is_gone(capsys):
     assert main(["repro-all", "--threads", "2"]) == 3
 
 
-def run_with_budget_environment(value):
-    env = dict(os.environ, KDIAMETER_BUDGET=value,
-               PYTHONPATH=str(Path(kdiameter.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-m", "kdiameter.cli", "gadget", "build"],
-                          env=env, capture_output=True, text=True, timeout=60)
-
-
-def test_malformed_budget_environment_is_a_usage_error():
-    result = run_with_budget_environment("abc")
-    assert result.returncode == 3
-    assert result.stderr.splitlines() == [
-        "usage error: KDIAMETER_BUDGET must be an integer, got 'abc'"]
-
-
-def test_negative_budget_environment_is_a_usage_error():
-    result = run_with_budget_environment("-5")
-    assert result.returncode == 3
-    assert result.stderr.splitlines() == [
-        "usage error: KDIAMETER_BUDGET must be non-negative, got '-5'"]
-
-
 def embedding_file(**changes):
     """A Hamming embedding of P3 as JSON, with `changes` applied."""
     embedding = {"graph": path_graph(3).to_dict(), "metric": "hamming",
@@ -196,6 +215,11 @@ BAD_INPUTS = {
     "emb_mixed_lengths.json": embedding_file(
         image={"0": "00", "1": "110", "2": "01"}),
     "emb_short_not_a_number.json": embedding_file(short="short"),
+    "no_points.json": json.dumps({"metric": "l1_int", "points": []}),
+    "pairs_hypergraph.json": json.dumps({"n": 3, "hyperedges": [[0, 1], [1, 2]]}),
+    "negative_axis.json": json.dumps({"metric": "l2_sphere_lattice", "points": [
+        {"axes": [-1, 0, 1], "pos": pos, "coeffs": coeffs, "kappa": 1}
+        for pos, coeffs in ((-1, [1, 0, 0]), (0, [0, 1, 0]), (1, [0, 0, 1]))]}),
 }
 
 
@@ -229,6 +253,12 @@ BAD_INPUTS = {
     ["cluster", "exact", "--pointset", "."],
     ["cluster", "exact", "--pointset", "points.json", "--out", "."],
     ["gadget", "build", "--budget-nodes", "-5"],
+    ["cluster", "exact", "--pointset", "no_points.json"],
+    ["cluster", "two", "--pointset", "no_points.json"],
+    ["cluster", "gonzalez", "--pointset", "no_points.json"],
+    ["sphere", "reduce", "--hypergraph", "pairs_hypergraph.json"],
+    ["embeddability", "--graph", "empty.json"],
+    ["cluster", "two", "--pointset", "negative_axis.json"],
 ], ids=["lp-cap", "self-loop", "malformed-json", "mixed-lengths", "k7",
         "kappa0", "kappa-range", "composite-not-cubic", "composite-bridge",
         "composite-empty-build", "composite-empty-embed",
@@ -237,7 +267,8 @@ BAD_INPUTS = {
         "t-grid-negative", "kappa-range-empty", "embedding-missing-vertex",
         "embedding-vertex-out-of-range", "embedding-mixed-lengths",
         "embedding-short-not-a-number", "pointset-is-a-directory",
-        "out-is-a-directory", "budget-negative"])
+        "out-is-a-directory", "budget-negative", "exact-empty", "two-empty",
+        "gonzalez-empty", "reduce-pairs", "lp-empty", "pointset-negative-axis"])
 def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
     for name, text in BAD_INPUTS.items():
         (tmp_path / name).write_text(text)

@@ -14,6 +14,7 @@ from kdiameter.geometry import (
     PairTable,
     Pointset,
     SphereLatticePoint,
+    SqDistance,
     axis_point,
     hamming_distance,
     l1_distance,
@@ -66,6 +67,18 @@ def test_sphere_point_invariants():
     # norm is exactly 1/2 by construction (norm_sq_int cancels on normalization)
     assert p.norm_sq_int() == 2
     assert sphere_point_sq_distance(p, p) == 0
+
+
+def test_sq_distance_refuses_inexact_operands():
+    d = SqDistance(1, 2, 2)   # 1 - 1/2
+    assert d == Fraction(1, 2) and d <= Fraction(1, 2) and d >= Fraction(1, 2)
+    assert d != 0.5
+    for compare in (d.__lt__, d.__le__, d.__gt__, d.__ge__):
+        assert compare(0.5) is NotImplemented
+    with pytest.raises(TypeError):
+        d <= 0.5
+    with pytest.raises(TypeError):
+        0.5 < d
 
 
 def test_axis_point_identities():
