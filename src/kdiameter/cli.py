@@ -63,10 +63,11 @@ def _parse_file(path, what, parse):
 
 
 def _graph_from_text(text):
-    try:
+    """A graph from JSON text, or from an edge list when the text is not a
+    JSON object: a truncated JSON file reports its JSON error."""
+    if text.lstrip().startswith("{"):
         return Graph.from_json(text)
-    except (json.JSONDecodeError, KeyError, TypeError):
-        return Graph.from_edge_list_text(text)
+    return Graph.from_edge_list_text(text)
 
 
 def _load_graph(path):

@@ -2,12 +2,15 @@
 
 Minimizing the largest intra-cluster distance over k clusters is equivalent
 to k-coloring the threshold graph whose edges join pairs farther than the
-candidate diameter, which is how the exact solver works.  Every pair is
-ranked once by exact distance in a pair table (`geometry.PairTable`), and
-each threshold graph is a prefix of its ranked pair list.  The binary search
+candidate diameter, which is how the exact solver works.  A pointset is
+immutable and ranks its pairs once by exact distance, in its pair table
+(`geometry.PairTable`), which every solver asking about it shares; each
+threshold graph is a prefix of the ranked pair list.  The binary search
 keeps that prefix as one list of neighbor bitsets, the coloring kernel's
 input, and moves it between ranks by XORing in only the pairs between the
-old prefix and the new one; no `Graph` is built on the way.
+old prefix and the new one; no `Graph` is built on the way.  The optimal
+diameter is read at the least colorable rank: only its witness pair is
+looked for among the clusters, not every intra-cluster distance evaluated.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from kdiameter.coloring import DEFAULT_BUDGET, find_coloring
-from kdiameter.geometry import PairTable
+from kdiameter.geometry import pair_has_key
 from kdiameter.graphs import Graph
 
 MAX_K = 4   # exact_cluster's largest k
@@ -32,19 +35,25 @@ class Clustering:
     witness_pair: object  # (i, j) attaining the diameter, None if diameter 0
 
 
-def _cluster_diameter(pointset, assignment):
-    """Exact max intra-cluster distance with its witness pair.  Only the
-    cluster ids that occur are grouped, so the cost does not grow with k."""
-    best, pair = 0, None
+def _clusters(assignment):
+    """The members of each cluster id that occurs, by cluster id.  Only the
+    ids that occur are grouped, so the cost does not grow with k."""
     groups = {}
     for i, c in enumerate(assignment):
         groups.setdefault(c, []).append(i)
-    for _, group in sorted(groups.items()):
-        for a in range(len(group)):
-            for b in range(a + 1, len(group)):
-                d = pointset.distance(group[a], group[b])
+    return [group for _, group in sorted(groups.items())]
+
+
+def _cluster_diameter(pointset, assignment):
+    """Exact max intra-cluster distance with its witness pair: the first
+    pair attaining it by cluster id, then i, then j."""
+    best, pair = 0, None
+    for group in _clusters(assignment):
+        for a, i in enumerate(group):
+            for j in group[a + 1:]:
+                d = pointset.distance(i, j)
                 if d > best:
-                    best, pair = d, (group[a], group[b])
+                    best, pair = d, (i, j)
     return best, pair
 
 
@@ -58,10 +67,10 @@ def make_clustering(pointset, assignment, k):
 
 
 def distinct_distances(pointset):
-    """The pointset's pair table (`geometry.PairTable`): every pair ranked by
-    its exact distance among the sorted distinct distances, which are the
-    candidate diameters, always led by 0."""
-    return PairTable(pointset)
+    """The pointset's pair table (`geometry.PairTable`), built once per
+    pointset: every pair ranked by its exact distance among the sorted
+    distinct distances, which are the candidate diameters, always led by 0."""
+    return pointset.table
 
 
 def threshold_graph_at(table, rank):
@@ -95,11 +104,11 @@ def prefix_bitsets(table):
 
 
 def _least_colorable(table, color, top):
-    """Binary search over the candidate diameters of a pair table: what
-    `color` gives for the threshold graph (as neighbor bitsets) at the least
-    candidate it colors, or `top` when only the largest candidate (no edges)
-    works.  Colorability is monotone in the cutoff (larger cutoff, fewer
-    edges)."""
+    """Binary search over the candidate diameters of a pair table: the least
+    rank `at` whose threshold graph (as neighbor bitsets) `color` colors,
+    and what `color` gives there, or `top` when only the largest candidate
+    (no edges) works.  Colorability is monotone in the cutoff (larger
+    cutoff, fewer edges)."""
     graph_at = prefix_bitsets(table)
     lo, hi = 0, len(table.keys) - 1
     best = top
@@ -110,7 +119,25 @@ def _least_colorable(table, color, top):
             lo = mid + 1
         else:
             best, hi = coloring, mid
-    return best
+    return best, hi + 1
+
+
+def _clustering_at(pointset, table, coloring, at, k):
+    """The clustering `coloring` found at the least colorable rank `at`.
+
+    It keeps every pair of rank >= at apart, and by the minimality of `at`
+    it does not keep every pair of rank at - 1 apart, so its diameter has
+    rank exactly at - 1.  The witness is the first intra-cluster pair of
+    that rank in `_cluster_diameter`'s order, the pair `make_clustering`
+    reports.
+    """
+    if at == 1:
+        return Clustering(list(coloring), k, 0, None)
+    is_diameter = pair_has_key(pointset, table.keys[at - 1])
+    pair = next((i, j) for group in _clusters(coloring)
+                for a, i in enumerate(group) for j in group[a + 1:]
+                if is_diameter(i, j))
+    return Clustering(list(coloring), k, pointset.distance(*pair), pair)
 
 
 def exact_cluster(pointset, k, budget=DEFAULT_BUDGET):
@@ -128,9 +155,9 @@ def exact_cluster(pointset, k, budget=DEFAULT_BUDGET):
         # cutoff = overall diameter: the graph is edgeless, always colorable
         top = find_coloring([0] * n, k, budget=budget)
         assert top is not None
-    coloring = _least_colorable(
+    coloring, at = _least_colorable(
         table, lambda adj: find_coloring(adj, k, budget=budget), top)
-    return make_clustering(pointset, coloring, k)
+    return _clustering_at(pointset, table, coloring, at, k)
 
 
 def _checked(pointset, k):
@@ -150,9 +177,9 @@ def two_cluster(pointset):
     n = len(pointset)
     if n == 0:
         raise ValueError("empty pointset")
-    coloring = _least_colorable(distinct_distances(pointset), _bipartition,
-                                [0] * n)
-    return make_clustering(pointset, coloring, 2)
+    table = distinct_distances(pointset)
+    coloring, at = _least_colorable(table, _bipartition, [0] * n)
+    return _clustering_at(pointset, table, coloring, at, 2)
 
 
 def _bipartition(adj):

@@ -2,9 +2,10 @@
 
 Every comparison here is integer or rational arithmetic.  Squared Euclidean
 distances between sphere-lattice points are kept in the surd form
-1 - m/sqrt(n1*n2) and compared through a rational order key.  `PairTable`
-ranks every pair of a pointset once, and every threshold graph is read off
-that ranking.
+1 - m/sqrt(n1*n2) and compared through a rational order key.  A `Pointset`
+is immutable and ranks its pairs once, in its `PairTable` (`Pointset.table`,
+built on first use); every threshold graph and every exact diameter of that
+pointset is read off this one ranking.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from math import gcd
 
 
@@ -273,26 +274,40 @@ DISTANCE = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class Pointset:
-    """Homogeneous list of points under one metric.
+    """Immutable tuple of points of one dimension under one metric.
 
     For `l2_sphere_lattice` all distances are *squared* (SqDistance values);
-    for the other metrics they are plain integers.
+    for the other metrics they are plain integers.  `table` ranks every pair
+    once, on first use, and every solver asking about this pointset shares it.
     """
 
     metric: str
-    points: list
-    labels: list | None = None
+    points: tuple
+    labels: tuple | None = None
 
     def __post_init__(self):
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
+        object.__setattr__(self, "points", tuple(self.points))
         if self.labels is not None:
+            object.__setattr__(self, "labels", tuple(self.labels))
             if len(self.labels) != len(self.points):
                 raise ValueError("labels must match points")
             if len(set(self.labels)) != len(self.labels):
                 raise ValueError("labels must be unique")
+        if self.metric != "l2_sphere_lattice":
+            size = "length" if self.metric == "hamming" else "dimension"
+            dims = {getattr(p, size) for p in self.points}
+            if len(dims) > 1:
+                raise DimensionMismatch(
+                    f"point {size}s differ: {sorted(dims)}")
+
+    @cached_property
+    def table(self):
+        """The pair table ranking every pair of this pointset."""
+        return PairTable(self)
 
     def distance(self, i, j):
         return DISTANCE[self.metric](self.points[i], self.points[j])
@@ -363,13 +378,13 @@ class PairTable:
     """
 
     def __init__(self, pointset):
-        self.pointset = pointset
+        self.metric = pointset.metric
         self.n = n = len(pointset)
         distinct = {}       # distinct pair value -> id, in first-seen order
         ids = array("l")    # per pair, row-major
         for value in _pair_values(pointset):
             ids.append(distinct.setdefault(value, len(distinct)))
-        if pointset.metric == "l2_sphere_lattice":
+        if self.metric == "l2_sphere_lattice":
             self.keys, rank = _rank_sphere_keys(list(distinct))
         else:
             self.keys = sorted(set(distinct) | {0})
@@ -404,7 +419,7 @@ class PairTable:
 
     def key(self, value):
         """Order key of an exact distance (squared for the sphere metric)."""
-        if self.pointset.metric == "l2_sphere_lattice":
+        if self.metric == "l2_sphere_lattice":
             return Fraction(*sphere_key(value))
         return value
 
@@ -437,10 +452,6 @@ def _pair_values(pointset):
     pts = pointset.points
     n = len(pts)
     if pointset.metric == "hamming":
-        for p in pts[1:]:
-            if p.length != pts[0].length:
-                raise DimensionMismatch(
-                    f"lengths differ: {pts[0].length} != {p.length}")
         words = [p.word for p in pts]
         for i in range(n):
             wi = words[i]
@@ -450,10 +461,33 @@ def _pair_values(pointset):
         yield from (pointset.distance(i, j)
                     for i in range(n) for j in range(i + 1, n))
         return
-    entries = [dict(p.key) for p in pts]
-    norms = [p.norm_sq_int() for p in pts]
+    entries, norms = _sphere_terms(pts)
     for i in range(n):
         pe, ni = entries[i], norms[i]
         for j in range(i + 1, n):
             m = sum(v * pe.get(a, 0) for a, v in pts[j].key)
             yield -m * abs(m), ni * norms[j]
+
+
+def _sphere_terms(pts):
+    """Each sphere point's signed support as a dict, and its squared norm."""
+    return [dict(p.key) for p in pts], [p.norm_sq_int() for p in pts]
+
+
+def pair_has_key(pointset, key):
+    """Predicate on index pairs (i, j): is the exact distance between points
+    i and j the one whose order key is `key`, an entry of `PairTable.keys`?
+    A sphere pair's key is compared by integer cross-multiplication, with
+    no Fraction built per pair."""
+    if pointset.metric != "l2_sphere_lattice":
+        return lambda i, j: pointset.distance(i, j) == key
+    pts = pointset.points
+    num, den = key.numerator, key.denominator
+    entries, norms = _sphere_terms(pts)
+
+    def has_key(i, j):
+        pe = entries[i]
+        m = sum(v * pe.get(a, 0) for a, v in pts[j].key)
+        return -m * abs(m) * den == num * norms[i] * norms[j]
+
+    return has_key

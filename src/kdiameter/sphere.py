@@ -5,7 +5,9 @@ radius sqrt(2)/2 sphere: family a holds points with a positive a-coordinate
 and nonpositive b, c coordinates, given by nonnegative integer coefficient
 triples summing to kappa (and cyclically for b and c).  The three pure
 negative axis points are shared between two families each.  All distance
-comparisons go through the exact order keys of `geometry`.
+comparisons go through the exact order keys of `geometry`.  An instance
+holds one immutable `Pointset`, so the separation check at every threshold
+and every exact clustering of it read one pair table.
 """
 
 from __future__ import annotations
@@ -66,12 +68,19 @@ class SphereInstance:
 
     kappa: int
     regions: list            # (a, b, c) axis triples
-    points: list             # SphereLatticePoints, deduplicated
+    _pointset: Pointset = field(repr=False)   # the deduplicated points
     anchor_index: dict       # axis v -> index of the point e_v
     index_of: dict = field(repr=False)   # point key -> index
 
+    @property
+    def points(self):
+        """The SphereLatticePoints, deduplicated, as a tuple."""
+        return self._pointset.points
+
     def pointset(self):
-        return Pointset("l2_sphere_lattice", self.points)
+        """The instance's one `Pointset`: the same object, and so the same
+        pair table, on every call."""
+        return self._pointset
 
     def family_indices(self, axes, pos):
         """Indices of this instance's points lying in one family of a region."""
@@ -98,10 +107,10 @@ def _union_instance(regions, kappa):
     for e in regions:
         for p in region_points(e, kappa):
             seen.setdefault(p.key, p)
-    points = list(seen.values())
+    pointset = Pointset("l2_sphere_lattice", seen.values())
     index_of = {key: i for i, key in enumerate(seen)}
     anchors = {axis: index_of[axis_key(axis)] for e in regions for axis in e}
-    return SphereInstance(kappa, regions, points, anchors, index_of)
+    return SphereInstance(kappa, regions, pointset, anchors, index_of)
 
 
 # ---------------------------------------------------------------------------
@@ -124,20 +133,16 @@ def verify_anchor_separation(instance, threshold=SEPARATION_THRESHOLD,
     None (not 3-colorable at all) or a proper coloring merging two anchors.
     The forall direction runs on the anchor support: each of the anchor
     color patterns violating distinctness is tested for extendability.
+    The threshold graph is read once from the prefix of the instance's pair
+    table as neighbor bitsets, which the first coloring and every anchor
+    pattern of the forall check share.
     """
     if len(instance.regions) != 1:
         raise ValueError("separation check applies to single-region instances")
-    return _separation(instance, distinct_distances(instance.pointset()),
-                       threshold, budget, stats)
-
-
-def _separation(instance, table, threshold, budget, stats):
-    """Anchor separation at `threshold` on the threshold graph read once
-    from the pair table's prefix as neighbor bitsets, which the first
-    coloring and every anchor pattern of the forall check share."""
     threshold = Fraction(threshold)
     if threshold <= 0:
         raise ValueError("threshold must be positive")
+    table = distinct_distances(instance.pointset())
     adj = prefix_bitsets(table)(table.rank_above(threshold ** 2))
     anchors = [instance.anchor_index[axis] for axis in instance.regions[0]]
     base = find_coloring(adj, 3, budget=budget, stats=stats)
@@ -251,12 +256,11 @@ def kappa_sweep(kappas, thresholds, budget=DEFAULT_BUDGET):
     rows = []
     for kappa in kappas:
         instance = build_region_instance((0, 1, 2), kappa)
-        table = distinct_distances(instance.pointset())
         for t in thresholds:
             t = Fraction(t)
             stats = {"nodes": 0}
             try:
-                holds, _ = _separation(instance, table, t, budget, stats)
+                holds, _ = verify_anchor_separation(instance, t, budget, stats)
                 verdict = "yes" if holds else "no"
             except BudgetExceeded:
                 verdict = "budget_exceeded"

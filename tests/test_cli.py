@@ -279,3 +279,9 @@ def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
     assert result.returncode == 3
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("usage error: ")
+    if "malformed.json" in argv:
+        # the JSON parser's error, not the edge-list parser's
+        assert "bad graph in malformed.json: Expecting" in lines[0]
+        assert "invalid literal for int()" not in lines[0]
+    if "mixed.json" in argv:
+        assert "bad pointset in mixed.json: " in lines[0]

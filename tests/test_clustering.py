@@ -62,7 +62,7 @@ def test_pair_table_graphs_match_brute_force():
     pointsets = []
     for metric in ("l1_int", "linf_int", "l1_int"):
         for _ in range(10):
-            pts = random_int_pointset(rng, max_points=9, span=3).points
+            pts = list(random_int_pointset(rng, max_points=9, span=3).points)
             pts += rng.sample(pts, 2)  # duplicate points: distance 0
             pointsets.append(Pointset(metric, pts))
     words = [BitVector(6, rng.getrandbits(6)) for _ in range(14)]
@@ -92,7 +92,7 @@ def _walk_pointsets(rng):
                 pts = [BitVector(6, rng.getrandbits(6))
                        for _ in range(rng.randint(1, 12))]
             else:
-                pts = random_int_pointset(rng, max_points=9, span=3).points
+                pts = list(random_int_pointset(rng, max_points=9, span=3).points)
             pts += rng.choices(pts, k=2)  # duplicate points: distance 0
             pointsets.append(Pointset(metric, pts))
     pointsets += [build_region_instance((0, 1, 2), kappa).pointset()
@@ -144,6 +144,42 @@ def test_exact_cluster_matches_brute_force():
             # the returned assignment actually achieves the reported diameter
             check = make_clustering(ps, got.assignment, k)
             assert check.diameter == got.diameter
+
+
+def _diameter_pointsets(rng):
+    """Random pointsets in all four metrics, some with duplicate points and
+    some with at most 4 points, and the kappa = 3 and 4 sphere regions."""
+    region = build_region_instance((0, 1, 2), 4).points
+    pointsets = []
+    for trial in range(48):
+        metric = ("hamming", "l1_int", "linf_int", "l2_sphere_lattice")[trial % 4]
+        size = rng.randint(1, 4 if trial % 3 == 0 else 10)
+        dim = rng.randint(1, 3)
+        if metric == "hamming":
+            pts = [BitVector(5, rng.getrandbits(5)) for _ in range(size)]
+        elif metric == "l2_sphere_lattice":
+            pts = rng.sample(region, size)
+        else:
+            pts = [IntVector([rng.randint(-3, 3) for _ in range(dim)])
+                   for _ in range(size)]
+        pts += rng.choices(pts, k=rng.randint(0, 2))  # duplicate points
+        rng.shuffle(pts)
+        pointsets.append(Pointset(metric, pts))
+    return pointsets + [build_region_instance((0, 1, 2), kappa).pointset()
+                        for kappa in (3, 4)]
+
+
+def test_exact_diameters_read_at_least_colorable_rank():
+    rng = random.Random(59)
+    for ps in _diameter_pointsets(rng):
+        results = [two_cluster(ps)]
+        results += [exact_cluster(ps, k) for k in (1, 2, 3, 4)
+                    if len(ps) < 20 or k == 3]
+        for got in results:
+            expected = make_clustering(ps, got.assignment, got.k)
+            assert got.assignment == expected.assignment
+            assert repr(got.diameter) == repr(expected.diameter), (ps, got.k)
+            assert got.witness_pair == expected.witness_pair, (ps, got.k)
 
 
 def test_exact_cluster_k_range():
@@ -220,7 +256,7 @@ def test_gonzalez_matches_two_pass_reference():
         elif metric == "l2_sphere_lattice":
             pts = rng.sample(region, rng.randint(1, 10))
         else:
-            pts = random_int_pointset(rng, max_points=10, span=3).points
+            pts = list(random_int_pointset(rng, max_points=10, span=3).points)
         pts += rng.choices(pts, k=rng.randint(0, 3))  # duplicate points
         rng.shuffle(pts)
         ps = Pointset(metric, pts)

@@ -1,15 +1,19 @@
 import json
 import random
+import weakref
 from bisect import bisect_right
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import sqrt
 
 import mpmath
 import pytest
 
+from kdiameter.clustering import exact_cluster, two_cluster
 from kdiameter.geometry import (
     BitVector,
+    DimensionMismatch,
     IntVector,
     PairTable,
     Pointset,
@@ -177,6 +181,37 @@ def test_pointset_json_roundtrip():
     assert back.metric == ps.metric
     assert back.points == ps.points
     assert back.labels == ps.labels
+
+
+def test_pointset_is_immutable():
+    ps = Pointset("l1_int", [IntVector([0]), IntVector([3])], labels=["a", "b"])
+    assert ps.points == (IntVector([0]), IntVector([3]))
+    with pytest.raises(FrozenInstanceError):
+        ps.points = [IntVector([1])]
+    with pytest.raises(FrozenInstanceError):
+        ps.labels = None
+
+
+def test_pointset_rejects_mixed_dimensions():
+    with pytest.raises(DimensionMismatch):
+        Pointset("l1_int", [IntVector([0, 0]), IntVector([1, 2, 3])])
+    with pytest.raises(DimensionMismatch):
+        Pointset("hamming", [BitVector(2), BitVector(3)])
+
+
+def test_pair_table_dies_with_its_pointset():
+    # no reference cycle: the table goes as soon as the pointset does,
+    # without waiting for the cycle collector
+    for make in (lambda: Pointset("hamming", [BitVector(4, w)
+                                              for w in (0, 3, 5, 15)]),
+                 lambda: build_region_instance((0, 1, 2), 3).pointset()):
+        ps = make()
+        exact_cluster(ps, 3)
+        two_cluster(ps)
+        table = weakref.ref(ps.table)
+        assert table() is ps.table
+        del ps
+        assert table() is None
 
 
 def _fraction_pair_table(ps):

@@ -2,8 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from kdiameter.clustering import distinct_distances
+from kdiameter.clustering import (
+    distinct_distances,
+    exact_cluster,
+    gonzalez_cluster,
+    two_cluster,
+)
 from kdiameter.coloring import find_coloring
+from kdiameter.geometry import PairTable
 from kdiameter.graphs import Graph, Hypergraph, complete_graph, incidence_hypergraph
 from kdiameter.sphere import (
     SEPARATION_THRESHOLD,
@@ -149,6 +155,38 @@ def test_sweep_matches_single_verifications():
             threshold=Fraction(row["t_num"], row["t_den"]), stats=stats)
         assert row["separation_holds"] == ("yes" if holds else "no")
         assert row["nodes_explored"] == stats["nodes"]
+
+
+def _count_tables(monkeypatch):
+    """A list that gains one entry per `PairTable` built from now on."""
+    built = []
+    init = PairTable.__init__
+
+    def counting(self, pointset):
+        built.append(len(pointset))
+        init(self, pointset)
+
+    monkeypatch.setattr(PairTable, "__init__", counting)
+    return built
+
+
+def test_one_pair_table_per_pointset(monkeypatch):
+    built = _count_tables(monkeypatch)
+    inst = build_region_instance((0, 1, 2), 4)
+    assert inst.pointset() is inst.pointset()
+    # the separation verdicts and clusterings one region is asked
+    for t in (1, Fraction(5, 4), SEPARATION_THRESHOLD, Fraction(4, 3),
+              Fraction(3, 2)):
+        verify_anchor_separation(inst, threshold=t)
+    ps = inst.pointset()
+    exact_cluster(ps, 3)
+    two_cluster(ps)
+    gonzalez_cluster(ps, 3)
+    assert built == [len(inst.points)]
+    built.clear()
+    kappa_sweep([2, 3, 4], [1, SEPARATION_THRESHOLD, Fraction(3, 2)])
+    assert built == [3 * (kappa + 1) * (kappa + 2) // 2 - 3
+                     for kappa in (2, 3, 4)]
 
 
 def test_sweep_csv_shape():
