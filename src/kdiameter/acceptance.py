@@ -28,7 +28,7 @@ from kdiameter.gadgets import (
     stitch_slot_maps,
     verify_gadget,
 )
-from kdiameter.geometry import IntVector, Pointset
+from kdiameter.geometry import IntVector, Pointset, hamming_distance
 from kdiameter.graphs import (
     Graph,
     complete_bipartite_graph,
@@ -42,7 +42,6 @@ from kdiameter.graphs import (
 from kdiameter.hadamard import (
     five_fourths_embedding,
     hadamard_code,
-    hamming_distance,
     linf_embedding,
     verify_embedding,
 )

@@ -149,12 +149,9 @@ def exact_cluster(pointset, k, budget=DEFAULT_BUDGET):
     """
     table = distinct_distances(_checked(pointset, k))
     n = table.n
-    if k >= n:
-        top = list(range(n))
-    else:
-        # cutoff = overall diameter: the graph is edgeless, always colorable
-        top = find_coloring([0] * n, k, budget=budget)
-        assert top is not None
+    # at the overall diameter the graph is edgeless: one cluster when k < n,
+    # as the kernel colors an edgeless graph
+    top = list(range(n)) if k >= n else [0] * n
     coloring, at = _least_colorable(
         table, lambda adj: find_coloring(adj, k, budget=budget), top)
     return _clustering_at(pointset, table, coloring, at, k)
@@ -164,8 +161,6 @@ def _checked(pointset, k):
     if not 1 <= k <= MAX_K:
         raise ValueError(f"k must be between 1 and {MAX_K}")
     n = len(pointset)
-    if n == 0:
-        raise ValueError("empty pointset")
     if n > MAX_POINTS:
         raise ValueError(f"pointset size {n} exceeds the cap {MAX_POINTS}")
     return pointset
@@ -175,8 +170,6 @@ def two_cluster(pointset):
     """Optimal 2-clustering in polynomial time: the threshold graph must be
     bipartite, checked by BFS 2-coloring instead of backtracking."""
     n = len(pointset)
-    if n == 0:
-        raise ValueError("empty pointset")
     table = distinct_distances(pointset)
     coloring, at = _least_colorable(table, _bipartition, [0] * n)
     return _clustering_at(pointset, table, coloring, at, 2)
@@ -218,8 +211,6 @@ def gonzalez_cluster(pointset, k):
     if k < 1:
         raise ValueError("k must be at least 1")
     n = len(pointset)
-    if n == 0:
-        raise ValueError("empty pointset")
     near = [0] + [pointset.distance(i, 0) for i in range(1, n)]
     assignment = [0] * n
     is_seed = [True] + [False] * (n - 1)

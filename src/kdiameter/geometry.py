@@ -5,7 +5,10 @@ distances between sphere-lattice points are kept in the surd form
 1 - m/sqrt(n1*n2) and compared through a rational order key.  A `Pointset`
 is immutable and ranks its pairs once, in its `PairTable` (`Pointset.table`,
 built on first use); every threshold graph and every exact diameter of that
-pointset is read off this one ranking.
+pointset is read off this one ranking.  `pair_values` is the one stream of
+exact pair distances: the pair table is built from it, and every other
+all-pairs check (an embedding's conditions, a Hadamard code's distances)
+reads it too.
 """
 
 from __future__ import annotations
@@ -276,7 +279,7 @@ DISTANCE = {
 
 @dataclass(frozen=True)
 class Pointset:
-    """Immutable tuple of points of one dimension under one metric.
+    """Immutable, non-empty tuple of points of one dimension under one metric.
 
     For `l2_sphere_lattice` all distances are *squared* (SqDistance values);
     for the other metrics they are plain integers.  `table` ranks every pair
@@ -291,6 +294,8 @@ class Pointset:
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
         object.__setattr__(self, "points", tuple(self.points))
+        if not self.points:
+            raise ValueError("empty pointset")
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
             if len(self.labels) != len(self.points):
@@ -327,8 +332,6 @@ class Pointset:
         }
 
     def _dimension(self):
-        if not self.points:
-            return 0
         p = self.points[0]
         if self.metric == "hamming":
             return p.length
@@ -382,7 +385,7 @@ class PairTable:
         self.n = n = len(pointset)
         distinct = {}       # distinct pair value -> id, in first-seen order
         ids = array("l")    # per pair, row-major
-        for value in _pair_values(pointset):
+        for value in pair_values(pointset):
             ids.append(distinct.setdefault(value, len(distinct)))
         if self.metric == "l2_sphere_lattice":
             self.keys, rank = _rank_sphere_keys(list(distinct))
@@ -446,7 +449,7 @@ def _rank_sphere_keys(values):
     return keys, [rank_of[v] for v in values]
 
 
-def _pair_values(pointset):
+def pair_values(pointset):
     """Each pair's exact distance in a hashable integer form, row-major over
     i < j: the distance itself, or its `sphere_key` for the sphere metric."""
     pts = pointset.points

@@ -2,7 +2,8 @@
 
 An r-embedding maps a graph into a metric space so that edges land at
 distance at least `long` and non-edges at most `short`, with ratio
-long/short = r.
+long/short = r.  Every all-pairs check here reads the pair stream of
+`geometry.pair_values`, the one the pair tables are built from.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from kdiameter.geometry import (
     DISTANCE,
     BitVector,
     IntVector,
-    hamming_distance,
+    Pointset,
+    pair_values,
     point_from_json,
     point_to_json,
 )
@@ -35,9 +37,8 @@ class HadamardCode:
         self.plus_words = list(plus_words)
         self.minus_words = [w.complement() for w in self.plus_words]
         assert len(self.plus_words) == q
-        for i in range(q):
-            for j in range(i + 1, q):
-                assert hamming_distance(self.plus_words[i], self.plus_words[j]) == q // 2
+        assert all(d == q // 2
+                   for d in pair_values(Pointset("hamming", self.plus_words)))
 
     @property
     def words(self):
@@ -109,8 +110,7 @@ class Embedding:
         embedding = cls(graph, metric, image,
                         _exact_from_json(d["short"]), _exact_from_json(d["long"]))
         # points of mixed dimensions raise DimensionMismatch here
-        for v in range(1, graph.n):
-            embedding.distance(0, v)
+        Pointset(metric, image)
         return embedding
 
     @classmethod
@@ -134,7 +134,8 @@ def _exact_from_json(x):
 
 
 def verify_embedding(embedding):
-    """Exhaustive check of both embedding conditions over all vertex pairs.
+    """Exhaustive check of both embedding conditions over all vertex pairs,
+    read row-major from the image's pair stream (`geometry.pair_values`).
 
     Returns {"ok", "worst_edge_pair", "worst_nonedge_pair", "achieved_ratio"}.
     The ratio is (min edge distance)/(max non-edge distance) as an exact
@@ -146,10 +147,12 @@ def verify_embedding(embedding):
     min_edge, worst_edge = None, None
     max_nonedge, worst_nonedge = None, None
     ok = True
+    values = pair_values(Pointset(embedding.target_metric, embedding.image))
     for u in range(g.n):
+        neighbors = g.neighbors(u)
         for v in range(u + 1, g.n):
-            d = embedding.distance(u, v)
-            if g.has_edge(u, v):
+            d = next(values)
+            if v in neighbors:
                 if d < embedding.long:
                     ok = False
                 if min_edge is None or d < min_edge:

@@ -21,7 +21,7 @@ from math import lcm
 from operator import index
 
 from kdiameter.geometry import BitVector
-from kdiameter.hadamard import Embedding
+from kdiameter.hadamard import Embedding, verify_embedding
 
 # largest n whose cycle C_n solves in under a minute on a 2-vCPU VM: C10
 # takes 3,813 pivots (about 27 s), C11 was still pivoting after 150 s
@@ -250,8 +250,6 @@ def max_embeddability(graph):
         return {"unbounded": False, "ratio": result.ratio, "certified": optimal,
                 "embedding": None, "dual": result.dual}
     embedding = extract_integer_embedding(graph, result)
-    from kdiameter.hadamard import verify_embedding
-
     report = verify_embedding(embedding)
     certified = (optimal and report["ok"]
                  and report["achieved_ratio"] == result.ratio)

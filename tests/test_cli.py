@@ -215,6 +215,7 @@ BAD_INPUTS = {
     "emb_mixed_lengths.json": embedding_file(
         image={"0": "00", "1": "110", "2": "01"}),
     "emb_short_not_a_number.json": embedding_file(short="short"),
+    "emb_no_vertices.json": embedding_file(graph={"n": 0, "edges": []}, image={}),
     "no_points.json": json.dumps({"metric": "l1_int", "points": []}),
     "pairs_hypergraph.json": json.dumps({"n": 3, "hyperedges": [[0, 1], [1, 2]]}),
     "negative_axis.json": json.dumps({"metric": "l2_sphere_lattice", "points": [
@@ -249,6 +250,7 @@ BAD_INPUTS = {
     ["embedding", "verify", "--embedding", "emb_vertex_out_of_range.json"],
     ["embedding", "verify", "--embedding", "emb_mixed_lengths.json"],
     ["embedding", "verify", "--embedding", "emb_short_not_a_number.json"],
+    ["embedding", "verify", "--embedding", "emb_no_vertices.json"],
     # the test's own temporary directory, where a file is expected
     ["cluster", "exact", "--pointset", "."],
     ["cluster", "exact", "--pointset", "points.json", "--out", "."],
@@ -266,7 +268,8 @@ BAD_INPUTS = {
         "not-an-embedding", "exact-over-cap", "t-negative", "t-zero",
         "t-grid-negative", "kappa-range-empty", "embedding-missing-vertex",
         "embedding-vertex-out-of-range", "embedding-mixed-lengths",
-        "embedding-short-not-a-number", "pointset-is-a-directory",
+        "embedding-short-not-a-number", "embedding-empty",
+        "pointset-is-a-directory",
         "out-is-a-directory", "budget-negative", "exact-empty", "two-empty",
         "gonzalez-empty", "reduce-pairs", "lp-empty", "pointset-negative-axis"])
 def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
@@ -285,3 +288,7 @@ def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
         assert "invalid literal for int()" not in lines[0]
     if "mixed.json" in argv:
         assert "bad pointset in mixed.json: " in lines[0]
+    if "no_points.json" in argv:
+        assert "bad pointset in no_points.json: empty pointset" in lines[0]
+    if "emb_no_vertices.json" in argv:
+        assert "bad embedding in emb_no_vertices.json: empty pointset" in lines[0]

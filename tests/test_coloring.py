@@ -198,6 +198,13 @@ def test_backends_agree(compiled_kernel):
                        {"mode": _colorcore_py.MODE_ENUMERATE, "budget": 200}):
             assert (compiled_kernel.search(adj, k, **kwargs)
                     == _colorcore_py.search(adj, k, **kwargs))
+    # the empty graph, the line graph `edge_coloring` searches for an
+    # edgeless graph: colored by the empty coloring, at every k
+    for k in range(4):
+        assert compiled_kernel.search([], k)[1] == []
+        for kwargs in ({}, {"mode": _colorcore_py.MODE_ENUMERATE}):
+            assert (compiled_kernel.search([], k, **kwargs)
+                    == _colorcore_py.search([], k, **kwargs))
     for _ in range(40):
         g = random_graph(rng.randint(1, 8), rng.random(), rng)
         adj = g.adjacency_bitsets()

@@ -14,6 +14,7 @@ from kdiameter.clustering import exact_cluster, two_cluster
 from kdiameter.geometry import (
     BitVector,
     DimensionMismatch,
+    METRICS,
     IntVector,
     PairTable,
     Pointset,
@@ -197,6 +198,12 @@ def test_pointset_rejects_mixed_dimensions():
         Pointset("l1_int", [IntVector([0, 0]), IntVector([1, 2, 3])])
     with pytest.raises(DimensionMismatch):
         Pointset("hamming", [BitVector(2), BitVector(3)])
+
+
+def test_pointset_rejects_no_points():
+    for metric in METRICS:
+        with pytest.raises(ValueError, match="empty pointset"):
+            Pointset(metric, [])
 
 
 def test_pair_table_dies_with_its_pointset():

@@ -6,6 +6,7 @@ from math import inf
 import pytest
 
 from kdiameter.edgecolor import edge_coloring
+from kdiameter.geometry import BitVector, IntVector, hamming_distance
 from kdiameter.graphs import (
     Graph,
     complete_bipartite_graph,
@@ -16,7 +17,6 @@ from kdiameter.hadamard import (
     Embedding,
     five_fourths_embedding,
     hadamard_code,
-    hamming_distance,
     linf_embedding,
     next_power_of_two,
     verify_embedding,
@@ -97,3 +97,60 @@ def test_embedding_json_roundtrip():
     assert (back.short, back.long) == (emb.short, emb.long)
     assert verify_embedding(back)["ok"]
 
+
+
+def verify_embedding_per_pair(embedding):
+    """Reference oracle: both embedding conditions checked pair by pair
+    with `Embedding.distance` and `Graph.has_edge`."""
+    g = embedding.source
+    min_edge, worst_edge = None, None
+    max_nonedge, worst_nonedge = None, None
+    ok = True
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            d = embedding.distance(u, v)
+            if g.has_edge(u, v):
+                if d < embedding.long:
+                    ok = False
+                if min_edge is None or d < min_edge:
+                    min_edge, worst_edge = d, (u, v)
+            else:
+                if d > embedding.short:
+                    ok = False
+                if max_nonedge is None or d > max_nonedge:
+                    max_nonedge, worst_nonedge = d, (u, v)
+    if min_edge is None or max_nonedge is None or max_nonedge == 0:
+        ratio = inf
+    else:
+        ratio = Fraction(min_edge) / Fraction(max_nonedge)
+    return {"ok": ok, "worst_edge_pair": worst_edge,
+            "worst_nonedge_pair": worst_nonedge, "achieved_ratio": ratio}
+
+
+def random_point(metric, dim, rng):
+    # coordinates from a small range, so distances tie often
+    if metric == "hamming":
+        return BitVector.from_bits(rng.randint(0, 1) for _ in range(dim))
+    return IntVector([rng.randint(-2, 2) for _ in range(dim)])
+
+
+def test_verify_embedding_matches_per_pair_oracle():
+    rng = random.Random(29)
+    checked = {"violated": 0, "holds": 0, "ratio_inf": 0, "ratio_finite": 0}
+    for metric in ("hamming", "l1_int", "linf_int"):
+        for trial in range(60):
+            n = rng.randint(1, 9)
+            # edge probability 0 and 1 give graphs with no edges and with
+            # no non-edges
+            g = random_graph(n, rng.choice((0, 1, rng.random())), rng)
+            dim = rng.randint(1, 5)
+            image = [random_point(metric, dim, rng) for _ in range(n)]
+            short = rng.choice((rng.randint(0, 4), Fraction(rng.randint(1, 9), 2)))
+            long = rng.choice((rng.randint(0, 6), Fraction(rng.randint(1, 13), 2)))
+            emb = Embedding(g, metric, image, short=short, long=long)
+            report = verify_embedding(emb)
+            assert report == verify_embedding_per_pair(emb), (metric, trial)
+            checked["holds" if report["ok"] else "violated"] += 1
+            checked["ratio_inf" if report["achieved_ratio"] == inf
+                    else "ratio_finite"] += 1
+    assert min(checked.values()) >= 10, checked
