@@ -263,8 +263,8 @@ def criterion_10(budget=DEFAULT_BUDGET, seed=0):
     rng = random.Random(seed)
     for trial in range(100):
         ps = random_int_pointset(rng)
-        for k in (2, 3):
-            opt = brute_force_cluster_diameter(ps, k)
+        optimum = {k: brute_force_cluster_diameter(ps, k) for k in (2, 3)}
+        for k, opt in optimum.items():
             got = exact_cluster(ps, k, budget=budget).diameter
             if got != opt:
                 return {"ok": False, "trial": trial, "k": k,
@@ -272,7 +272,7 @@ def criterion_10(budget=DEFAULT_BUDGET, seed=0):
             if gonzalez_cluster(ps, k).diameter > 2 * opt:
                 return {"ok": False, "trial": trial, "k": k,
                         "reason": "gonzalez above 2x"}
-        if two_cluster(ps).diameter != brute_force_cluster_diameter(ps, 2):
+        if two_cluster(ps).diameter != optimum[2]:
             return {"ok": False, "trial": trial, "reason": "two_cluster"}
     return {"ok": True, "pointsets": 100}
 

@@ -277,12 +277,15 @@ def cmd_sphere_sweep(args):
 
 def cmd_cluster(args):
     pointset = _load_pointset(args.pointset)
-    if args.mode == "exact":
-        clustering = exact_cluster(pointset, args.k, budget=args.budget_nodes)
-    elif args.mode == "gonzalez":
-        clustering = gonzalez_cluster(pointset, args.k)
-    else:
-        clustering = two_cluster(pointset)
+    try:
+        if args.mode == "exact":
+            clustering = exact_cluster(pointset, args.k, budget=args.budget_nodes)
+        elif args.mode == "gonzalez":
+            clustering = gonzalez_cluster(pointset, args.k)
+        else:
+            clustering = two_cluster(pointset)
+    except ValueError as e:
+        raise _UsageError(f"pointset {args.pointset}: {e}")
     report = _report(args, f"cluster {args.mode}", k=clustering.k,
                      assignment=clustering.assignment,
                      diameter=_exact_value(clustering.diameter),

@@ -5,10 +5,10 @@ distances between sphere-lattice points are kept in the surd form
 1 - m/sqrt(n1*n2) and compared through a rational order key.  A `Pointset`
 is immutable and ranks its pairs once, in its `PairTable` (`Pointset.table`,
 built on first use); every threshold graph and every exact diameter of that
-pointset is read off this one ranking.  `pair_values` is the one stream of
-exact pair distances: the pair table is built from it, and every other
-all-pairs check (an embedding's conditions, a Hadamard code's distances)
-reads it too.
+pointset is read off this one ranking.  `pair_rows` is the one stream of
+exact pair distances, one row of values per point: the pair table is built
+from it, and every other all-pairs check (an embedding's conditions, a
+Hadamard code's distances) reads it too.
 """
 
 from __future__ import annotations
@@ -16,9 +16,11 @@ from __future__ import annotations
 import operator
 from array import array
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
+from itertools import chain
 from math import gcd
 
 
@@ -383,30 +385,31 @@ class PairTable:
     def __init__(self, pointset):
         self.metric = pointset.metric
         self.n = n = len(pointset)
-        distinct = {}       # distinct pair value -> id, in first-seen order
-        ids = array("l")    # per pair, row-major
-        for value in pair_values(pointset):
-            ids.append(distinct.setdefault(value, len(distinct)))
+        buckets = defaultdict(lambda: array("q"))  # value -> ascending pair ids
+        for i, row in enumerate(pair_rows(pointset)):
+            for p, value in enumerate(row, i * n + i + 1):
+                buckets[value].append(p)
         if self.metric == "l2_sphere_lattice":
-            self.keys, rank = _rank_sphere_keys(list(distinct))
+            self.keys, rank = _rank_sphere_keys(list(buckets))
         else:
-            self.keys = sorted(set(distinct) | {0})
+            self.keys = sorted(set(buckets) | {0})
             index = {key: r for r, key in enumerate(self.keys)}
-            rank = [index[v] for v in distinct]
-        # counting sort by falling rank
+            rank = [index[v] for v in buckets]
+        at_rank = [[] for _ in self.keys]
+        for value, r in zip(buckets, rank):
+            at_rank[r].append(value)
+        # copy the blocks by falling rank; sphere values that are equal as
+        # fractions share a rank, and their ids are merged back into order
         self.above = above = [0] * (len(self.keys) + 1)
-        for c in ids:
-            above[rank[c]] += 1
+        self.pairs = pairs = array("q")
         for r in reversed(range(len(self.keys))):
-            above[r] += above[r + 1]
-        fill = above[1:]
-        self.pairs = pairs = array("q", [0]) * len(ids)
-        ranks = (rank[c] for c in ids)
-        for i in range(n):
-            for j in range(i + 1, n):
-                r = next(ranks)
-                pairs[fill[r]] = i * n + j
-                fill[r] += 1
+            values = at_rank[r]
+            if len(values) == 1:
+                pairs.extend(buckets.pop(values[0]))
+            else:
+                pairs.extend(sorted(chain.from_iterable(
+                    buckets.pop(v) for v in values)))
+            above[r] = len(pairs)
 
     def xor_pairs(self, adj, start, stop):
         """XOR the pairs pairs[start:stop] into `adj`, a list of n neighbor
@@ -449,27 +452,29 @@ def _rank_sphere_keys(values):
     return keys, [rank_of[v] for v in values]
 
 
-def pair_values(pointset):
-    """Each pair's exact distance in a hashable integer form, row-major over
-    i < j: the distance itself, or its `sphere_key` for the sphere metric."""
+def pair_rows(pointset):
+    """Each pair's exact distance in a hashable integer form, one fresh list
+    per row i holding the values for j = i+1..n-1: the distance itself, or
+    its `sphere_key` for the sphere metric."""
     pts = pointset.points
-    n = len(pts)
     if pointset.metric == "hamming":
         words = [p.word for p in pts]
-        for i in range(n):
-            wi = words[i]
-            yield from ((wi ^ w).bit_count() for w in words[i + 1:])
-        return
-    if pointset.metric != "l2_sphere_lattice":
-        yield from (pointset.distance(i, j)
-                    for i in range(n) for j in range(i + 1, n))
-        return
-    entries, norms = _sphere_terms(pts)
-    for i in range(n):
-        pe, ni = entries[i], norms[i]
-        for j in range(i + 1, n):
-            m = sum(v * pe.get(a, 0) for a, v in pts[j].key)
-            yield -m * abs(m), ni * norms[j]
+        for i, wi in enumerate(words):
+            yield [(wi ^ w).bit_count() for w in words[i + 1:]]
+    elif pointset.metric != "l2_sphere_lattice":
+        fold = sum if pointset.metric == "l1_int" else max
+        entries = [p.entries for p in pts]
+        for i, ei in enumerate(entries):
+            yield [fold(map(abs, map(operator.sub, ei, ej)))
+                   for ej in entries[i + 1:]]
+    else:
+        entries, norms = _sphere_terms(pts)
+        keys = [p.key for p in pts]
+        for i, pe in enumerate(entries):
+            ni = norms[i]
+            yield [(-m * abs(m), ni * nj)
+                   for key, nj in zip(keys[i + 1:], norms[i + 1:])
+                   for m in (sum(v * pe.get(a, 0) for a, v in key),)]
 
 
 def _sphere_terms(pts):

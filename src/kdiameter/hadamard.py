@@ -2,8 +2,8 @@
 
 An r-embedding maps a graph into a metric space so that edges land at
 distance at least `long` and non-edges at most `short`, with ratio
-long/short = r.  Every all-pairs check here reads the pair stream of
-`geometry.pair_values`, the one the pair tables are built from.
+long/short = r.  Every all-pairs check here reads the pair rows of
+`geometry.pair_rows`, the stream the pair tables are built from.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import inf
 
 from kdiameter.geometry import (
@@ -18,7 +19,7 @@ from kdiameter.geometry import (
     BitVector,
     IntVector,
     Pointset,
-    pair_values,
+    pair_rows,
     point_from_json,
     point_to_json,
 )
@@ -28,25 +29,28 @@ from kdiameter.graphs import Graph
 class HadamardCode:
     """Sylvester-type code: q words of length q pairwise at distance q/2,
     plus their complements.  Each word's unique distance-q partner is its
-    complement; every other pair sits at exactly q/2."""
+    complement; every other pair sits at exactly q/2.  The word tuples are
+    shared by every caller of `hadamard_code`."""
 
     __slots__ = ("q", "plus_words", "minus_words")
 
     def __init__(self, q, plus_words):
         self.q = q
-        self.plus_words = list(plus_words)
-        self.minus_words = [w.complement() for w in self.plus_words]
+        self.plus_words = tuple(plus_words)
+        self.minus_words = tuple(w.complement() for w in self.plus_words)
         assert len(self.plus_words) == q
-        assert all(d == q // 2
-                   for d in pair_values(Pointset("hamming", self.plus_words)))
+        assert all(d == q // 2 for row in
+                   pair_rows(Pointset("hamming", self.plus_words)) for d in row)
 
     @property
     def words(self):
-        return self.plus_words + self.minus_words
+        return list(self.plus_words + self.minus_words)
 
 
+@cache
 def hadamard_code(q):
-    """Code for any power-of-two q, by recursive doubling from the 1-bit base."""
+    """Code for any power-of-two q, by recursive doubling from the 1-bit base;
+    built and checked once per q."""
     if q < 1 or q & (q - 1):
         raise ValueError(f"q must be a power of two, got {q}")
     words = [[0]]
@@ -135,10 +139,11 @@ def _exact_from_json(x):
 
 def verify_embedding(embedding):
     """Exhaustive check of both embedding conditions over all vertex pairs,
-    read row-major from the image's pair stream (`geometry.pair_values`).
+    read row by row from the image's pair rows (`geometry.pair_rows`).
 
     Returns {"ok", "worst_edge_pair", "worst_nonedge_pair", "achieved_ratio"}.
-    The ratio is (min edge distance)/(max non-edge distance) as an exact
+    Each witness is the first pair, row-major, at the extreme distance.  The
+    ratio is (min edge distance)/(max non-edge distance) as an exact
     Fraction, or inf when either side has no pairs.
     """
     g = embedding.source
@@ -146,22 +151,22 @@ def verify_embedding(embedding):
         raise ValueError("image must cover every vertex")
     min_edge, worst_edge = None, None
     max_nonedge, worst_nonedge = None, None
-    ok = True
-    values = pair_values(Pointset(embedding.target_metric, embedding.image))
-    for u in range(g.n):
-        neighbors = g.neighbors(u)
-        for v in range(u + 1, g.n):
-            d = next(values)
-            if v in neighbors:
-                if d < embedding.long:
-                    ok = False
-                if min_edge is None or d < min_edge:
-                    min_edge, worst_edge = d, (u, v)
-            else:
-                if d > embedding.short:
-                    ok = False
-                if max_nonedge is None or d > max_nonedge:
-                    max_nonedge, worst_nonedge = d, (u, v)
+    rows = pair_rows(Pointset(embedding.target_metric, embedding.image))
+    for u, row in enumerate(rows):
+        edges = sorted(v - u - 1 for v in g.neighbors(u) if v > u)
+        if edges:
+            s = min(edges, key=row.__getitem__)
+            if min_edge is None or row[s] < min_edge:
+                min_edge, worst_edge = row[s], (u, u + 1 + s)
+            # distances are never negative: -1 hides the edges from max
+            for s in edges:
+                row[s] = -1
+        if len(edges) < len(row):
+            d = max(row)
+            if max_nonedge is None or d > max_nonedge:
+                max_nonedge, worst_nonedge = d, (u, u + 1 + row.index(d))
+    ok = ((min_edge is None or min_edge >= embedding.long)
+          and (max_nonedge is None or max_nonedge <= embedding.short))
     if min_edge is None or max_nonedge is None or max_nonedge == 0:
         ratio = inf
     else:

@@ -290,5 +290,7 @@ def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
         assert "bad pointset in mixed.json: " in lines[0]
     if "no_points.json" in argv:
         assert "bad pointset in no_points.json: empty pointset" in lines[0]
+    if "over_cap.json" in argv:
+        assert "pointset over_cap.json: pointset size" in lines[0]
     if "emb_no_vertices.json" in argv:
         assert "bad embedding in emb_no_vertices.json: empty pointset" in lines[0]

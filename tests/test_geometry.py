@@ -24,6 +24,7 @@ from kdiameter.geometry import (
     hamming_distance,
     l1_distance,
     linf_distance,
+    pair_rows,
     sphere_key,
     sphere_point_sq_distance,
     sq_distance_exceeds,
@@ -221,13 +222,13 @@ def test_pair_table_dies_with_its_pointset():
         assert table() is None
 
 
-def _fraction_pair_table(ps):
-    """(keys, above, pairs) of a sphere pointset from one Fraction key per
-    pair, sorted and located by Fraction comparison."""
+def _per_pair_table(ps, key):
+    """(keys, above, pairs) of a pointset from one `key(distance)` per pair,
+    sorted and located by comparing keys, and ordered by a stable sort."""
     n = len(ps)
     ids = [i * n + j for i in range(n) for j in range(i + 1, n)]
-    values = [Fraction(*sphere_key(ps.distance(*divmod(p, n)))) for p in ids]
-    keys = sorted(set(values) | {Fraction(*sphere_key(0))})
+    values = [key(ps.distance(*divmod(p, n))) for p in ids]
+    keys = sorted(set(values) | {key(0)})
     rank = [bisect_right(keys, v) - 1 for v in values]
     counts = Counter(rank)
     above = [0] * (len(keys) + 1)
@@ -237,8 +238,59 @@ def _fraction_pair_table(ps):
     return keys, above, pairs
 
 
+def _fraction_pair_table(ps):
+    """The table of a sphere pointset from one Fraction key per pair."""
+    return _per_pair_table(ps, lambda d: Fraction(*sphere_key(d)))
+
+
 @pytest.mark.parametrize("kappa", range(3, 13))
 def test_sphere_pair_table_matches_fraction_construction(kappa):
     ps = build_region_instance((0, 1, 2), kappa).pointset()
     table = PairTable(ps)
     assert (table.keys, table.above, list(table.pairs)) == _fraction_pair_table(ps)
+
+
+def _int_pointsets():
+    """Seeded hamming, l1_int and linf_int pointsets with duplicate points,
+    and the one- and two-point pointsets of each metric."""
+    rng = random.Random(13)
+    make = {"hamming": lambda: BitVector(5, rng.getrandbits(5)),
+            "l1_int": lambda: IntVector([rng.randint(-3, 3) for _ in range(3)]),
+            "linf_int": lambda: IntVector([rng.randint(-3, 3) for _ in range(3)])}
+    for metric, point in make.items():
+        for n in (1, 2, 3, 9, 24):
+            points = [point() for _ in range(n)]
+            if n > 2:
+                points[-1] = points[0]
+            yield Pointset(metric, points)
+
+
+def test_int_pair_table_matches_per_pair_construction():
+    for ps in _int_pointsets():
+        table = PairTable(ps)
+        assert ((table.keys, table.above, list(table.pairs))
+                == _per_pair_table(ps, lambda d: d))
+
+
+def test_pair_rows_match_pointset_distance():
+    sphere = build_region_instance((0, 1, 2), 4).pointset()
+    for ps in [*_int_pointsets(), sphere, Pointset(sphere.metric, sphere.points[:1])]:
+        n = len(ps)
+        rows = list(pair_rows(ps))
+        assert [len(row) for row in rows] == [n - 1 - i for i in range(n)]
+        exact = ((lambda d: d) if ps.metric != "l2_sphere_lattice"
+                 else sphere_key)
+        for i, row in enumerate(rows):
+            assert row == [exact(ps.distance(i, j)) for j in range(i + 1, n)]
+
+
+def test_pair_table_makes_no_distance_call(monkeypatch):
+    pointsets = [*_int_pointsets(), build_region_instance((0, 1, 2), 4).pointset()]
+
+    def refuse(self, i, j):
+        raise AssertionError("Pointset.distance was called")
+
+    monkeypatch.setattr(Pointset, "distance", refuse)
+    assert {ps.metric for ps in pointsets} == set(METRICS)
+    for ps in pointsets:
+        PairTable(ps)
