@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from math import inf
 
 from kdiameter.clustering import (
@@ -211,9 +212,16 @@ def criterion_5(budget=DEFAULT_BUDGET, seed=0):
             "ratio": str(report["achieved_ratio"])}
 
 
+@cache
+def _kappa12_region():
+    """The paper's kappa=12 region, shared by criteria 6-8 so that they read
+    one pair table."""
+    return build_region_instance((0, 1, 2), 12)
+
+
 def criterion_6(budget=DEFAULT_BUDGET, seed=0):
     """Anchor separation on the kappa=12 region at threshold 163/125."""
-    instance = build_region_instance((0, 1, 2), 12)
+    instance = _kappa12_region()
     stats = {"nodes": 0}
     try:
         holds, witness = verify_anchor_separation(
@@ -227,7 +235,7 @@ def criterion_6(budget=DEFAULT_BUDGET, seed=0):
 
 def criterion_7(budget=DEFAULT_BUDGET, seed=0):
     """Explicit family partition of the kappa=12 region has diameter <= 1."""
-    instance = build_region_instance((0, 1, 2), 12)
+    instance = _kappa12_region()
     clustering = completeness_clustering(instance)
     d = clustering.diameter
     within = d <= 1
@@ -239,7 +247,7 @@ def criterion_8(budget=DEFAULT_BUDGET, seed=0):
     negative b and c axis points land in one cluster."""
     from kdiameter.sphere import axis_key
 
-    instance = build_region_instance((0, 1, 2), 12)
+    instance = _kappa12_region()
     clustering = remark_clustering(instance)
     bound = remark_diameter_within_bound(clustering)
     eb = instance.index_of[axis_key(1)]

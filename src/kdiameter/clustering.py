@@ -8,9 +8,11 @@ immutable and ranks its pairs once by exact distance, in its pair table
 threshold graph is a prefix of the ranked pair list.  The binary search
 keeps that prefix as one list of neighbor bitsets, the coloring kernel's
 input, and moves it between ranks by XORing in only the pairs between the
-old prefix and the new one; no `Graph` is built on the way.  The optimal
-diameter is read at the least colorable rank: only its witness pair is
-looked for among the clusters, not every intra-cluster distance evaluated.
+old prefix and the new one; no `Graph` is built on the way.  Every
+clustering, whichever solver made it, gets its diameter in one way
+(`make_clustering`): its witness is the first pair of the pair table, by
+falling distance and row-major among equal distances, whose two points
+share a cluster, so one exact distance is evaluated per clustering.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from kdiameter.coloring import DEFAULT_BUDGET, find_coloring
-from kdiameter.geometry import pair_has_key
 from kdiameter.graphs import Graph
 
 MAX_K = 4   # exact_cluster's largest k
@@ -35,35 +37,24 @@ class Clustering:
     witness_pair: object  # (i, j) attaining the diameter, None if diameter 0
 
 
-def _clusters(assignment):
-    """The members of each cluster id that occurs, by cluster id.  Only the
-    ids that occur are grouped, so the cost does not grow with k."""
-    groups = {}
-    for i, c in enumerate(assignment):
-        groups.setdefault(c, []).append(i)
-    return [group for _, group in sorted(groups.items())]
-
-
-def _cluster_diameter(pointset, assignment):
-    """Exact max intra-cluster distance with its witness pair: the first
-    pair attaining it by cluster id, then i, then j."""
-    best, pair = 0, None
-    for group in _clusters(assignment):
-        for a, i in enumerate(group):
-            for j in group[a + 1:]:
-                d = pointset.distance(i, j)
-                if d > best:
-                    best, pair = d, (i, j)
-    return best, pair
-
-
 def make_clustering(pointset, assignment, k):
+    """The clustering `assignment` gives, with its diameter and witness.
+
+    The witness is the first pair in the pointset's pair table, by falling
+    distance and row-major (i, then j) among equal distances, whose two
+    points share a cluster; the diameter is its distance.  With no such
+    pair the diameter is 0 and the witness None."""
     if len(assignment) != len(pointset):
         raise ValueError("assignment length must match the pointset")
     if any(not 0 <= c < k for c in assignment):
         raise ValueError("cluster ids out of range")
-    diameter, pair = _cluster_diameter(pointset, assignment)
-    return Clustering(list(assignment), k, diameter, pair)
+    table = distinct_distances(pointset)
+    n = table.n
+    for p in islice(table.pairs, table.above[1]):
+        i, j = divmod(p, n)
+        if assignment[i] == assignment[j]:
+            return Clustering(list(assignment), k, pointset.distance(i, j), (i, j))
+    return Clustering(list(assignment), k, 0, None)
 
 
 def distinct_distances(pointset):
@@ -104,11 +95,11 @@ def prefix_bitsets(table):
 
 
 def _least_colorable(table, color, top):
-    """Binary search over the candidate diameters of a pair table: the least
-    rank `at` whose threshold graph (as neighbor bitsets) `color` colors,
-    and what `color` gives there, or `top` when only the largest candidate
-    (no edges) works.  Colorability is monotone in the cutoff (larger
-    cutoff, fewer edges)."""
+    """Binary search over the candidate diameters of a pair table: what
+    `color` gives at the least rank whose threshold graph (as neighbor
+    bitsets) it colors, or `top` when only the largest candidate (no edges)
+    works.  Colorability is monotone in the cutoff (larger cutoff, fewer
+    edges)."""
     graph_at = prefix_bitsets(table)
     lo, hi = 0, len(table.keys) - 1
     best = top
@@ -119,25 +110,7 @@ def _least_colorable(table, color, top):
             lo = mid + 1
         else:
             best, hi = coloring, mid
-    return best, hi + 1
-
-
-def _clustering_at(pointset, table, coloring, at, k):
-    """The clustering `coloring` found at the least colorable rank `at`.
-
-    It keeps every pair of rank >= at apart, and by the minimality of `at`
-    it does not keep every pair of rank at - 1 apart, so its diameter has
-    rank exactly at - 1.  The witness is the first intra-cluster pair of
-    that rank in `_cluster_diameter`'s order, the pair `make_clustering`
-    reports.
-    """
-    if at == 1:
-        return Clustering(list(coloring), k, 0, None)
-    is_diameter = pair_has_key(pointset, table.keys[at - 1])
-    pair = next((i, j) for group in _clusters(coloring)
-                for a, i in enumerate(group) for j in group[a + 1:]
-                if is_diameter(i, j))
-    return Clustering(list(coloring), k, pointset.distance(*pair), pair)
+    return best
 
 
 def exact_cluster(pointset, k, budget=DEFAULT_BUDGET):
@@ -152,9 +125,9 @@ def exact_cluster(pointset, k, budget=DEFAULT_BUDGET):
     # at the overall diameter the graph is edgeless: one cluster when k < n,
     # as the kernel colors an edgeless graph
     top = list(range(n)) if k >= n else [0] * n
-    coloring, at = _least_colorable(
+    coloring = _least_colorable(
         table, lambda adj: find_coloring(adj, k, budget=budget), top)
-    return _clustering_at(pointset, table, coloring, at, k)
+    return make_clustering(pointset, coloring, k)
 
 
 def _checked(pointset, k):
@@ -169,10 +142,9 @@ def _checked(pointset, k):
 def two_cluster(pointset):
     """Optimal 2-clustering in polynomial time: the threshold graph must be
     bipartite, checked by BFS 2-coloring instead of backtracking."""
-    n = len(pointset)
-    table = distinct_distances(pointset)
-    coloring, at = _least_colorable(table, _bipartition, [0] * n)
-    return _clustering_at(pointset, table, coloring, at, 2)
+    coloring = _least_colorable(distinct_distances(pointset), _bipartition,
+                                [0] * len(pointset))
+    return make_clustering(pointset, coloring, 2)
 
 
 def _bipartition(adj):

@@ -4,11 +4,13 @@ Every comparison here is integer or rational arithmetic.  Squared Euclidean
 distances between sphere-lattice points are kept in the surd form
 1 - m/sqrt(n1*n2) and compared through a rational order key.  A `Pointset`
 is immutable and ranks its pairs once, in its `PairTable` (`Pointset.table`,
-built on first use); every threshold graph and every exact diameter of that
-pointset is read off this one ranking.  `pair_rows` is the one stream of
-exact pair distances, one row of values per point: the pair table is built
-from it, and every other all-pairs check (an embedding's conditions, a
-Hadamard code's distances) reads it too.
+built on first use); every threshold graph of that pointset is read off
+this one ranking, and so is every clustering's diameter: its witness is the
+first pair of the ranking, by falling distance and row-major (i, then j)
+among equal distances, that lies in one cluster.  `pair_rows` is the one
+stream of exact pair distances, one row of values per point: the pair table
+is built from it, and every other all-pairs check (an embedding's
+conditions, a Hadamard code's distances) reads it too.
 """
 
 from __future__ import annotations
@@ -141,6 +143,8 @@ class SphereLatticePoint:
     def __init__(self, axes, positive_axis, coeffs, kappa):
         axes = tuple(axes)
         coeffs = tuple(int(c) for c in coeffs)
+        if len(coeffs) != 3:
+            raise ValueError("coefficients must be three integers, one per axis")
         if len(axes) != 3 or len(set(axes)) != 3 or min(axes) < 0:
             raise ValueError("axes must be three distinct non-negative indices")
         if positive_axis not in axes:
@@ -468,7 +472,8 @@ def pair_rows(pointset):
             yield [fold(map(abs, map(operator.sub, ei, ej)))
                    for ej in entries[i + 1:]]
     else:
-        entries, norms = _sphere_terms(pts)
+        entries = [dict(p.key) for p in pts]
+        norms = [p.norm_sq_int() for p in pts]
         keys = [p.key for p in pts]
         for i, pe in enumerate(entries):
             ni = norms[i]
@@ -476,26 +481,3 @@ def pair_rows(pointset):
                    for key, nj in zip(keys[i + 1:], norms[i + 1:])
                    for m in (sum(v * pe.get(a, 0) for a, v in key),)]
 
-
-def _sphere_terms(pts):
-    """Each sphere point's signed support as a dict, and its squared norm."""
-    return [dict(p.key) for p in pts], [p.norm_sq_int() for p in pts]
-
-
-def pair_has_key(pointset, key):
-    """Predicate on index pairs (i, j): is the exact distance between points
-    i and j the one whose order key is `key`, an entry of `PairTable.keys`?
-    A sphere pair's key is compared by integer cross-multiplication, with
-    no Fraction built per pair."""
-    if pointset.metric != "l2_sphere_lattice":
-        return lambda i, j: pointset.distance(i, j) == key
-    pts = pointset.points
-    num, den = key.numerator, key.denominator
-    entries, norms = _sphere_terms(pts)
-
-    def has_key(i, j):
-        pe = entries[i]
-        m = sum(v * pe.get(a, 0) for a, v in pts[j].key)
-        return -m * abs(m) * den == num * norms[i] * norms[j]
-
-    return has_key

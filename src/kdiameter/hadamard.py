@@ -98,11 +98,13 @@ class Embedding:
 
     @classmethod
     def from_dict(cls, d):
-        """Raises ValueError on an image that misses a vertex or names one
-        outside 0..n-1, on points of mixed dimensions, and on a threshold
-        that is not an integer or a [num, den] pair."""
+        """Raises ValueError on an image that is not a JSON object, misses a
+        vertex or names one outside 0..n-1, on points of mixed dimensions,
+        and on a threshold that is not an integer or a [num, den] pair."""
         metric = d["metric"]
         graph = Graph.from_dict(d["graph"])
+        if not isinstance(d["image"], dict):
+            raise ValueError("image must be a JSON object from vertex to point")
         image = [None] * graph.n
         for key, val in d["image"].items():
             v = int(key)

@@ -218,6 +218,10 @@ BAD_INPUTS = {
     "emb_no_vertices.json": embedding_file(graph={"n": 0, "edges": []}, image={}),
     "no_points.json": json.dumps({"metric": "l1_int", "points": []}),
     "pairs_hypergraph.json": json.dumps({"n": 3, "hyperedges": [[0, 1], [1, 2]]}),
+    "coeff_count.json": json.dumps({"metric": "l2_sphere_lattice", "points": [
+        {"axes": [0, 1, 2], "pos": 0, "coeffs": [3, 0, 0], "kappa": 3},
+        {"axes": [0, 1, 2], "pos": 0, "coeffs": [1, 2], "kappa": 3}]}),
+    "emb_image_list.json": embedding_file(image=["00", "11", "01"]),
     "negative_axis.json": json.dumps({"metric": "l2_sphere_lattice", "points": [
         {"axes": [-1, 0, 1], "pos": pos, "coeffs": coeffs, "kappa": 1}
         for pos, coeffs in ((-1, [1, 0, 0]), (0, [0, 1, 0]), (1, [0, 0, 1]))]}),
@@ -261,6 +265,8 @@ BAD_INPUTS = {
     ["sphere", "reduce", "--hypergraph", "pairs_hypergraph.json"],
     ["embeddability", "--graph", "empty.json"],
     ["cluster", "two", "--pointset", "negative_axis.json"],
+    ["cluster", "exact", "--pointset", "coeff_count.json"],
+    ["embedding", "verify", "--embedding", "emb_image_list.json"],
 ], ids=["lp-cap", "self-loop", "malformed-json", "mixed-lengths", "k7",
         "kappa0", "kappa-range", "composite-not-cubic", "composite-bridge",
         "composite-empty-build", "composite-empty-embed",
@@ -271,7 +277,8 @@ BAD_INPUTS = {
         "embedding-short-not-a-number", "embedding-empty",
         "pointset-is-a-directory",
         "out-is-a-directory", "budget-negative", "exact-empty", "two-empty",
-        "gonzalez-empty", "reduce-pairs", "lp-empty", "pointset-negative-axis"])
+        "gonzalez-empty", "reduce-pairs", "lp-empty", "pointset-negative-axis",
+        "pointset-coeff-count", "embedding-image-list"])
 def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
     for name, text in BAD_INPUTS.items():
         (tmp_path / name).write_text(text)
@@ -294,3 +301,7 @@ def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
         assert "pointset over_cap.json: pointset size" in lines[0]
     if "emb_no_vertices.json" in argv:
         assert "bad embedding in emb_no_vertices.json: empty pointset" in lines[0]
+    if "coeff_count.json" in argv:
+        assert "bad pointset in coeff_count.json: coefficients" in lines[0]
+    if "emb_image_list.json" in argv:
+        assert "bad embedding in emb_image_list.json: image must" in lines[0]

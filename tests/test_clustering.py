@@ -18,7 +18,12 @@ from kdiameter.clustering import (
 )
 from kdiameter.geometry import BitVector, IntVector, Pointset
 from kdiameter.graphs import Graph
-from kdiameter.sphere import build_region_instance, verify_anchor_separation
+from kdiameter.sphere import (
+    build_region_instance,
+    completeness_clustering,
+    remark_clustering,
+    verify_anchor_separation,
+)
 
 
 def test_make_clustering_validation():
@@ -169,17 +174,68 @@ def _diameter_pointsets(rng):
                         for kappa in (3, 4)]
 
 
-def test_exact_diameters_read_at_least_colorable_rank():
+def _walk_all_pairs(pointset, assignment):
+    """Diameter and witness of a clustering by walking every pair i < j
+    row-major and keeping the first one strictly farther than any before."""
+    best, pair = 0, None
+    n = len(pointset)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if assignment[i] == assignment[j]:
+                d = pointset.distance(i, j)
+                if d > best:
+                    best, pair = d, (i, j)
+    return best, pair
+
+
+def test_clustering_diameters_match_a_walk_over_all_pairs():
     rng = random.Random(59)
+    # both clusters have diameter 5; walked cluster by cluster, cluster 0
+    # would give the witness (2, 3), walked row-major it is (0, 1)
+    line = Pointset("l1_int", [IntVector([x]) for x in (0, 5, 10, 15)])
+    clusterings = [(line, make_clustering(line, [1, 1, 0, 0], 2))]
     for ps in _diameter_pointsets(rng):
         results = [two_cluster(ps)]
         results += [exact_cluster(ps, k) for k in (1, 2, 3, 4)
                     if len(ps) < 20 or k == 3]
-        for got in results:
-            expected = make_clustering(ps, got.assignment, got.k)
-            assert got.assignment == expected.assignment
-            assert repr(got.diameter) == repr(expected.diameter), (ps, got.k)
-            assert got.witness_pair == expected.witness_pair, (ps, got.k)
+        results += [gonzalez_cluster(ps, k) for k in (1, 2, 3)]
+        for k in (1, 2, 3):
+            assignment = [rng.randrange(k) for _ in range(len(ps))]
+            results.append(make_clustering(ps, assignment, k))
+        clusterings += [(ps, got) for got in results]
+    region = build_region_instance((0, 1, 2), 4)
+    clusterings += [(region.pointset(), completeness_clustering(region)),
+                    (region.pointset(), remark_clustering(region))]
+    for ps, got in clusterings:
+        diameter, pair = _walk_all_pairs(ps, got.assignment)
+        assert repr(got.diameter) == repr(diameter), (ps, got)
+        assert got.witness_pair == pair, (ps, got)
+    assert clusterings[0][1].witness_pair == (0, 1)
+
+
+def test_make_clustering_evaluates_one_distance(monkeypatch):
+    pointsets = _diameter_pointsets(random.Random(61))
+    calls = []
+    distance = Pointset.distance
+
+    def counting(self, i, j):
+        calls.append((i, j))
+        return distance(self, i, j)
+
+    monkeypatch.setattr(Pointset, "distance", counting)
+    witnessed = []
+    for ps in pointsets:
+        n = len(ps)
+        for assignment, k in ((list(range(n)), n), ([0] * n, 1)):
+            calls.clear()
+            got = make_clustering(ps, assignment, k)
+            if got.witness_pair is None:
+                assert got.diameter == 0 and calls == []
+            else:
+                assert got.diameter > 0 and calls == [got.witness_pair]
+            witnessed.append(got.witness_pair is not None)
+    # both cases occur: singletons, and one cluster of distinct points
+    assert any(witnessed) and not all(witnessed)
 
 
 def test_exact_cluster_k_range():

@@ -75,6 +75,12 @@ def test_sphere_point_invariants():
     assert sphere_point_sq_distance(p, p) == 0
 
 
+def test_sphere_point_needs_one_coefficient_per_axis():
+    for coeffs, kappa in (((1, 2), 3), ((3, 0, 0, 0), 3), ((), 1)):
+        with pytest.raises(ValueError, match="three integers"):
+            SphereLatticePoint((0, 1, 2), 0, coeffs, kappa)
+
+
 def test_sq_distance_refuses_inexact_operands():
     d = SqDistance(1, 2, 2)   # 1 - 1/2
     assert d == Fraction(1, 2) and d <= Fraction(1, 2) and d >= Fraction(1, 2)

@@ -2,6 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from kdiameter.acceptance import (
+    _kappa12_region,
+    criterion_6,
+    criterion_7,
+    criterion_8,
+)
 from kdiameter.clustering import (
     distinct_distances,
     exact_cluster,
@@ -182,11 +188,19 @@ def test_one_pair_table_per_pointset(monkeypatch):
     exact_cluster(ps, 3)
     two_cluster(ps)
     gonzalez_cluster(ps, 3)
+    completeness_clustering(inst)
+    remark_clustering(inst)
     assert built == [len(inst.points)]
     built.clear()
     kappa_sweep([2, 3, 4], [1, SEPARATION_THRESHOLD, Fraction(3, 2)])
     assert built == [3 * (kappa + 1) * (kappa + 2) // 2 - 3
                      for kappa in (2, 3, 4)]
+    # acceptance criteria 6-8 ask about one kappa=12 region
+    built.clear()
+    _kappa12_region.cache_clear()
+    assert all(criterion()["ok"]
+               for criterion in (criterion_6, criterion_7, criterion_8))
+    assert built == [270]
 
 
 def test_sweep_csv_shape():
