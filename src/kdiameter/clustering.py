@@ -8,11 +8,17 @@ immutable and ranks its pairs once by exact distance, in its pair table
 threshold graph is a prefix of the ranked pair list.  The binary search
 keeps that prefix as one list of neighbor bitsets, the coloring kernel's
 input, and moves it between ranks by XORing in only the pairs between the
-old prefix and the new one; no `Graph` is built on the way.  Every
-clustering, whichever solver made it, gets its diameter in one way
-(`make_clustering`): its witness is the first pair of the pair table, by
-falling distance and row-major among equal distances, whose two points
-share a cluster, so one exact distance is evaluated per clustering.
+old prefix and the new one; no `Graph` is built on the way.  The search
+is bracketed from below by Gonzalez's farthest-first traversal: its k seeds
+and the point farthest from them are k+1 points pairwise at least `far`
+apart, so no k-clustering has a smaller diameter, and the first probe is
+the rank of `far`.  Where that bound is the optimum, one probe finds it.
+The least colorable rank, and the bitsets the kernel sees there, do not
+depend on the order of the probes, so the answers are the plain
+bisection's.  Every clustering, whichever solver made it, gets its diameter
+in one way (`make_clustering`): its witness is the first pair of the pair
+table, by falling distance and row-major among equal distances, whose two
+points share a cluster, so one exact distance is evaluated per clustering.
 """
 
 from __future__ import annotations
@@ -94,22 +100,35 @@ def prefix_bitsets(table):
     return at_rank
 
 
-def _least_colorable(table, color, top):
-    """Binary search over the candidate diameters of a pair table: what
-    `color` gives at the least rank whose threshold graph (as neighbor
-    bitsets) it colors, or `top` when only the largest candidate (no edges)
-    works.  Colorability is monotone in the cutoff (larger cutoff, fewer
-    edges)."""
+def _least_colorable(pointset, k, color, top):
+    """Binary search over the candidate diameters of a pointset's pair
+    table: what `color` gives at the least rank whose threshold graph (as
+    neighbor bitsets) it colors, or `top` when only the largest candidate
+    (no edges) works.  Colorability is monotone in the cutoff (larger
+    cutoff, fewer edges).
+
+    The search starts from Gonzalez's lower bound: the k farthest-first
+    seeds and the point farthest from them are k+1 points pairwise at least
+    `far` apart, so every threshold graph below `far` holds a (k+1)-clique
+    and no k-clustering has a smaller diameter.  The first probe is the
+    graph of the pairs farther than `far`, and the rest is bisected.  The
+    least colorable rank is a property of the graphs alone, and `color`
+    sees the same bitsets at a rank whatever path the search took, so the
+    answer is the plain bisection's; only the number of probes changes."""
+    table = distinct_distances(pointset)
+    far = _farthest_first(pointset, k)[1]
+    lo = 0 if far is None else table.rank_above(far) - 1
+    hi = len(table.keys) - 1
     graph_at = prefix_bitsets(table)
-    lo, hi = 0, len(table.keys) - 1
     best = top
+    mid = lo
     while lo < hi:
-        mid = (lo + hi) // 2
         coloring = color(graph_at(mid + 1))
         if coloring is None:
             lo = mid + 1
         else:
             best, hi = coloring, mid
+        mid = (lo + hi) // 2
     return best
 
 
@@ -120,13 +139,12 @@ def exact_cluster(pointset, k, budget=DEFAULT_BUDGET):
     the sorted distinct distances for the least k-colorable threshold is
     exact.
     """
-    table = distinct_distances(_checked(pointset, k))
-    n = table.n
+    n = len(_checked(pointset, k))
     # at the overall diameter the graph is edgeless: one cluster when k < n,
     # as the kernel colors an edgeless graph
     top = list(range(n)) if k >= n else [0] * n
     coloring = _least_colorable(
-        table, lambda adj: find_coloring(adj, k, budget=budget), top)
+        pointset, k, lambda adj: find_coloring(adj, k, budget=budget), top)
     return make_clustering(pointset, coloring, k)
 
 
@@ -142,8 +160,7 @@ def _checked(pointset, k):
 def two_cluster(pointset):
     """Optimal 2-clustering in polynomial time: the threshold graph must be
     bipartite, checked by BFS 2-coloring instead of backtracking."""
-    coloring = _least_colorable(distinct_distances(pointset), _bipartition,
-                                [0] * len(pointset))
+    coloring = _least_colorable(pointset, 2, _bipartition, [0] * len(pointset))
     return make_clustering(pointset, coloring, 2)
 
 
@@ -175,13 +192,22 @@ def _bipartition(adj):
 def gonzalez_cluster(pointset, k):
     """Farthest-point seeding followed by nearest-seed assignment; the
     classic 2-approximation.  Deterministic: the first seed is point 0 and
-    all ties break toward the lowest index.
+    all ties break toward the lowest index."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    return make_clustering(pointset, _farthest_first(pointset, k)[0], k)
+
+
+def _farthest_first(pointset, k):
+    """Gonzalez's traversal: `(assignment, far)`, the nearest-seed
+    assignment to min(k, n) farthest-first seeds and the largest
+    nearest-seed distance among the other points, None when every point
+    is a seed.  The seeds and a point at `far` are pairwise at least `far`
+    apart, so no k-clustering has a diameter below `far`.
 
     One pass over the points per seed: each point keeps its distance to the
     nearest seed so far and that seed's cluster id, and a new seed takes
     over the points strictly nearer to it."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
     n = len(pointset)
     near = [0] + [pointset.distance(i, 0) for i in range(1, n)]
     assignment = [0] * n
@@ -194,7 +220,8 @@ def gonzalez_cluster(pointset, k):
                 if d < near[i]:
                     near[i], assignment[i] = d, c
         is_seed[s] = True
-    return make_clustering(pointset, assignment, k)
+    far = max((near[i] for i in range(n) if not is_seed[i]), default=None)
+    return assignment, far
 
 
 # ---------------------------------------------------------------------------

@@ -363,12 +363,28 @@ def point_to_json(metric, p):
 
 
 def point_from_json(metric, obj):
-    """The point of `metric` whose JSON form is `obj`."""
+    """The point of `metric` whose JSON form is `obj`; every number in it
+    must be a JSON integer."""
     if metric == "hamming":
+        if type(obj) is not str:
+            raise ValueError(f"a hamming point must be a bit string, not {obj!r}")
         return BitVector.from_string(obj)
     if metric in ("l1_int", "linf_int"):
-        return IntVector(obj)
-    return SphereLatticePoint(obj["axes"], obj["pos"], obj["coeffs"], obj["kappa"])
+        return IntVector([_json_int(e, "an entry") for e in obj])
+    if metric != "l2_sphere_lattice":
+        raise ValueError(f"unknown metric {metric!r}")
+    return SphereLatticePoint([_json_int(a, "an axis") for a in obj["axes"]],
+                              _json_int(obj["pos"], "pos"),
+                              [_json_int(c, "a coefficient") for c in obj["coeffs"]],
+                              _json_int(obj["kappa"], "kappa"))
+
+
+def _json_int(value, what):
+    """`value` if it is a JSON integer; a fraction, a string or a boolean
+    is refused rather than converted."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------

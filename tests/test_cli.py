@@ -225,6 +225,15 @@ BAD_INPUTS = {
     "negative_axis.json": json.dumps({"metric": "l2_sphere_lattice", "points": [
         {"axes": [-1, 0, 1], "pos": pos, "coeffs": coeffs, "kappa": 1}
         for pos, coeffs in ((-1, [1, 0, 0]), (0, [0, 1, 0]), (1, [0, 0, 1]))]}),
+    "unknown_metric.json": json.dumps({"metric": "foo", "points": [[0, 0], [1, 1]]}),
+    "emb_unknown_metric.json": embedding_file(metric="foo"),
+    # truncated to [0, 0], these points would have a 2-clustering of
+    # diameter 2; the true optimum is 3/2
+    "float_entry.json": json.dumps({"metric": "l1_int",
+                                    "points": [[0.5, 0], [1, 1], [3, 0]]}),
+    "float_coeff.json": json.dumps({"metric": "l2_sphere_lattice", "points": [
+        {"axes": [0, 1, 2], "pos": 0, "coeffs": [3, 0, 0], "kappa": 3},
+        {"axes": [0, 1, 2], "pos": 0, "coeffs": [1.7, 1.3, 1], "kappa": 3}]}),
 }
 
 
@@ -267,6 +276,10 @@ BAD_INPUTS = {
     ["cluster", "two", "--pointset", "negative_axis.json"],
     ["cluster", "exact", "--pointset", "coeff_count.json"],
     ["embedding", "verify", "--embedding", "emb_image_list.json"],
+    ["embedding", "verify", "--embedding", "emb_unknown_metric.json"],
+    ["cluster", "exact", "--pointset", "unknown_metric.json"],
+    ["cluster", "exact", "--pointset", "float_entry.json", "--k", "2"],
+    ["cluster", "exact", "--pointset", "float_coeff.json"],
 ], ids=["lp-cap", "self-loop", "malformed-json", "mixed-lengths", "k7",
         "kappa0", "kappa-range", "composite-not-cubic", "composite-bridge",
         "composite-empty-build", "composite-empty-embed",
@@ -278,7 +291,9 @@ BAD_INPUTS = {
         "pointset-is-a-directory",
         "out-is-a-directory", "budget-negative", "exact-empty", "two-empty",
         "gonzalez-empty", "reduce-pairs", "lp-empty", "pointset-negative-axis",
-        "pointset-coeff-count", "embedding-image-list"])
+        "pointset-coeff-count", "embedding-image-list",
+        "embedding-unknown-metric", "pointset-unknown-metric",
+        "pointset-float-entry", "pointset-float-coeff"])
 def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
     for name, text in BAD_INPUTS.items():
         (tmp_path / name).write_text(text)
@@ -305,3 +320,9 @@ def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
         assert "bad pointset in coeff_count.json: coefficients" in lines[0]
     if "emb_image_list.json" in argv:
         assert "bad embedding in emb_image_list.json: image must" in lines[0]
+    if "emb_unknown_metric.json" in argv or "unknown_metric.json" in argv:
+        assert "unknown metric 'foo'" in lines[0]
+    if "float_entry.json" in argv:
+        assert "bad pointset in float_entry.json: an entry must be" in lines[0]
+    if "float_coeff.json" in argv:
+        assert "bad pointset in float_coeff.json: a coefficient must" in lines[0]

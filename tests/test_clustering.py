@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from kdiameter import clustering
 from kdiameter.acceptance import brute_force_cluster_diameter, random_int_pointset
 from kdiameter.clustering import (
     MAX_POINTS,
+    _bipartition,
+    _farthest_first,
     distinct_distances,
     exact_cluster,
     gonzalez_cluster,
@@ -16,8 +19,16 @@ from kdiameter.clustering import (
     threshold_graph_at,
     two_cluster,
 )
+from kdiameter.coloring import find_coloring
+from kdiameter.gadgets import (
+    build_composite,
+    build_gadget_H,
+    oriented_embedding_library,
+    stitch_embedding,
+    stitch_slot_maps,
+)
 from kdiameter.geometry import BitVector, IntVector, Pointset
-from kdiameter.graphs import Graph
+from kdiameter.graphs import Graph, complete_graph, incidence_hypergraph, petersen_graph
 from kdiameter.sphere import (
     build_region_instance,
     completeness_clustering,
@@ -276,12 +287,13 @@ def test_gonzalez_cost_does_not_grow_with_k():
     assert (huge.assignment, huge.diameter) == (small.assignment, small.diameter)
 
 
-def _reference_gonzalez(pointset, k):
-    """Farthest-point seeding that measures each point against every seed
-    for each new seed, then nearest-seed assignment in a second pass."""
+def _reference_seeds(pointset, count):
+    """The first min(count, n) farthest-first seeds, each found by measuring
+    every point against every seed so far, and the distance of each seed
+    to the seeds before it (None for the first)."""
     n = len(pointset)
-    seeds = [0]
-    while len(seeds) < min(k, n):
+    seeds, gaps = [0], [None]
+    while len(seeds) < min(count, n):
         best_i, best_d = None, None
         for i in range(n):
             if i in seeds:
@@ -290,8 +302,16 @@ def _reference_gonzalez(pointset, k):
             if best_d is None or d > best_d:
                 best_i, best_d = i, d
         seeds.append(best_i)
+        gaps.append(best_d)
+    return seeds, gaps
+
+
+def _reference_gonzalez(pointset, k):
+    """Farthest-point seeding that measures each point against every seed
+    for each new seed, then nearest-seed assignment in a second pass."""
+    seeds = _reference_seeds(pointset, k)[0]
     assignment = []
-    for i in range(n):
+    for i in range(len(pointset)):
         best_s, best_d = 0, None
         for si, s in enumerate(seeds):
             d = 0 if i == s else pointset.distance(i, s)
@@ -363,3 +383,132 @@ def test_cluster_hamming_points():
     assert cl.diameter == 1
     assert cl.assignment[0] == cl.assignment[1]
     assert cl.assignment[2] == cl.assignment[3]
+
+
+# ---------------------------------------------------------------------------
+# the binary-search driver, bracketed by Gonzalez's lower bound
+
+
+def _plain_least_colorable(table, color, top):
+    """The driver without the bound: bisection from rank 0, midpoint first."""
+    graph_at = prefix_bitsets(table)
+    lo, hi = 0, len(table.keys) - 1
+    best = top
+    while lo < hi:
+        mid = (lo + hi) // 2
+        coloring = color(graph_at(mid + 1))
+        if coloring is None:
+            lo = mid + 1
+        else:
+            best, hi = coloring, mid
+    return best
+
+
+def _plain_exact(pointset, k):
+    n = len(pointset)
+    top = list(range(n)) if k >= n else [0] * n
+    coloring = _plain_least_colorable(distinct_distances(pointset),
+                                      lambda adj: find_coloring(adj, k), top)
+    return make_clustering(pointset, coloring, k)
+
+
+def _plain_two(pointset):
+    coloring = _plain_least_colorable(distinct_distances(pointset), _bipartition,
+                                      [0] * len(pointset))
+    return make_clustering(pointset, coloring, 2)
+
+
+@pytest.fixture(scope="module")
+def composites():
+    """The stitched Hamming images of the K4 and Petersen composites."""
+    gadget = build_gadget_H()
+    library = oriented_embedding_library(gadget)
+    images = {}
+    for name, J in (("K4", complete_graph(4)), ("Petersen", petersen_graph())):
+        composite = build_composite(incidence_hypergraph(J), gadget,
+                                    slot_maps=stitch_slot_maps(J))
+        images[name] = Pointset(
+            "hamming", stitch_embedding(composite, J, library=library).image)
+    return images
+
+
+def _bracket_pointsets(rng):
+    """Random hamming, l1 and linf pointsets of 1 to 14 points, some with
+    duplicate points, and the kappa = 2..8 sphere regions."""
+    pointsets = []
+    for trial in range(84):
+        metric = ("hamming", "l1_int", "linf_int")[trial % 3]
+        size = 1 + trial % 14
+        if metric == "hamming":
+            pts = [BitVector(6, rng.getrandbits(6)) for _ in range(size)]
+        else:
+            dim = rng.randint(1, 3)
+            pts = [IntVector([rng.randint(-3, 3) for _ in range(dim)])
+                   for _ in range(size)]
+        repeats = rng.randint(0, min(2, size - 1))  # duplicate points
+        pts[size - repeats:] = rng.choices(pts[:size - repeats], k=repeats)
+        rng.shuffle(pts)
+        pointsets.append(Pointset(metric, pts))
+    return pointsets + [build_region_instance((0, 1, 2), kappa).pointset()
+                        for kappa in range(2, 9)]
+
+
+def _same(got, expected):
+    return (got.assignment == expected.assignment
+            and repr(got.diameter) == repr(expected.diameter)
+            and got.witness_pair == expected.witness_pair)
+
+
+def test_bracketed_driver_matches_plain_bisection(composites):
+    pointsets = _bracket_pointsets(random.Random(67))
+    assert {len(ps) for ps in pointsets} >= set(range(1, 15))
+    for ps in pointsets + list(composites.values()):
+        for k in (1, 2, 3, 4):
+            assert _same(exact_cluster(ps, k), _plain_exact(ps, k)), (ps, k)
+        assert _same(two_cluster(ps), _plain_two(ps)), ps
+
+
+def test_farthest_first_bound_is_sound(composites):
+    pointsets = _bracket_pointsets(random.Random(71))
+    bounded = 0
+    for ps in pointsets + list(composites.values()):
+        n = len(ps)
+        for k in (1, 2, 3, 4):
+            assignment, far = _farthest_first(ps, k)
+            assert assignment == gonzalez_cluster(ps, k).assignment
+            if n <= k:
+                assert far is None
+                continue
+            seeds, gaps = _reference_seeds(ps, k + 1)
+            assert repr(far) == repr(gaps[k])
+            # the k seeds and the farthest point are pairwise >= far, so
+            # two of them share a cluster in every k-clustering
+            assert all(ps.distance(a, b) >= far
+                       for a in seeds for b in seeds if a < b)
+            optimum = exact_cluster(ps, k).diameter
+            assert far <= optimum
+            bounded += far == optimum
+    assert bounded   # the bound is attained on some of them
+
+
+def test_bound_saves_probes(composites, monkeypatch):
+    calls = []
+
+    def counting(adj, k, **kwargs):
+        stats = {}
+        got = find_coloring(adj, k, stats=stats, **kwargs)
+        calls.append((got is not None, stats["nodes"]))
+        return got
+
+    monkeypatch.setattr(clustering, "find_coloring", counting)
+    # the bound is the optimum: one probe, which colors
+    exact_cluster(build_region_instance((0, 1, 2), 12).pointset(), 3)
+    assert len(calls) == 1 and calls[0][0]
+    calls.clear()
+    exact_cluster(composites["K4"], 3)
+    assert len(calls) == 1 and calls[0][0]
+    # Petersen is not 3-edge-colorable: the bound's rank is refuted, and
+    # the next probe colors
+    calls.clear()
+    exact_cluster(composites["Petersen"], 3)
+    assert calls == [(False, 4562), (True, 135)]

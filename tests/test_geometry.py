@@ -25,6 +25,7 @@ from kdiameter.geometry import (
     l1_distance,
     linf_distance,
     pair_rows,
+    point_from_json,
     sphere_key,
     sphere_point_sq_distance,
     sq_distance_exceeds,
@@ -79,6 +80,29 @@ def test_sphere_point_needs_one_coefficient_per_axis():
     for coeffs, kappa in (((1, 2), 3), ((3, 0, 0, 0), 3), ((), 1)):
         with pytest.raises(ValueError, match="three integers"):
             SphereLatticePoint((0, 1, 2), 0, coeffs, kappa)
+
+
+def test_json_points_need_integer_numbers():
+    sphere = {"axes": [0, 1, 2], "pos": 0, "coeffs": [1, 1, 1], "kappa": 3}
+    assert point_from_json("l2_sphere_lattice", sphere).coeffs == (1, 1, 1)
+    assert point_from_json("l1_int", [0, -2]).entries == (0, -2)
+    # a fraction, a numeric string and a boolean are refused, not converted
+    for bad in (0.5, 1.0, "7", True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            point_from_json("l1_int", [0, bad])
+        with pytest.raises(ValueError, match="must be an integer"):
+            point_from_json("linf_int", [bad])
+        for field in ("axes", "coeffs"):
+            with pytest.raises(ValueError, match="must be an integer"):
+                point_from_json("l2_sphere_lattice",
+                                {**sphere, field: [bad] + sphere[field][1:]})
+        for field in ("pos", "kappa"):
+            with pytest.raises(ValueError, match="must be an integer"):
+                point_from_json("l2_sphere_lattice", {**sphere, field: bad})
+    with pytest.raises(ValueError, match="bit string"):
+        point_from_json("hamming", [0, 1])
+    with pytest.raises(ValueError, match="unknown metric 'foo'"):
+        point_from_json("foo", "01")
 
 
 def test_sq_distance_refuses_inexact_operands():
