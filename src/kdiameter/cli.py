@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -144,13 +145,26 @@ def _exact_value(x):
     return str(x)
 
 
+def _write_stdout(text):
+    """Write `text` to stdout.  A reader that closes the pipe early (as
+    `| head` does) gets no more, and the command keeps its own exit code:
+    stdout is moved to devnull, as the Python docs advise, so the flush at
+    exit does not fail again."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+
+
 def _emit(report, args):
-    text = json.dumps(report, sort_keys=True, indent=2, default=str)
+    text = json.dumps(report, sort_keys=True, indent=2, default=str) + "\n"
     if args.out:
         with open(args.out, "w") as f:
-            f.write(text + "\n")
+            f.write(text)
     if args.json or not args.out:
-        print(text)
+        _write_stdout(text)
 
 
 def _report(args, command, **fields):
@@ -271,7 +285,7 @@ def cmd_sphere_sweep(args):
         with open(args.out, "w") as f:
             f.write(csv)
     else:
-        print(csv, end="")
+        _write_stdout(csv)
     return EXIT_OK
 
 
@@ -323,10 +337,12 @@ def cmd_embedding_verify(args):
 
 
 def cmd_repro_all(args):
+    """Run every criterion: exit 1 if one is refuted or errs, otherwise 2 if
+    one exhausts its budget, otherwise 0."""
     from kdiameter.acceptance import CRITERIA
 
     summary = []
-    all_ok = True
+    failed = exhausted = False
     for num in sorted(CRITERIA):
         name, fn = CRITERIA[num]
         start = time.perf_counter()
@@ -337,16 +353,21 @@ def cmd_repro_all(args):
                       "nodes": e.nodes}
         except Exception as e:  # keep independent criteria running
             result = {"ok": False, "error": repr(e)}
-        all_ok = all_ok and result.get("ok", False)
+        if result.get("verdict") == "budget_exceeded":
+            exhausted = True
+        elif not result.get("ok", False):
+            failed = True
         summary.append({"criterion": num, "name": name,
                         "ok": result.get("ok", False),
                         "seconds": round(time.perf_counter() - start, 3),
                         "details": {k: v for k, v in result.items()
                                     if k != "ok"}})
     report = _report(args, "repro-all", criteria=summary,
-                     verdicts={"all_pass": all_ok})
+                     verdicts={"all_pass": not (failed or exhausted)})
     _emit(report, args)
-    return EXIT_OK if all_ok else EXIT_REFUTED
+    if failed:
+        return EXIT_REFUTED
+    return EXIT_BUDGET if exhausted else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,6 @@ class EdgeColoring:
                     raise ValueError(f"improper coloring at vertex {v}")
                 seen.add(c)
 
-    def color_of(self, u, v):
-        return self.colors[(min(u, v), max(u, v))]
-
 
 def line_graph(graph):
     """(line graph, edge list): vertices of the line graph index sorted edges."""

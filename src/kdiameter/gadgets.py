@@ -71,9 +71,23 @@ class GadgetH:
 
     @classmethod
     def from_dict(cls, d):
-        removed = tuple(d["removed_edge"])
+        """The gadget of `to_dict`'s form; `removed_edge` must be two ints
+        and `attachments` three lists of ints in 0..11."""
+        removed, attachments = d["removed_edge"], d["attachments"]
+        if not (_int_list(removed) and len(removed) == 2):
+            raise ValueError(f"removed_edge must be two integers, not {removed!r}")
+        if not (isinstance(attachments, list) and len(attachments) == 3
+                and all(_int_list(t) and all(0 <= x < 12 for x in t)
+                        for t in attachments)):
+            raise ValueError("attachments must be three lists of integers "
+                             f"in 0..11, not {attachments!r}")
         base = chvatal_graph().remove_edge(*removed)
-        return cls(base, removed, tuple(tuple(t) for t in d["attachments"]))
+        return cls(base, tuple(removed), tuple(tuple(t) for t in attachments))
+
+
+def _int_list(value):
+    """Whether `value` is a list of JSON integers (booleans excluded)."""
+    return isinstance(value, list) and all(type(x) is int for x in value)
 
 
 def build_gadget_H(budget=DEFAULT_BUDGET):
@@ -107,26 +121,6 @@ class OrientedGadgetEmbedding:
     orientation: tuple
     pairs: list          # 15 entries of (letter1, sign1, letter2, sign2)
     fresh_count: int
-
-    def letter_positions_ok(self):
-        """Each role letter appears among body pairs only at its oriented
-        block position."""
-        for v in range(12):
-            l1, _, l2, _ = self.pairs[v]
-            if l1 < ROLE_LETTERS and self.orientation[l1] != 1:
-                return False
-            if l2 < ROLE_LETTERS and self.orientation[l2] != 2:
-                return False
-        return True
-
-    def materialize(self):
-        """Concrete codeword-pair embedding of the 15-vertex graph, over the
-        least power of two q covering its letters."""
-        q = next_power_of_two(max(2, ROLE_LETTERS + self.fresh_count))
-        code = hadamard_code(q)
-        image = [_pair_word(code, *pair) for pair in self.pairs]
-        return Embedding(self.gadget.verification_graph(), "hamming", image,
-                         short=q, long=3 * q // 2)
 
 
 def _pair_word(code, l1, s1, l2, s2):
@@ -304,16 +298,12 @@ def edge_orientations(J):
     """Per-J-vertex block assignment for each incident edge: the DFS tail
     sees block 1, the head block 2.  Bounded in/out degrees guarantee no
     vertex ends up all-1 or all-2 and that an edge's two endpoints disagree."""
-    orientation = dfs_orientation(J)
-    edge_list = J.sorted_edges()
-    sigma = []
-    for w in range(J.n):
-        entries = {}
-        for idx, (u, v) in enumerate(edge_list):
-            if w == u or w == v:
-                tail = u if (u, v) in orientation.directed else v
-                entries[idx] = 1 if w == tail else 2
-        sigma.append(entries)
+    directed = dfs_orientation(J).directed
+    sigma = [{} for _ in range(J.n)]
+    for idx, (u, v) in enumerate(J.sorted_edges()):
+        tail, head = (u, v) if (u, v) in directed else (v, u)
+        sigma[tail][idx] = 1
+        sigma[head][idx] = 2
     return sigma
 
 

@@ -2,15 +2,16 @@
 
 Every comparison here is integer or rational arithmetic.  Squared Euclidean
 distances between sphere-lattice points are kept in the surd form
-1 - m/sqrt(n1*n2) and compared through a rational order key.  A `Pointset`
-is immutable and ranks its pairs once, in its `PairTable` (`Pointset.table`,
-built on first use); every threshold graph of that pointset is read off
-this one ranking, and so is every clustering's diameter: its witness is the
-first pair of the ranking, by falling distance and row-major (i, then j)
-among equal distances, that lies in one cluster.  `pair_rows` is the one
-stream of exact pair distances, one row of values per point: the pair table
-is built from it, and every other all-pairs check (an embedding's
-conditions, a Hadamard code's distances) reads it too.
+1 - m/sqrt(n1*n2) and compared through a rational order key in lowest terms,
+so equal distances have equal keys.  A `Pointset` is immutable and ranks its
+pairs once, in its `PairTable` (`Pointset.table`, built on first use), with
+one bucket of equal values per rank for every metric; every threshold graph
+of that pointset is read off this one ranking, and so is every clustering's
+diameter: its witness is the first pair of the ranking, by falling distance
+and row-major (i, then j) among equal distances, that lies in one cluster.
+`pair_rows` is the one stream of exact pair distances, one row of values per
+point: the pair table is built from it, and every other all-pairs check (an
+embedding's conditions, a Hadamard code's distances) reads it too.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from itertools import chain
 from math import gcd
 
 
@@ -181,31 +181,29 @@ class SphereLatticePoint:
         return f"SphereLatticePoint(key={self.key!r})"
 
 
-def axis_point(axis, other_axes, kappa=1, negative=False):
-    """The pure axis point e_axis (or its antipode) as a lattice point."""
-    a, b = other_axes
-    if negative:
-        # all weight on `axis` as a negative coordinate: pick a region where
-        # `axis` is a negative axis
-        return SphereLatticePoint((a, axis, b), a, (0, kappa, 0), kappa)
-    return SphereLatticePoint((axis, a, b), axis, (kappa, 0, 0), kappa)
-
-
 # ---------------------------------------------------------------------------
 # exact squared distances
 
 
 def sphere_key(d):
-    """Order key (num, den), den > 0, of an exact squared sphere distance.
+    """Order key (num, den) in lowest terms, den > 0, of an exact squared
+    sphere distance.
 
     The key of 1 - m/sqrt(N) is -m|m|/N, strictly increasing in the distance;
-    a rational s has the key -u|u| with u = 1 - s.  Every sphere comparison
-    is one integer cross-multiplication of two keys.
+    a rational s has the key -u|u| with u = 1 - s.  Equal distances have
+    equal keys, and every sphere comparison is one integer
+    cross-multiplication of two keys.
     """
     if isinstance(d, SqDistance):
-        return -d.m * abs(d.m), d.big_n
+        return _surd_key(d.m, d.big_n)
     u = 1 - Fraction(d)
     return -u.numerator * abs(u.numerator), u.denominator ** 2
+
+
+def _surd_key(m, big_n):
+    """The key -m|m|/N of 1 - m/sqrt(N), divided by gcd(m^2, N)."""
+    g = gcd(m * m, big_n)
+    return -m * abs(m) // g, big_n // g
 
 
 class SqDistance:
@@ -391,15 +389,21 @@ def _json_int(value, what):
 # the pair table
 
 
+# sort key of sphere values (num, den), den > 0: one cross-multiplication
+_CROSS = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
+
+
 class PairTable:
     """Every pair of a pointset, ranked once by exact distance.
 
     `keys` are the sorted distinct order keys of the pairwise distances, led
     by the key of distance 0: the distances themselves for the integer
     metrics, `sphere_key` values as Fractions for the sphere metric.  A
-    pair's rank is the index of its key.  `pairs` holds the pair ids i*n + j
-    (i < j) by falling rank, and `above[r]` counts the pairs of rank >= r, so
-    the pairs farther than keys[r - 1] are exactly pairs[:above[r]].
+    pair's rank is the index of its key; since sphere keys are in lowest
+    terms, each rank is one bucket of `pair_rows` values.  `pairs` holds the
+    pair ids i*n + j (i < j) by falling rank, and `above[r]` counts the
+    pairs of rank >= r, so the pairs farther than keys[r - 1] are exactly
+    pairs[:above[r]].
     """
 
     def __init__(self, pointset):
@@ -409,26 +413,15 @@ class PairTable:
         for i, row in enumerate(pair_rows(pointset)):
             for p, value in enumerate(row, i * n + i + 1):
                 buckets[value].append(p)
-        if self.metric == "l2_sphere_lattice":
-            self.keys, rank = _rank_sphere_keys(list(buckets))
-        else:
-            self.keys = sorted(set(buckets) | {0})
-            index = {key: r for r, key in enumerate(self.keys)}
-            rank = [index[v] for v in buckets]
-        at_rank = [[] for _ in self.keys]
-        for value, r in zip(buckets, rank):
-            at_rank[r].append(value)
-        # copy the blocks by falling rank; sphere values that are equal as
-        # fractions share a rank, and their ids are merged back into order
-        self.above = above = [0] * (len(self.keys) + 1)
+        sphere = self.metric == "l2_sphere_lattice"
+        # a Fraction is built only for each distinct sphere value
+        values = sorted(set(buckets) | {sphere_key(0) if sphere else 0},
+                        key=_CROSS if sphere else None)
+        self.keys = [Fraction(*v) for v in values] if sphere else values
+        self.above = above = [0] * (len(values) + 1)
         self.pairs = pairs = array("q")
-        for r in reversed(range(len(self.keys))):
-            values = at_rank[r]
-            if len(values) == 1:
-                pairs.extend(buckets.pop(values[0]))
-            else:
-                pairs.extend(sorted(chain.from_iterable(
-                    buckets.pop(v) for v in values)))
+        for r in reversed(range(len(values))):
+            pairs.extend(buckets.pop(values[r], ()))
             above[r] = len(pairs)
 
     def xor_pairs(self, adj, start, stop):
@@ -454,28 +447,10 @@ class PairTable:
         return bisect_right(self.keys, self.key(value))
 
 
-def _rank_sphere_keys(values):
-    """Sorted distinct Fraction keys of the (num, den) sphere keys `values`,
-    led by the key of distance 0, and the rank of each value.
-
-    The values are sorted by integer cross-multiplication (den > 0), and
-    equal ones merged, so a Fraction is built only for each distinct key.
-    """
-    ordered = sorted(values + [sphere_key(0)],
-                     key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
-    keys, rank_of, last = [], {}, None
-    for value in ordered:
-        if last is None or value[0] * last[1] != last[0] * value[1]:
-            keys.append(Fraction(*value))
-            last = value
-        rank_of[value] = len(keys) - 1
-    return keys, [rank_of[v] for v in values]
-
-
 def pair_rows(pointset):
     """Each pair's exact distance in a hashable integer form, one fresh list
     per row i holding the values for j = i+1..n-1: the distance itself, or
-    its `sphere_key` for the sphere metric."""
+    its `sphere_key`, in lowest terms, for the sphere metric."""
     pts = pointset.points
     if pointset.metric == "hamming":
         words = [p.word for p in pts]
@@ -493,7 +468,6 @@ def pair_rows(pointset):
         keys = [p.key for p in pts]
         for i, pe in enumerate(entries):
             ni = norms[i]
-            yield [(-m * abs(m), ni * nj)
-                   for key, nj in zip(keys[i + 1:], norms[i + 1:])
-                   for m in (sum(v * pe.get(a, 0) for a, v in key),)]
+            yield [_surd_key(sum(v * pe.get(a, 0) for a, v in key), ni * nj)
+                   for key, nj in zip(keys[i + 1:], norms[i + 1:])]
 

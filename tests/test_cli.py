@@ -9,7 +9,9 @@ import pytest
 
 import kdiameter
 
+from kdiameter import acceptance
 from kdiameter.cli import main
+from kdiameter.coloring import BudgetExceeded
 from kdiameter.clustering import MAX_POINTS
 from kdiameter.graphs import complete_graph, incidence_hypergraph, path_graph
 from kdiameter.lp import MAX_VERTICES
@@ -175,6 +177,61 @@ def test_embeddability(tmp_path, capsys):
     assert cert["verified"] and not cert["unbounded"]
 
 
+def test_repro_all_exhausted_budget_exits_2(capsys):
+    code, out = run(capsys, "repro-all", "--budget-nodes", "10")
+    report = json.loads(out)
+    failing = [c["details"].get("verdict") for c in report["criteria"]
+               if not c["ok"]]
+    assert failing and set(failing) == {"budget_exceeded"}
+    assert report["verdicts"]["all_pass"] is False
+    assert code == 2
+
+
+def _exhaust(budget, seed):
+    raise BudgetExceeded(budget + 1)
+
+
+def _crash(budget, seed):
+    raise RuntimeError("criterion crashed")
+
+
+@pytest.mark.parametrize("results, expected", [
+    ([{"ok": True}], 0),
+    ([{"ok": True}, _exhaust], 2),
+    ([{"ok": False, "verdict": "budget_exceeded", "nodes": 11}], 2),
+    ([_exhaust, {"ok": False}], 1),
+    ([{"ok": False}, _exhaust], 1),
+    ([_exhaust, _crash], 1),
+])
+def test_repro_all_exit_code(capsys, monkeypatch, results, expected):
+    criteria = {num: (f"c{num}", r if callable(r) else
+                      lambda budget, seed, r=r: dict(r))
+                for num, r in enumerate(results, 1)}
+    monkeypatch.setattr(acceptance, "CRITERIA", criteria)
+    code, out = run(capsys, "repro-all")
+    assert code == expected
+    assert json.loads(out)["verdicts"]["all_pass"] is (expected == 0)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["sphere", "region", "--kappa", "3"], 0),
+    (["sphere", "verify-lemma53", "--kappa", "4", "--t", "163/125"], 1),
+    (["sphere", "sweep", "--kappa", "2", "--t-grid", "3/2"], 0),
+])
+def test_closed_stdout_keeps_the_exit_code(argv, expected):
+    # a pipe whose reader is already gone, as after `| head -1`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(kdiameter.__file__).parents[1]))
+    try:
+        result = subprocess.run([sys.executable, "-m", "kdiameter.cli", *argv],
+                                env=env, stdout=write_end, stderr=subprocess.PIPE,
+                                text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (expected, "")
+
+
 def test_usage_errors(capsys, tmp_path):
     assert main(["no-such-command"]) == 3
     assert main(["cluster", "exact", "--pointset",
@@ -207,6 +264,12 @@ BAD_INPUTS = {
         [0, 4], [4, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3],
         [5, 9], [9, 6], [5, 7], [5, 8], [6, 7], [6, 8], [7, 8], [4, 9]]}),
     "no_removed_edge.json": json.dumps({"attachments": [[0, 1, 2]]}),
+    "attachments_string.json": json.dumps({"removed_edge": [6, 10],
+                                           "attachments": "0"}),
+    "attachments_null.json": json.dumps({"removed_edge": [6, 10], "attachments":
+                                         [[None, 10], [0, 5, 7], [6, 9]]}),
+    "attachments_nested.json": json.dumps({"removed_edge": [6, 10], "attachments":
+                                           [[[1]], [0, 5, 7], [6, 9]]}),
     "over_cap.json": json.dumps({"metric": "l1_int",
                                  "points": [[i] for i in range(MAX_POINTS + 1)]}),
     "emb_missing_vertex.json": embedding_file(image={"0": "00", "1": "11"}),
@@ -280,6 +343,9 @@ BAD_INPUTS = {
     ["cluster", "exact", "--pointset", "unknown_metric.json"],
     ["cluster", "exact", "--pointset", "float_entry.json", "--k", "2"],
     ["cluster", "exact", "--pointset", "float_coeff.json"],
+    ["gadget", "verify", "--gadget", "attachments_string.json"],
+    ["gadget", "verify", "--gadget", "attachments_null.json"],
+    ["gadget", "verify", "--gadget", "attachments_nested.json"],
 ], ids=["lp-cap", "self-loop", "malformed-json", "mixed-lengths", "k7",
         "kappa0", "kappa-range", "composite-not-cubic", "composite-bridge",
         "composite-empty-build", "composite-empty-embed",
@@ -293,7 +359,9 @@ BAD_INPUTS = {
         "gonzalez-empty", "reduce-pairs", "lp-empty", "pointset-negative-axis",
         "pointset-coeff-count", "embedding-image-list",
         "embedding-unknown-metric", "pointset-unknown-metric",
-        "pointset-float-entry", "pointset-float-coeff"])
+        "pointset-float-entry", "pointset-float-coeff",
+        "gadget-attachments-string", "gadget-attachments-null",
+        "gadget-attachments-nested"])
 def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
     for name, text in BAD_INPUTS.items():
         (tmp_path / name).write_text(text)
@@ -326,3 +394,5 @@ def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
         assert "bad pointset in float_entry.json: an entry must be" in lines[0]
     if "float_coeff.json" in argv:
         assert "bad pointset in float_coeff.json: a coefficient must" in lines[0]
+    if argv[:3] == ["gadget", "verify", "--gadget"]:
+        assert f"bad gadget in {argv[3]}: " in lines[0]

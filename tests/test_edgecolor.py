@@ -25,7 +25,8 @@ def random_graph(n, p, rng):
 
 def assert_proper_edge_coloring(graph, coloring, c):
     for v in range(graph.n):
-        incident = [coloring.color_of(v, u) for u in graph.neighbors(v)]
+        incident = [coloring.colors[(min(u, v), max(u, v))]
+                    for u in graph.neighbors(v)]
         assert len(set(incident)) == len(incident)
         assert all(0 <= x < c for x in incident)
 

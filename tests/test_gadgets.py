@@ -25,7 +25,7 @@ from kdiameter.graphs import (
     incidence_hypergraph,
     petersen_graph,
 )
-from kdiameter.hadamard import verify_embedding
+from kdiameter.hadamard import Embedding, hadamard_code, verify_embedding
 
 
 @pytest.fixture(scope="module")
@@ -90,11 +90,24 @@ def test_gadget_json_roundtrip(gadget):
 
 def test_library_orientations(gadget, library):
     assert set(library) == {(2, 2, 1), (1, 1, 2)}
+    # role letters 0, 1, 2 and two fresh letters fit a code of length 8
+    code = hadamard_code(8)
+
+    def word(letter, sign):
+        return (code.plus_words if sign > 0 else code.minus_words)[letter]
+
     for orientation, emb in library.items():
         assert emb.orientation == orientation
         assert emb.fresh_count == 2
-        assert emb.letter_positions_ok()
-        report = verify_embedding(emb.materialize())
+        # each role letter appears among body pairs only at its oriented
+        # block position
+        for l1, _, l2, _ in emb.pairs[:12]:
+            assert l1 >= 3 or orientation[l1] == 1
+            assert l2 >= 3 or orientation[l2] == 2
+        image = [word(l1, s1).concat(word(l2, s2))
+                 for l1, s1, l2, s2 in emb.pairs]
+        report = verify_embedding(Embedding(gadget.verification_graph(),
+                                            "hamming", image, short=8, long=12))
         assert report["ok"]
         assert report["achieved_ratio"] == Fraction(3, 2)
 

@@ -5,7 +5,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from math import sqrt
+from math import gcd, sqrt
 
 import mpmath
 import pytest
@@ -20,7 +20,6 @@ from kdiameter.geometry import (
     Pointset,
     SphereLatticePoint,
     SqDistance,
-    axis_point,
     hamming_distance,
     l1_distance,
     linf_distance,
@@ -117,20 +116,21 @@ def test_sq_distance_refuses_inexact_operands():
         0.5 < d
 
 
+# the axis points e_a, e_b and the antipode of e_a, with all weight on one
+# axis of a kappa = 1 region
+E_A = SphereLatticePoint((0, 1, 2), 0, (1, 0, 0), 1)
+E_B = SphereLatticePoint((1, 0, 2), 1, (1, 0, 0), 1)
+EBAR_A = SphereLatticePoint((1, 0, 2), 1, (0, 1, 0), 1)
+
+
 def test_axis_point_identities():
-    e_a = axis_point(0, (1, 2))
-    e_a12 = SphereLatticePoint((0, 1, 2), 0, (12, 0, 0), 12)
-    assert e_a == e_a12
-    ebar_a = axis_point(0, (1, 2), negative=True)
-    assert sphere_point_sq_distance(e_a, ebar_a) == 2
-    e_b = axis_point(1, (0, 2))
-    assert sphere_point_sq_distance(e_a, e_b) == 1
+    assert E_A == SphereLatticePoint((0, 1, 2), 0, (12, 0, 0), 12)
+    assert sphere_point_sq_distance(E_A, EBAR_A) == 2
+    assert sphere_point_sq_distance(E_A, E_B) == 1
 
 
 def test_sq_distance_exceeds_basic():
-    e_a = axis_point(0, (1, 2))
-    ebar_a = axis_point(0, (1, 2), negative=True)
-    e_b = axis_point(1, (0, 2))
+    e_a, ebar_a, e_b = E_A, EBAR_A, E_B
     assert sq_distance_exceeds(e_a, ebar_a, Fraction(169, 100))
     assert not sq_distance_exceeds(e_a, e_b, 1)  # boundary: not strictly greater
 
@@ -145,7 +145,7 @@ def _mpmath_sq_distance(p, q, dps=60):
 
 
 def test_kappa12_point_vs_high_precision():
-    e_a = axis_point(0, (1, 2))
+    e_a = E_A
     p = SphereLatticePoint((0, 1, 2), 0, (6, 6, 0), 12)
     t_sq = Fraction(163, 125) ** 2
     expected = _mpmath_sq_distance(e_a, p) > mpmath.mpf(t_sq.numerator) / t_sq.denominator
@@ -207,7 +207,7 @@ def test_exceeds_one_plus_half_sqrt2_against_high_precision():
 
 
 def test_pointset_json_roundtrip():
-    pts = [SphereLatticePoint((0, 1, 2), 0, (2, 1, 0), 3), axis_point(1, (0, 2))]
+    pts = [SphereLatticePoint((0, 1, 2), 0, (2, 1, 0), 3), E_B]
     ps = Pointset("l2_sphere_lattice", pts, labels=["p", "e_b"])
     back = Pointset.from_dict(json.loads(json.dumps(ps.to_dict())))
     assert back.metric == ps.metric
@@ -278,6 +278,16 @@ def test_sphere_pair_table_matches_fraction_construction(kappa):
     ps = build_region_instance((0, 1, 2), kappa).pointset()
     table = PairTable(ps)
     assert (table.keys, table.above, list(table.pairs)) == _fraction_pair_table(ps)
+
+
+@pytest.mark.parametrize("kappa", range(3, 13))
+def test_sphere_pair_values_are_keys_in_lowest_terms(kappa):
+    # one value per distinct distance: each rank of the table is one bucket
+    values = {v for row in pair_rows(build_region_instance((0, 1, 2), kappa)
+                                     .pointset()) for v in row}
+    assert len(values) == len({Fraction(*v) for v in values})
+    for num, den in values:
+        assert den > 0 and gcd(num, den) == 1
 
 
 def _int_pointsets():
