@@ -5,11 +5,12 @@ to k-coloring the threshold graph whose edges join pairs farther than the
 candidate diameter, which is how the exact solver works.  A pointset is
 immutable and ranks its pairs once by exact distance, in its pair table
 (`geometry.PairTable`), which every solver asking about it shares; each
-threshold graph is a prefix of the ranked pair list.  The binary search
+threshold graph is a prefix of the ranked pair list.  The table itself
 keeps that prefix as one list of neighbor bitsets, the coloring kernel's
 input, and moves it between ranks by XORing in only the pairs between the
-old prefix and the new one; no `Graph` is built on the way.  The search
-is bracketed from below by Gonzalez's farthest-first traversal: its k seeds
+old prefix and the new one (`PairTable.bitsets_at`), whichever solver asked
+last; no `Graph` is built on the way.  The search is bracketed from below
+by Gonzalez's farthest-first traversal, which reads ranks: its k seeds
 and the point farthest from them are k+1 points pairwise at least `far`
 apart, so no k-clustering has a smaller diameter, and the first probe is
 the rank of `far`.  Where that bound is the optimum, one probe finds it.
@@ -29,6 +30,7 @@ from fractions import Fraction
 from itertools import islice
 
 from kdiameter.coloring import DEFAULT_BUDGET, find_coloring
+from kdiameter.geometry import pair_rows
 from kdiameter.graphs import Graph
 
 MAX_K = 4   # exact_cluster's largest k
@@ -74,30 +76,9 @@ def threshold_graph_at(table, rank):
     """Graph joining the pairs of rank >= `rank` in a pair table, the pairs
     farther than table.keys[rank - 1]; its k-colorings are exactly the
     k-clusterings of diameter at most that distance.  A view for diagnostics
-    and tests: the solvers read the same prefix as bitsets (`prefix_bitsets`)."""
+    and tests: the solvers read the same prefix as `PairTable.bitsets_at`."""
     n = table.n
     return Graph(n, (divmod(p, n) for p in table.pairs[:table.above[rank]]))
-
-
-def prefix_bitsets(table):
-    """A function of a rank r giving the threshold graph at r (the graph of
-    `threshold_graph_at(table, r)`) as a list of neighbor bitsets.
-
-    The function keeps one list and moves it from the last rank asked to r
-    by XORing in the pairs between the two prefixes, so a move costs the
-    pairs between them, up or down.  It returns that same list each time:
-    read it before the next call."""
-    adj = [0] * table.n
-    at = 0   # adj holds the pairs pairs[:at]
-
-    def at_rank(rank):
-        nonlocal at
-        stop = table.above[rank]
-        table.xor_pairs(adj, min(at, stop), max(at, stop))
-        at = stop
-        return adj
-
-    return at_rank
 
 
 def _least_colorable(pointset, k, color, top):
@@ -116,14 +97,12 @@ def _least_colorable(pointset, k, color, top):
     sees the same bitsets at a rank whatever path the search took, so the
     answer is the plain bisection's; only the number of probes changes."""
     table = distinct_distances(pointset)
-    far = _farthest_first(pointset, k)[1]
-    lo = 0 if far is None else table.rank_above(far) - 1
+    lo = _farthest_first(pointset, k)[1]
     hi = len(table.keys) - 1
-    graph_at = prefix_bitsets(table)
     best = top
     mid = lo
     while lo < hi:
-        coloring = color(graph_at(mid + 1))
+        coloring = color(table.bitsets_at(mid + 1))
         if coloring is None:
             lo = mid + 1
         else:
@@ -201,27 +180,28 @@ def gonzalez_cluster(pointset, k):
 def _farthest_first(pointset, k):
     """Gonzalez's traversal: `(assignment, far)`, the nearest-seed
     assignment to min(k, n) farthest-first seeds and the largest
-    nearest-seed distance among the other points, None when every point
-    is a seed.  The seeds and a point at `far` are pairwise at least `far`
-    apart, so no k-clustering has a diameter below `far`.
+    nearest-seed rank in the pair table among the other points, 0 when
+    every point is a seed.  The seeds and a point at rank `far` are pairwise
+    at least that rank apart, so no k-clustering has a lower-rank diameter.
 
-    One pass over the points per seed: each point keeps its distance to the
-    nearest seed so far and that seed's cluster id, and a new seed takes
-    over the points strictly nearer to it."""
-    n = len(pointset)
-    near = [0] + [pointset.distance(i, 0) for i in range(1, n)]
+    One row of ranks per seed (`pair_rows` read through `PairTable.rank_of`):
+    each point keeps the rank of its nearest seed so far and that seed's
+    cluster id, and a new seed takes over the points strictly nearer to it.
+    Once the farthest point is at rank 0 no seed takes any over: stop."""
+    table = distinct_distances(pointset)
+    n = table.n
+    near = [len(table.keys)] * n   # above every rank until the first seed
     assignment = [0] * n
-    is_seed = [True] + [False] * (n - 1)
-    for c in range(1, min(k, n)):
-        s = max((i for i in range(n) if not is_seed[i]), key=near.__getitem__)
-        for i in range(n):
-            if not is_seed[i]:
-                d = 0 if i == s else pointset.distance(i, s)
-                if d < near[i]:
-                    near[i], assignment[i] = d, c
-        is_seed[s] = True
-    far = max((near[i] for i in range(n) if not is_seed[i]), default=None)
-    return assignment, far
+    seed = 0
+    for c in range(min(k, n)):
+        for i, value in enumerate(next(pair_rows(pointset, [seed]))):
+            r = table.rank_of[value]
+            if r < near[i]:
+                near[i], assignment[i] = r, c
+        seed = max(range(n), key=near.__getitem__)
+        if not near[seed]:
+            break
+    return assignment, near[seed]
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Every call takes a graph in the kernel's own input form: a list of neighbor
 bitsets `adj`, one int per vertex, with bit j of adj[i] set when i and j are
-adjacent.  The threshold-graph solvers maintain that list directly from a
-pair table; a caller holding a `graphs.Graph` passes
+adjacent.  The threshold-graph solvers read that list off a pair table
+(`geometry.PairTable.bitsets_at`); a caller holding a `graphs.Graph` passes
 `graph.adjacency_bitsets()`.  The search's node order depends only on the
 bitsets.  A rainbow coloring of a hypergraph is a proper coloring of its
 `Hypergraph.constraint_graph()`, so the same calls search it.

@@ -11,7 +11,8 @@ diameter: its witness is the first pair of the ranking, by falling distance
 and row-major (i, then j) among equal distances, that lies in one cluster.
 `pair_rows` is the one stream of exact pair distances, one row of values per
 point: the pair table is built from it, and every other all-pairs check (an
-embedding's conditions, a Hadamard code's distances) reads it too.
+embedding's conditions, a Hadamard code's distances) reads it too.  The
+table owns its threshold graph, moved from rank to rank (`bitsets_at`).
 """
 
 from __future__ import annotations
@@ -368,16 +369,16 @@ def point_from_json(metric, obj):
             raise ValueError(f"a hamming point must be a bit string, not {obj!r}")
         return BitVector.from_string(obj)
     if metric in ("l1_int", "linf_int"):
-        return IntVector([_json_int(e, "an entry") for e in obj])
+        return IntVector([json_int(e, "an entry") for e in obj])
     if metric != "l2_sphere_lattice":
         raise ValueError(f"unknown metric {metric!r}")
-    return SphereLatticePoint([_json_int(a, "an axis") for a in obj["axes"]],
-                              _json_int(obj["pos"], "pos"),
-                              [_json_int(c, "a coefficient") for c in obj["coeffs"]],
-                              _json_int(obj["kappa"], "kappa"))
+    return SphereLatticePoint([json_int(a, "an axis") for a in obj["axes"]],
+                              json_int(obj["pos"], "pos"),
+                              [json_int(c, "a coefficient") for c in obj["coeffs"]],
+                              json_int(obj["kappa"], "kappa"))
 
 
-def _json_int(value, what):
+def json_int(value, what):
     """`value` if it is a JSON integer; a fraction, a string or a boolean
     is refused rather than converted."""
     if type(value) is not int:
@@ -403,7 +404,7 @@ class PairTable:
     terms, each rank is one bucket of `pair_rows` values.  `pairs` holds the
     pair ids i*n + j (i < j) by falling rank, and `above[r]` counts the
     pairs of rank >= r, so the pairs farther than keys[r - 1] are exactly
-    pairs[:above[r]].
+    pairs[:above[r]].  `rank_of` maps a `pair_rows` value to its rank.
     """
 
     def __init__(self, pointset):
@@ -423,18 +424,26 @@ class PairTable:
         for r in reversed(range(len(values))):
             pairs.extend(buckets.pop(values[r], ()))
             above[r] = len(pairs)
+        # built once the buckets are freed, which keeps the peak down
+        self.rank_of = dict(zip(values, range(len(values))))
+        self._adj, self._at = [0] * n, 0   # the graph of the pairs pairs[:_at]
 
-    def xor_pairs(self, adj, start, stop):
-        """XOR the pairs pairs[start:stop] into `adj`, a list of n neighbor
-        bitsets (bit j of adj[i] joins i and j).  Each pair is its own
-        inverse, so XORing the pairs between two prefixes moves a threshold
-        graph from either of their ranks to the other."""
-        n = self.n
+    def bitsets_at(self, rank):
+        """The threshold graph at `rank`, of the pairs pairs[:above[rank]], as
+        a list of n neighbor bitsets (bit j of the i-th joins i and j).  Each
+        pair is its own inverse, so the table moves its one list from the last
+        rank asked by XORing in the pairs between the two prefixes, or from
+        the empty graph when that is fewer.  Read it before the next call."""
+        adj, n, at, stop = self._adj, self.n, self._at, self.above[rank]
+        if stop < abs(stop - at):
+            adj[:], at = [0] * n, 0
         bit = [1 << v for v in range(n)]
-        for p in self.pairs[start:stop]:
+        for p in self.pairs[min(at, stop):max(at, stop)]:
             i, j = divmod(p, n)
             adj[i] ^= bit[j]
             adj[j] ^= bit[i]
+        self._at = stop
+        return adj
 
     def key(self, value):
         """Order key of an exact distance (squared for the sphere metric)."""
@@ -447,27 +456,31 @@ class PairTable:
         return bisect_right(self.keys, self.key(value))
 
 
-def pair_rows(pointset):
+def pair_rows(pointset, rows=None):
     """Each pair's exact distance in a hashable integer form, one fresh list
-    per row i holding the values for j = i+1..n-1: the distance itself, or
-    its `sphere_key`, in lowest terms, for the sphere metric."""
+    per row i holding the values for j = i+1..n-1, or for every j when i is
+    one of `rows`, given: the distance itself, or its `sphere_key`, in
+    lowest terms, for the sphere metric."""
     pts = pointset.points
+    spans = (zip(range(len(pts)), range(1, len(pts) + 1)) if rows is None
+             else ((i, 0) for i in rows))   # (row, its first column)
     if pointset.metric == "hamming":
         words = [p.word for p in pts]
-        for i, wi in enumerate(words):
-            yield [(wi ^ w).bit_count() for w in words[i + 1:]]
+        for i, start in spans:
+            wi = words[i]
+            yield [(wi ^ w).bit_count() for w in words[start:]]
     elif pointset.metric != "l2_sphere_lattice":
         fold = sum if pointset.metric == "l1_int" else max
         entries = [p.entries for p in pts]
-        for i, ei in enumerate(entries):
+        for i, start in spans:
+            ei = entries[i]
             yield [fold(map(abs, map(operator.sub, ei, ej)))
-                   for ej in entries[i + 1:]]
+                   for ej in entries[start:]]
     else:
-        entries = [dict(p.key) for p in pts]
         norms = [p.norm_sq_int() for p in pts]
         keys = [p.key for p in pts]
-        for i, pe in enumerate(entries):
-            ni = norms[i]
+        for i, start in spans:
+            pe, ni = dict(keys[i]), norms[i]
             yield [_surd_key(sum(v * pe.get(a, 0) for a, v in key), ni * nj)
-                   for key, nj in zip(keys[i + 1:], norms[i + 1:])]
+                   for key, nj in zip(keys[start:], norms[start:])]
 

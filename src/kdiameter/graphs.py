@@ -6,6 +6,8 @@ from __future__ import annotations
 import json
 from math import inf
 
+from kdiameter.geometry import json_int
+
 
 class Graph:
     """Simple undirected graph on vertices 0..n-1."""
@@ -77,7 +79,8 @@ class Graph:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(d["n"], [tuple(e) for e in d["edges"]])
+        return cls(json_int(d["n"], "n"),
+                   [tuple(json_int(v, "an endpoint") for v in e) for e in d["edges"]])
 
     @classmethod
     def from_json(cls, s):
@@ -137,7 +140,8 @@ class Hypergraph:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(d["n"], [tuple(e) for e in d["hyperedges"]])
+        return cls(json_int(d["n"], "n"),
+                   [tuple(json_int(v, "a vertex") for v in e) for e in d["hyperedges"]])
 
     @classmethod
     def from_json(cls, s):

@@ -98,9 +98,9 @@ class Embedding:
 
     @classmethod
     def from_dict(cls, d):
-        """Raises ValueError on an image that is not a JSON object, misses a
-        vertex or names one outside 0..n-1, on points of mixed dimensions,
-        and on a threshold that is not an integer or a [num, den] pair."""
+        """Raises ValueError on an image that is not a JSON object or whose
+        keys are not the vertices 0..n-1 in decimal, on points of mixed
+        dimensions, and on a threshold not an integer or a [num, den] pair."""
         metric = d["metric"]
         graph = Graph.from_dict(d["graph"])
         if not isinstance(d["image"], dict):
@@ -108,8 +108,8 @@ class Embedding:
         image = [None] * graph.n
         for key, val in d["image"].items():
             v = int(key)
-            if not 0 <= v < graph.n:
-                raise ValueError(f"image vertex {key!r} is not in 0..{graph.n - 1}")
+            if str(v) != key or not 0 <= v < graph.n:
+                raise ValueError(f"image vertex {key!r} is not one of 0..{graph.n - 1}")
             image[v] = point_from_json(metric, val)
         if any(p is None for p in image):
             raise ValueError("image must cover every vertex")

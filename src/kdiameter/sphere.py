@@ -18,7 +18,6 @@ from fractions import Fraction
 from kdiameter.clustering import (
     distinct_distances,
     make_clustering,
-    prefix_bitsets,
     threshold_graph_at,
 )
 from kdiameter.coloring import (
@@ -133,9 +132,9 @@ def verify_anchor_separation(instance, threshold=SEPARATION_THRESHOLD,
     None (not 3-colorable at all) or a proper coloring merging two anchors.
     The forall direction runs on the anchor support: each of the anchor
     color patterns violating distinctness is tested for extendability.
-    The threshold graph is read once from the prefix of the instance's pair
-    table as neighbor bitsets, which the first coloring and every anchor
-    pattern of the forall check share.
+    The threshold graph is read once from the instance's pair table as
+    neighbor bitsets (`PairTable.bitsets_at`), which the first coloring and
+    every anchor pattern of the forall check share.
     """
     if len(instance.regions) != 1:
         raise ValueError("separation check applies to single-region instances")
@@ -143,7 +142,7 @@ def verify_anchor_separation(instance, threshold=SEPARATION_THRESHOLD,
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     table = distinct_distances(instance.pointset())
-    adj = prefix_bitsets(table)(table.rank_above(threshold ** 2))
+    adj = table.bitsets_at(table.rank_above(threshold ** 2))
     anchors = [instance.anchor_index[axis] for axis in instance.regions[0]]
     base = find_coloring(adj, 3, budget=budget, stats=stats)
     if base is None:

@@ -1,8 +1,11 @@
+import copy
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,7 +16,13 @@ from kdiameter import acceptance
 from kdiameter.cli import main
 from kdiameter.coloring import BudgetExceeded
 from kdiameter.clustering import MAX_POINTS
-from kdiameter.graphs import complete_graph, incidence_hypergraph, path_graph
+from kdiameter.gadgets import build_gadget_H
+from kdiameter.graphs import (
+    complete_graph,
+    cycle_graph,
+    incidence_hypergraph,
+    path_graph,
+)
 from kdiameter.lp import MAX_VERTICES
 
 
@@ -297,6 +306,12 @@ BAD_INPUTS = {
     "float_coeff.json": json.dumps({"metric": "l2_sphere_lattice", "points": [
         {"axes": [0, 1, 2], "pos": 0, "coeffs": [3, 0, 0], "kappa": 3},
         {"axes": [0, 1, 2], "pos": 0, "coeffs": [1.7, 1.3, 1], "kappa": 3}]}),
+    # read as the edge (1, 3) if a boolean were an integer
+    "edge_bool.json": json.dumps({"n": 4, "edges": [[0, 1], [3, True]]}),
+    "hyperedge_float.json": json.dumps({"n": 3, "hyperedges": [[0, 1, 2.0]]}),
+    # "01" would silently replace vertex 1
+    "emb_key_not_decimal.json": embedding_file(
+        graph=path_graph(2).to_dict(), image={"0": "00", "1": "11", "01": "01"}),
 }
 
 
@@ -346,6 +361,9 @@ BAD_INPUTS = {
     ["gadget", "verify", "--gadget", "attachments_string.json"],
     ["gadget", "verify", "--gadget", "attachments_null.json"],
     ["gadget", "verify", "--gadget", "attachments_nested.json"],
+    ["embeddability", "--graph", "edge_bool.json"],
+    ["sphere", "reduce", "--hypergraph", "hyperedge_float.json"],
+    ["embedding", "verify", "--embedding", "emb_key_not_decimal.json"],
 ], ids=["lp-cap", "self-loop", "malformed-json", "mixed-lengths", "k7",
         "kappa0", "kappa-range", "composite-not-cubic", "composite-bridge",
         "composite-empty-build", "composite-empty-embed",
@@ -361,7 +379,8 @@ BAD_INPUTS = {
         "embedding-unknown-metric", "pointset-unknown-metric",
         "pointset-float-entry", "pointset-float-coeff",
         "gadget-attachments-string", "gadget-attachments-null",
-        "gadget-attachments-nested"])
+        "gadget-attachments-nested", "graph-bool-endpoint",
+        "hypergraph-float-vertex", "embedding-key-not-decimal"])
 def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
     for name, text in BAD_INPUTS.items():
         (tmp_path / name).write_text(text)
@@ -394,5 +413,100 @@ def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
         assert "bad pointset in float_entry.json: an entry must be" in lines[0]
     if "float_coeff.json" in argv:
         assert "bad pointset in float_coeff.json: a coefficient must" in lines[0]
+    if "edge_bool.json" in argv:
+        assert "bad graph in edge_bool.json: an endpoint must" in lines[0]
+    if "hyperedge_float.json" in argv:
+        assert "bad hypergraph in hyperedge_float.json: a vertex must" in lines[0]
+    if "emb_key_not_decimal.json" in argv:
+        assert "image vertex '01' is not one of 0..1" in lines[0]
     if argv[:3] == ["gadget", "verify", "--gadget"]:
         assert f"bad gadget in {argv[3]}: " in lines[0]
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under mutated input files
+
+# values a mutation puts in place of any part of a valid input
+FUZZ_ATOMS = (True, False, None, 0, 1, 2, -1, 1.0, 2.5, "01", " 1", "x", [], {})
+
+
+def _fuzz_seeds():
+    """(argv before the file name, a valid input) for every command that
+    reads a file; graphs stay at 8 vertices or fewer."""
+    sphere_points = [{"axes": [0, 1, 2], "pos": pos, "coeffs": coeffs, "kappa": 1}
+                     for pos, coeffs in ((0, [1, 0, 0]), (1, [0, 1, 0]),
+                                         (2, [0, 0, 1]), (0, [0, 1, 0]))]
+    return [
+        (["embeddability", "--graph"], cycle_graph(5).to_dict()),
+        (["embeddability", "--graph"], path_graph(4).to_dict()),
+        (["composite", "build", "--graph"], complete_graph(4).to_dict()),
+        (["composite", "embed", "--graph"], complete_graph(4).to_dict()),
+        (["gadget", "verify", "--gadget"], build_gadget_H().to_dict()),
+        (["embedding", "verify", "--embedding"], json.loads(embedding_file())),
+        (["sphere", "reduce", "--kappa", "2", "--hypergraph"],
+         incidence_hypergraph(complete_graph(4)).to_dict()),
+        (["cluster", "exact", "--k", "2", "--pointset"],
+         {"metric": "hamming", "points": ["0011", "0101", "1111", "0000"]}),
+        (["cluster", "two", "--pointset"],
+         {"metric": "l1_int", "points": [[0, 1], [2, 3], [5, 0]],
+          "labels": ["a", "b", "c"]}),
+        (["cluster", "gonzalez", "--k", "2", "--pointset"],
+         {"metric": "linf_int", "points": [[0], [4], [9]]}),
+        (["cluster", "exact", "--pointset"],
+         {"metric": "l2_sphere_lattice", "points": sphere_points}),
+    ]
+
+
+def _json_paths(value, path=()):
+    yield path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+
+
+def _mutate(value, rng):
+    """`value` with one part replaced by an atom or deleted, a list element
+    duplicated, or an object key renamed to a non-canonical form."""
+    path = rng.choice(list(_json_paths(value)))
+    parent = value
+    for key in path[:-1]:
+        parent = parent[key]
+    node = parent[path[-1]] if path else value
+    op = rng.choice(("atom", "atom", "delete", "duplicate", "key"))
+    if op == "duplicate" and isinstance(node, list) and node:
+        node.insert(rng.randrange(len(node) + 1), copy.deepcopy(rng.choice(node)))
+    elif op == "key" and isinstance(node, dict) and node:
+        key = rng.choice(list(node))
+        node[rng.choice(("0" + key, " " + key, key + ".0"))] = node.pop(key)
+    elif op == "delete" and path:
+        del parent[path[-1]]
+    elif path:
+        parent[path[-1]] = copy.deepcopy(rng.choice(FUZZ_ATOMS))
+    else:
+        return copy.deepcopy(rng.choice(FUZZ_ATOMS))
+    return value
+
+
+def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys):
+    rng = random.Random(83)
+    seeds = _fuzz_seeds()
+    path = tmp_path / "input.json"
+    codes = Counter()
+    for _ in range(500):
+        argv, valid = rng.choice(seeds)
+        value = copy.deepcopy(valid)
+        for _ in range(rng.randint(1, 3)):
+            value = _mutate(value, rng)
+        text = json.dumps(value)
+        if rng.random() < 0.05:
+            text = text[:rng.randrange(len(text))]   # truncated JSON
+        path.write_text(text)
+        code = main([*argv, str(path), "--budget-nodes", "100000"])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), (argv, text)
+        if code == 3:
+            assert len(err.splitlines()) == 1, (argv, text, err)
+        codes[code] += 1
+    # both refused and accepted inputs occur
+    assert codes[3] and codes[0] + codes[1]

@@ -15,7 +15,6 @@ from kdiameter.clustering import (
     jung_bound_holds,
     make_clustering,
     min_enclosing_ball,
-    prefix_bitsets,
     threshold_graph_at,
     two_cluster,
 )
@@ -116,8 +115,9 @@ def _walk_pointsets(rng):
     return pointsets
 
 
-def test_prefix_bitsets_follow_any_walk_of_ranks():
+def test_bitsets_at_follow_any_walk_of_ranks():
     rng = random.Random(47)
+    restarts = 0
     for ps in _walk_pointsets(rng):
         table = distinct_distances(ps)
         top = len(table.keys)
@@ -126,10 +126,15 @@ def test_prefix_bitsets_follow_any_walk_of_ranks():
         for _ in range(16):
             walk += [rng.randint(0, top)] * rng.randint(1, 2)
         walk += [top, rng.randint(0, top), 0]
-        graph_at = prefix_bitsets(table)
+        at = 0
         for rank in walk:
-            assert graph_at(rank) == (
+            assert table.bitsets_at(rank) == (
                 threshold_graph_at(table, rank).adjacency_bitsets())
+            # a move to a prefix shorter than the move rebuilds from empty
+            stop = table.above[rank]
+            restarts += 0 < stop < abs(stop - at)
+            at = stop
+    assert restarts
 
 
 def test_solvers_build_no_graph(monkeypatch):
@@ -391,12 +396,11 @@ def test_cluster_hamming_points():
 
 def _plain_least_colorable(table, color, top):
     """The driver without the bound: bisection from rank 0, midpoint first."""
-    graph_at = prefix_bitsets(table)
     lo, hi = 0, len(table.keys) - 1
     best = top
     while lo < hi:
         mid = (lo + hi) // 2
-        coloring = color(graph_at(mid + 1))
+        coloring = color(table.bitsets_at(mid + 1))
         if coloring is None:
             lo = mid + 1
         else:
@@ -473,22 +477,64 @@ def test_farthest_first_bound_is_sound(composites):
     bounded = 0
     for ps in pointsets + list(composites.values()):
         n = len(ps)
+        table = distinct_distances(ps)
+
+        def rank(distance):
+            return table.rank_above(distance) - 1
+
         for k in (1, 2, 3, 4):
             assignment, far = _farthest_first(ps, k)
             assert assignment == gonzalez_cluster(ps, k).assignment
             if n <= k:
-                assert far is None
+                assert far == 0
                 continue
             seeds, gaps = _reference_seeds(ps, k + 1)
-            assert repr(far) == repr(gaps[k])
-            # the k seeds and the farthest point are pairwise >= far, so
-            # two of them share a cluster in every k-clustering
-            assert all(ps.distance(a, b) >= far
+            assert table.keys[far] == table.key(gaps[k])
+            # the k seeds and the farthest point are pairwise at least the
+            # distance of rank far, so two of them share a cluster in every
+            # k-clustering
+            assert all(rank(ps.distance(a, b)) >= far
                        for a in seeds for b in seeds if a < b)
-            optimum = exact_cluster(ps, k).diameter
+            optimum = rank(exact_cluster(ps, k).diameter)
             assert far <= optimum
             bounded += far == optimum
     assert bounded   # the bound is attained on some of them
+
+
+def test_farthest_first_evaluates_no_distance(monkeypatch):
+    pointsets = _bracket_pointsets(random.Random(73))
+
+    def refuse(self, i, j):
+        raise AssertionError("a distance was evaluated")
+
+    monkeypatch.setattr(Pointset, "distance", refuse)
+    for ps in pointsets:
+        for k in (1, 2, 3, 4):
+            _farthest_first(ps, k)
+
+
+@pytest.mark.parametrize("kappa", [4, 5])
+def test_solvers_interleaved_on_one_table_match_fresh_ones(kappa):
+    """Every solver moves the one threshold graph its pointset's table
+    owns; run in turn on one table, each gives what it gives on a fresh
+    instance of the same region, the separation checks' node counts
+    included."""
+    thresholds = [Fraction(163, 125), 1, Fraction(3, 2), Fraction(6, 5),
+                  Fraction(9, 5)]
+
+    def separation(instance, t):
+        stats = {"nodes": 0}
+        return verify_anchor_separation(instance, t, stats=stats), stats
+
+    steps = [lambda inst, t=t: separation(inst, t) for t in thresholds]
+    steps += [lambda inst: exact_cluster(inst.pointset(), 3),
+              lambda inst: two_cluster(inst.pointset()),
+              lambda inst: gonzalez_cluster(inst.pointset(), 3)]
+    steps += [lambda inst, t=t: separation(inst, t)
+              for t in reversed(thresholds)]
+    shared = build_region_instance((0, 1, 2), kappa)
+    for step in steps:
+        assert step(shared) == step(build_region_instance((0, 1, 2), kappa))
 
 
 def test_bound_saves_probes(composites, monkeypatch):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from kdiameter import _colorcore_py
-from kdiameter.clustering import distinct_distances, prefix_bitsets
+from kdiameter.clustering import distinct_distances
 from kdiameter.coloring import (
     BudgetExceeded,
     EnumerationGuard,
@@ -215,12 +215,11 @@ def test_backends_agree(compiled_kernel):
     # rank of a kappa = 5 region, free and with two anchors pinned together
     region = build_region_instance((0, 1, 2), 5)
     table = distinct_distances(region.pointset())
-    graph_at = prefix_bitsets(table)
     pinned = [-1] * table.n
     for anchor in list(region.anchor_index.values())[:2]:
         pinned[anchor] = 0
     for rank in range(len(table.keys) + 1):
-        adj = graph_at(rank)
+        adj = table.bitsets_at(rank)
         for kwargs in ({}, {"fixed": pinned}):
             assert (compiled_kernel.search(adj, 3, **kwargs)
                     == _colorcore_py.search(adj, 3, **kwargs))
