@@ -29,7 +29,7 @@ from kdiameter.gadgets import (
     stitch_slot_maps,
     verify_gadget,
 )
-from kdiameter.geometry import Pointset
+from kdiameter.geometry import Pointset, json_loads
 from kdiameter.graphs import Graph, Hypergraph, incidence_hypergraph
 from kdiameter.hadamard import Embedding, verify_embedding
 from kdiameter.lp import max_embeddability
@@ -82,7 +82,7 @@ def _unwrap(payload, key):
 
 def _load_gadget(path):
     return _parse_file(path, "gadget", lambda text: GadgetH.from_dict(
-        _unwrap(json.loads(text), "gadget")))
+        _unwrap(json_loads(text), "gadget")))
 
 
 def _load_embedding(path):
@@ -95,7 +95,7 @@ def _load_hypergraph(path):
 
 def _load_pointset(path):
     return _parse_file(path, "pointset", lambda text: Pointset.from_dict(
-        _unwrap(json.loads(text), "pointset")))
+        _unwrap(json_loads(text), "pointset")))
 
 
 def _parse_fraction(s):
@@ -277,6 +277,8 @@ def cmd_sphere_reduce(args):
 
 
 def cmd_sphere_sweep(args):
+    """Write the sweep's CSV: exit 2 if any row exhausted its budget,
+    otherwise 0."""
     kappas = _parse_kappas(args.kappa)
     thresholds = [_parse_fraction(t) for t in args.t_grid.split(",")]
     rows = kappa_sweep(kappas, thresholds, budget=args.budget_nodes)
@@ -286,6 +288,8 @@ def cmd_sphere_sweep(args):
             f.write(csv)
     else:
         _write_stdout(csv)
+    if any(row["separation_holds"] == "budget_exceeded" for row in rows):
+        return EXIT_BUDGET
     return EXIT_OK
 
 

@@ -28,6 +28,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import lcm
+from operator import mul
 
 from kdiameter.coloring import DEFAULT_BUDGET, find_coloring
 from kdiameter.geometry import pair_rows
@@ -216,83 +218,81 @@ class BallCertificate:
 
 
 def min_enclosing_ball(points):
-    """Exact smallest enclosing ball of rational-coordinate points.
+    """Exact smallest enclosing ball of points with int or Fraction
+    coordinates, by Welzl's recursion over one fixed shuffled order.
 
-    Welzl's move-to-front recursion with the circumcenter of each support
-    set computed by Gaussian elimination over Fractions.
-    """
-    pts = [tuple(Fraction(c) for c in p) for p in points]
+    Only integers enter the recursion: the points are scaled by the lcm of
+    their coordinate denominators, each support set's ball is an integer
+    center over one positive denominator (`_circumcenter`), and containment
+    compares integer squared distances.  Fractions are built once, for the
+    certificate."""
+    pts = [tuple(p) for p in points]
+    for c in (c for p in pts for c in p):
+        if type(c) is not int and not isinstance(c, Fraction):
+            raise ValueError(f"a coordinate must be an int or a Fraction, not {c!r}")
     if not pts:
         raise ValueError("empty pointset")
     dim = len(pts[0])
     if any(len(p) != dim for p in pts):
         raise ValueError("points must share one dimension")
+    scale = lcm(*(c.denominator for p in pts for c in p))
+    pts = [tuple(c.numerator * (scale // c.denominator) for c in p) for p in pts]
     order = list(range(len(pts)))
     random.Random(2).shuffle(order)
 
-    def ball_of(support):
-        if not support:
-            return None, None
-        center = _circumcenter([pts[i] for i in support])
-        r_sq = _sq_dist(center, pts[support[0]])
-        return center, r_sq
-
-    def contains(center, r_sq, i):
-        return center is not None and _sq_dist(center, pts[i]) <= r_sq
-
     def welzl(upto, support):
         if upto == 0 or len(support) == dim + 1:
-            return ball_of(support)
+            return _circumcenter([pts[i] for i in support]) if support else None
         i = order[upto - 1]
-        center, r_sq = welzl(upto - 1, support)
-        if contains(center, r_sq, i):
-            return center, r_sq
+        ball = welzl(upto - 1, support)
+        if ball is not None and _sq_dist(ball, pts[i]) <= ball[2]:
+            return ball
         return welzl(upto - 1, support + [i])
 
-    center, r_sq = welzl(len(order), [])
-    support = tuple(sorted(i for i in range(len(pts))
-                           if _sq_dist(center, pts[i]) == r_sq))
-    for p in pts:
-        assert _sq_dist(center, p) <= r_sq
-    return BallCertificate(center, r_sq, support)
+    ball = center, det, r_sq = welzl(len(order), [])
+    dists = [_sq_dist(ball, p) for p in pts]
+    assert max(dists) <= r_sq
+    den = det * scale
+    return BallCertificate(tuple(Fraction(c, den) for c in center),
+                           Fraction(r_sq, den * den),
+                           tuple(i for i, d in enumerate(dists) if d == r_sq))
 
 
-def _sq_dist(a, b):
-    return sum((x - y) ** 2 for x, y in zip(a, b))
+def _sq_dist(ball, p):
+    """|det*p - center|^2, det^2 times the squared distance of p to the center."""
+    return sum((ball[1] * x - c) ** 2 for x, c in zip(p, ball[0]))
 
 
 def _circumcenter(support):
-    """Center equidistant from all support points, in their affine hull."""
+    """The ball (center, det, r_sq) through integer points: center/det is
+    the point of their affine hull equidistant from all, at `_sq_dist` r_sq.
+
+    center = det*p0 + sum x_i d_i for d_i = p_i - p0, where 2G(x/det) = b,
+    G the Gram matrix of the d_i and b_i = |d_i|^2.  Bareiss's fraction-free
+    elimination of [2G | b] keeps every entry an integer and ends on det =
+    det(2G); G is positive definite, so every pivot is positive unless the
+    support is affinely dependent.  By Cramer's rule x is integral, so
+    back-substitution divides exactly."""
     p0 = support[0]
     diffs = [[c - d for c, d in zip(p, p0)] for p in support[1:]]
-    if not diffs:
-        return p0
     m = len(diffs)
-    # solve G lambda = b where G is the Gram matrix of the diffs and
-    # b_i = |diff_i|^2 / 2; center = p0 + sum lambda_i diff_i
-    g = [[sum(x * y for x, y in zip(diffs[i], diffs[j])) for j in range(m)]
-         for i in range(m)]
-    b = [Fraction(sum(x * x for x in diffs[i]), 2) for i in range(m)]
-    lam = _solve_linear(g, b)
-    return tuple(p0[d] + sum(lam[i] * diffs[i][d] for i in range(m))
-                 for d in range(len(p0)))
-
-
-def _solve_linear(a, b):
-    m = len(a)
-    mat = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if mat[r][col]), None)
-        if piv is None:
+    rows = [[2 * sum(x * y for x, y in zip(a, b)) for b in diffs]
+            + [sum(x * x for x in a)] for a in diffs]
+    det = 1
+    for k in range(m):
+        pivot = rows[k][k]
+        if not pivot:
             raise ValueError("degenerate support set (affinely dependent)")
-        mat[col], mat[piv] = mat[piv], mat[col]
-        pv = mat[col][col]
-        mat[col] = [x / pv for x in mat[col]]
-        for r in range(m):
-            if r != col and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-    return [mat[i][m] for i in range(m)]
+        for r in range(k + 1, m):
+            rows[r] = [(pivot * x - rows[r][k] * y) // det
+                       for x, y in zip(rows[r], rows[k])]
+        det = pivot
+    x = []   # x[i:] once row i is solved
+    for i, row in reversed(list(enumerate(rows))):
+        x.insert(0, (det * row[m] - sum(map(mul, row[i + 1:m], x))) // row[i])
+    center = [det * c + sum(xi * d[axis] for xi, d in zip(x, diffs))
+              for axis, c in enumerate(p0)]
+    return center, det, _sq_dist((center, det), p0)
 
 
 def jung_bound_holds(ball, diam_sq, dim):

@@ -17,6 +17,7 @@ table owns its threshold graph, moved from rank to rank (`bitsets_at`).
 
 from __future__ import annotations
 
+import json
 import operator
 from array import array
 from bisect import bisect_right
@@ -376,6 +377,21 @@ def point_from_json(metric, obj):
                               json_int(obj["pos"], "pos"),
                               [json_int(c, "a coefficient") for c in obj["coeffs"]],
                               json_int(obj["kappa"], "kappa"))
+
+
+def json_loads(text):
+    """The value of JSON `text`, with a key repeated in one object refused
+    rather than read as its last value."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
+def _unique_keys(pairs):
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} is repeated")
+        obj[key] = value
+    return obj
 
 
 def json_int(value, what):

@@ -3,10 +3,9 @@ bridges, DFS orientation, odd girth, file formats."""
 
 from __future__ import annotations
 
-import json
 from math import inf
 
-from kdiameter.geometry import json_int
+from kdiameter.geometry import json_int, json_loads
 
 
 class Graph:
@@ -84,7 +83,7 @@ class Graph:
 
     @classmethod
     def from_json(cls, s):
-        return cls.from_dict(json.loads(s))
+        return cls.from_dict(json_loads(s))
 
     @classmethod
     def from_edge_list_text(cls, text):
@@ -145,7 +144,7 @@ class Hypergraph:
 
     @classmethod
     def from_json(cls, s):
-        return cls.from_dict(json.loads(s))
+        return cls.from_dict(json_loads(s))
 
     def __repr__(self):
         return f"Hypergraph(n={self.n}, m={len(self.hyperedges)})"

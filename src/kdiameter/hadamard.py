@@ -8,7 +8,6 @@ long/short = r.  Every all-pairs check here reads the pair rows of
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -19,6 +18,7 @@ from kdiameter.geometry import (
     BitVector,
     IntVector,
     Pointset,
+    json_loads,
     pair_rows,
     point_from_json,
     point_to_json,
@@ -121,7 +121,7 @@ class Embedding:
 
     @classmethod
     def from_json(cls, s):
-        return cls.from_dict(json.loads(s))
+        return cls.from_dict(json_loads(s))
 
 
 def _exact_to_json(x):

@@ -196,6 +196,48 @@ def test_repro_all_exhausted_budget_exits_2(capsys):
     assert code == 2
 
 
+def test_sphere_sweep_exhausted_budget_exits_2(capsys):
+    argv = ["sphere", "sweep", "--kappa", "4..5", "--t-grid", "1,5/4"]
+    # every row is written, as before the exit code was 2
+    assert run(capsys, *argv, "--budget-nodes", "0") == (2, (
+        "kappa,t_num,t_den,separation_holds,nodes_explored\n"
+        "4,1,1,budget_exceeded,1\n4,5,4,budget_exceeded,1\n"
+        "5,1,1,budget_exceeded,1\n5,5,4,budget_exceeded,1\n"))
+    assert run(capsys, *argv)[0] == 0
+
+
+def _verdict(argv, out):
+    """What a run concluded, apart from node counts and timings."""
+    if argv[:2] == ["sphere", "sweep"]:
+        return [row.split(",")[3] for row in out.splitlines()[1:]]
+    report = json.loads(out)
+    if argv[0] == "repro-all":
+        return [(c["criterion"], c["ok"]) for c in report["criteria"]]
+    if argv[0] == "cluster":
+        return report["diameter"], report["assignment"]
+    return report["verdicts"]
+
+
+def test_budget_sweep_exits_2_or_keeps_the_verdict(tmp_path, capsys):
+    gadget, region = tmp_path / "gadget.json", tmp_path / "region.json"
+    assert run(capsys, "gadget", "build", "--out", str(gadget))[0] == 0
+    assert run(capsys, "sphere", "region", "--kappa", "3",
+               "--out", str(region))[0] == 0
+    commands = [["gadget", "build"],
+                ["gadget", "verify", "--gadget", str(gadget)],
+                ["sphere", "verify-lemma53", "--kappa", "4"],
+                ["sphere", "sweep", "--kappa", "4..5", "--t-grid", "1,5/4"],
+                ["cluster", "exact", "--pointset", str(region)],
+                ["repro-all"]]
+    for argv in commands:
+        code, out = run(capsys, *argv)
+        unbounded = (code, _verdict(argv, out))
+        for budget in ("0", "1", "10", "100"):
+            code, out = run(capsys, *argv, "--budget-nodes", budget)
+            assert code == 2 or (code, _verdict(argv, out)) == unbounded, \
+                (argv, budget)
+
+
 def _exhaust(budget, seed):
     raise BudgetExceeded(budget + 1)
 
@@ -312,6 +354,17 @@ BAD_INPUTS = {
     # "01" would silently replace vertex 1
     "emb_key_not_decimal.json": embedding_file(
         graph=path_graph(2).to_dict(), image={"0": "00", "1": "11", "01": "01"}),
+    # a repeated key would be read as its last value
+    "graph_repeated_key.json": '{"n": 3, "n": 4, "edges": [[0, 1], [2, 3]]}',
+    "hypergraph_repeated_key.json":
+        '{"n": 3, "hyperedges": [[0, 1, 2]], "hyperedges": [[0, 1, 2], [0, 1, 2]]}',
+    "emb_repeated_key.json": embedding_file().replace(
+        '"1": "11"', '"1": "11", "1": "01"'),
+    "pointset_repeated_key.json":
+        '{"pointset": {"metric": "l1_int", "points": [[0], [1]], "metric": "l1_int"}}',
+    "gadget_repeated_key.json": json.dumps(
+        {"gadget": build_gadget_H().to_dict()}).replace(
+        '"removed_edge"', '"removed_edge": [6, 10], "removed_edge"'),
 }
 
 
@@ -364,6 +417,11 @@ BAD_INPUTS = {
     ["embeddability", "--graph", "edge_bool.json"],
     ["sphere", "reduce", "--hypergraph", "hyperedge_float.json"],
     ["embedding", "verify", "--embedding", "emb_key_not_decimal.json"],
+    ["embeddability", "--graph", "graph_repeated_key.json"],
+    ["sphere", "reduce", "--hypergraph", "hypergraph_repeated_key.json"],
+    ["embedding", "verify", "--embedding", "emb_repeated_key.json"],
+    ["cluster", "exact", "--pointset", "pointset_repeated_key.json"],
+    ["gadget", "verify", "--gadget", "gadget_repeated_key.json"],
 ], ids=["lp-cap", "self-loop", "malformed-json", "mixed-lengths", "k7",
         "kappa0", "kappa-range", "composite-not-cubic", "composite-bridge",
         "composite-empty-build", "composite-empty-embed",
@@ -380,7 +438,10 @@ BAD_INPUTS = {
         "pointset-float-entry", "pointset-float-coeff",
         "gadget-attachments-string", "gadget-attachments-null",
         "gadget-attachments-nested", "graph-bool-endpoint",
-        "hypergraph-float-vertex", "embedding-key-not-decimal"])
+        "hypergraph-float-vertex", "embedding-key-not-decimal",
+        "graph-repeated-key", "hypergraph-repeated-key",
+        "embedding-repeated-key", "pointset-repeated-key",
+        "gadget-repeated-key"])
 def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
     for name, text in BAD_INPUTS.items():
         (tmp_path / name).write_text(text)
@@ -419,6 +480,8 @@ def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
         assert "bad hypergraph in hyperedge_float.json: a vertex must" in lines[0]
     if "emb_key_not_decimal.json" in argv:
         assert "image vertex '01' is not one of 0..1" in lines[0]
+    if "repeated_key" in argv[-1]:
+        assert lines[0].endswith("is repeated"), lines[0]
     if argv[:3] == ["gadget", "verify", "--gadget"]:
         assert f"bad gadget in {argv[3]}: " in lines[0]
 

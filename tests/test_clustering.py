@@ -380,6 +380,98 @@ def test_jung_bound():
     assert jung_bound_holds(ball, diam_sq, 2)
 
 
+def _fraction_min_enclosing_ball(points):
+    """Oracle: Welzl's recursion over the same shuffled order with every
+    circumcenter solved by Gauss-Jordan elimination over Fractions."""
+    pts = [tuple(Fraction(c) for c in p) for p in points]
+    dim = len(pts[0])
+    order = list(range(len(pts)))
+    random.Random(2).shuffle(order)
+
+    def sq_dist(a, b):
+        return sum((x - y) ** 2 for x, y in zip(a, b))
+
+    def ball_of(support):
+        center = _fraction_circumcenter([pts[i] for i in support])
+        return center, sq_dist(center, pts[support[0]])
+
+    def welzl(upto, support):
+        if upto == 0 or len(support) == dim + 1:
+            return ball_of(support) if support else (None, None)
+        i = order[upto - 1]
+        center, r_sq = welzl(upto - 1, support)
+        if center is not None and sq_dist(center, pts[i]) <= r_sq:
+            return center, r_sq
+        return welzl(upto - 1, support + [i])
+
+    center, r_sq = welzl(len(order), [])
+    support = tuple(i for i, p in enumerate(pts) if sq_dist(center, p) == r_sq)
+    return clustering.BallCertificate(center, r_sq, support)
+
+
+def _fraction_circumcenter(support):
+    p0 = support[0]
+    diffs = [[c - d for c, d in zip(p, p0)] for p in support[1:]]
+    m = len(diffs)
+    # G lambda = b, G the Gram matrix of the diffs, b_i = |diff_i|^2 / 2
+    mat = [[sum(x * y for x, y in zip(diffs[i], diffs[j])) for j in range(m)]
+           + [Fraction(sum(x * x for x in diffs[i]), 2)] for i in range(m)]
+    for col in range(m):
+        piv = next((r for r in range(col, m) if mat[r][col]), None)
+        if piv is None:
+            raise ValueError("degenerate support set (affinely dependent)")
+        mat[col], mat[piv] = mat[piv], mat[col]
+        mat[col] = [x / mat[col][col] for x in mat[col]]
+        for r in range(m):
+            if r != col and mat[r][col]:
+                f = mat[r][col]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
+    return tuple(p0[d] + sum(mat[i][m] * diffs[i][d] for i in range(m))
+                 for d in range(len(p0)))
+
+
+def _ball_pointsets(rng):
+    """Seeded pointsets in dimensions 1-4: general rational ones, collinear
+    ones, ones with repeated points, single points, and small grids."""
+    for _ in range(300):
+        dim, n = rng.randint(1, 4), rng.randint(1, 9)
+        kind = rng.randrange(5)
+        if kind == 0:
+            yield [tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 5))
+                         for _ in range(dim)) for _ in range(n)]
+        elif kind == 1:
+            a = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(dim)]
+            v = [rng.randint(-5, 5) for _ in range(dim)]
+            ts = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+            yield [tuple(x + t * y for x, y in zip(a, v)) for t in ts]
+        elif kind == 2:
+            base = [tuple(rng.randint(-3, 3) for _ in range(dim))
+                    for _ in range(rng.randint(1, 3))]
+            yield [rng.choice(base) for _ in range(n)]
+        elif kind == 3:
+            yield [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                         for _ in range(dim))]
+        else:
+            yield [tuple(rng.randint(-1, 1) for _ in range(dim)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_integer_ball_equals_fraction_oracle(seed):
+    for pts in _ball_pointsets(random.Random(seed)):
+        assert min_enclosing_ball(pts) == _fraction_min_enclosing_ball(pts), pts
+
+
+@pytest.mark.parametrize("coordinate", [0.5, "1/3", True, None, 1j])
+def test_min_enclosing_ball_takes_only_ints_and_fractions(coordinate):
+    with pytest.raises(ValueError, match="int or a Fraction"):
+        min_enclosing_ball([(Fraction(1, 2), 0), (coordinate, 1)])
+
+
+def test_min_enclosing_ball_refuses_a_degenerate_support():
+    with pytest.raises(ValueError, match="affinely dependent"):
+        clustering._circumcenter([(0, 0), (1, 1), (2, 2)])
+
+
 def test_cluster_hamming_points():
     words = [BitVector.from_string(s)
              for s in ("0000", "0001", "1110", "1111")]
