@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache
-from math import inf
+from math import inf, lcm
 
 from kdiameter.clustering import (
     exact_cluster,
@@ -294,9 +294,12 @@ def criterion_11(budget=DEFAULT_BUDGET, seed=0):
         pts = [tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 5))
                      for _ in range(dim)) for _ in range(n)]
         ball = min_enclosing_ball(pts)
-        diam_sq = max((sum((a - b) ** 2 for a, b in zip(p, q))
-                       for i, p in enumerate(pts) for q in pts[i + 1:]),
-                      default=Fraction(0))
+        # the squared diameter in integers scaled by the denominators' lcm
+        scale = lcm(*(c.denominator for p in pts for c in p))
+        ints = [[c.numerator * (scale // c.denominator) for c in p] for p in pts]
+        diam_sq = Fraction(max(sum((a - b) ** 2 for a, b in zip(p, q))
+                               for i, p in enumerate(ints) for q in ints[i + 1:]),
+                           scale * scale)
         if not jung_bound_holds(ball, diam_sq, dim):
             return {"ok": False, "trial": trial}
     return {"ok": True, "pointsets": 100}

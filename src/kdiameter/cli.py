@@ -200,9 +200,10 @@ def cmd_gadget_verify(args):
 def _composite_from_args(args):
     J = _load_graph(args.graph)
     gadget = build_gadget_H(budget=args.budget_nodes)
-    hypergraph = incidence_hypergraph(J)
+    # refuses a J that is not cubic and bridgeless before any loop over J.n
     slot_maps = stitch_slot_maps(J)
-    return J, gadget, build_composite(hypergraph, gadget, slot_maps=slot_maps)
+    return J, gadget, build_composite(incidence_hypergraph(J), gadget,
+                                      slot_maps=slot_maps)
 
 
 def cmd_composite_build(args):

@@ -21,6 +21,10 @@ opposite sign forces the attachment edge.  Keeping each role letter inside
 one block position is what makes disjoint gadget copies stitchable: the two
 copies sharing a role use opposite positions for its letter, so no pair of
 body vertices can ever disagree by a full codeword complement.
+
+Stitching (`stitch_slot_maps`) gives each copy's minority-block vertex the
+last auxiliary slot, so a copy's slot pattern is always (2, 2, 1) or
+(1, 1, 2): these two orientations are the only ones searched.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ from kdiameter.hadamard import Embedding, hadamard_code, next_power_of_two
 
 AUX = (12, 13, 14)
 
-ORIENTATIONS = ((1, 2, 2), (2, 1, 2), (2, 2, 1),
-                (2, 1, 1), (1, 2, 1), (1, 1, 2))
+# the two slot patterns stitch_slot_maps produces, minority block last
+ORIENTATIONS = ((2, 2, 1), (1, 1, 2))
 
 # role letters are 0, 1, 2; letters >= ROLE_LETTERS are gadget-local fresh
 ROLE_LETTERS = 3
@@ -117,7 +121,6 @@ def verify_gadget(gadget, budget=DEFAULT_BUDGET):
 
 @dataclass
 class OrientedGadgetEmbedding:
-    gadget: GadgetH
     orientation: tuple
     pairs: list          # 15 entries of (letter1, sign1, letter2, sign2)
     fresh_count: int
@@ -143,9 +146,7 @@ def _pair_distance_units(p, r):
 
 
 class EmbeddingSearchError(RuntimeError):
-    def __init__(self, message, best_depth):
-        super().__init__(f"{message} (best partial depth {best_depth})")
-        self.best_depth = best_depth
+    """No oriented embedding within MAX_FRESH fresh letters."""
 
 
 def find_oriented_embedding(gadget, orientation, budget=DEFAULT_BUDGET):
@@ -169,7 +170,6 @@ def find_oriented_embedding(gadget, orientation, budget=DEFAULT_BUDGET):
     order = sorted(range(12),
                    key=lambda v: (-sum(adjacency[v][a] for a in AUX),
                                   -graph.degree(v), v))
-    best_depth = 0
     nodes = 0
 
     def options(position, fresh_used, fresh_cap):
@@ -192,14 +192,13 @@ def find_oriented_embedding(gadget, orientation, budget=DEFAULT_BUDGET):
         return True
 
     def rec(idx, fresh_used, assigned, fresh_cap):
-        nonlocal best_depth, nodes
+        nonlocal nodes
         if idx == 12:
             return True
-        best_depth = max(best_depth, idx)
         v = order[idx]
         for l1, s1 in options(1, fresh_used, fresh_cap):
-            used1 = max(fresh_used,
-                        l1 - ROLE_LETTERS + 1 if l1 >= ROLE_LETTERS else 0)
+            # options offer the used fresh letters and at most the next one
+            used1 = fresh_used + (l1 == ROLE_LETTERS + fresh_used)
             for l2, s2 in options(2, used1, fresh_cap):
                 nodes += 1
                 if nodes > budget:
@@ -207,8 +206,7 @@ def find_oriented_embedding(gadget, orientation, budget=DEFAULT_BUDGET):
                 pair = (l1, s1, l2, s2)
                 if not consistent(v, pair, assigned):
                     continue
-                used2 = max(used1,
-                            l2 - ROLE_LETTERS + 1 if l2 >= ROLE_LETTERS else 0)
+                used2 = used1 + (l2 == ROLE_LETTERS + used1)
                 pairs[v] = pair
                 assigned.append(v)
                 if rec(idx + 1, used2, assigned, fresh_cap):
@@ -220,20 +218,16 @@ def find_oriented_embedding(gadget, orientation, budget=DEFAULT_BUDGET):
     for fresh_cap in range(0, MAX_FRESH + 1):
         assigned = list(AUX)
         if rec(0, 0, assigned, fresh_cap):
-            fresh_used = 0
-            for p in pairs:
-                for letter in (p[0], p[2]):
-                    if letter >= ROLE_LETTERS:
-                        fresh_used = max(fresh_used, letter - ROLE_LETTERS + 1)
-            return OrientedGadgetEmbedding(gadget, tuple(orientation),
-                                           list(pairs), fresh_used)
+            fresh = {p[i] for p in pairs for i in (0, 2) if p[i] >= ROLE_LETTERS}
+            return OrientedGadgetEmbedding(tuple(orientation), list(pairs),
+                                           len(fresh))
     raise EmbeddingSearchError(
         f"no {tuple(orientation)}-oriented embedding within {MAX_FRESH} "
-        "fresh letters", best_depth)
+        "fresh letters")
 
 
 def oriented_embedding_library(gadget, budget=DEFAULT_BUDGET):
-    """Embeddings for every orientation the gadget supports directly."""
+    """Embeddings for each stitch orientation the gadget supports."""
     library = {}
     for orientation in ORIENTATIONS:
         try:
@@ -251,7 +245,6 @@ def oriented_embedding_library(gadget, budget=DEFAULT_BUDGET):
 @dataclass
 class CompositeGraph:
     source: object           # 3-uniform 2-regular hypergraph
-    gadget: GadgetH
     graph: Graph
     provenance: list         # per vertex: ("original", v) or ("gadget", e_idx, h)
     slot_maps: list          # per hyperedge: vertex owning each auxiliary slot
@@ -260,20 +253,18 @@ class CompositeGraph:
         return self.source.n + 12 * edge_index
 
 
-def build_composite(hypergraph, gadget, slot_maps=None):
+def build_composite(hypergraph, gadget, slot_maps):
     """One disjoint gadget copy per hyperedge.
 
     slot_maps assigns each copy's three auxiliary slots to the hyperedge's
-    vertices; the default is ascending order.  The rainbow-coloring
-    equivalence is slot-order independent, but stitching needs the maps
-    produced by stitch_slot_maps.
+    vertices, as stitch_slot_maps(J) does for the incidence hypergraph of a
+    cubic J.  The rainbow-coloring equivalence holds for any slot order;
+    stitching reads the minority-last order of stitch_slot_maps.
     """
     if not hypergraph.hyperedges:
         raise ValueError("hypergraph has no hyperedges")
     if not hypergraph.is_3_uniform() or not hypergraph.is_2_regular():
         raise ValueError("hypergraph must be 3-uniform and 2-regular")
-    if slot_maps is None:
-        slot_maps = [tuple(e) for e in hypergraph.hyperedges]
     n = hypergraph.n
     edges = set()
     provenance = [("original", v) for v in range(n)]
@@ -290,7 +281,7 @@ def build_composite(hypergraph, gadget, slot_maps=None):
             for t in targets:
                 edges.add((slot_maps[e_idx][slot], offset + t))
     total = n + 12 * len(hypergraph.hyperedges)
-    return CompositeGraph(hypergraph, gadget, Graph(total, edges), provenance,
+    return CompositeGraph(hypergraph, Graph(total, edges), provenance,
                           [tuple(m) for m in slot_maps])
 
 
@@ -298,7 +289,7 @@ def edge_orientations(J):
     """Per-J-vertex block assignment for each incident edge: the DFS tail
     sees block 1, the head block 2.  Bounded in/out degrees guarantee no
     vertex ends up all-1 or all-2 and that an edge's two endpoints disagree."""
-    directed = dfs_orientation(J).directed
+    directed = dfs_orientation(J)
     sigma = [{} for _ in range(J.n)]
     for idx, (u, v) in enumerate(J.sorted_edges()):
         tail, head = (u, v) if (u, v) in directed else (v, u)
@@ -307,24 +298,16 @@ def edge_orientations(J):
     return sigma
 
 
-def _minority_index(pattern):
-    for idx in range(3):
-        if sum(1 for p in pattern if p == pattern[idx]) == 1:
-            return idx
-    raise ValueError(f"pattern {pattern} has no minority entry")
-
-
 def stitch_slot_maps(J):
     """Slot maps sending each hyperedge's minority-block vertex to the last
     auxiliary slot, with the majority pair in ascending order first."""
     sigma = edge_orientations(J)
-    hypergraph = incidence_hypergraph(J)
     maps = []
-    for e_idx, e in enumerate(hypergraph.hyperedges):
-        pattern = tuple(sigma[e_idx][v] for v in e)
-        m = _minority_index(pattern)
-        majority = [v for i, v in enumerate(e) if i != m]
-        maps.append((majority[0], majority[1], e[m]))
+    # hyperedge v collects the edges at J-vertex v, whose blocks are
+    # sigma[v]: never all equal, so one block holds a single edge
+    for blocks, e in zip(sigma, incidence_hypergraph(J).hyperedges):
+        minority = 1 if list(blocks.values()).count(1) == 1 else 2
+        maps.append(tuple(sorted(e, key=lambda x: blocks[x] == minority)))
     return maps
 
 

@@ -1,11 +1,14 @@
 """Graph and hypergraph structures plus the non-coloring combinatorial tools:
-bridges, DFS orientation, odd girth, file formats."""
+a DFS orientation that refuses bridged graphs, odd girth, file formats."""
 
 from __future__ import annotations
 
 from math import inf
 
 from kdiameter.geometry import json_int, json_loads
+
+
+_NO_NEIGHBORS = frozenset()
 
 
 class Graph:
@@ -25,17 +28,18 @@ class Graph:
                 raise ValueError(f"endpoint out of range: {(u, v)}")
             norm.add((min(u, v), max(u, v)))
         self.edges = frozenset(norm)
-        adj = [set() for _ in range(n)]
+        # neighbor sets only for vertices with edges: memory follows m, not n
+        adj = {}
         for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj = [frozenset(s) for s in adj]
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+        self._adj = {v: frozenset(s) for v, s in adj.items()}
 
     def neighbors(self, v):
-        return self._adj[v]
+        return self._adj.get(v, _NO_NEIGHBORS)
 
     def degree(self, v):
-        return len(self._adj[v])
+        return len(self.neighbors(v))
 
     def max_degree(self):
         return max((self.degree(v) for v in range(self.n)), default=0)
@@ -44,7 +48,7 @@ class Graph:
         return all(self.degree(v) == d for v in range(self.n))
 
     def has_edge(self, u, v):
-        return v in self._adj[u]
+        return v in self.neighbors(u)
 
     def sorted_edges(self):
         return sorted(self.edges)
@@ -164,106 +168,61 @@ def incidence_hypergraph(graph):
 
 
 # ---------------------------------------------------------------------------
-# bridges and orientations
+# DFS orientation
 
 
-def cut_edges(graph):
-    """All bridges, by iterative DFS low-link."""
+def dfs_orientation(graph):
+    """The edges of a bridgeless cubic graph, directed along one sorted DFS.
+
+    Tree edges point away from the root and back edges toward it, so every
+    vertex ends with indegree and outdegree in {1, 2}: a non-root vertex
+    enters by its tree edge and leaves by a child's tree edge or a back
+    edge, and the root has at most two children, since three would make its
+    tree edges bridges.  The same DFS keeps Tarjan's low-links and refuses a
+    tree edge (parent, v) with low[v] > pre[parent], which is a bridge.
+    Returns the frozenset of directed edges (tail, head).
+    """
+    if not graph.is_regular(3):
+        raise ValueError("graph must be 3-regular")
     n = graph.n
     pre = [-1] * n
     low = [0] * n
-    bridges = set()
+    directed = set()
     counter = 0
     for root in range(n):
         if pre[root] != -1:
             continue
-        stack = [(root, -1, iter(graph.neighbors(root)))]
         pre[root] = low[root] = counter
         counter += 1
+        stack = [(root, -1, iter(sorted(graph.neighbors(root))))]
         while stack:
             v, parent, it = stack[-1]
-            advanced = False
             for w in it:
                 if pre[w] == -1:
+                    directed.add((v, w))
                     pre[w] = low[w] = counter
                     counter += 1
-                    stack.append((w, v, iter(graph.neighbors(w))))
-                    advanced = True
+                    stack.append((w, v, iter(sorted(graph.neighbors(w)))))
                     break
-                elif w != parent:
+                # a visited neighbor other than the parent is an ancestor,
+                # or a descendant whose back edge to v is already directed
+                if w != parent and pre[w] < pre[v]:
+                    directed.add((v, w))
                     low[v] = min(low[v], pre[w])
-                # a simple graph has no parallel edges, so skip the parent once;
-                # Graph forbids multi-edges so this is exact
-            if not advanced:
+            else:
                 stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[v])
-                    if low[v] > pre[p]:
-                        bridges.add((min(p, v), max(p, v)))
-    return bridges
-
-
-class Orientation:
-    """Directed version of a graph: one ordered pair per edge."""
-
-    __slots__ = ("graph", "directed")
-
-    def __init__(self, graph, directed):
-        directed = {(u, v) for u, v in directed}
-        undirected = {(min(u, v), max(u, v)) for u, v in directed}
-        if undirected != set(graph.edges) or len(directed) != len(graph.edges):
-            raise ValueError("orientation must direct each edge exactly once")
-        self.graph = graph
-        self.directed = frozenset(directed)
-
-    def indegree(self, v):
-        return sum(1 for _, h in self.directed if h == v)
-
-    def outdegree(self, v):
-        return sum(1 for t, _ in self.directed if t == v)
-
-
-def dfs_orientation(graph):
-    """Orient a bridgeless cubic graph along DFS traversal order.
-
-    Every vertex ends with indegree and outdegree in {1, 2}: the first visit
-    leaves along an outgoing edge, and the root's bridgeless incident edges
-    all close cycles back into it.
-    """
-    if not graph.is_regular(3):
-        raise ValueError("graph must be 3-regular")
-    if cut_edges(graph):
-        raise ValueError("graph must be bridgeless")
-    directed = set()
-    seen_edge = set()
-    visited = [False] * graph.n
-    for root in range(graph.n):
-        if visited[root]:
-            continue
-        stack = [(root, iter(sorted(graph.neighbors(root))))]
-        visited[root] = True
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                e = (min(v, w), max(v, w))
-                if e in seen_edge:
-                    continue
-                seen_edge.add(e)
-                directed.add((v, w))
-                if not visited[w]:
-                    visited[w] = True
-                    stack.append((w, iter(sorted(graph.neighbors(w)))))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-    orientation = Orientation(graph, directed)
-    for v in range(graph.n):
-        if orientation.indegree(v) == 3 or orientation.outdegree(v) == 3:
+                if parent != -1:
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] > pre[parent]:
+                        raise ValueError("graph must be bridgeless")
+    outdegree = [0] * n
+    for tail, _ in directed:
+        outdegree[tail] += 1
+    for v in range(n):
+        # indegree is 3 - outdegree
+        if outdegree[v] in (0, 3):
             raise AssertionError(f"orientation degree bound violated at {v}")
-    return orientation
+    return frozenset(directed)
 
 
 # ---------------------------------------------------------------------------

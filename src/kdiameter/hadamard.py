@@ -105,14 +105,16 @@ class Embedding:
         graph = Graph.from_dict(d["graph"])
         if not isinstance(d["image"], dict):
             raise ValueError("image must be a JSON object from vertex to point")
-        image = [None] * graph.n
+        points = {}
         for key, val in d["image"].items():
             v = int(key)
             if str(v) != key or not 0 <= v < graph.n:
                 raise ValueError(f"image vertex {key!r} is not one of 0..{graph.n - 1}")
-            image[v] = point_from_json(metric, val)
-        if any(p is None for p in image):
+            points[v] = point_from_json(metric, val)
+        # distinct keys of 0..n-1: the size decides coverage, before any list of n
+        if len(points) != graph.n:
             raise ValueError("image must cover every vertex")
+        image = [points[v] for v in range(graph.n)]
         embedding = cls(graph, metric, image,
                         _exact_from_json(d["short"]), _exact_from_json(d["long"]))
         # points of mixed dimensions raise DimensionMismatch here

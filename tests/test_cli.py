@@ -486,6 +486,39 @@ def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
         assert f"bad gadget in {argv[3]}: " in lines[0]
 
 
+# a million vertices in a file of a few dozen bytes
+HUGE_N = 10 ** 6
+
+
+@pytest.mark.parametrize("name, text, argv", [
+    ("huge.json", json.dumps({"n": HUGE_N, "edges": []}),
+     ["embeddability", "--graph"]),
+    ("huge.txt", f"0 {HUGE_N - 1}\n", ["embeddability", "--graph"]),
+    ("huge.json", json.dumps({"n": HUGE_N, "edges": []}),
+     ["composite", "build", "--graph"]),
+    ("huge.json", json.dumps({"n": HUGE_N, "edges": []}),
+     ["composite", "embed", "--graph"]),
+    ("huge_emb.json", embedding_file(graph={"n": HUGE_N, "edges": []}),
+     ["embedding", "verify", "--embedding"]),
+], ids=["embeddability-json", "embeddability-edge-list", "composite-build",
+        "composite-embed", "embedding-verify"])
+def test_a_tiny_file_naming_a_huge_graph_is_refused_in_little_memory(
+        name, text, argv, tmp_path, capsys):
+    import tracemalloc
+
+    path = tmp_path / name
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        code = main([*argv, str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert peak < 16 * 2 ** 20
+
+
 # ---------------------------------------------------------------------------
 # the exit-code contract under mutated input files
 

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from kdiameter.graphs import (
     petersen_graph,
 )
 from kdiameter.hadamard import Embedding, hadamard_code, verify_embedding
+from test_graphs import brute_cut_edges, random_cubic_graph
 
 
 @pytest.fixture(scope="module")
@@ -117,11 +119,19 @@ def test_find_oriented_embedding_rejects_bad_orientation(gadget):
         find_oriented_embedding(gadget, (1, 1, 1))
 
 
-def test_orientation_set_is_the_nonconstant_patterns():
-    assert set(ORIENTATIONS) == {p for p in
-                                 [(a, b, c) for a in (1, 2) for b in (1, 2)
-                                  for c in (1, 2)]
-                                 if len(set(p)) == 2}
+def test_orientations_are_the_stitched_slot_patterns():
+    rng = random.Random(4)
+    graphs = [complete_graph(4), petersen_graph()]
+    while len(graphs) < 42:
+        J = random_cubic_graph(2 * rng.randint(3, 8), rng)
+        if not brute_cut_edges(J):
+            graphs.append(J)
+    patterns = set()
+    for J in graphs:
+        sigma = edge_orientations(J)
+        for e_idx, slots in enumerate(stitch_slot_maps(J)):
+            patterns.add(tuple(sigma[e_idx][v] for v in slots))
+    assert patterns == set(ORIENTATIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +141,7 @@ def test_orientation_set_is_the_nonconstant_patterns():
 def test_composite_rainbow_equivalence_k4(gadget):
     J = complete_graph(4)
     h = incidence_hypergraph(J)
-    comp = build_composite(h, gadget)
+    comp = build_composite(h, gadget, slot_maps=stitch_slot_maps(J))
     assert comp.graph.n == h.n + 12 * len(h.hyperedges)
     coloring = find_coloring(comp.graph.adjacency_bitsets(), 3)
     assert coloring is not None
@@ -141,8 +151,9 @@ def test_composite_rainbow_equivalence_k4(gadget):
 
 
 def test_composite_rainbow_equivalence_petersen(gadget):
-    h = incidence_hypergraph(petersen_graph())
-    comp = build_composite(h, gadget)
+    J = petersen_graph()
+    comp = build_composite(incidence_hypergraph(J), gadget,
+                           slot_maps=stitch_slot_maps(J))
     # Petersen needs 4 edge colors, so no rainbow 3-coloring and hence no
     # proper 3-coloring of the composite
     assert find_coloring(comp.graph.adjacency_bitsets(), 3) is None
@@ -159,7 +170,8 @@ def test_composite_rejects_wrong_hypergraph(gadget):
     from kdiameter.graphs import Hypergraph
 
     with pytest.raises(ValueError):
-        build_composite(Hypergraph(4, [(0, 1, 2)]), gadget)
+        build_composite(Hypergraph(4, [(0, 1, 2)]), gadget,
+                        slot_maps=[(0, 1, 2)])
 
 
 # ---------------------------------------------------------------------------

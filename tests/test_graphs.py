@@ -10,7 +10,6 @@ from kdiameter.graphs import (
     chvatal_graph,
     complete_bipartite_graph,
     complete_graph,
-    cut_edges,
     cycle_graph,
     dfs_orientation,
     incidence_hypergraph,
@@ -120,36 +119,94 @@ def brute_cut_edges(graph):
             if components(graph.remove_edge(*e)) > base}
 
 
-def test_cut_edges_against_brute_force():
+# cubic, with the bridge (4, 9): two K4s with one edge subdivided each, the
+# subdivision vertices joined
+BRIDGED_CUBIC = Graph(10, [(0, 4), (4, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                           (5, 9), (9, 6), (5, 7), (5, 8), (6, 7), (6, 8), (7, 8),
+                           (4, 9)])
+
+# cubic and bridgeless, with a two-edge cut: two K4-minus-edge blocks joined
+# by (0, 4) and (3, 7)
+TWO_EDGE_CUT_CUBIC = Graph(8, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3),
+                               (4, 5), (4, 6), (5, 6), (5, 7), (6, 7),
+                               (0, 4), (3, 7)])
+
+
+def random_cubic_graph(n, rng):
+    """Simple cubic graph by the configuration model with rejection."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = set()
+        for i in range(0, len(stubs), 2):
+            u, v = stubs[i], stubs[i + 1]
+            if u == v or (min(u, v), max(u, v)) in edges:
+                break
+            edges.add((min(u, v), max(u, v)))
+        else:
+            return Graph(n, edges)
+
+
+def random_bridged_cubic_graph(rng):
+    """Two random cubic graphs, one edge of each subdivided, the two
+    subdivision vertices joined by a bridge."""
+    halves = []
+    for _ in range(2):
+        g = random_cubic_graph(2 * rng.randint(2, 5), rng)
+        u, v = rng.choice(g.sorted_edges())
+        halves.append((g, u, v))
+    edges, offset, middles = [], 0, []
+    for g, u, v in halves:
+        mid = offset + g.n
+        edges += [(offset + a, offset + b) for a, b in g.sorted_edges()
+                  if (a, b) != (u, v)]
+        edges += [(offset + u, mid), (mid, offset + v)]
+        middles.append(mid)
+        offset = mid + 1
+    return Graph(offset, edges + [tuple(middles)])
+
+
+def out_and_in_degrees(directed, n):
+    outdegree, indegree = [0] * n, [0] * n
+    for tail, head in directed:
+        outdegree[tail] += 1
+        indegree[head] += 1
+    return outdegree, indegree
+
+
+def test_dfs_orientation_refuses_exactly_the_bridged_graphs():
     rng = random.Random(9)
-    for _ in range(40):
-        g = random_graph(rng.randint(2, 9), 0.3, rng)
-        assert set(cut_edges(g)) == brute_cut_edges(g)
-    assert set(cut_edges(path_graph(5))) == set(path_graph(5).sorted_edges())
-    assert not cut_edges(cycle_graph(6))
+    graphs = [BRIDGED_CUBIC, TWO_EDGE_CUT_CUBIC]
+    graphs += [random_cubic_graph(2 * rng.randint(3, 10), rng) for _ in range(200)]
+    graphs += [random_bridged_cubic_graph(rng) for _ in range(20)]
+    refused = 0
+    for g in graphs:
+        if brute_cut_edges(g):
+            refused += 1
+            with pytest.raises(ValueError, match="graph must be bridgeless"):
+                dfs_orientation(g)
+        else:
+            assert len(dfs_orientation(g)) == len(g.edges)
+    assert refused >= 21
 
 
 def test_dfs_orientation_degree_bounds():
     for g in (complete_graph(4), petersen_graph(),
-              complete_bipartite_graph(3, 3)):
-        o = dfs_orientation(g)
+              complete_bipartite_graph(3, 3), TWO_EDGE_CUT_CUBIC):
+        directed = dfs_orientation(g)
+        outdegree, indegree = out_and_in_degrees(directed, g.n)
         for v in range(g.n):
-            assert 1 <= o.indegree(v) <= 2
-            assert 1 <= o.outdegree(v) <= 2
+            assert 1 <= indegree[v] <= 2
+            assert 1 <= outdegree[v] <= 2
         for u, v in g.sorted_edges():
-            assert ((u, v) in o.directed) != ((v, u) in o.directed)
+            assert ((u, v) in directed) != ((v, u) in directed)
 
 
 def test_dfs_orientation_rejects_bad_input():
-    with pytest.raises(ValueError):
-        dfs_orientation(complete_graph(5))  # not cubic
-    # cubic but bridged: two K4-minus-edge blocks joined by an edge
-    edges = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3),
-             (4, 5), (4, 6), (5, 6), (5, 7), (6, 7), (0, 4), (3, 7)]
-    g = Graph(8, edges)
-    if cut_edges(g):
-        with pytest.raises(ValueError):
-            dfs_orientation(g)
+    with pytest.raises(ValueError, match="graph must be 3-regular"):
+        dfs_orientation(complete_graph(5))
+    with pytest.raises(ValueError, match="graph must be bridgeless"):
+        dfs_orientation(BRIDGED_CUBIC)
 
 
 def test_hypergraph_properties_and_constraint_graph():
