@@ -16,7 +16,6 @@ the same nodes; `KERNEL_BACKEND` is "c" or "python".
 
 from __future__ import annotations
 
-from itertools import permutations, product
 from math import perm
 
 try:
@@ -83,17 +82,7 @@ def count_colorings_total(adj, k, budget=DEFAULT_BUDGET):
     return total
 
 
-def expand_coloring(coloring, k):
-    """All concrete colorings equivalent to a canonical one under color renaming."""
-    used = sorted(set(coloring))
-    out = []
-    for target in permutations(range(k), len(used)):
-        relabel = dict(zip(used, target))
-        out.append([relabel[c] for c in coloring])
-    return out
-
-
-def forall_colorings(adj, k, predicate, support=None, budget=DEFAULT_BUDGET,
+def forall_colorings(adj, k, predicate, support, budget=DEFAULT_BUDGET,
                      stats=None):
     """Check that `predicate` holds for every proper k-coloring of the graph
     with neighbor bitsets `adj`.
@@ -101,58 +90,30 @@ def forall_colorings(adj, k, predicate, support=None, budget=DEFAULT_BUDGET,
     Returns (True, None) or (False, counterexample_coloring).  Vacuously true
     when no proper coloring exists.
 
-    With `support` (a vertex list the predicate exclusively depends on), the
-    check enumerates support assignments instead of whole colorings: each
-    predicate-violating assignment is tested for extendability to a proper
-    coloring, caching extendability per color-partition pattern of the
-    support (colorings are closed under color renaming, so only the pattern
-    matters for extendability).
+    The predicate is called with a dict from each vertex of `support` (a
+    list of distinct vertices) to its color.  It must read only those
+    colors, and its value must not change when colors are renamed.  Proper
+    colorings are closed under renaming too, so only the partition of the
+    support into color classes matters.  The check walks those partitions
+    once each, as first-use color patterns (a color appears only after every
+    smaller one) in lexicographic order; each pattern the predicate rejects
+    is tested for extendability to a proper coloring by one search with the
+    support pinned.  The witness of the first extendable one keeps the
+    pattern's colors and renames the colors it leaves unused in reverse.
     """
-    if support is None:
-        for canonical in enumerate_colorings(adj, k, budget=budget):
-            for coloring in expand_coloring(canonical, k):
-                if not predicate(coloring):
-                    return False, coloring
-        return True, None
-
-    support = list(support)
-    feasible_cache = {}
-    for assignment in product(range(k), repeat=len(support)):
-        trial = {v: c for v, c in zip(support, assignment)}
-        if predicate(trial):
+    patterns = [()]
+    for _ in support:
+        patterns = [p + (c,) for p in patterns
+                    for c in range(min(max(p, default=-1) + 2, k))]
+    for pattern in patterns:
+        if predicate(dict(zip(support, pattern))):
             continue
-        pattern = _partition_pattern(assignment)
-        if pattern not in feasible_cache:
-            fixed = [-1] * len(adj)
-            for v, c in zip(support, pattern):
-                fixed[v] = c
-            feasible_cache[pattern] = find_coloring(adj, k, fixed=fixed,
-                                                    budget=budget, stats=stats)
-        base = feasible_cache[pattern]
+        fixed = [-1] * len(adj)
+        for v, c in zip(support, pattern):
+            fixed[v] = c
+        base = find_coloring(adj, k, fixed=fixed, budget=budget, stats=stats)
         if base is not None:
-            # rename colors so the witness realizes the concrete assignment
-            relabel = _pattern_relabel(pattern, assignment, k)
+            used = max(pattern, default=-1) + 1
+            relabel = [*range(used), *range(k - 1, used - 1, -1)]
             return False, [relabel[c] for c in base]
     return True, None
-
-
-def _partition_pattern(assignment):
-    relabel = {}
-    out = []
-    for c in assignment:
-        if c not in relabel:
-            relabel[c] = len(relabel)
-        out.append(relabel[c])
-    return tuple(out)
-
-
-def _pattern_relabel(pattern, assignment, k):
-    """Color map sending `pattern`, the first-use relabelling of
-    `assignment`, back to it; unused colors fill in the rest."""
-    relabel = dict(zip(pattern, assignment))
-    remaining = [c for c in range(k) if c not in relabel.values()]
-    for c in range(k):
-        if c not in relabel:
-            relabel[c] = remaining.pop()
-    return relabel
-

@@ -55,8 +55,6 @@ def build_embeddability_lp(graph):
     if graph.n < 1:
         raise ValueError("graph must have at least one vertex")
     words = [w for w in range(1, 1 << graph.n) if not (w & 1)]
-    if graph.n == 1:
-        words = []
     edge_pairs = graph.sorted_edges()
     nonedge_pairs = [(a, b) for a in range(graph.n) for b in range(a + 1, graph.n)
                      if not graph.has_edge(a, b)]

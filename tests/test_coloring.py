@@ -3,37 +3,31 @@ import random
 import shutil
 import subprocess
 import sysconfig
-from itertools import product
+from fractions import Fraction
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
 
 from kdiameter import _colorcore_py
+from kdiameter.acceptance import random_graph
 from kdiameter.clustering import distinct_distances
 from kdiameter.coloring import (
     BudgetExceeded,
     EnumerationGuard,
     count_colorings_total,
     enumerate_colorings,
-    expand_coloring,
     find_coloring,
     forall_colorings,
 )
 from kdiameter.graphs import (
-    Graph,
     Hypergraph,
     chvatal_graph,
     complete_graph,
     cycle_graph,
     petersen_graph,
 )
-from kdiameter.sphere import build_region_instance
-
-
-def random_graph(n, p, rng):
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if rng.random() < p]
-    return Graph(n, edges)
+from kdiameter.sphere import SEPARATION_THRESHOLD, build_region_instance
 
 
 def is_proper(graph, coloring, k):
@@ -44,6 +38,65 @@ def is_proper(graph, coloring, k):
 def brute_count(graph, k):
     return sum(1 for assignment in product(range(k), repeat=graph.n)
                if is_proper(graph, assignment, k))
+
+
+def expand_coloring(coloring, k):
+    """All concrete colorings equivalent to a canonical one under color renaming."""
+    used = sorted(set(coloring))
+    out = []
+    for target in permutations(range(k), len(used)):
+        relabel = dict(zip(used, target))
+        out.append([relabel[c] for c in coloring])
+    return out
+
+
+def forall_by_enumeration(adj, k, predicate):
+    """Reference forall: the predicate on every concrete proper coloring."""
+    for canonical in enumerate_colorings(adj, k):
+        for coloring in expand_coloring(canonical, k):
+            if not predicate(coloring):
+                return False, coloring
+    return True, None
+
+
+def forall_by_products(adj, k, predicate, support, stats):
+    """Reference forall on a support: the predicate on every one of the k^m
+    support assignments; each rejected one is tested for extendability
+    through its first-use color pattern, searched once and cached, and the
+    witness is renamed to realize the assignment itself."""
+    cache = {}
+    for assignment in product(range(k), repeat=len(support)):
+        if predicate(dict(zip(support, assignment))):
+            continue
+        first_use = {}
+        for c in assignment:
+            first_use.setdefault(c, len(first_use))
+        pattern = tuple(first_use[c] for c in assignment)
+        if pattern not in cache:
+            fixed = [-1] * len(adj)
+            for v, c in zip(support, pattern):
+                fixed[v] = c
+            cache[pattern] = find_coloring(adj, k, fixed=fixed, stats=stats)
+        if cache[pattern] is not None:
+            relabel = dict(zip(pattern, assignment))
+            remaining = [c for c in range(k) if c not in relabel.values()]
+            for c in range(k):
+                if c not in relabel:
+                    relabel[c] = remaining.pop()
+            return False, [relabel[c] for c in cache[pattern]]
+    return True, None
+
+
+def distinct_on(support):
+    return lambda coloring: len({coloring[v] for v in support}) == len(support)
+
+
+def at_least_two_on(support):
+    return lambda coloring: len({coloring[v] for v in support}) >= 2
+
+
+def ends_differ_on(support):
+    return lambda coloring: coloring[support[0]] != coloring[support[-1]]
 
 
 def test_chromatic_facts():
@@ -118,11 +171,8 @@ def test_forall_with_and_without_support_agree():
         g = random_graph(rng.randint(3, 7), 0.4, rng)
         adj = g.adjacency_bitsets()
         support = rng.sample(range(g.n), min(3, g.n))
-
-        def predicate(coloring):
-            return len({coloring[v] for v in support}) >= 2
-
-        plain = forall_colorings(adj, 3, predicate)
+        predicate = at_least_two_on(support)
+        plain = forall_by_enumeration(adj, 3, predicate)
         fast = forall_colorings(adj, 3, predicate, support=support)
         assert plain[0] == fast[0]
         if not fast[0]:
@@ -130,9 +180,39 @@ def test_forall_with_and_without_support_agree():
             assert is_proper(g, witness, 3) and not predicate(witness)
 
 
+def test_forall_tries_each_failing_pattern_once():
+    # the first-use patterns in lexicographic order are where the k^m
+    # products first reach each partition, so the searches, their node
+    # counts and the witnesses are the product loop's
+    def agree(adj, k, predicate, support):
+        stats, reference_stats = {}, {}
+        got = forall_colorings(adj, k, predicate, support, stats=stats)
+        want = forall_by_products(adj, k, predicate, support, reference_stats)
+        assert got == want
+        assert stats.get("nodes", 0) == reference_stats.get("nodes", 0)
+        return got
+
+    rng = random.Random(20)
+    for _ in range(600):
+        g = random_graph(rng.randint(2, 12), rng.random(), rng)
+        k = rng.randint(2, 4)
+        support = rng.sample(range(g.n), rng.randint(1, min(4, g.n)))
+        for rule in (distinct_on, at_least_two_on, ends_differ_on):
+            holds, witness = agree(g.adjacency_bitsets(), k, rule(support), support)
+            if not holds:
+                assert is_proper(g, witness, k) and not rule(support)(witness)
+    for kappa in range(1, 9):
+        region = build_region_instance((0, 1, 2), kappa)
+        table = distinct_distances(region.pointset())
+        anchors = list(region.anchor_index.values())
+        for t in (1, Fraction(5, 4), SEPARATION_THRESHOLD, Fraction(3, 2)):
+            adj = table.bitsets_at(table.rank_above(t ** 2))
+            agree(adj, 3, distinct_on(anchors), anchors)
+
+
 def test_forall_vacuous_on_uncolorable():
     holds, witness = forall_colorings(complete_graph(4).adjacency_bitsets(), 3,
-                                       lambda c: False)
+                                       lambda c: False, support=[0, 1])
     assert holds and witness is None
 
 

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from kdiameter.acceptance import random_graph
 from kdiameter.edgecolor import (
     edge_coloring,
     line_graph,
@@ -15,12 +16,6 @@ from kdiameter.graphs import (
     cycle_graph,
     petersen_graph,
 )
-
-
-def random_graph(n, p, rng):
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if rng.random() < p]
-    return Graph(n, edges)
 
 
 def assert_proper_edge_coloring(graph, coloring, c):

@@ -4,6 +4,7 @@ from math import inf
 
 import pytest
 
+from kdiameter.acceptance import random_graph
 from kdiameter.graphs import (
     Graph,
     Hypergraph,
@@ -17,12 +18,6 @@ from kdiameter.graphs import (
     path_graph,
     petersen_graph,
 )
-
-
-def random_graph(n, p, rng):
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if rng.random() < p]
-    return Graph(n, edges)
 
 
 def test_graph_basics():

@@ -5,10 +5,10 @@ from math import inf
 
 import pytest
 
+from kdiameter.acceptance import random_graph
 from kdiameter.edgecolor import edge_coloring
 from kdiameter.geometry import BitVector, IntVector, hamming_distance
 from kdiameter.graphs import (
-    Graph,
     complete_bipartite_graph,
     cycle_graph,
     path_graph,
@@ -21,12 +21,6 @@ from kdiameter.hadamard import (
     next_power_of_two,
     verify_embedding,
 )
-
-
-def random_graph(n, p, rng):
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if rng.random() < p]
-    return Graph(n, edges)
 
 
 def test_next_power_of_two():

@@ -5,6 +5,7 @@ import pytest
 
 from kdiameter import lp
 from kdiameter.graphs import (
+    Graph,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -185,3 +186,11 @@ def test_complete_graph_unbounded():
     # no non-edges at all: nothing constrains the ratio
     result = max_embeddability(complete_graph(4))
     assert result["unbounded"]
+
+
+def test_single_vertex_unbounded():
+    # one vertex: no cut variables and no pairs at all
+    assert build_embeddability_lp(Graph(1)).words == []
+    result = max_embeddability(Graph(1))
+    assert result["unbounded"] and result["certified"]
+    assert result["ratio"] is None
