@@ -4,13 +4,17 @@ A binary embedding of a graph is a multiset of cut words w in {0,1}^n; the
 distance between vertices a, b is the total weight of words with w_a != w_b.
 Maximizing the ratio r with non-edge distances normalized to 1 is the linear
 program: maximize r subject to edge cut sums >= r, non-edge cut sums <= 1,
-x_w >= 0.  Solved exactly by a dense simplex with Bland's rule that pivots
+x_w >= 0, over the 2^(n-1) - 1 cuts.  Solved exactly by column generation
+over the cut cone (Gilmore and Gomory): a restricted master holds r and the
+cuts priced in so far, and its simplex, with Bland's rule, pivots
 fraction-free over ints: the tableau is kept as int rows over one common
 denominator, so no gcd is ever taken, and the pivots, the optimum and the
-rational witness are those of the same tableau over Fractions.  The final
-objective row also gives the optimal dual, which `dual_certifies` checks
-in ints against every cut word, so a certified ratio is proved optimal,
-not only attained.
+rational witness are those of the same tableau over Fractions.  Whenever
+the master is optimal, every cut is priced against its dual and the most
+negative one enters the live tableau; when none prices in, that dual is
+feasible for the full program, which is the test `dual_certifies` makes in
+ints against every cut word, so a certified ratio is proved optimal, not
+only attained.
 """
 
 from __future__ import annotations
@@ -18,14 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import index
+from operator import index, mul
 
 from kdiameter.geometry import BitVector
 from kdiameter.hadamard import Embedding, verify_embedding
 
-# largest n whose cycle C_n solves in under a minute on a 2-vCPU VM: C10
-# takes 3,813 pivots (about 27 s), C11 was still pivoting after 150 s
-MAX_VERTICES = 10
+# largest n whose cycle C_n certifies in under a minute on a 2-vCPU VM: by
+# column generation C10 takes 0.3 s and C11 1.4 s, C14 29 s (7,091
+# pivots, 159 cuts priced in), C15 111 s; over every cut column at once C10
+# took 27 s and C11 did not finish in 150 s
+MAX_VERTICES = 14
 
 
 @dataclass
@@ -66,28 +72,70 @@ def _cuts(word, a, b):
 
 
 def solve_lp(lp):
-    """Exact simplex solve; maximize r.
+    """Exact simplex solve by column generation; maximize r.
 
-    Always feasible (x = 0, r = 0).  Unbounded exactly when the edge
-    constraints can be scaled freely, e.g. graphs with no non-edges or no
-    edges at all.  An optimal result carries the simplex's dual solution.
+    The restricted master starts from the column of r alone.  Whenever its
+    tableau is optimal, `_price` prices every canonical cut against the
+    dual and hands `simplex_max` the cut of most negative reduced cost,
+    which enters the live tableau; once no cut prices in, the master's
+    optimum is the full program's.  Always feasible (x = 0, r = 0).
+    Unbounded exactly when the edge constraints can be scaled freely, e.g.
+    graphs with no non-edges or no edges at all.  An optimal result
+    carries the simplex's dual solution.
     """
-    # columns: 0 = r, then one per word; rows: edges (r - cut sum <= 0),
-    # then non-edges (cut sum <= 1)
-    rows = [[1] + [-_cuts(w, a, b) for w in lp.words] for a, b in lp.edge_pairs]
-    rows += [[0] + [_cuts(w, a, b) for w in lp.words]
-             for a, b in lp.nonedge_pairs]
+    # columns: 0 = r, then one per word in `master`; rows: edges
+    # (r - cut sum <= 0), then non-edges (cut sum <= 1)
+    master = []
+
+    def price(dual, d):
+        word = _price(lp, dual)
+        if word is None:
+            return []
+        master.append(word)
+        return [(0, [-_cuts(word, a, b) for a, b in lp.edge_pairs]
+                 + [_cuts(word, a, b) for a, b in lp.nonedge_pairs])]
+
+    rows = [[1] for _ in lp.edge_pairs] + [[0] for _ in lp.nonedge_pairs]
     rhs = [0] * len(lp.edge_pairs) + [1] * len(lp.nonedge_pairs)
-    objective = [1] + [0] * len(lp.words)
     stats = {}
-    status, value, solution = simplex_max(rows, rhs, objective, stats=stats)
+    status, value, solution = simplex_max(rows, rhs, [1], stats=stats, price=price)
     if status == "unbounded":
         return LPResult("unbounded", None, {})
-    weights = {w: solution[1 + i] for i, w in enumerate(lp.words) if solution[1 + i]}
+    weights = {w: solution[1 + i] for i, w in enumerate(master) if solution[1 + i]}
     return LPResult("optimal", value, weights, stats["dual"])
 
 
-def simplex_max(rows, rhs, objective, stats=None):
+def _price(lp, dual):
+    """The canonical cut word of most negative reduced cost against `dual`
+    (the smallest such word on ties), or None when no cut prices in.
+
+    `dual` is the objective row's slack block, D * y with D > 0, so the
+    reduced cost of word w, scaled by D, is its non-edge multipliers over
+    the pairs w cuts minus its edge multipliers over them.  Every cut is
+    priced, as `dual_certifies` checks them: `cost[i]` is the cost of word
+    2i, built one vertex at a time (vertex 0 on side 0; placing v on side
+    1 cuts its pairs to the side-0 vertices before it, on side 0 those to
+    the side-1 ones).
+    """
+    n = lp.graph.n
+    weight = [[0] * n for _ in range(n)]
+    edges = len(lp.edge_pairs)
+    for i, ((a, b), y) in enumerate(zip(lp.edge_pairs + lp.nonedge_pairs, dual)):
+        weight[a][b] = weight[b][a] = -y if i < edges else y
+    cost = [0]
+    for v in range(1, n):
+        wv = weight[v]
+        side1 = [0]   # weight from v to the side-1 vertices among 1..v-1
+        for u in range(1, v):
+            side1 += [x + wv[u] for x in side1]
+        total = sum(wv[:v])
+        cost = ([c + s for c, s in zip(cost, side1)]
+                + [c + total - s for c, s in zip(cost, side1)])
+    best = min(range(len(cost)), key=cost.__getitem__)
+    return 2 * best if cost[best] < 0 else None
+
+
+def simplex_max(rows, rhs, objective, stats=None, price=None):
     """Maximize objective . x subject to rows . x <= rhs, x >= 0, rhs >= 0.
 
     Dense tableau simplex with Bland's anti-cycling rule, pivoting
@@ -101,9 +149,23 @@ def simplex_max(rows, rhs, objective, stats=None):
     Fractions, so the pivots and the returned x are too.  Every entry
     must be an int: a Fraction raises TypeError.
 
-    Returns ("optimal", value, x) with Fraction entries or ("unbounded",
-    None, None).  `stats`, when given, is a dict whose "pivots" entry
-    accumulates the pivot count; an optimal solve sets its "dual" entry to
+    `price`, when given, generates columns: whenever no objective entry is
+    negative it is called with the objective row's slack block (D * y, y
+    the current dual) and D, and returns (cost, column) pairs of int
+    entries, each of which must price in (y . column < cost).  Each is
+    inserted into the live tableau after the columns before it and ahead
+    of the slacks: its rows are the slack block times the column (D B^-1 a)
+    and its objective entry the slack-block dual times the column minus
+    D * cost.  Bland's rule then goes on over that fixed variable order,
+    so each round ends, and a column in the tableau never prices in again.
+    The solve is optimal when `price` returns no column.  Without `price`
+    this is the plain simplex, pivot for pivot.
+
+    Returns ("optimal", value, x) with Fraction entries, one per column
+    (given columns first, then priced ones in the order given), or
+    ("unbounded", None, None).  `stats`, when given, is a dict whose
+    "pivots", "columns" (columns priced in) and "rounds" (calls to
+    `price`) entries accumulate; an optimal solve sets its "dual" entry to
     the optimal dual solution y (one Fraction per row, read from the final
     objective row's slack columns), with y >= 0, y . rows >= objective
     column by column, and y . rhs = value.
@@ -112,7 +174,6 @@ def simplex_max(rows, rhs, objective, stats=None):
     n = len(objective)
     if any(b < 0 for b in rhs):
         raise ValueError("rhs must be nonnegative (slack basis start)")
-    width = n + m
     tab = []
     for i in range(m):
         row = [index(a) for a in rows[i]] + [0] * m + [index(rhs[i])]
@@ -121,16 +182,27 @@ def simplex_max(rows, rhs, objective, stats=None):
     obj = [-index(c) for c in objective] + [0] * (m + 1)
     basis = [n + i for i in range(m)]
     d = 1
-    pivots = 0
+    pivots = columns = rounds = 0
 
     while True:
+        width = n + m
         enter = -1
         for j in range(width):
             if obj[j] < 0:
                 enter = j
                 break
         if enter == -1:
-            break
+            if price is None:
+                break
+            rounds += 1
+            new = list(price(obj[n:width], d))
+            if not new:
+                break
+            _insert_columns(tab, obj, n, m, d, new)
+            basis = [bv + len(new) if bv >= n else bv for bv in basis]
+            n += len(new)
+            columns += len(new)
+            continue
         leave, best_b, best_a = -1, 0, 1
         for i in range(m):
             a = tab[i][enter]
@@ -154,6 +226,8 @@ def simplex_max(rows, rhs, objective, stats=None):
 
     if stats is not None:
         stats["pivots"] = stats.get("pivots", 0) + pivots
+        stats["columns"] = stats.get("columns", 0) + columns
+        stats["rounds"] = stats.get("rounds", 0) + rounds
     if enter != -1:  # no row bounds the entering column
         return "unbounded", None, None
     x = [Fraction(0)] * n
@@ -163,6 +237,21 @@ def simplex_max(rows, rhs, objective, stats=None):
     if stats is not None:
         stats["dual"] = [Fraction(obj[n + i], d) for i in range(m)]
     return "optimal", Fraction(obj[width], d), x
+
+
+def _insert_columns(tab, obj, n, m, d, new):
+    """Insert the (cost, column) pairs `new` into the tableau at column n,
+    ahead of the slack block: row entries D B^-1 a are the row's slack
+    block times the column, objective entries D (y . a - cost)."""
+    columns = [[index(a) for a in column] for _, column in new]
+    dual = obj[n:n + m]
+    costs = [sum(map(mul, dual, a)) - d * index(cost)
+             for (cost, _), a in zip(new, columns)]
+    if any(c >= 0 for c in costs):
+        raise ValueError("a priced column does not price in")
+    for row in tab:
+        row[n:n] = [sum(map(mul, row[n:n + m], a)) for a in columns]
+    obj[n:n] = costs
 
 
 def _pivot_row(row, prow, p, d, enter):

@@ -90,7 +90,7 @@ REPORT_DIGESTS = [
     (["cluster", "gonzalez", "--pointset", "region.json"],
      "9523cbfd98ae99f0a7fd414cb53862d63bd7a67f0658a651710c2367238deff2"),
     (["embeddability", "--graph", "P7.json"],
-     "cf6c16a1fd1f3b545c44889032c636f54139316db7d6d28143e1b65aeb105638"),
+     "5fb250b07e57b646a76de829c3c2352d2e332f6f9a36f62533014078a665b22d"),
 ]
 
 

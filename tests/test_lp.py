@@ -92,24 +92,148 @@ def test_simplex_matches_fraction_tableau_on_random_programs():
     assert min(statuses.values()) >= 50
 
 
+def full_program(program):
+    """The embeddability LP over every cut column, as `(rows, rhs,
+    objective)`: column 0 is r, then one column per word of
+    `program.words`."""
+    def cut(w, a, b):
+        return ((w >> a) ^ (w >> b)) & 1
+    rows = [[1] + [-cut(w, a, b) for w in program.words]
+            for a, b in program.edge_pairs]
+    rows += [[0] + [cut(w, a, b) for w in program.words]
+             for a, b in program.nonedge_pairs]
+    rhs = [0] * len(program.edge_pairs) + [1] * len(program.nonedge_pairs)
+    return rows, rhs, [1] + [0] * len(program.words)
+
+
+def full_solve_lp(program):
+    """`solve_lp` over every cut column at once, with no pricing."""
+    stats = {}
+    status, value, x = simplex_max(*full_program(program), stats=stats)
+    if status == "unbounded":
+        return lp.LPResult("unbounded", None, {})
+    weights = {w: x[1 + i] for i, w in enumerate(program.words) if x[1 + i]}
+    return lp.LPResult("optimal", value, weights, stats["dual"])
+
+
 @pytest.mark.parametrize("graph, status", [
     (path_graph(7), "optimal"), (cycle_graph(7), "optimal"),
     (complete_bipartite_graph(4, 4), "unbounded")], ids=["P7", "C7", "K4,4"])
-def test_simplex_matches_fraction_tableau_on_embeddability(graph, status,
-                                                           monkeypatch):
-    solved = []
+def test_simplex_matches_fraction_tableau_on_embeddability(graph, status):
+    program = full_program(build_embeddability_lp(graph))
+    stats = {}
+    got = simplex_max(*program, stats=stats)
+    expected, dual, pivots = fraction_simplex(*program)
+    assert got == expected
+    assert (stats.get("dual"), stats["pivots"]) == (dual, pivots)
+    assert got[0] == status
 
-    def compared(rows, rhs, objective, stats=None):
-        got = simplex_max(rows, rhs, objective, stats=stats)
-        expected, dual, pivots = fraction_simplex(rows, rhs, objective)
-        assert got == expected
-        assert (stats.get("dual"), stats["pivots"]) == (dual, pivots)
-        solved.append(got[0])
+
+def test_priced_columns_reach_the_full_solve():
+    # random programs from the same generator with some columns held back:
+    # a pricing callback feeds a random part of those that price in, and
+    # the solve ends at the full program's status and value, with a dual
+    # that prices out every column
+    rng = random.Random(20261019)
+    statuses = {"optimal": 0, "unbounded": 0}
+    for _ in range(400):
+        rows, rhs, objective = _random_program(rng)
+        m, n = len(rows), len(objective)
+        kept = sorted(rng.sample(range(n), rng.randint(0, n - 1)))
+        held = [j for j in range(n) if j not in kept]
+        order = list(kept)
+
+        def price(dual, d):
+            priced = [j for j in held
+                      if sum(y * rows[i][j] for i, y in enumerate(dual))
+                      < d * objective[j]]
+            chosen = rng.sample(priced, rng.randint(min(1, len(priced)),
+                                                    len(priced)))
+            for j in chosen:
+                held.remove(j)
+            order.extend(chosen)
+            return [(objective[j], [row[j] for row in rows]) for j in chosen]
+
+        stats = {}
+        status, value, x = simplex_max([[row[j] for j in kept] for row in rows],
+                                       rhs, [objective[j] for j in kept],
+                                       stats=stats, price=price)
+        full_status, full_value, _ = simplex_max(rows, rhs, objective)
+        assert (status, value) == (full_status, full_value), (rows, rhs, objective)
+        assert stats["columns"] == len(order) - len(kept)
+        statuses[status] += 1
+        if status == "unbounded":
+            continue
+        point = [Fraction(0)] * n
+        for j, v in zip(order, x):
+            point[j] = v
+        assert all(sum(a * v for a, v in zip(row, point)) <= b
+                   for row, b in zip(rows, rhs))
+        assert sum(c * v for c, v in zip(objective, point)) == value
+        y = stats["dual"]
+        assert min(y, default=0) >= 0
+        assert sum(v * b for v, b in zip(y, rhs)) == value
+        assert all(sum(y[i] * rows[i][j] for i in range(m)) >= objective[j]
+                   for j in range(n))
+    assert min(statuses.values()) >= 50
+
+
+def test_price_that_does_not_price_in_is_refused():
+    # a column whose reduced cost is not negative could be offered forever
+    with pytest.raises(ValueError):
+        simplex_max([[1]], [1], [1], price=lambda dual, d: [(0, [1])])
+
+
+def _random_graph(rng):
+    n = rng.randint(1, 8)
+    return Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)
+                     if rng.random() < rng.choice((0.3, 0.5, 0.7))])
+
+
+def _embeddability_graphs():
+    rng = random.Random(20261020)
+    yield from (path_graph(n) for n in range(2, 10))
+    yield from (cycle_graph(n) for n in range(3, 10))
+    yield from (complete_bipartite_graph(a, b)
+                for a in range(1, 5) for b in range(a, 5))
+    yield from (_random_graph(rng) for _ in range(150))
+
+
+def test_column_generation_matches_the_full_solve(monkeypatch):
+    for graph in _embeddability_graphs():
+        got = max_embeddability(graph)
+        with monkeypatch.context() as full:
+            full.setattr(lp, "solve_lp", full_solve_lp)
+            expected = max_embeddability(graph)
+        key = ("unbounded", "ratio", "certified")
+        assert [got[k] for k in key] == [expected[k] for k in key], graph.edges
+        if got["ratio"] is not None:
+            assert dual_certifies(build_embeddability_lp(graph), got["ratio"],
+                                  got["dual"])
+        if got["embedding"] is not None:
+            report = verify_embedding(got["embedding"])
+            assert report["ok"] and report["achieved_ratio"] == got["ratio"]
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_cycle_master_holds_fewer_columns_than_cuts(n, monkeypatch):
+    # the master prices cuts in one per round; a fall-back to the dense
+    # program over every cut would hold them all
+    solves = []
+
+    def spied(rows, rhs, objective, stats=None, price=None):
+        got = simplex_max(rows, rhs, objective, stats=stats, price=price)
+        solves.append((got, dict(stats)))
         return got
 
-    monkeypatch.setattr(lp, "simplex_max", compared)
-    max_embeddability(graph)
-    assert solved == [status]
+    monkeypatch.setattr(lp, "simplex_max", spied)
+    result = max_embeddability(cycle_graph(n))
+    assert result["ratio"] == Fraction(5, 3) and result["certified"]
+    [((status, _, x), stats)] = solves
+    assert status == "optimal"
+    assert len(x) - 1 == stats["columns"] < len(build_embeddability_lp(
+        cycle_graph(n)).words)
+    assert stats["rounds"] == stats["columns"] + 1
 
 
 @pytest.mark.parametrize("graph", [path_graph(7), cycle_graph(5),
