@@ -6,20 +6,21 @@ symmetry breaking, and a hard node budget.  `kdiameter.coloring` picks
 whichever implementation imports.
 
 The search visits the same nodes in the same order as the C kernel
-`_colorcore.c`, node for node, with the per-node work done on bitsets:
+`_colorcore.c`, node for node, with the per-node work done on bitsets of
+the caller's vertex numbers, so coloring v reads `adj[v]` as it is:
 
-- Vertices are ranked once per call by (-degree, index).  A vertex's
-  neighborhood is re-encoded as a bitset of ranks the first time it is
-  colored, so a search that ends after a few nodes never pays for the
-  whole graph.
-- `buckets[s]` holds the ranks of the uncolored vertices of saturation s
-  (the number of distinct colors among their colored neighbors), for
-  s = 0..k.  The next vertex is the lowest rank in the highest non-empty
-  bucket: the maximum of (saturation, degree, -index), as in the compiled
-  kernel's `pick`.
-- `seen[c]` holds the ranks with a neighbor of color c.  Coloring a vertex
-  c moves its uncolored neighbors outside `seen[c]` up one bucket; undoing
-  it moves the same set down again and restores `seen[c]` from the stack.
+- `buckets[s]` holds the uncolored vertices of saturation s (the number of
+  distinct colors among their colored neighbors), for s = 0..k.
+- The degree tiers, built once per call, hold one bitset of vertices per
+  distinct degree, highest degree first.  The next vertex is the lowest
+  bit of the first tier that meets the highest non-empty bucket: the
+  maximum of (saturation, degree, -index), as in the compiled kernel's
+  `pick`.  That scans at most one mask per distinct degree at each node,
+  where `pick` scans all n vertices.
+- `seen[c]` holds the vertices with a neighbor of color c.  Coloring a
+  vertex c moves its uncolored neighbors outside `seen[c]` up one bucket;
+  undoing it moves the same set down again and restores `seen[c]` from the
+  stack.
 
 The search runs on an explicit stack, so graph size is not limited by the
 interpreter's recursion limit.
@@ -45,11 +46,20 @@ def search(adj, k, fixed=None, mode=MODE_FIRST, budget=10**9):
     budget -- node budget; exceeding it aborts with STATUS_BUDGET
 
     Returns (status, payload, nodes): payload is a coloring list or None in
-    first mode, a list of colorings in enumerate mode.
+    first mode, a list of colorings in enumerate mode.  Raises ValueError,
+    as the C kernel does, for a negative k or a row with a bit outside the
+    graph.
     """
     n = len(adj)
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
+    if n and (min(adj) < 0 or max(adj) >> n):
+        v = next(v for v, row in enumerate(adj) if row < 0 or row >> n)
+        raise ValueError(f"adjacency row {v} is not a bitset of vertices 0..{n - 1}")
     empty = None if mode == MODE_FIRST else []
     colors = [-1] * n
+    seen = [0] * k
+    classes = [0] * k
     symmetry = True
     if fixed is not None:
         for v, c in enumerate(fixed):
@@ -59,33 +69,18 @@ def search(adj, k, fixed=None, mode=MODE_FIRST, budget=10**9):
                 return STATUS_OK, empty, 0
             symmetry = False
             colors[v] = c
-
-    # a stable sort, so vertices of equal degree keep their index order
-    order = sorted(range(n), key=lambda v: -adj[v].bit_count())
-    rank_bit = [0] * n
-    for r, v in enumerate(order):
-        rank_bit[v] = 1 << r
-    nbrs = [-1] * n
-
-    def neighbors(r):
-        """The neighbors of rank r as a bitset of ranks, built on first use."""
-        nb, x = adj[order[r]], 0
-        while nb:
-            low = nb & -nb
-            x |= rank_bit[low.bit_length() - 1]
-            nb ^= low
-        nbrs[r] = x
-        return x
-
-    seen = [0] * k
-    classes = [0] * k
-    for r, v in enumerate(order):
-        if colors[v] >= 0:
-            seen[colors[v]] |= neighbors(r)
-            classes[colors[v]] |= 1 << r
+            seen[c] |= adj[v]
+            classes[c] |= 1 << v
     # a fixed vertex next to one of its own color: nothing to search
     if any(seen[c] & classes[c] for c in range(k)):
         return STATUS_OK, empty, 0
+
+    by_degree = {}
+    for v, row in enumerate(adj):
+        d = row.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    tiers = [by_degree[d] for d in sorted(by_degree, reverse=True)]
+
     free = (1 << n) - 1 - sum(classes)
     buckets = [free] + [0] * k
     for c in range(k):
@@ -97,10 +92,10 @@ def search(adj, k, fixed=None, mode=MODE_FIRST, budget=10**9):
     full = (1 << k) - 1
     used = max(colors, default=-1) + 1
     depth, nfree = 0, free.bit_count()
-    # one frame per colored free vertex: its rank, its bucket, the colors
-    # left to try, its color (-1 before the first), the ranks its color
+    # one frame per colored free vertex: the vertex, its bucket, the colors
+    # left to try, its color (-1 before the first), the vertices its color
     # moved up a bucket, the `seen` it replaced, and `used` before it
-    f_rank, f_level, f_avail, f_color, f_moved, f_seen, f_used = (
+    f_vertex, f_level, f_avail, f_color, f_moved, f_seen, f_used = (
         [0] * nfree for _ in range(7))
     nodes = 0
     found = []
@@ -113,16 +108,22 @@ def search(adj, k, fixed=None, mode=MODE_FIRST, budget=10**9):
             s = k
             while not buckets[s]:
                 s -= 1
-            bit = buckets[s] & -buckets[s]
+            top = buckets[s]
+            for t in tiers:
+                m = top & t
+                if m:
+                    break
+            bit = m & -m
             avail = full
-            for c in range(k):
-                if seen[c] & bit:
-                    avail ^= 1 << c
+            if s:
+                for c in range(k):
+                    if seen[c] & bit:
+                        avail ^= 1 << c
             if symmetry:
                 avail &= (1 << min(k, used + 1)) - 1
             buckets[s] ^= bit
             free ^= bit
-            f_rank[depth] = bit.bit_length() - 1
+            f_vertex[depth] = bit.bit_length() - 1
             f_level[depth], f_avail[depth] = s, avail
             f_color[depth], f_used[depth] = -1, used
             depth += 1
@@ -141,7 +142,7 @@ def search(adj, k, fixed=None, mode=MODE_FIRST, budget=10**9):
                     s += 1
             avail = f_avail[d]
             if not avail:
-                bit = 1 << f_rank[d]
+                bit = 1 << f_vertex[d]
                 buckets[f_level[d]] |= bit
                 free |= bit
                 depth = d
@@ -152,12 +153,10 @@ def search(adj, k, fixed=None, mode=MODE_FIRST, budget=10**9):
             nodes += 1
             if nodes > budget:
                 return STATUS_BUDGET, None if mode == MODE_FIRST else found, nodes
-            r = f_rank[d]
+            v = f_vertex[d]
             f_color[d] = c
-            colors[order[r]] = c
-            nb = nbrs[r]
-            if nb < 0:
-                nb = neighbors(r)
+            colors[v] = c
+            nb = adj[v]
             old = seen[c]
             f_seen[d] = old
             seen[c] = old | nb
@@ -170,7 +169,7 @@ def search(adj, k, fixed=None, mode=MODE_FIRST, budget=10**9):
                     buckets[s + 1] |= m
                     moved ^= m
                 s -= 1
-            used = max(f_used[d], c + 1)
+            used = f_used[d] if c < f_used[d] else c + 1
             break
         else:
             break

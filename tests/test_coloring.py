@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sysconfig
 from fractions import Fraction
+from hashlib import sha256
 from itertools import permutations, product
 from pathlib import Path
 
@@ -20,11 +21,21 @@ from kdiameter.coloring import (
     find_coloring,
     forall_colorings,
 )
+from kdiameter.gadgets import (
+    build_composite,
+    build_gadget_H,
+    oriented_embedding_library,
+    stitch_embedding,
+    stitch_slot_maps,
+)
+from kdiameter.geometry import Pointset
 from kdiameter.graphs import (
+    Graph,
     Hypergraph,
     chvatal_graph,
     complete_graph,
     cycle_graph,
+    incidence_hypergraph,
     petersen_graph,
 )
 from kdiameter.sphere import SEPARATION_THRESHOLD, build_region_instance
@@ -235,6 +246,75 @@ def test_search_depth_is_not_limited_by_recursion():
     g = cycle_graph(3001)
     assert is_proper(g, find_coloring(g.adjacency_bitsets(), 3), 3)
     assert find_coloring(cycle_graph(1201).adjacency_bitsets(), 2) is None
+
+
+def _digest(payload):
+    return None if payload is None else sha256(repr(payload).encode()).hexdigest()[:16]
+
+
+def _half_graph(n):
+    """i ~ j when i + j >= n: the n vertices have n - 1 distinct degrees, one
+    tier each in the kernel's pick."""
+    return [sum(1 << j for j in range(n) if j != i and i + j >= n) for i in range(n)]
+
+
+def test_python_kernel_node_counts_are_pinned():
+    # (status, nodes, digest of the payload) of the pure-Python kernel, so a
+    # change to its pick or its bookkeeping shows without a C compiler
+    gadget = build_gadget_H()
+    library = oriented_embedding_library(gadget)
+    dodecahedron = [10, 7, 4, -4, -7, 10, -4, 7, -7, 4]
+    composites = {
+        "petersen": petersen_graph(),
+        "dodecahedron": Graph(20, [(i, (i + 1) % 20) for i in range(20)]
+                              + [(i, (i + dodecahedron[i % 10]) % 20) for i in range(20)]),
+    }
+    cases = []
+    # exact_cluster(k=3)'s first probe: the pairs above Gonzalez's bound, rank 2
+    for name, want in (("petersen", (0, 4562, None)),
+                       ("dodecahedron", (0, 4535, "52d9521bf9af9c30"))):
+        J = composites[name]
+        composite = build_composite(incidence_hypergraph(J), gadget,
+                                    slot_maps=stitch_slot_maps(J))
+        image = stitch_embedding(composite, J, library=library).image
+        table = distinct_distances(Pointset("hamming", image))
+        cases.append((table.bitsets_at(3), 3, {}, want))
+    # verify_anchor_separation on the kappa = 12 region at the paper's t:
+    # the free search, then each anchor pattern forall_colorings refutes
+    region = build_region_instance((0, 1, 2), 12)
+    table = distinct_distances(region.pointset())
+    adj = table.bitsets_at(table.rank_above(SEPARATION_THRESHOLD ** 2))
+    cases.append((adj, 3, {}, (0, 270, "d4af551a995254bc")))
+    anchors = [region.anchor_index[axis] for axis in (0, 1, 2)]
+    for pattern, nodes in (((0, 0, 0), 62), ((0, 0, 1), 277),
+                           ((0, 1, 0), 187), ((0, 1, 1), 248)):
+        fixed = [-1] * table.n
+        for v, c in zip(anchors, pattern):
+            fixed[v] = c
+        cases.append((adj, 3, {"fixed": fixed}, (0, nodes, None)))
+    fixed = [0, 0, 1] + [-1] * 37
+    enumerate_mode = _colorcore_py.MODE_ENUMERATE
+    cases += [
+        (_half_graph(40), 19, {}, (0, 19, None)),
+        (_half_graph(40), 20, {}, (0, 40, "e4d034d94769a796")),
+        (_half_graph(40), 21, {"fixed": fixed}, (0, 37, "e5d28dbbbde4be91")),
+        (_half_graph(10), 6, {"mode": enumerate_mode}, (0, 877, "21baf53359861899")),
+        (_half_graph(12), 7, {"mode": enumerate_mode, "budget": 5000},
+         (1, 5001, "e8bb08a1f3b0e4a5")),
+        (cycle_graph(3001).adjacency_bitsets(), 3, {}, (0, 3001, "9d687fd9b6a1b97d")),
+    ]
+    for adj, k, kwargs, want in cases:
+        status, payload, nodes = _colorcore_py.search(adj, k, **kwargs)
+        assert (status, nodes, _digest(payload)) == want
+
+
+def test_python_kernel_refuses_bits_outside_the_graph():
+    for n in (1, 7, 8, 9, 17):
+        for row in (1 << n, 1 << (n + 20), -1):
+            with pytest.raises(ValueError, match="adjacency row 0 is not a bitset"):
+                _colorcore_py.search([row] + [0] * (n - 1), 3)
+    with pytest.raises(ValueError, match="k must be non-negative"):
+        _colorcore_py.search([0, 0], -1)
 
 
 @pytest.fixture(scope="session")
