@@ -184,7 +184,7 @@ def criterion_5(budget=DEFAULT_BUDGET, seed=0):
     """Stitched K4 composite verifies at ratio 3/2; optimal 3-clustering
     diameter on the image equals q."""
     gadget = build_gadget_H(budget=budget)
-    library = oriented_embedding_library(gadget, budget=budget)
+    library = oriented_embedding_library(gadget)
     J = complete_graph(4)
     comp = build_composite(incidence_hypergraph(J), gadget,
                            slot_maps=stitch_slot_maps(J))

@@ -219,7 +219,7 @@ def cmd_composite_build(args):
 
 def cmd_composite_embed(args):
     J, gadget, comp = _composite_from_args(args)
-    library = oriented_embedding_library(gadget, budget=args.budget_nodes)
+    library = oriented_embedding_library(gadget)
     emb = stitch_embedding(comp, J, library=library)
     result = verify_embedding(emb)
     pointset = Pointset("hamming", emb.image)

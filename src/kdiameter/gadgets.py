@@ -7,11 +7,11 @@ into three distinct colors.  Composites replace each hyperedge of a
 played by the hyperedge's vertices; a rainbow 3-coloring of the hypergraph
 then corresponds exactly to a proper 3-coloring of the composite.
 
-Embeddings assign each vertex a pair of Hadamard codewords.  The search
-works over abstract signed letters (a letter stands for a codeword, its
-negation for the complement), where block distances in units of q/2 are
-0 (same letter and sign), 2 (opposite signs of one letter) or 1 (different
-letters); an edge needs pair distance >= 3 units and a non-edge <= 2.
+Embeddings assign each vertex a pair of Hadamard codewords, written as
+abstract signed letters (a letter stands for a codeword, its negation for
+the complement), where block distances in units of q/2 are 0 (same letter
+and sign), 2 (opposite signs of one letter) or 1 (different letters); an
+edge needs pair distance >= 3 units and a non-edge <= 2.
 
 Each auxiliary role owns a single letter and maps to the pair
 (letter+, letter-).  An orientation entry per role fixes the block position
@@ -24,27 +24,25 @@ body vertices can ever disagree by a full codeword complement.
 
 Stitching (`stitch_slot_maps`) gives each copy's minority-block vertex the
 last auxiliary slot, so a copy's slot pattern is always (2, 2, 1) or
-(1, 1, 2): these two orientations are the only ones searched.
+(1, 1, 2).  The designated gadget's embedding in each of these two
+orientations is stored as literal letter pairs (`ORIENTED_BODIES`) and
+checked against the gadget it is used for (`oriented_embedding_library`);
+nothing is searched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from kdiameter.coloring import DEFAULT_BUDGET, BudgetExceeded, enumerate_colorings
-from kdiameter.graphs import Graph, chvatal_graph, dfs_orientation, incidence_hypergraph
-from kdiameter.hadamard import Embedding, hadamard_code, next_power_of_two
+from kdiameter.coloring import DEFAULT_BUDGET, enumerate_colorings
+from kdiameter.graphs import Graph, chvatal_graph, dfs_orientation
+from kdiameter.hadamard import (Embedding, hadamard_code, next_power_of_two,
+                                verify_embedding)
 
 AUX = (12, 13, 14)
 
-# the two slot patterns stitch_slot_maps produces, minority block last
-ORIENTATIONS = ((2, 2, 1), (1, 1, 2))
-
 # role letters are 0, 1, 2; letters >= ROLE_LETTERS are gadget-local fresh
 ROLE_LETTERS = 3
-
-# the oriented-embedding search gives up beyond this many fresh letters
-MAX_FRESH = 6
 
 # the designated gadget: removing edge (6, 10) leaves the base uniquely
 # 3-colorable, and these attachment sets both force distinct auxiliary
@@ -116,7 +114,7 @@ def verify_gadget(gadget, budget=DEFAULT_BUDGET):
 
 
 # ---------------------------------------------------------------------------
-# oriented embeddings by constraint search
+# oriented embeddings: stored letter pairs, checked on use
 
 
 @dataclass
@@ -124,6 +122,21 @@ class OrientedGadgetEmbedding:
     orientation: tuple
     pairs: list          # 15 entries of (letter1, sign1, letter2, sign2)
     fresh_count: int
+
+
+# the designated gadget's oriented embeddings, one per slot pattern that
+# stitch_slot_maps produces (minority block last): body vertex h's pair
+# (letter1, sign1, letter2, sign2), with fresh letters 3 and 4; auxiliary
+# role r is (r, 1, r, -1).  tests/test_gadgets.py re-derives both by a
+# backtracking search over signed letters.
+ORIENTED_BODIES = {
+    (2, 2, 1): ((2, 1, 1, 1), (3, 1, 1, -1), (3, -1, 3, -1), (3, 1, 0, 1),
+                (3, -1, 1, -1), (4, 1, 1, 1), (2, -1, 3, 1), (3, -1, 1, 1),
+                (3, 1, 0, -1), (2, -1, 0, -1), (4, -1, 0, 1), (2, 1, 1, -1)),
+    (1, 1, 2): ((1, -1, 2, -1), (1, 1, 3, 1), (3, -1, 3, -1), (0, -1, 3, 1),
+                (1, 1, 3, -1), (1, -1, 4, 1), (3, 1, 2, 1), (1, -1, 3, -1),
+                (0, 1, 3, 1), (0, 1, 2, 1), (0, -1, 4, -1), (1, 1, 2, -1)),
+}
 
 
 def _pair_word(code, l1, s1, l2, s2):
@@ -134,107 +147,29 @@ def _pair_word(code, l1, s1, l2, s2):
     return first.concat(second)
 
 
-def _pair_distance_units(p, r):
-    total = 0
-    for (la, sa), (lb, sb) in (((p[0], p[1]), (r[0], r[1])),
-                               ((p[2], p[3]), (r[2], r[3]))):
-        if la == lb:
-            total += 0 if sa == sb else 2
-        else:
-            total += 1
-    return total
+def oriented_embedding_library(gadget):
+    """The stored orientations that embed this gadget, keyed by orientation.
 
-
-class EmbeddingSearchError(RuntimeError):
-    """No oriented embedding within MAX_FRESH fresh letters."""
-
-
-def find_oriented_embedding(gadget, orientation, budget=DEFAULT_BUDGET):
-    """Backtracking search for an oriented 3/2-embedding of the gadget.
-
-    Auxiliary role r maps to (letter_r+, letter_r-); body vertices may use
-    letter_r (either sign) only at block position orientation[r], plus
-    gadget-local fresh letters anywhere.  Fresh letters are introduced in
-    canonical order with a positive first occurrence, and the fresh budget
-    grows until a solution appears.
+    An orientation is kept when each role letter appears among body pairs
+    only at its oriented block, and its 15 pairs, written over
+    `hadamard_code(8)`, 3/2-embed the verification graph: with distances in
+    units of q/2, every edge at >= 3 and every non-edge at <= 2.
     """
-    if tuple(orientation) not in ORIENTATIONS:
-        raise ValueError(f"orientation {orientation} not in the valid set")
     graph = gadget.verification_graph()
-    adjacency = [[graph.has_edge(u, v) for v in range(15)] for u in range(15)]
-    pairs = [None] * 15
-    for role in range(3):
-        pairs[AUX[role]] = (role, 1, role, -1)
-    # most-constrained-first static order: body vertices by number of
-    # auxiliary neighbors, then degree
-    order = sorted(range(12),
-                   key=lambda v: (-sum(adjacency[v][a] for a in AUX),
-                                  -graph.degree(v), v))
-    nodes = 0
-
-    def options(position, fresh_used, fresh_cap):
-        out = [(r, s) for r in range(3) if orientation[r] == position
-               for s in (1, -1)]
-        out += [(ROLE_LETTERS + t, s) for t in range(fresh_used)
-                for s in (1, -1)]
-        if fresh_used < fresh_cap:
-            out.append((ROLE_LETTERS + fresh_used, 1))
-        return out
-
-    def consistent(v, pair, assigned):
-        for u in assigned:
-            d = _pair_distance_units(pair, pairs[u])
-            if adjacency[v][u]:
-                if d < 3:
-                    return False
-            elif d > 2:
-                return False
-        return True
-
-    def rec(idx, fresh_used, assigned, fresh_cap):
-        nonlocal nodes
-        if idx == 12:
-            return True
-        v = order[idx]
-        for l1, s1 in options(1, fresh_used, fresh_cap):
-            # options offer the used fresh letters and at most the next one
-            used1 = fresh_used + (l1 == ROLE_LETTERS + fresh_used)
-            for l2, s2 in options(2, used1, fresh_cap):
-                nodes += 1
-                if nodes > budget:
-                    raise BudgetExceeded(nodes)
-                pair = (l1, s1, l2, s2)
-                if not consistent(v, pair, assigned):
-                    continue
-                used2 = used1 + (l2 == ROLE_LETTERS + used1)
-                pairs[v] = pair
-                assigned.append(v)
-                if rec(idx + 1, used2, assigned, fresh_cap):
-                    return True
-                assigned.pop()
-                pairs[v] = None
-        return False
-
-    for fresh_cap in range(0, MAX_FRESH + 1):
-        assigned = list(AUX)
-        if rec(0, 0, assigned, fresh_cap):
-            fresh = {p[i] for p in pairs for i in (0, 2) if p[i] >= ROLE_LETTERS}
-            return OrientedGadgetEmbedding(tuple(orientation), list(pairs),
-                                           len(fresh))
-    raise EmbeddingSearchError(
-        f"no {tuple(orientation)}-oriented embedding within {MAX_FRESH} "
-        "fresh letters")
-
-
-def oriented_embedding_library(gadget, budget=DEFAULT_BUDGET):
-    """Embeddings for each stitch orientation the gadget supports."""
+    code = hadamard_code(8)
     library = {}
-    for orientation in ORIENTATIONS:
-        try:
-            library[orientation] = find_oriented_embedding(gadget, orientation,
-                                                           budget=budget)
-        except EmbeddingSearchError:
+    for orientation, body in ORIENTED_BODIES.items():
+        if not all((l1 >= ROLE_LETTERS or orientation[l1] == 1)
+                   and (l2 >= ROLE_LETTERS or orientation[l2] == 2)
+                   for l1, _, l2, _ in body):
             continue
+        pairs = list(body) + [(r, 1, r, -1) for r in range(ROLE_LETTERS)]
+        image = [_pair_word(code, *pair) for pair in pairs]
+        if verify_embedding(Embedding(graph, "hamming", image,
+                                      short=8, long=12))["ok"]:
+            fresh = {p[i] for p in body for i in (0, 2) if p[i] >= ROLE_LETTERS}
+            library[orientation] = OrientedGadgetEmbedding(orientation, pairs,
+                                                           len(fresh))
     return library
 
 
@@ -301,13 +236,13 @@ def edge_orientations(J):
 def stitch_slot_maps(J):
     """Slot maps sending each hyperedge's minority-block vertex to the last
     auxiliary slot, with the majority pair in ascending order first."""
-    sigma = edge_orientations(J)
     maps = []
-    # hyperedge v collects the edges at J-vertex v, whose blocks are
-    # sigma[v]: never all equal, so one block holds a single edge
-    for blocks, e in zip(sigma, incidence_hypergraph(J).hyperedges):
+    # hyperedge v collects the edges at J-vertex v, the keys of sigma[v],
+    # whose blocks are never all equal, so one block holds a single edge
+    for blocks in edge_orientations(J):
         minority = 1 if list(blocks.values()).count(1) == 1 else 2
-        maps.append(tuple(sorted(e, key=lambda x: blocks[x] == minority)))
+        maps.append(tuple(sorted(sorted(blocks),
+                                 key=lambda x: blocks[x] == minority)))
     return maps
 
 
@@ -323,9 +258,10 @@ def stitch_embedding(composite, J, library):
     from orientation to oriented gadget embedding.
     """
     hypergraph = composite.source
-    if hypergraph.hyperedges != incidence_hypergraph(J).hyperedges:
-        raise ValueError("composite source must be the incidence hypergraph of J")
     sigma = edge_orientations(J)
+    # hyperedge v of J's incidence hypergraph is the edges at J-vertex v
+    if hypergraph.hyperedges != tuple(tuple(sorted(blocks)) for blocks in sigma):
+        raise ValueError("composite source must be the incidence hypergraph of J")
     n = hypergraph.n
     per_edge = []
     for e_idx in range(len(hypergraph.hyperedges)):

@@ -238,6 +238,18 @@ def test_budget_sweep_exits_2_or_keeps_the_verdict(tmp_path, capsys):
                 (argv, budget)
 
 
+def test_composite_embed_budget_sweep_exits_2_or_keeps_the_verdict(
+        k4_file, capsys):
+    # the budget caps only build_gadget_H's coloring enumeration here
+    argv = ["composite", "embed", "--graph", k4_file]
+    code, out = run(capsys, *argv)
+    unbounded = (code, _verdict(argv, out))
+    assert unbounded == (0, {"verified": True})
+    for budget in ("0", "1", "10", "100"):
+        code, out = run(capsys, *argv, "--budget-nodes", budget)
+        assert code == 2 or (code, _verdict(argv, out)) == unbounded, budget
+
+
 def _exhaust(budget, seed):
     raise BudgetExceeded(budget + 1)
 

@@ -4,17 +4,19 @@ from fractions import Fraction
 
 import pytest
 
+from kdiameter import gadgets as gadgets_module
 from kdiameter.coloring import enumerate_colorings, find_coloring
 from kdiameter.gadgets import (
     AUX,
     DESIGNATED_ATTACHMENTS,
     DESIGNATED_REMOVED_EDGE,
-    ORIENTATIONS,
+    ORIENTED_BODIES,
+    ROLE_LETTERS,
     GadgetH,
+    OrientedGadgetEmbedding,
     build_composite,
     build_gadget_H,
     edge_orientations,
-    find_oriented_embedding,
     oriented_embedding_library,
     stitch_embedding,
     stitch_slot_maps,
@@ -40,7 +42,7 @@ def library(gadget):
     return oriented_embedding_library(gadget)
 
 
-def test_designated_gadget_is_first_candidate(gadget):
+def test_designated_gadget_verifies(gadget):
     assert gadget.removed_edge == DESIGNATED_REMOVED_EDGE
     assert gadget.attachments == DESIGNATED_ATTACHMENTS
     assert verify_gadget(gadget)
@@ -114,9 +116,163 @@ def test_library_orientations(gadget, library):
         assert report["achieved_ratio"] == Fraction(3, 2)
 
 
-def test_find_oriented_embedding_rejects_bad_orientation(gadget):
+# the oracle: a backtracking search over signed letters that re-derives the
+# stored library
+
+
+def _pair_distance_units(p, r):
+    """Distance of two letter pairs in units of q/2: per block 0 for the
+    same signed letter, 2 for opposite signs of one letter, 1 otherwise."""
+    total = 0
+    for (la, sa), (lb, sb) in (((p[0], p[1]), (r[0], r[1])),
+                               ((p[2], p[3]), (r[2], r[3]))):
+        if la == lb:
+            total += 0 if sa == sb else 2
+        else:
+            total += 1
+    return total
+
+
+def search_oriented_embedding(gadget, orientation, max_fresh=6):
+    """The first oriented 3/2-embedding of the gadget in search order, or
+    None if there is none within max_fresh fresh letters.
+
+    Auxiliary role r maps to (letter_r+, letter_r-); body vertices may use
+    letter_r (either sign) only at block position orientation[r], plus
+    gadget-local fresh letters anywhere.  Fresh letters are introduced in
+    canonical order with a positive first occurrence, and the fresh cap
+    grows until a solution appears.
+    """
+    graph = gadget.verification_graph()
+    adjacency = [[graph.has_edge(u, v) for v in range(15)] for u in range(15)]
+    pairs = [None] * 15
+    for role in range(3):
+        pairs[AUX[role]] = (role, 1, role, -1)
+    # most-constrained-first static order: body vertices by number of
+    # auxiliary neighbors, then degree
+    order = sorted(range(12),
+                   key=lambda v: (-sum(adjacency[v][a] for a in AUX),
+                                  -graph.degree(v), v))
+
+    def options(position, fresh_used, fresh_cap):
+        out = [(r, s) for r in range(3) if orientation[r] == position
+               for s in (1, -1)]
+        out += [(ROLE_LETTERS + t, s) for t in range(fresh_used)
+                for s in (1, -1)]
+        if fresh_used < fresh_cap:
+            out.append((ROLE_LETTERS + fresh_used, 1))
+        return out
+
+    def consistent(v, pair, assigned):
+        for u in assigned:
+            d = _pair_distance_units(pair, pairs[u])
+            if adjacency[v][u]:
+                if d < 3:
+                    return False
+            elif d > 2:
+                return False
+        return True
+
+    def rec(idx, fresh_used, assigned, fresh_cap):
+        if idx == 12:
+            return True
+        v = order[idx]
+        for l1, s1 in options(1, fresh_used, fresh_cap):
+            # options offer the used fresh letters and at most the next one
+            used1 = fresh_used + (l1 == ROLE_LETTERS + fresh_used)
+            for l2, s2 in options(2, used1, fresh_cap):
+                pair = (l1, s1, l2, s2)
+                if not consistent(v, pair, assigned):
+                    continue
+                used2 = used1 + (l2 == ROLE_LETTERS + used1)
+                pairs[v] = pair
+                assigned.append(v)
+                if rec(idx + 1, used2, assigned, fresh_cap):
+                    return True
+                assigned.pop()
+                pairs[v] = None
+        return False
+
+    for fresh_cap in range(max_fresh + 1):
+        if rec(0, 0, list(AUX), fresh_cap):
+            fresh = {p[i] for p in pairs for i in (0, 2) if p[i] >= ROLE_LETTERS}
+            return OrientedGadgetEmbedding(tuple(orientation), list(pairs),
+                                           len(fresh))
+    return None
+
+
+def search_library(gadget):
+    found = {o: search_oriented_embedding(gadget, o) for o in ORIENTED_BODIES}
+    return {o: emb for o, emb in found.items() if emb is not None}
+
+
+def without(gadget, gone):
+    """The gadget with the attachments to the body vertices in `gone` cut."""
+    return GadgetH(gadget.base, gadget.removed_edge,
+                   tuple(tuple(t for t in targets if t not in gone)
+                         for targets in gadget.attachments))
+
+
+def test_search_rederives_the_stored_library(gadget, library):
+    assert search_library(gadget) == library
+
+
+@pytest.mark.parametrize("gone", [{t} for targets in DESIGNATED_ATTACHMENTS
+                                  for t in targets] + [{5, 7}],
+                         ids=lambda gone: "-".join(map(str, sorted(gone))))
+def test_dropped_attachments_have_no_embedding(gadget, gone):
+    cut = without(gadget, gone)
+    assert search_library(cut) == {}
+    assert oriented_embedding_library(cut) == {}
+
+
+def _flip_sign(body):
+    l1, s1, l2, s2 = body[0]
+    return ((l1, -s1, l2, s2),) + body[1:]
+
+
+def _role_letter_at_wrong_block(body):
+    # the first body pair holds a role letter in each block; swapping its
+    # blocks puts each at the other block
+    l1, s1, l2, s2 = body[0]
+    assert l1 < ROLE_LETTERS and l2 < ROLE_LETTERS
+    return ((l2, s2, l1, s1),) + body[1:]
+
+
+def _swap_body_pairs(body):
+    return (body[1], body[0]) + body[2:]
+
+
+@pytest.mark.parametrize("corrupt", [_flip_sign, _role_letter_at_wrong_block,
+                                     _swap_body_pairs])
+@pytest.mark.parametrize("orientation", sorted(ORIENTED_BODIES),
+                         ids=lambda o: "".join(map(str, o)))
+def test_corrupted_stored_pair_is_refused(gadget, monkeypatch, corrupt,
+                                          orientation):
+    monkeypatch.setitem(ORIENTED_BODIES, orientation,
+                        corrupt(ORIENTED_BODIES[orientation]))
+    library = oriented_embedding_library(gadget)
+    assert set(library) == set(ORIENTED_BODIES) - {orientation}
+    J = complete_graph(4)
+    comp = build_composite(incidence_hypergraph(J), gadget,
+                           slot_maps=stitch_slot_maps(J))
     with pytest.raises(ValueError):
-        find_oriented_embedding(gadget, (1, 1, 1))
+        stitch_embedding(comp, J, library=library)
+
+
+def test_role_rule_alone_refuses_the_other_orientation(gadget, monkeypatch):
+    # each stored body 3/2-embeds the gadget, but under the other
+    # orientation its role letters sit at the wrong blocks
+    swapped = dict(zip(ORIENTED_BODIES, reversed(ORIENTED_BODIES.values())))
+    code = hadamard_code(8)
+    for body in swapped.values():
+        pairs = list(body) + [(r, 1, r, -1) for r in range(ROLE_LETTERS)]
+        image = [gadgets_module._pair_word(code, *p) for p in pairs]
+        assert verify_embedding(Embedding(gadget.verification_graph(),
+                                          "hamming", image,
+                                          short=8, long=12))["ok"]
+    monkeypatch.setattr(gadgets_module, "ORIENTED_BODIES", swapped)
+    assert oriented_embedding_library(gadget) == {}
 
 
 def test_orientations_are_the_stitched_slot_patterns():
@@ -131,7 +287,7 @@ def test_orientations_are_the_stitched_slot_patterns():
         sigma = edge_orientations(J)
         for e_idx, slots in enumerate(stitch_slot_maps(J)):
             patterns.add(tuple(sigma[e_idx][v] for v in slots))
-    assert patterns == set(ORIENTATIONS)
+    assert patterns == set(ORIENTED_BODIES)
 
 
 # ---------------------------------------------------------------------------
