@@ -191,7 +191,7 @@ def criterion_5(budget=DEFAULT_BUDGET, seed=0):
     emb = stitch_embedding(comp, J, library=library)
     report = verify_embedding(emb)
     ratio_ok = report["ok"] and report["achieved_ratio"] == Fraction(3, 2)
-    clustering = exact_cluster(Pointset("hamming", emb.image), 3, budget=budget)
+    clustering = exact_cluster(emb.pointset, 3, budget=budget)
     return {"ok": ratio_ok and clustering.diameter == emb.short,
             "q": emb.short, "clustering_diameter": clustering.diameter,
             "ratio": str(report["achieved_ratio"])}

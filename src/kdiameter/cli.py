@@ -222,14 +222,13 @@ def cmd_composite_embed(args):
     library = oriented_embedding_library(gadget)
     emb = stitch_embedding(comp, J, library=library)
     result = verify_embedding(emb)
-    pointset = Pointset("hamming", emb.image)
     report = _report(args, "composite embed",
                      q=emb.short, long=emb.long,
                      verdicts={"verified": result["ok"]},
                      achieved_ratio=_exact_value(result["achieved_ratio"]),
                      worst_edge_pair=result["worst_edge_pair"],
                      worst_nonedge_pair=result["worst_nonedge_pair"],
-                     pointset=pointset.to_dict())
+                     pointset=emb.pointset.to_dict())
     _emit(report, args)
     return EXIT_OK if result["ok"] else EXIT_REFUTED
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from kdiameter.coloring import DEFAULT_BUDGET, enumerate_colorings
+from kdiameter.geometry import Pointset
 from kdiameter.graphs import Graph, chvatal_graph, dfs_orientation
 from kdiameter.hadamard import (Embedding, hadamard_code, next_power_of_two,
                                 verify_embedding)
@@ -165,7 +166,7 @@ def oriented_embedding_library(gadget):
             continue
         pairs = list(body) + [(r, 1, r, -1) for r in range(ROLE_LETTERS)]
         image = [_pair_word(code, *pair) for pair in pairs]
-        if verify_embedding(Embedding(graph, "hamming", image,
+        if verify_embedding(Embedding(graph, Pointset("hamming", image),
                                       short=8, long=12))["ok"]:
             fresh = {p[i] for p in body for i in (0, 2) if p[i] >= ROLE_LETTERS}
             library[orientation] = OrientedGadgetEmbedding(orientation, pairs,
@@ -267,10 +268,14 @@ def stitch_embedding(composite, J, library):
     for e_idx in range(len(hypergraph.hyperedges)):
         slots = composite.slot_maps[e_idx]
         pattern = tuple(sigma[e_idx][v] for v in slots)
-        if pattern not in library:
+        if pattern not in ORIENTED_BODIES:
             raise ValueError(f"no oriented embedding for slot pattern "
                              f"{pattern}; rebuild the composite with "
                              "stitch_slot_maps")
+        if pattern not in library:
+            raise ValueError(f"the library has no embedding for orientation "
+                             f"{pattern}: the gadget is not the designated "
+                             "one, or a stored pair failed the check")
         per_edge.append(library[pattern])
     fresh_max = max(emb.fresh_count for emb in per_edge)
     total_letters = n + fresh_max * len(per_edge)
@@ -291,4 +296,5 @@ def stitch_embedding(composite, J, library):
             l1, s1, l2, s2 = emb.pairs[h]
             image[offset + h] = _pair_word(code, global_letter(e_idx, l1), s1,
                                            global_letter(e_idx, l2), s2)
-    return Embedding(composite.graph, "hamming", image, short=q, long=3 * q // 2)
+    return Embedding(composite.graph, Pointset("hamming", image),
+                     short=q, long=3 * q // 2)

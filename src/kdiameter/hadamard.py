@@ -14,14 +14,12 @@ from functools import cache
 from math import inf
 
 from kdiameter.geometry import (
-    DISTANCE,
     BitVector,
     IntVector,
     Pointset,
     json_loads,
     pair_rows,
     point_from_json,
-    point_to_json,
 )
 from kdiameter.graphs import Graph
 
@@ -65,36 +63,29 @@ def hadamard_code(q):
 TARGET_METRICS = ("hamming", "l1_int", "linf_int")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Embedding:
-    """Vertex map into a target metric with the exact short/long thresholds
-    it is supposed to achieve."""
+    """Vertex map into a target metric, held as one `Pointset` whose point v
+    is vertex v's image, with the exact short/long thresholds it is supposed
+    to achieve.  The image is checked here, once: its metric must be a
+    target metric and it must hold one point per vertex."""
 
     source: Graph
-    target_metric: str
-    image: list
+    pointset: Pointset
     short: object
     long: object
 
     def __post_init__(self):
-        if self.target_metric not in TARGET_METRICS:
-            raise ValueError(f"unknown target metric {self.target_metric!r}")
+        if self.pointset.metric not in TARGET_METRICS:
+            raise ValueError(f"unknown target metric {self.pointset.metric!r}")
+        if len(self.pointset) != self.source.n:
+            raise ValueError("image must cover every vertex")
 
-    def distance(self, u, v):
-        return DISTANCE[self.target_metric](self.image[u], self.image[v])
+    @property
+    def image(self):
+        return self.pointset.points
 
     # -- serialization ------------------------------------------------------
-
-    def to_dict(self):
-        metric = self.target_metric
-        return {
-            "graph": self.source.to_dict(),
-            "metric": metric,
-            "short": _exact_to_json(self.short),
-            "long": _exact_to_json(self.long),
-            "image": {str(v): point_to_json(metric, p)
-                      for v, p in enumerate(self.image)},
-        }
 
     @classmethod
     def from_dict(cls, d):
@@ -111,25 +102,13 @@ class Embedding:
             if str(v) != key or not 0 <= v < graph.n:
                 raise ValueError(f"image vertex {key!r} is not one of 0..{graph.n - 1}")
             points[v] = point_from_json(metric, val)
-        # distinct keys of 0..n-1: the size decides coverage, before any list of n
-        if len(points) != graph.n:
-            raise ValueError("image must cover every vertex")
-        image = [points[v] for v in range(graph.n)]
-        embedding = cls(graph, metric, image,
-                        _exact_from_json(d["short"]), _exact_from_json(d["long"]))
-        # points of mixed dimensions raise DimensionMismatch here
-        Pointset(metric, image)
-        return embedding
+        # distinct keys of 0..n-1: the constructor's size check decides coverage
+        return cls(graph, Pointset(metric, [points[v] for v in sorted(points)]),
+                   _exact_from_json(d["short"]), _exact_from_json(d["long"]))
 
     @classmethod
     def from_json(cls, s):
         return cls.from_dict(json_loads(s))
-
-
-def _exact_to_json(x):
-    if isinstance(x, Fraction):
-        return [x.numerator, x.denominator]
-    return x
 
 
 def _exact_from_json(x):
@@ -151,12 +130,9 @@ def verify_embedding(embedding):
     Fraction, or inf when either side has no pairs.
     """
     g = embedding.source
-    if len(embedding.image) != g.n or any(p is None for p in embedding.image):
-        raise ValueError("image must cover every vertex")
     min_edge, worst_edge = None, None
     max_nonedge, worst_nonedge = None, None
-    rows = pair_rows(Pointset(embedding.target_metric, embedding.image))
-    for u, row in enumerate(rows):
+    for u, row in enumerate(pair_rows(embedding.pointset)):
         edges = sorted(v - u - 1 for v in g.neighbors(u) if v > u)
         if edges:
             s = min(edges, key=row.__getitem__)
@@ -198,7 +174,7 @@ def linf_embedding(graph):
             else:
                 coords.append(1)
         image.append(IntVector(coords))
-    return Embedding(graph, "linf_int", image, short=1, long=2)
+    return Embedding(graph, Pointset("linf_int", image), short=1, long=2)
 
 
 def next_power_of_two(n):
@@ -244,8 +220,9 @@ def five_fourths_embedding(graph, edge_coloring):
         for b in blocks[1:]:
             word = word.concat(b[v])
         image.append(word)
-    emb = Embedding(graph, "hamming", image, short=2 * q, long=5 * q // 2)
+    emb = Embedding(graph, Pointset("hamming", image), short=2 * q,
+                    long=5 * q // 2)
     for u, v in graph.edges:
-        assert emb.distance(u, v) * 2 == 5 * q
+        assert emb.pointset.distance(u, v) * 2 == 5 * q
     return emb
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import lcm
 from operator import index, mul
 
-from kdiameter.geometry import BitVector
+from kdiameter.geometry import BitVector, Pointset
 from kdiameter.hadamard import Embedding, verify_embedding
 
 # largest n whose cycle C_n certifies in under a minute on a 2-vCPU VM: by
@@ -314,7 +314,7 @@ def extract_integer_embedding(graph, result):
     image = []
     for v in range(graph.n):
         image.append(BitVector.from_bits([(w >> v) & 1 for w in columns]))
-    return Embedding(graph, "hamming", image,
+    return Embedding(graph, Pointset("hamming", image),
                      short=scale, long=result.ratio * scale)
 
 

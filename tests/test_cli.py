@@ -22,6 +22,7 @@ from kdiameter.graphs import (
     cycle_graph,
     incidence_hypergraph,
     path_graph,
+    petersen_graph,
 )
 from kdiameter.lp import MAX_VERTICES
 
@@ -107,21 +108,28 @@ def test_report_digests(tmp_path, capsys, monkeypatch):
         assert hashlib.sha256(Path("report").read_bytes()).hexdigest() == digest, argv
 
 
-def test_composite_embed_then_cluster(tmp_path, k4_file, capsys):
+# K4's image 3-clusters at diameter q; Petersen, which is not
+# 3-edge-colorable, only at the edge distance long = 3q/2
+@pytest.mark.parametrize("J, q, diameter_key", [
+    (complete_graph(4), 16, "q"), (petersen_graph(), 64, "long")],
+    ids=["k4", "petersen"])
+def test_composite_embed_then_cluster(tmp_path, capsys, J, q, diameter_key):
+    graph_file = tmp_path / "J.json"
+    graph_file.write_text(json.dumps(J.to_dict()))
     out = tmp_path / "pointset.json"
-    code, _ = run(capsys, "composite", "embed", "--graph", k4_file,
+    code, _ = run(capsys, "composite", "embed", "--graph", str(graph_file),
                   "--out", str(out))
     assert code == 0
     report = json.loads(out.read_text())
     assert report["verdicts"]["verified"]
     assert report["achieved_ratio"] == {"num": 3, "den": 2}
-    assert report["q"] == 16
+    assert report["q"] == q
     cl_out = tmp_path / "clustering.json"
     code, _ = run(capsys, "cluster", "exact", "--pointset", str(out),
                   "--k", "3", "--out", str(cl_out))
     assert code == 0
     clustering = json.loads(cl_out.read_text())
-    assert clustering["diameter"] == report["q"]
+    assert clustering["diameter"] == report[diameter_key]
 
 
 def test_composite_build(k4_file, capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from kdiameter import gadgets as gadgets_module
+from kdiameter.clustering import exact_cluster
 from kdiameter.coloring import enumerate_colorings, find_coloring
 from kdiameter.gadgets import (
     AUX,
@@ -22,6 +23,7 @@ from kdiameter.gadgets import (
     stitch_slot_maps,
     verify_gadget,
 )
+from kdiameter.geometry import Pointset
 from kdiameter.graphs import (
     chvatal_graph,
     complete_graph,
@@ -111,7 +113,8 @@ def test_library_orientations(gadget, library):
         image = [word(l1, s1).concat(word(l2, s2))
                  for l1, s1, l2, s2 in emb.pairs]
         report = verify_embedding(Embedding(gadget.verification_graph(),
-                                            "hamming", image, short=8, long=12))
+                                            Pointset("hamming", image),
+                                            short=8, long=12))
         assert report["ok"]
         assert report["achieved_ratio"] == Fraction(3, 2)
 
@@ -256,7 +259,7 @@ def test_corrupted_stored_pair_is_refused(gadget, monkeypatch, corrupt,
     J = complete_graph(4)
     comp = build_composite(incidence_hypergraph(J), gadget,
                            slot_maps=stitch_slot_maps(J))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="library has no embedding"):
         stitch_embedding(comp, J, library=library)
 
 
@@ -269,7 +272,7 @@ def test_role_rule_alone_refuses_the_other_orientation(gadget, monkeypatch):
         pairs = list(body) + [(r, 1, r, -1) for r in range(ROLE_LETTERS)]
         image = [gadgets_module._pair_word(code, *p) for p in pairs]
         assert verify_embedding(Embedding(gadget.verification_graph(),
-                                          "hamming", image,
+                                          Pointset("hamming", image),
                                           short=8, long=12))["ok"]
     monkeypatch.setattr(gadgets_module, "ORIENTED_BODIES", swapped)
     assert oriented_embedding_library(gadget) == {}
@@ -365,25 +368,39 @@ def test_stitched_embedding_verifies(gadget, library, J_name):
     assert emb.long * 2 == emb.short * 3
 
 
-def test_stitched_k4_q_and_clustering(gadget, library):
-    from kdiameter.clustering import exact_cluster
-    from kdiameter.geometry import Pointset
-
-    J = complete_graph(4)
+# K4 is 3-edge-colorable, so its composite's image 3-clusters at diameter q
+# (the YES side); Petersen is not, so every 3-clustering of its image puts
+# an edge inside a cluster, at 3q/2 (the NO side).  q covers 6 vertex
+# letters + 2 fresh per copy for K4, 15 + 2 * 10 for Petersen, rounded up.
+@pytest.mark.parametrize("J_name, q, diameter",
+                         [("k4", 16, 16), ("petersen", 64, 96)],
+                         ids=["k4", "petersen"])
+def test_stitched_q_and_clustering(gadget, library, J_name, q, diameter):
+    J = complete_graph(4) if J_name == "k4" else petersen_graph()
     comp = build_composite(incidence_hypergraph(J), gadget,
                            slot_maps=stitch_slot_maps(J))
     emb = stitch_embedding(comp, J, library=library)
-    assert emb.short == 16  # 6 vertex letters + 2 fresh per copy, rounded up
-    clustering = exact_cluster(Pointset("hamming", emb.image), 3)
-    assert clustering.diameter == emb.short
+    assert emb.short == q
+    assert exact_cluster(emb.pointset, 3).diameter == diameter
 
 
 def test_stitch_requires_matching_library(gadget):
     J = complete_graph(4)
     comp = build_composite(incidence_hypergraph(J), gadget,
                            slot_maps=stitch_slot_maps(J))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="library has no embedding"):
         stitch_embedding(comp, J, library={})
+
+
+def test_stitch_refuses_ascending_slot_maps(gadget, library):
+    # slot maps in hyperedge order leave some copy's minority vertex out of
+    # the last slot: a pattern no stored orientation covers
+    J = complete_graph(4)
+    h = incidence_hypergraph(J)
+    comp = build_composite(h, gadget, slot_maps=h.hyperedges)
+    with pytest.raises(ValueError, match="rebuild the composite with "
+                                         "stitch_slot_maps"):
+        stitch_embedding(comp, J, library=library)
 
 
 def test_stitch_requires_incidence_hypergraph(gadget, library):

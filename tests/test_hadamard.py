@@ -7,7 +7,13 @@ import pytest
 
 from kdiameter.acceptance import random_graph
 from kdiameter.edgecolor import edge_coloring
-from kdiameter.geometry import BitVector, IntVector, hamming_distance
+from kdiameter.geometry import (
+    BitVector,
+    IntVector,
+    Pointset,
+    SphereLatticePoint,
+    hamming_distance,
+)
 from kdiameter.graphs import (
     complete_bipartite_graph,
     cycle_graph,
@@ -55,7 +61,7 @@ def test_linf_embedding_random_graphs():
         report = verify_embedding(emb)
         assert report["ok"]
         for u, v in g.edges:
-            assert emb.distance(u, v) == 2
+            assert emb.pointset.distance(u, v) == 2
 
 
 def test_five_fourths_embedding_k44():
@@ -71,7 +77,7 @@ def test_verify_embedding_detects_violation():
     code = hadamard_code(4)
     # vertices 0 and 2 are non-adjacent but land on complementary words
     image = [code.plus_words[0], code.plus_words[1], code.minus_words[0]]
-    emb = Embedding(g, "hamming", image, short=2, long=2)
+    emb = Embedding(g, Pointset("hamming", image), short=2, long=2)
     report = verify_embedding(emb)
     assert not report["ok"]
     assert report["worst_nonedge_pair"] == (0, 2)
@@ -85,24 +91,40 @@ def test_verify_embedding_degenerate_ratio():
 
 def test_embedding_json_roundtrip():
     emb = linf_embedding(path_graph(4))
-    back = Embedding.from_json(json.dumps(emb.to_dict()))
+    back = Embedding.from_json(json.dumps({
+        "graph": emb.source.to_dict(), "metric": "linf_int",
+        "short": emb.short, "long": emb.long,
+        "image": {str(v): list(p.entries) for v, p in enumerate(emb.image)}}))
     assert back.source == emb.source
     assert back.image == emb.image
     assert (back.short, back.long) == (emb.short, emb.long)
     assert verify_embedding(back)["ok"]
 
 
+def test_embedding_refuses_non_target_metric():
+    point = SphereLatticePoint([0, 1, 2], 0, [1, 0, 0], 1)
+    with pytest.raises(ValueError, match="unknown target metric"):
+        Embedding(path_graph(1), Pointset("l2_sphere_lattice", [point]),
+                  short=1, long=2)
+
+
+def test_embedding_refuses_pointset_short_of_vertices():
+    emb = linf_embedding(path_graph(4))
+    with pytest.raises(ValueError, match="cover every vertex"):
+        Embedding(emb.source, Pointset("linf_int", emb.image[:-1]),
+                  short=1, long=2)
+
 
 def verify_embedding_per_pair(embedding):
     """Reference oracle: both embedding conditions checked pair by pair
-    with `Embedding.distance` and `Graph.has_edge`."""
+    with `Pointset.distance` and `Graph.has_edge`."""
     g = embedding.source
     min_edge, worst_edge = None, None
     max_nonedge, worst_nonedge = None, None
     ok = True
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            d = embedding.distance(u, v)
+            d = embedding.pointset.distance(u, v)
             if g.has_edge(u, v):
                 if d < embedding.long:
                     ok = False
@@ -141,7 +163,7 @@ def test_verify_embedding_matches_per_pair_oracle():
             image = [random_point(metric, dim, rng) for _ in range(n)]
             short = rng.choice((rng.randint(0, 4), Fraction(rng.randint(1, 9), 2)))
             long = rng.choice((rng.randint(0, 6), Fraction(rng.randint(1, 13), 2)))
-            emb = Embedding(g, metric, image, short=short, long=long)
+            emb = Embedding(g, Pointset(metric, image), short=short, long=long)
             report = verify_embedding(emb)
             assert report == verify_embedding_per_pair(emb), (metric, trial)
             checked["holds" if report["ok"] else "violated"] += 1
