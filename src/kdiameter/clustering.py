@@ -8,18 +8,22 @@ immutable and ranks its pairs once by exact distance, in its pair table
 threshold graph is a prefix of the ranked pair list.  The table itself
 keeps that prefix as one list of neighbor bitsets, the coloring kernel's
 input, and moves it between ranks by XORing in only the pairs between the
-old prefix and the new one (`PairTable.bitsets_at`), whichever solver asked
-last; no `Graph` is built on the way.  The search is bracketed from below
-by Gonzalez's farthest-first traversal, which reads ranks: its k seeds
-and the point farthest from them are k+1 points pairwise at least `far`
-apart, so no k-clustering has a smaller diameter, and the first probe is
-the rank of `far`.  Where that bound is the optimum, one probe finds it.
+new prefix and the nearest one it knows (`PairTable.bitsets_at`): the last
+rank asked, whichever solver asked, the empty graph, or a graph it keeps at
+evenly spaced prefixes; no `Graph` is built on the way.  The search is
+bracketed from below by Gonzalez's farthest-first traversal, which reads
+ranks: its k seeds and the point farthest from them are k+1 points
+pairwise at least `far` apart, so no k-clustering has a smaller diameter,
+and the first probe is the rank of `far`.  Where that bound is the
+optimum, one probe finds it.
 The least colorable rank, and the bitsets the kernel sees there, do not
 depend on the order of the probes, so the answers are the plain
 bisection's.  Every clustering, whichever solver made it, gets its diameter
 in one way (`make_clustering`): its witness is the first pair of the pair
 table, by falling distance and row-major among equal distances, whose two
 points share a cluster, so one exact distance is evaluated per clustering.
+`two_cluster` 2-colors each probe one BFS layer at a time, a layer being a
+bitset, and stops at the first edge inside a layer.
 """
 
 from __future__ import annotations
@@ -140,33 +144,37 @@ def _checked(pointset, k):
 
 def two_cluster(pointset):
     """Optimal 2-clustering in polynomial time: the threshold graph must be
-    bipartite, checked by BFS 2-coloring instead of backtracking."""
+    bipartite, checked by a layered BFS 2-coloring instead of backtracking."""
     coloring = _least_colorable(pointset, 2, _bipartition, [0] * len(pointset))
     return make_clustering(pointset, coloring, 2)
 
 
 def _bipartition(adj):
-    """BFS 2-coloring of the graph with neighbor bitsets `adj`, or None."""
-    from collections import deque
+    """BFS 2-coloring of the graph with neighbor bitsets `adj`, or None.
 
-    color = [-1] * len(adj)
-    for s in range(len(adj)):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            nb = adj[v]
-            while nb:
-                low = nb & -nb
-                nb ^= low
-                w = low.bit_length() - 1
-                if color[w] == -1:
-                    color[w] = color[v] ^ 1
-                    queue.append(w)
-                elif color[w] == color[v]:
+    One BFS layer at a time, as a bitset: each component is rooted at its
+    lowest vertex, a layer's color is the parity of its depth, and the next
+    layer is the layer's unvisited neighbors.  The graph is bipartite iff no
+    edge joins two vertices of one layer (Kleinberg and Tardos, Algorithm
+    Design, 3.4), so the first such edge answers None."""
+    color = [0] * len(adj)
+    unvisited = (1 << len(adj)) - 1
+    while unvisited:
+        layer = unvisited & -unvisited
+        parity = 0
+        while layer:
+            unvisited ^= layer
+            reach, rest = 0, layer
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                if adj[v] & layer:
                     return None
+                reach |= adj[v]
+                color[v] = parity
+            layer = reach & unvisited
+            parity ^= 1
     return color
 
 

@@ -12,7 +12,10 @@ and row-major (i, then j) among equal distances, that lies in one cluster.
 `pair_rows` is the one stream of exact pair distances, one row of values per
 point: the pair table is built from it, and every other all-pairs check (an
 embedding's conditions, a Hadamard code's distances) reads it too.  The
-table owns its threshold graph, moved from rank to rank (`bitsets_at`).
+table owns its threshold graph, moved from rank to rank (`bitsets_at`) by
+XORing pairs in or out from the nearest graph it knows: the last one asked
+for, the empty graph, or one of the graphs it keeps at evenly spaced
+prefixes of its ranking.
 """
 
 from __future__ import annotations
@@ -409,6 +412,9 @@ def json_int(value, what):
 # sort key of sphere values (num, den), den > 0: one cross-multiplication
 _CROSS = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 
+# how many evenly spaced prefix graphs a pair table keeps (`bitsets_at`)
+_KEPT = 32
+
 
 class PairTable:
     """Every pair of a pointset, ranked once by exact distance.
@@ -443,21 +449,44 @@ class PairTable:
         # built once the buckets are freed, which keeps the peak down
         self.rank_of = dict(zip(values, range(len(values))))
         self._adj, self._at = [0] * n, 0   # the graph of the pairs pairs[:_at]
+        # _kept[m] is the graph of pairs[:m * _step] once a walk has passed it
+        self._step = -(-len(pairs) // _KEPT) or 1
+        self._kept = [(0,) * n] + [None] * _KEPT
+        self.moved = 0   # pairs XORed in or out since the table was built
 
     def bitsets_at(self, rank):
         """The threshold graph at `rank`, of the pairs pairs[:above[rank]], as
-        a list of n neighbor bitsets (bit j of the i-th joins i and j).  Each
-        pair is its own inverse, so the table moves its one list from the last
-        rank asked by XORing in the pairs between the two prefixes, or from
-        the empty graph when that is fewer.  Read it before the next call."""
-        adj, n, at, stop = self._adj, self.n, self._at, self.above[rank]
-        if stop < abs(stop - at):
-            adj[:], at = [0] * n, 0
+        a list of n neighbor bitsets (bit j of the i-th joins i and j).  Read
+        it before the next call: the table moves one list from graph to graph.
+
+        Each pair is its own inverse, so the list moves from any known prefix
+        graph by XORing in the pairs between the two prefixes.  The known
+        graphs are the one last asked for, the empty graph, and the kept
+        graphs at the multiples of `_step` just below and just above: an
+        upward walk keeps an immutable copy of the graph at each multiple it
+        first passes, at most `_KEPT` tuples of n ints besides the empty
+        graph.  The nearest known graph is the start, so once the kept graphs
+        exist a call moves at most half a step of pairs, or less than one step
+        past the last kept graph.  `moved` counts the pairs moved."""
+        adj, n, step, stop = self._adj, self.n, self._step, self.above[rank]
+        start, kept = self._at, self._kept
+        for pos in (0, stop // step * step, -(-stop // step) * step):
+            graph = kept[pos // step]
+            if graph is not None and abs(stop - pos) < abs(stop - start):
+                start, adj[:] = pos, graph
+        self.moved += abs(stop - start)
         bit = [1 << v for v in range(n)]
-        for p in self.pairs[min(at, stop):max(at, stop)]:
-            i, j = divmod(p, n)
-            adj[i] ^= bit[j]
-            adj[j] ^= bit[i]
+        pairs = self.pairs
+        while start != stop:
+            # up to the next multiple of `step` (or `stop`), or down to `stop`
+            end = min(stop, (start // step + 1) * step) if start < stop else stop
+            for p in pairs[min(start, end):max(start, end)]:
+                i, j = divmod(p, n)
+                adj[i] ^= bit[j]
+                adj[j] ^= bit[i]
+            if end > start and end % step == 0 and kept[end // step] is None:
+                kept[end // step] = tuple(adj)
+            start = end
         self._at = stop
         return adj
 

@@ -1,4 +1,6 @@
+import hashlib
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -26,7 +28,7 @@ from kdiameter.gadgets import (
     stitch_embedding,
     stitch_slot_maps,
 )
-from kdiameter.geometry import BitVector, IntVector, Pointset
+from kdiameter.geometry import BitVector, IntVector, Pointset, SqDistance
 from kdiameter.graphs import Graph, complete_graph, incidence_hypergraph, petersen_graph
 from kdiameter.sphere import (
     build_region_instance,
@@ -134,7 +136,65 @@ def test_bitsets_at_follow_any_walk_of_ranks():
             stop = table.above[rank]
             restarts += 0 < stop < abs(stop - at)
             at = stop
+        # the walk to the full graph (rank 0) kept the graph at every
+        # multiple of the step; from here on every walk starts from the
+        # nearest one, and a kept graph stays what it was when kept
+        total, step = len(table.pairs), table._step
+        assert all(graph is not None for graph in table._kept[:total // step + 1])
+        edges = [rank for rank in range(top + 1)   # prefix at or next to a multiple
+                 if min(table.above[rank] % step, -table.above[rank] % step) <= 1]
+        walk = edges + [rng.randint(0, top) for _ in range(16)]
+        rng.shuffle(walk)
+        for rank in walk + [top, 0, top]:
+            moved = table.moved
+            assert table.bitsets_at(rank) == (
+                threshold_graph_at(table, rank).adjacency_bitsets())
+            stop = table.above[rank]
+            if -(-stop // step) * step <= total:   # kept on both sides
+                assert table.moved - moved <= step // 2
+            else:
+                assert table.moved - moved < step
     assert restarts
+
+
+def _separation_and_clusterings(region):
+    """The operations of one pass of the `sphere` benchmark workload."""
+    for t in (1, Fraction(5, 4), Fraction(163, 125), Fraction(4, 3),
+              Fraction(3, 2)):
+        verify_anchor_separation(region, threshold=t)
+    ps = region.pointset()
+    exact_cluster(ps, 3)
+    two_cluster(ps)
+    gonzalez_cluster(ps, 3)
+
+
+def test_pair_moves_on_the_kappa12_region():
+    """The pairs the pair table XORs on the kappa = 12 region, counted
+    by `PairTable.moved`: kept prefix graphs make the bisection's walks
+    start near each probe."""
+    ps = build_region_instance((0, 1, 2), 12).pointset()
+    two_cluster(ps)
+    assert ps.table.moved == 18_695
+    region = build_region_instance((0, 1, 2), 12)
+    table = distinct_distances(region.pointset())
+    _separation_and_clusterings(region)
+    assert table.moved == 19_616
+    _separation_and_clusterings(region)
+    assert table.moved == 19_616 + 3_726
+
+
+def test_kappa12_region_clusterings():
+    """The exact 3-clustering and the 2-clustering of the kappa = 12
+    region, as the `sphere` benchmark workload checks them."""
+    ps = build_region_instance((0, 1, 2), 12).pointset()
+    for cl, diameter, witness, digest in (
+            (exact_cluster(ps, 3), SqDistance(0, 1, 1), (0, 12),
+             "f91723b78760a89a1d41466a1b29dbe92764e9eb2f3ecf36477d1fbe656f1347"),
+            (two_cluster(ps), SqDistance(-19, 74, 5), (97, 189),
+             "e98ac2f5f3825efc78a37cfc050f36aa1460dd487881faa56588844e4b9f2387")):
+        assert repr(cl.diameter) == repr(diameter)
+        assert cl.witness_pair == witness
+        assert hashlib.sha256(bytes(cl.assignment)).hexdigest() == digest
 
 
 def test_solvers_build_no_graph(monkeypatch):
@@ -273,6 +333,69 @@ def test_two_cluster_optimal():
     for _ in range(40):
         ps = random_int_pointset(rng, max_points=10)
         assert two_cluster(ps).diameter == brute_force_cluster_diameter(ps, 2)
+
+
+def _bfs_bipartition(adj):
+    """The vertex-at-a-time BFS 2-coloring: each component rooted at its
+    lowest vertex with color 0, or None at the first edge inside a color."""
+    color = [-1] * len(adj)
+    for s in range(len(adj)):
+        if color[s] != -1:
+            continue
+        color[s] = 0
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            nb = adj[v]
+            while nb:
+                low = nb & -nb
+                nb ^= low
+                w = low.bit_length() - 1
+                if color[w] == -1:
+                    color[w] = color[v] ^ 1
+                    queue.append(w)
+                elif color[w] == color[v]:
+                    return None
+    return color
+
+
+def _random_bitsets(rng, n):
+    """Neighbor bitsets of a random graph on n vertices: at a random
+    density, or bipartite across a random split, sometimes plus one edge."""
+    side = [rng.randrange(2) for _ in range(n)]
+    bipartite, density = rng.random() < 0.5, rng.random()
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if (side[i] != side[j] or not bipartite) and rng.random() < density]
+    if n > 1 and rng.random() < 0.3:
+        edges.append(tuple(rng.sample(range(n), 2)))
+    adj = [0] * n
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return adj
+
+
+def test_layered_bipartition_matches_bfs(monkeypatch):
+    rng = random.Random(73)
+    answers = set()
+    for _ in range(3000):
+        adj = _random_bitsets(rng, rng.randint(0, 12))
+        got = _bipartition(adj)
+        assert got == _bfs_bipartition(adj)
+        answers.add(got is None)
+    assert answers == {True, False}
+    # every threshold graph two_cluster probes on the kappa = 12 region
+    probes = []
+
+    def recording(adj):
+        probes.append(list(adj))
+        return _bipartition(adj)
+
+    monkeypatch.setattr(clustering, "_bipartition", recording)
+    two_cluster(build_region_instance((0, 1, 2), 12).pointset())
+    assert len(probes) == 12
+    for adj in probes:
+        assert _bipartition(adj) == _bfs_bipartition(adj)
 
 
 def test_gonzalez_within_factor_two():
@@ -509,8 +632,8 @@ def _plain_exact(pointset, k):
 
 
 def _plain_two(pointset):
-    coloring = _plain_least_colorable(distinct_distances(pointset), _bipartition,
-                                      [0] * len(pointset))
+    coloring = _plain_least_colorable(distinct_distances(pointset),
+                                      _bfs_bipartition, [0] * len(pointset))
     return make_clustering(pointset, coloring, 2)
 
 
