@@ -230,13 +230,11 @@ def criterion_7(budget=DEFAULT_BUDGET, seed=0):
 def criterion_8(budget=DEFAULT_BUDGET, seed=0):
     """Coordinate-rule clustering: squared diameter <= 1 + sqrt(2)/2 and the
     negative b and c axis points land in one cluster."""
-    from kdiameter.sphere import axis_key
-
     instance = _kappa12_region()
     clustering = remark_clustering(instance)
     bound = remark_diameter_within_bound(clustering)
-    eb = instance.index_of[axis_key(1)]
-    ec = instance.index_of[axis_key(2)]
+    eb = instance.anchor_index[1]
+    ec = instance.anchor_index[2]
     together = clustering.assignment[eb] == clustering.assignment[ec]
     return {"ok": bound and together, "bound_holds": bound,
             "anchors_together": together}

@@ -159,7 +159,12 @@ def _write_stdout(text):
 
 
 def _emit(report, args):
-    text = json.dumps(report, sort_keys=True, indent=2, default=str) + "\n"
+    _emit_text(json.dumps(report, sort_keys=True, indent=2, default=str) + "\n",
+               args)
+
+
+def _emit_text(text, args):
+    """Write `text` to `--out`, and to stdout too with `--json` or no `--out`."""
     if args.out:
         with open(args.out, "w") as f:
             f.write(text)
@@ -282,12 +287,7 @@ def cmd_sphere_sweep(args):
     kappas = _parse_kappas(args.kappa)
     thresholds = [_parse_fraction(t) for t in args.t_grid.split(",")]
     rows = kappa_sweep(kappas, thresholds, budget=args.budget_nodes)
-    csv = sweep_csv(rows)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(csv)
-    else:
-        _write_stdout(csv)
+    _emit_text(sweep_csv(rows), args)
     if any(row["separation_holds"] == "budget_exceeded" for row in rows):
         return EXIT_BUDGET
     return EXIT_OK

@@ -5,8 +5,9 @@ bitsets `adj`, one int per vertex, with bit j of adj[i] set when i and j are
 adjacent.  The threshold-graph solvers read that list off a pair table
 (`geometry.PairTable.bitsets_at`); a caller holding a `graphs.Graph` passes
 `graph.adjacency_bitsets()`.  The search's node order depends only on the
-bitsets.  A rainbow coloring of a hypergraph is a proper coloring of its
-`Hypergraph.constraint_graph()`, so the same calls search it.
+bitsets.  A proper edge coloring is a rainbow coloring of the incidence
+hypergraph, and a rainbow coloring of a hypergraph is a proper coloring of
+its `Hypergraph.constraint_graph()`, so the same calls search it.
 
 The kernel is the compiled `_colorcore` extension, hand-written C that
 `setup.py` builds when a C compiler exists, else the pure-Python
@@ -82,38 +83,35 @@ def count_colorings_total(adj, k, budget=DEFAULT_BUDGET):
     return total
 
 
-def forall_colorings(adj, k, predicate, support, budget=DEFAULT_BUDGET,
-                     stats=None):
-    """Check that `predicate` holds for every proper k-coloring of the graph
-    with neighbor bitsets `adj`.
+def forall_colorings(adj, k, support, budget=DEFAULT_BUDGET, stats=None):
+    """Check that every proper k-coloring of the graph with neighbor bitsets
+    `adj` is rainbow on `support`, a list of distinct vertices.
 
     Returns (True, None) or (False, counterexample_coloring).  Vacuously true
     when no proper coloring exists.
 
-    The predicate is called with a dict from each vertex of `support` (a
-    list of distinct vertices) to its color.  It must read only those
-    colors, and its value must not change when colors are renamed.  Proper
-    colorings are closed under renaming too, so only the partition of the
-    support into color classes matters.  The check walks those partitions
-    once each, as first-use color patterns (a color appears only after every
-    smaller one) in lexicographic order; each pattern the predicate rejects
-    is tested for extendability to a proper coloring by one search with the
-    support pinned.  The witness of the first extendable one keeps the
-    pattern's colors and renames the colors it leaves unused in reverse.
+    Proper colorings are closed under renaming colors, so only the partition
+    of the support into color classes matters.  The check walks those
+    partitions once each, as first-use color patterns (a color appears only
+    after every smaller one) in lexicographic order; each pattern that
+    repeats a color is tested for extendability to a proper coloring by one
+    search with the support pinned.  The witness of the first extendable one
+    keeps the pattern's colors and renames the colors it leaves unused in
+    reverse.
     """
     patterns = [()]
     for _ in support:
         patterns = [p + (c,) for p in patterns
                     for c in range(min(max(p, default=-1) + 2, k))]
     for pattern in patterns:
-        if predicate(dict(zip(support, pattern))):
+        used = max(pattern, default=-1) + 1
+        if used == len(pattern):
             continue
         fixed = [-1] * len(adj)
         for v, c in zip(support, pattern):
             fixed[v] = c
         base = find_coloring(adj, k, fixed=fixed, budget=budget, stats=stats)
         if base is not None:
-            used = max(pattern, default=-1) + 1
             relabel = [*range(used), *range(k - 1, used - 1, -1)]
             return False, [relabel[c] for c in base]
     return True, None

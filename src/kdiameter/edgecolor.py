@@ -1,10 +1,10 @@
 """Proper edge colorings, by one route: an exact backtracking search for a
-vertex coloring of the line graph, whatever the number of colors."""
+rainbow coloring of the incidence hypergraph, whatever the number of colors."""
 
 from __future__ import annotations
 
 from kdiameter.coloring import DEFAULT_BUDGET, find_coloring
-from kdiameter.graphs import Graph
+from kdiameter.graphs import incidence_hypergraph
 
 
 class EdgeColoring:
@@ -27,35 +27,23 @@ class EdgeColoring:
                 seen.add(c)
 
 
-def line_graph(graph):
-    """(line graph, edge list): vertices of the line graph index sorted edges."""
-    edges = graph.sorted_edges()
-    index = {e: i for i, e in enumerate(edges)}
-    lg_edges = set()
-    for v in range(graph.n):
-        inc = sorted(index[(min(v, w), max(v, w))] for w in graph.neighbors(v))
-        for i in range(len(inc)):
-            for j in range(i + 1, len(inc)):
-                lg_edges.add((inc[i], inc[j]))
-    return Graph(len(edges), lg_edges), edges
-
-
 def edge_coloring(graph, c, budget=DEFAULT_BUDGET):
     """A proper c-edge-coloring, or None when none exists.
 
-    None at once when c < Delta; otherwise an exact search for a proper
-    c-coloring of the line graph.  At c = Delta this is the NP-hard question
-    (Holyer 1981).  For c > Delta a coloring always exists (Vizing), but the
-    search has no polynomial bound there: `budget` caps it, as it caps every
-    search, and an exhausted budget raises `BudgetExceeded`.
+    None at once when c < Delta; otherwise an exact search for a rainbow
+    c-coloring of `incidence_hypergraph(graph)`, whose vertex i is the i-th
+    sorted edge.  At c = Delta this is the NP-hard question (Holyer 1981).
+    For c > Delta a coloring always exists (Vizing), but the search has no
+    polynomial bound there: `budget` caps it, as it caps every search, and
+    an exhausted budget raises `BudgetExceeded`.
     """
     if c < graph.max_degree():
         return None
-    lg, edges = line_graph(graph)
-    coloring = find_coloring(lg.adjacency_bitsets(), c, budget=budget)
+    constraints = incidence_hypergraph(graph).constraint_graph()
+    coloring = find_coloring(constraints.adjacency_bitsets(), c, budget=budget)
     if coloring is None:
         return None
-    return EdgeColoring(graph, dict(zip(edges, coloring)), c)
+    return EdgeColoring(graph, dict(zip(graph.sorted_edges(), coloring)), c)
 
 
 def three_edge_color_via_bridge_splitting(graph, budget=DEFAULT_BUDGET):

@@ -131,7 +131,7 @@ def verify_anchor_separation(instance, threshold=SEPARATION_THRESHOLD,
     Returns (True, None) or (False, witness) where the witness is either
     None (not 3-colorable at all) or a proper coloring merging two anchors.
     The forall direction runs on the anchor support: each of the anchor
-    color patterns violating distinctness is tested for extendability.
+    color patterns that repeats a color is tested for extendability.
     The threshold graph is read once from the instance's pair table as
     neighbor bitsets (`PairTable.bitsets_at`), which the first coloring and
     every anchor pattern of the forall check share.
@@ -144,20 +144,9 @@ def verify_anchor_separation(instance, threshold=SEPARATION_THRESHOLD,
     table = distinct_distances(instance.pointset())
     adj = table.bitsets_at(table.rank_above(threshold ** 2))
     anchors = [instance.anchor_index[axis] for axis in instance.regions[0]]
-    base = find_coloring(adj, 3, budget=budget, stats=stats)
-    if base is None:
+    if find_coloring(adj, 3, budget=budget, stats=stats) is None:
         return False, None
-    predicate = _distinct_on(anchors)
-    holds, witness = forall_colorings(adj, 3, predicate, support=anchors,
-                                      budget=budget, stats=stats)
-    return holds, witness
-
-
-def _distinct_on(anchors):
-    def predicate(coloring):
-        seen = {coloring[a] for a in anchors}
-        return len(seen) == len(anchors)
-    return predicate
+    return forall_colorings(adj, 3, anchors, budget=budget, stats=stats)
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,17 @@ def test_sphere_sweep_csv(tmp_path, capsys):
     assert len(lines) == 5
 
 
+def test_sphere_sweep_json_prints_the_csv_it_writes(tmp_path, capsys):
+    # --json prints the report to stdout as well, as every command does
+    out = tmp_path / "sweep.csv"
+    code, printed = run(capsys, "sphere", "sweep", "--kappa", "2",
+                        "--t-grid", "1", "--out", str(out), "--json")
+    assert code == 0
+    assert printed and printed == out.read_text()
+    assert run(capsys, "sphere", "sweep", "--kappa", "2", "--t-grid", "1",
+               "--out", str(out)) == (0, "")
+
+
 def test_embeddability(tmp_path, capsys):
     path = tmp_path / "P7.json"
     path.write_text(json.dumps(path_graph(7).to_dict()))

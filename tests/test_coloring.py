@@ -61,23 +61,27 @@ def expand_coloring(coloring, k):
     return out
 
 
-def forall_by_enumeration(adj, k, predicate):
-    """Reference forall: the predicate on every concrete proper coloring."""
+def rainbow_on(coloring, support):
+    return len({coloring[v] for v in support}) == len(support)
+
+
+def forall_by_enumeration(adj, k, support):
+    """Reference forall: every concrete proper coloring checked on `support`."""
     for canonical in enumerate_colorings(adj, k):
         for coloring in expand_coloring(canonical, k):
-            if not predicate(coloring):
+            if not rainbow_on(coloring, support):
                 return False, coloring
     return True, None
 
 
-def forall_by_products(adj, k, predicate, support, stats):
-    """Reference forall on a support: the predicate on every one of the k^m
-    support assignments; each rejected one is tested for extendability
-    through its first-use color pattern, searched once and cached, and the
-    witness is renamed to realize the assignment itself."""
+def forall_by_products(adj, k, support, stats):
+    """Reference forall on a support: every one of the k^m support
+    assignments that repeats a color is tested for extendability through
+    its first-use color pattern, searched once and cached, and the witness
+    is renamed to realize the assignment itself."""
     cache = {}
     for assignment in product(range(k), repeat=len(support)):
-        if predicate(dict(zip(support, assignment))):
+        if rainbow_on(dict(zip(support, assignment)), support):
             continue
         first_use = {}
         for c in assignment:
@@ -96,18 +100,6 @@ def forall_by_products(adj, k, predicate, support, stats):
                     relabel[c] = remaining.pop()
             return False, [relabel[c] for c in cache[pattern]]
     return True, None
-
-
-def distinct_on(support):
-    return lambda coloring: len({coloring[v] for v in support}) == len(support)
-
-
-def at_least_two_on(support):
-    return lambda coloring: len({coloring[v] for v in support}) >= 2
-
-
-def ends_differ_on(support):
-    return lambda coloring: coloring[support[0]] != coloring[support[-1]]
 
 
 def test_chromatic_facts():
@@ -182,48 +174,54 @@ def test_forall_with_and_without_support_agree():
         g = random_graph(rng.randint(3, 7), 0.4, rng)
         adj = g.adjacency_bitsets()
         support = rng.sample(range(g.n), min(3, g.n))
-        predicate = at_least_two_on(support)
-        plain = forall_by_enumeration(adj, 3, predicate)
-        fast = forall_colorings(adj, 3, predicate, support=support)
+        plain = forall_by_enumeration(adj, 3, support)
+        fast = forall_colorings(adj, 3, support)
         assert plain[0] == fast[0]
         if not fast[0]:
             witness = fast[1]
-            assert is_proper(g, witness, 3) and not predicate(witness)
+            assert is_proper(g, witness, 3) and not rainbow_on(witness, support)
 
 
 def test_forall_tries_each_failing_pattern_once():
     # the first-use patterns in lexicographic order are where the k^m
     # products first reach each partition, so the searches, their node
     # counts and the witnesses are the product loop's
-    def agree(adj, k, predicate, support):
+    def agree(adj, k, support):
         stats, reference_stats = {}, {}
-        got = forall_colorings(adj, k, predicate, support, stats=stats)
-        want = forall_by_products(adj, k, predicate, support, reference_stats)
+        got = forall_colorings(adj, k, support, stats=stats)
+        want = forall_by_products(adj, k, support, reference_stats)
         assert got == want
         assert stats.get("nodes", 0) == reference_stats.get("nodes", 0)
         return got
 
     rng = random.Random(20)
-    for _ in range(600):
-        g = random_graph(rng.randint(2, 12), rng.random(), rng)
-        k = rng.randint(2, 4)
-        support = rng.sample(range(g.n), rng.randint(1, min(4, g.n)))
-        for rule in (distinct_on, at_least_two_on, ends_differ_on):
-            holds, witness = agree(g.adjacency_bitsets(), k, rule(support), support)
-            if not holds:
-                assert is_proper(g, witness, k) and not rule(support)(witness)
+    verdicts = set()
+    for _ in range(200):
+        g = random_graph(rng.randint(4, 12), rng.random(), rng)
+        for k in (2, 3, 4):
+            for m in (1, 2, 3, 4):
+                # m > k leaves no rainbow pattern: every one is searched
+                support = rng.sample(range(g.n), m)
+                holds, witness = agree(g.adjacency_bitsets(), k, support)
+                if not holds:
+                    assert is_proper(g, witness, k)
+                    assert not rainbow_on(witness, support)
+                verdicts.add((m > k, holds))
+    assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
     for kappa in range(1, 9):
         region = build_region_instance((0, 1, 2), kappa)
         table = distinct_distances(region.pointset())
         anchors = list(region.anchor_index.values())
         for t in (1, Fraction(5, 4), SEPARATION_THRESHOLD, Fraction(3, 2)):
             adj = table.bitsets_at(table.rank_above(t ** 2))
-            agree(adj, 3, distinct_on(anchors), anchors)
+            agree(adj, 3, anchors)
 
 
 def test_forall_vacuous_on_uncolorable():
+    # every pattern of four vertices in three colors repeats one, and none
+    # extends to a proper coloring of K4
     holds, witness = forall_colorings(complete_graph(4).adjacency_bitsets(), 3,
-                                       lambda c: False, support=[0, 1])
+                                      [0, 1, 2, 3])
     assert holds and witness is None
 
 
@@ -237,9 +235,9 @@ def test_rainbow_modes():
     everything = enumerate_colorings(g.adjacency_bitsets(), 3)
     assert everything and all(len({c[v] for v in e}) == 3
                               for c in everything for e in h.hyperedges)
-    holds, _ = forall_colorings(g.adjacency_bitsets(), 3, lambda c: c[0] != c[3],
-                                  support=[0, 3])
+    holds, _ = forall_colorings(g.adjacency_bitsets(), 3, [0, 3])
     assert not holds  # colors of 0 and 3 can coincide across hyperedges
+    assert forall_colorings(g.adjacency_bitsets(), 3, [0, 1, 2]) == (True, None)
 
 
 def test_search_depth_is_not_limited_by_recursion():
@@ -358,8 +356,8 @@ def test_backends_agree(compiled_kernel):
                        {"mode": _colorcore_py.MODE_ENUMERATE, "budget": 200}):
             assert (compiled_kernel.search(adj, k, **kwargs)
                     == _colorcore_py.search(adj, k, **kwargs))
-    # the empty graph, the line graph `edge_coloring` searches for an
-    # edgeless graph: colored by the empty coloring, at every k
+    # the empty graph, the constraint graph `edge_coloring` searches for
+    # an edgeless graph: colored by the empty coloring, at every k
     for k in range(4):
         assert compiled_kernel.search([], k)[1] == []
         for kwargs in ({}, {"mode": _colorcore_py.MODE_ENUMERATE}):

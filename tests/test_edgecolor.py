@@ -6,7 +6,6 @@ import pytest
 from kdiameter.acceptance import random_graph
 from kdiameter.edgecolor import (
     edge_coloring,
-    line_graph,
     three_edge_color_via_bridge_splitting,
 )
 from kdiameter.graphs import (
@@ -14,6 +13,7 @@ from kdiameter.graphs import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    incidence_hypergraph,
     petersen_graph,
 )
 
@@ -26,11 +26,37 @@ def assert_proper_edge_coloring(graph, coloring, c):
         assert all(0 <= x < c for x in incident)
 
 
-def test_line_graph_small():
-    lg, edges = line_graph(cycle_graph(4))
-    assert lg.n == 4
+def line_graph(graph):
+    """(line graph, edge list): vertices of the line graph index sorted edges."""
+    edges = graph.sorted_edges()
+    index = {e: i for i, e in enumerate(edges)}
+    lg_edges = set()
+    for v in range(graph.n):
+        inc = sorted(index[(min(v, w), max(v, w))] for w in graph.neighbors(v))
+        for i in range(len(inc)):
+            for j in range(i + 1, len(inc)):
+                lg_edges.add((inc[i], inc[j]))
+    return Graph(len(edges), lg_edges), edges
+
+
+def test_incidence_constraint_graph_is_the_line_graph():
+    # `edge_coloring` searches the constraint graph of the incidence
+    # hypergraph; it must be the line graph, vertex i the i-th sorted edge
+    c4, edges = line_graph(cycle_graph(4))
     assert edges == cycle_graph(4).sorted_edges()
-    assert all(lg.degree(v) == 2 for v in range(4))
+    assert c4.n == 4 and all(c4.degree(v) == 2 for v in range(4))
+    rng = random.Random(26)
+    graphs = [Graph(0), Graph(3), Graph(4, [(0, 1)]), Graph(5, [(0, 1), (2, 3)]),
+              cycle_graph(4), petersen_graph(), complete_bipartite_graph(2, 3)]
+    graphs += [random_graph(rng.randint(0, 12), rng.random() * 0.6, rng)
+               for _ in range(300)]
+    graphs += [random_subcubic_graph(rng.randint(1, 10), rng.randint(0, 12), rng)
+               for _ in range(100)]
+    degrees = set()
+    for g in graphs:
+        assert incidence_hypergraph(g).constraint_graph() == line_graph(g)[0]
+        degrees |= {g.degree(v) for v in range(g.n)}
+    assert {0, 1, 2, 3} <= degrees
 
 
 def test_edge_coloring_delta_plus_one_always_succeeds():
