@@ -23,7 +23,12 @@ the caller's vertex numbers, so coloring v reads `adj[v]` as it is:
   stack.
 
 The search runs on an explicit stack, so graph size is not limited by the
-interpreter's recursion limit.
+interpreter's recursion limit.  Each colored vertex has one frame, a list
+of its vertex, bucket, colors left to try, color, the vertices that color
+moved up, the `seen` it replaced and `used` before it.  The step that
+picks a vertex colors it with its first color at once, and a vertex of
+saturation k, which has no color left, is never pushed: the search
+backtracks as the C kernel does when its frame is popped without a node.
 """
 
 BACKEND = "python"
@@ -91,23 +96,25 @@ def search(adj, k, fixed=None, mode=MODE_FIRST, budget=10**9):
 
     full = (1 << k) - 1
     used = max(colors, default=-1) + 1
-    depth, nfree = 0, free.bit_count()
-    # one frame per colored free vertex: the vertex, its bucket, the colors
-    # left to try, its color (-1 before the first), the vertices its color
-    # moved up a bucket, the `seen` it replaced, and `used` before it
-    f_vertex, f_level, f_avail, f_color, f_moved, f_seen, f_used = (
-        [0] * nfree for _ in range(7))
+    nfree = free.bit_count()
+    # one frame per colored free vertex: [vertex, its bucket, the colors
+    # left to try, its color, the vertices its color moved up a bucket, the
+    # `seen` that color replaced, `used` before it]
+    frames = []
     nodes = 0
     found = []
     while True:
-        if depth == nfree:
+        s = k
+        if len(frames) == nfree:
             found.append(list(colors))
             if mode == MODE_FIRST:
                 break
         else:
-            s = k
             while not buckets[s]:
                 s -= 1
+        if s < k:
+            # the next vertex, colored at once; a vertex of saturation k
+            # would be a dead end, so it is never pushed
             top = buckets[s]
             for t in tiers:
                 m = top & t
@@ -123,56 +130,51 @@ def search(adj, k, fixed=None, mode=MODE_FIRST, budget=10**9):
                 avail &= (1 << min(k, used + 1)) - 1
             buckets[s] ^= bit
             free ^= bit
-            f_vertex[depth] = bit.bit_length() - 1
-            f_level[depth], f_avail[depth] = s, avail
-            f_color[depth], f_used[depth] = -1, used
-            depth += 1
-        while depth:
-            d = depth - 1
-            c = f_color[d]
-            if c >= 0:
-                seen[c] = f_seen[d]
-                moved, s = f_moved[d], 1
-                while moved:
-                    m = buckets[s] & moved
-                    if m:
-                        buckets[s] ^= m
-                        buckets[s - 1] |= m
-                        moved ^= m
-                    s += 1
-            avail = f_avail[d]
-            if not avail:
-                bit = 1 << f_vertex[d]
-                buckets[f_level[d]] |= bit
-                free |= bit
-                depth = d
-                continue
-            low = avail & -avail
-            c = low.bit_length() - 1
-            f_avail[d] = avail ^ low
-            nodes += 1
-            if nodes > budget:
-                return STATUS_BUDGET, None if mode == MODE_FIRST else found, nodes
-            v = f_vertex[d]
-            f_color[d] = c
-            colors[v] = c
-            nb = adj[v]
-            old = seen[c]
-            f_seen[d] = old
-            seen[c] = old | nb
-            moved = nb & free & ~old
-            f_moved[d], s = moved, k - 1
-            while moved:
-                m = buckets[s] & moved
-                if m:
-                    buckets[s] ^= m
-                    buckets[s + 1] |= m
-                    moved ^= m
-                s -= 1
-            used = f_used[d] if c < f_used[d] else c + 1
-            break
+            v, before = bit.bit_length() - 1, used
+            frames.append(None)   # its frame, written as it is colored below
         else:
-            break
+            # backtrack: undo the top frame's color, popping the frames with
+            # no color left to try
+            while frames:
+                v, s, avail, c, moved, old, before = frames[-1]
+                seen[c] = old
+                level = 1
+                while moved:
+                    m = buckets[level] & moved
+                    if m:
+                        buckets[level] ^= m
+                        buckets[level - 1] |= m
+                        moved ^= m
+                    level += 1
+                if avail:
+                    break
+                bit = 1 << v
+                buckets[s] |= bit
+                free |= bit
+                frames.pop()
+            else:
+                break
+        # color the top frame's vertex with its lowest color left
+        low = avail & -avail
+        nodes += 1
+        if nodes > budget:
+            return STATUS_BUDGET, None if mode == MODE_FIRST else found, nodes
+        c = low.bit_length() - 1
+        colors[v] = c
+        nb = adj[v]
+        old = seen[c]
+        seen[c] = old | nb
+        moved = nb & free & ~old
+        frames[-1] = [v, s, avail ^ low, c, moved, old, before]
+        s = k - 1
+        while moved:
+            m = buckets[s] & moved
+            if m:
+                buckets[s] ^= m
+                buckets[s + 1] |= m
+                moved ^= m
+            s -= 1
+        used = before if c < before else c + 1
 
     if mode == MODE_FIRST:
         return STATUS_OK, (found[0] if found else None), nodes

@@ -15,13 +15,17 @@ bracketed from below by Gonzalez's farthest-first traversal, which reads
 ranks: its k seeds and the point farthest from them are k+1 points
 pairwise at least `far` apart, so no k-clustering has a smaller diameter,
 and the first probe is the rank of `far`.  Where that bound is the
-optimum, one probe finds it.
+optimum, one probe finds it.  The traversal is kept with the pair table,
+seed by seed, so the solvers asking about one pointset read one row of
+ranks per seed between them.
 The least colorable rank, and the bitsets the kernel sees there, do not
 depend on the order of the probes, so the answers are the plain
 bisection's.  Every clustering, whichever solver made it, gets its diameter
 in one way (`make_clustering`): its witness is the first pair of the pair
 table, by falling distance and row-major among equal distances, whose two
 points share a cluster, so one exact distance is evaluated per clustering.
+A solver's coloring splits every pair above the rank it solved at, so its
+scan starts there.
 `two_cluster` 2-colors each probe one BFS layer at a time, a layer being a
 bitset, and stops at the first edge inside a layer.
 """
@@ -29,6 +33,7 @@ bitset, and stops at the first edge inside a layer.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -57,18 +62,28 @@ def make_clustering(pointset, assignment, k):
     The witness is the first pair in the pointset's pair table, by falling
     distance and row-major (i, then j) among equal distances, whose two
     points share a cluster; the diameter is its distance.  With no such
-    pair the diameter is 0 and the witness None."""
+    pair the diameter is 0 and the witness None.  The scan starts at the
+    table's farthest pair."""
     if len(assignment) != len(pointset):
         raise ValueError("assignment length must match the pointset")
     if any(not 0 <= c < k for c in assignment):
         raise ValueError("cluster ids out of range")
+    return _witnessed(pointset, list(assignment), k,
+                      len(distinct_distances(pointset).keys))
+
+
+def _witnessed(pointset, assignment, k, rank):
+    """`make_clustering` for an assignment that splits every pair of rank
+    >= `rank`, pairs[:above[rank]]: none of them can be the witness, so the
+    scan starts at pairs[above[rank]].  The solvers pass the rank their
+    coloring is proper at."""
     table = distinct_distances(pointset)
     n = table.n
-    for p in islice(table.pairs, table.above[1]):
+    for p in islice(table.pairs, table.above[rank], table.above[1]):
         i, j = divmod(p, n)
         if assignment[i] == assignment[j]:
-            return Clustering(list(assignment), k, pointset.distance(i, j), (i, j))
-    return Clustering(list(assignment), k, 0, None)
+            return Clustering(assignment, k, pointset.distance(i, j), (i, j))
+    return Clustering(assignment, k, 0, None)
 
 
 def distinct_distances(pointset):
@@ -89,10 +104,12 @@ def threshold_graph_at(table, rank):
 
 def _least_colorable(pointset, k, color, top):
     """Binary search over the candidate diameters of a pointset's pair
-    table: what `color` gives at the least rank whose threshold graph (as
-    neighbor bitsets) it colors, or `top` when only the largest candidate
-    (no edges) works.  Colorability is monotone in the cutoff (larger
-    cutoff, fewer edges).
+    table: `(coloring, rank)`, what `color` gives at the least rank whose
+    threshold graph (as neighbor bitsets) it colors and that rank, or `top`
+    and len(keys) when only the largest candidate (no edges) works.
+    Colorability is monotone in the cutoff (larger cutoff, fewer edges).
+    The coloring splits every pair of rank >= `rank`, so the witness scan
+    of its clustering starts at pairs[above[rank]].
 
     The search starts from Gonzalez's lower bound: the k farthest-first
     seeds and the point farthest from them are k+1 points pairwise at least
@@ -105,14 +122,14 @@ def _least_colorable(pointset, k, color, top):
     table = distinct_distances(pointset)
     lo = _farthest_first(pointset, k)[1]
     hi = len(table.keys) - 1
-    best = top
+    best = top, len(table.keys)
     mid = lo
     while lo < hi:
         coloring = color(table.bitsets_at(mid + 1))
         if coloring is None:
             lo = mid + 1
         else:
-            best, hi = coloring, mid
+            best, hi = (coloring, mid + 1), mid
         mid = (lo + hi) // 2
     return best
 
@@ -128,9 +145,9 @@ def exact_cluster(pointset, k, budget=DEFAULT_BUDGET):
     # at the overall diameter the graph is edgeless: one cluster when k < n,
     # as the kernel colors an edgeless graph
     top = list(range(n)) if k >= n else [0] * n
-    coloring = _least_colorable(
+    coloring, rank = _least_colorable(
         pointset, k, lambda adj: find_coloring(adj, k, budget=budget), top)
-    return make_clustering(pointset, coloring, k)
+    return _witnessed(pointset, coloring, k, rank)
 
 
 def _checked(pointset, k):
@@ -145,8 +162,9 @@ def _checked(pointset, k):
 def two_cluster(pointset):
     """Optimal 2-clustering in polynomial time: the threshold graph must be
     bipartite, checked by a layered BFS 2-coloring instead of backtracking."""
-    coloring = _least_colorable(pointset, 2, _bipartition, [0] * len(pointset))
-    return make_clustering(pointset, coloring, 2)
+    coloring, rank = _least_colorable(pointset, 2, _bipartition,
+                                      [0] * len(pointset))
+    return _witnessed(pointset, coloring, 2, rank)
 
 
 def _bipartition(adj):
@@ -194,24 +212,33 @@ def _farthest_first(pointset, k):
     every point is a seed.  The seeds and a point at rank `far` are pairwise
     at least that rank apart, so no k-clustering has a lower-rank diameter.
 
-    One row of ranks per seed (`pair_rows` read through `PairTable.rank_of`):
-    each point keeps the rank of its nearest seed so far and that seed's
-    cluster id, and a new seed takes over the points strictly nearer to it.
-    Once the farthest point is at rank 0 no seed takes any over: stop."""
+    The traversal is kept with the pair table (`PairTable.traversal`) seed
+    by seed, each seed's assignment as one array of cluster ids, and is
+    extended only when a caller asks for more seeds: the traversal for k
+    seeds is a prefix of the one for k + 1.  Each seed reads one row of
+    ranks (`pair_rows` through `PairTable.rank_of`): each point keeps the
+    rank of its nearest seed so far and that seed's cluster id, and the next
+    seed, the lowest point at rank `far` (point 0 first), takes over the
+    points strictly nearer to it.  Once `far` is 0 every point is at rank 0
+    from a seed and no seed would take any over: stop.  The caller gets a
+    copy of the assignment."""
     table = distinct_distances(pointset)
-    n = table.n
-    near = [len(table.keys)] * n   # above every rank until the first seed
-    assignment = [0] * n
-    seed = 0
-    for c in range(min(k, n)):
-        for i, value in enumerate(next(pair_rows(pointset, [seed]))):
+    if table.traversal is None:
+        # (assignment, far) after each seed, and each point's rank from its
+        # nearest seed, above every rank before the first seed
+        table.traversal = [], [len(table.keys)] * table.n
+    steps, near = table.traversal
+    far = max(near)
+    while len(steps) < k and far:
+        assignment = steps[-1][0][:] if steps else array("I", [0]) * table.n
+        for i, value in enumerate(next(pair_rows(pointset, [near.index(far)]))):
             r = table.rank_of[value]
             if r < near[i]:
-                near[i], assignment[i] = r, c
-        seed = max(range(n), key=near.__getitem__)
-        if not near[seed]:
-            break
-    return assignment, near[seed]
+                near[i], assignment[i] = r, len(steps)
+        far = max(near)
+        steps.append((assignment, far))
+    assignment, far = steps[min(k, len(steps)) - 1]
+    return list(assignment), far
 
 
 # ---------------------------------------------------------------------------

@@ -453,6 +453,7 @@ class PairTable:
         self._step = -(-len(pairs) // _KEPT) or 1
         self._kept = [(0,) * n] + [None] * _KEPT
         self.moved = 0   # pairs XORed in or out since the table was built
+        self.traversal = None   # kept by clustering._farthest_first
 
     def bitsets_at(self, rank):
         """The threshold graph at `rank`, of the pairs pairs[:above[rank]], as

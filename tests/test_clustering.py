@@ -2,6 +2,7 @@ import hashlib
 import random
 from collections import deque
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -28,7 +29,7 @@ from kdiameter.gadgets import (
     stitch_embedding,
     stitch_slot_maps,
 )
-from kdiameter.geometry import BitVector, IntVector, Pointset, SqDistance
+from kdiameter.geometry import BitVector, IntVector, Pointset, SqDistance, pair_rows
 from kdiameter.graphs import Graph, complete_graph, incidence_hypergraph, petersen_graph
 from kdiameter.sphere import (
     build_region_instance,
@@ -264,7 +265,7 @@ def _walk_all_pairs(pointset, assignment):
     return best, pair
 
 
-def test_clustering_diameters_match_a_walk_over_all_pairs():
+def test_clustering_diameters_match_a_walk_over_all_pairs(composites):
     rng = random.Random(59)
     # both clusters have diameter 5; walked cluster by cluster, cluster 0
     # would give the witness (2, 3), walked row-major it is (0, 1)
@@ -282,11 +283,50 @@ def test_clustering_diameters_match_a_walk_over_all_pairs():
     region = build_region_instance((0, 1, 2), 4)
     clusterings += [(region.pointset(), completeness_clustering(region)),
                     (region.pointset(), remark_clustering(region))]
+    # the gap's two sides at k = 3: the Petersen composite's optimum is
+    # 3q/2 = 96 (q = 64), the K4 composite's is q = 16
+    for name, diameter in (("Petersen", 96), ("K4", 16)):
+        got = exact_cluster(composites[name], 3)
+        assert got.diameter == diameter
+        clusterings.append((composites[name], got))
+    # k >= n: the solve colors every positive rank, so nothing is scanned
+    line = Pointset("l1_int", [IntVector([x]) for x in (0, 2, 7)])
+    for k in (3, 4):
+        got = exact_cluster(line, k)
+        assert (got.diameter, got.witness_pair) == (0, None)
+        clusterings.append((line, got))
     for ps, got in clusterings:
         diameter, pair = _walk_all_pairs(ps, got.assignment)
         assert repr(got.diameter) == repr(diameter), (ps, got)
         assert got.witness_pair == pair, (ps, got)
     assert clusterings[0][1].witness_pair == (0, 1)
+
+
+def test_witness_scan_starts_at_the_solved_rank(monkeypatch):
+    """The pairs each solver's witness scan reads on the kappa = 12 region:
+    exact_cluster and two_cluster start below the rank their coloring is
+    proper at (16,630 and 227 pairs from the farthest pair), Gonzalez's
+    assignment is scanned from the farthest pair."""
+    scanned = []
+
+    def counting(iterable, *args):
+        for item in islice(iterable, *args):
+            scanned.append(item)
+            yield item
+
+    monkeypatch.setattr(clustering, "islice", counting)
+    ps = build_region_instance((0, 1, 2), 12).pointset()
+    line = Pointset("l1_int", [IntVector([x]) for x in (0, 2, 7)])
+    for solve, length in ((lambda: exact_cluster(ps, 3), 1),
+                          (lambda: two_cluster(ps), 20),
+                          (lambda: gonzalez_cluster(ps, 3), 25),
+                          (lambda: exact_cluster(line, 3), 0)):
+        scanned.clear()
+        got = solve()
+        assert len(scanned) == length
+        if length:
+            i, j = got.witness_pair
+            assert scanned[-1] == i * len(got.assignment) + j
 
 
 def test_make_clustering_evaluates_one_distance(monkeypatch):
@@ -726,6 +766,42 @@ def test_farthest_first_evaluates_no_distance(monkeypatch):
     for ps in pointsets:
         for k in (1, 2, 3, 4):
             _farthest_first(ps, k)
+
+
+def test_one_farthest_first_traversal_per_pointset(monkeypatch):
+    """The traversal is kept with the pair table: on the kappa = 12 region
+    the three solvers read three rows of ranks in all (one per seed, where
+    each used to read its own: 3 + 2 + 3), and asking again reads none."""
+    rows = []
+
+    def counting(pointset, seeds):
+        rows.extend(seeds)
+        return pair_rows(pointset, seeds)
+
+    monkeypatch.setattr(clustering, "pair_rows", counting)
+    ps = build_region_instance((0, 1, 2), 12).pointset()
+    for _ in range(2):
+        exact_cluster(ps, 3)
+        two_cluster(ps)
+        gonzalez_cluster(ps, 3)
+        assert len(rows) == 3
+    # read off a kept traversal, extended seed by seed, or fresh: the same
+    # answers, the farthest-first seeds' own
+    extended = build_region_instance((0, 1, 2), 12).pointset()
+    table = distinct_distances(ps)
+    for k in (1, 2, 3, 5, 4):
+        got = _farthest_first(ps, k)
+        assert got == _farthest_first(extended, k)
+        assert got == _farthest_first(Pointset(ps.metric, ps.points), k)
+        assert got[0] == _reference_gonzalez(ps, k).assignment
+        assert table.keys[got[1]] == table.key(_reference_seeds(ps, k + 1)[1][k])
+    # five seeds' rows for each kept traversal, k for each fresh one
+    assert len(rows) == 5 + 5 + (1 + 2 + 3 + 5 + 4)
+    # callers get copies
+    assignment = _farthest_first(ps, 3)[0]
+    assignment[:] = [0] * len(assignment)
+    assert _farthest_first(ps, 3) == _farthest_first(extended, 3)
+    assert gonzalez_cluster(ps, 3).assignment != assignment
 
 
 @pytest.mark.parametrize("kappa", [4, 5])

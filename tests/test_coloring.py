@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from kdiameter import _colorcore_py
+from kdiameter._colorcore_py import MODE_FIRST, STATUS_BUDGET, STATUS_OK
 from kdiameter.acceptance import random_graph
 from kdiameter.clustering import distinct_distances
 from kdiameter.coloring import (
@@ -306,6 +307,160 @@ def test_python_kernel_node_counts_are_pinned():
         assert (status, nodes, _digest(payload)) == want
 
 
+def _frame_array_search(adj, k, fixed=None, mode=MODE_FIRST, budget=10**9):
+    """The pure-Python kernel as it was before its pick step colored the
+    vertex it picks: seven parallel frame arrays, a frame pushed for every
+    picked vertex (a dead end of saturation k included, popped without a
+    node) and re-read before its first color.  Valid input only."""
+    n = len(adj)
+    empty = None if mode == MODE_FIRST else []
+    colors = [-1] * n
+    seen = [0] * k
+    classes = [0] * k
+    symmetry = True
+    if fixed is not None:
+        for v, c in enumerate(fixed):
+            if c is None or c < 0:
+                continue
+            if c >= k:
+                return STATUS_OK, empty, 0
+            symmetry = False
+            colors[v] = c
+            seen[c] |= adj[v]
+            classes[c] |= 1 << v
+    # a fixed vertex next to one of its own color: nothing to search
+    if any(seen[c] & classes[c] for c in range(k)):
+        return STATUS_OK, empty, 0
+
+    by_degree = {}
+    for v, row in enumerate(adj):
+        d = row.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    tiers = [by_degree[d] for d in sorted(by_degree, reverse=True)]
+
+    free = (1 << n) - 1 - sum(classes)
+    buckets = [free] + [0] * k
+    for c in range(k):
+        for s in reversed(range(c + 1)):
+            m = buckets[s] & seen[c]
+            buckets[s] ^= m
+            buckets[s + 1] |= m
+
+    full = (1 << k) - 1
+    used = max(colors, default=-1) + 1
+    depth, nfree = 0, free.bit_count()
+    # one frame per colored free vertex: the vertex, its bucket, the colors
+    # left to try, its color (-1 before the first), the vertices its color
+    # moved up a bucket, the `seen` it replaced, and `used` before it
+    f_vertex, f_level, f_avail, f_color, f_moved, f_seen, f_used = (
+        [0] * nfree for _ in range(7))
+    nodes = 0
+    found = []
+    while True:
+        if depth == nfree:
+            found.append(list(colors))
+            if mode == MODE_FIRST:
+                break
+        else:
+            s = k
+            while not buckets[s]:
+                s -= 1
+            top = buckets[s]
+            for t in tiers:
+                m = top & t
+                if m:
+                    break
+            bit = m & -m
+            avail = full
+            if s:
+                for c in range(k):
+                    if seen[c] & bit:
+                        avail ^= 1 << c
+            if symmetry:
+                avail &= (1 << min(k, used + 1)) - 1
+            buckets[s] ^= bit
+            free ^= bit
+            f_vertex[depth] = bit.bit_length() - 1
+            f_level[depth], f_avail[depth] = s, avail
+            f_color[depth], f_used[depth] = -1, used
+            depth += 1
+        while depth:
+            d = depth - 1
+            c = f_color[d]
+            if c >= 0:
+                seen[c] = f_seen[d]
+                moved, s = f_moved[d], 1
+                while moved:
+                    m = buckets[s] & moved
+                    if m:
+                        buckets[s] ^= m
+                        buckets[s - 1] |= m
+                        moved ^= m
+                    s += 1
+            avail = f_avail[d]
+            if not avail:
+                bit = 1 << f_vertex[d]
+                buckets[f_level[d]] |= bit
+                free |= bit
+                depth = d
+                continue
+            low = avail & -avail
+            c = low.bit_length() - 1
+            f_avail[d] = avail ^ low
+            nodes += 1
+            if nodes > budget:
+                return STATUS_BUDGET, None if mode == MODE_FIRST else found, nodes
+            v = f_vertex[d]
+            f_color[d] = c
+            colors[v] = c
+            nb = adj[v]
+            old = seen[c]
+            f_seen[d] = old
+            seen[c] = old | nb
+            moved = nb & free & ~old
+            f_moved[d], s = moved, k - 1
+            while moved:
+                m = buckets[s] & moved
+                if m:
+                    buckets[s] ^= m
+                    buckets[s + 1] |= m
+                    moved ^= m
+                s -= 1
+            used = f_used[d] if c < f_used[d] else c + 1
+            break
+        else:
+            break
+
+    if mode == MODE_FIRST:
+        return STATUS_OK, (found[0] if found else None), nodes
+    return STATUS_OK, found, nodes
+
+
+def test_python_kernel_matches_the_frame_array_search():
+    # equal (status, payload, nodes) on seeded random graphs, dense ones
+    # full of dead ends included, in both modes, free and with fixed
+    # colors, under budgets that stop the search early or not at all
+    rng = random.Random(89)
+    outcomes = set()
+    for _ in range(3000):
+        g = random_graph(rng.randint(0, 30), rng.random(), rng)
+        adj = g.adjacency_bitsets()
+        k = rng.randint(0, 5)
+        fixed = [rng.choice([-1] * 8 + [None, k] + list(range(k)))
+                 for _ in range(g.n)]
+        for kwargs in ({}, {"fixed": fixed},
+                       {"mode": _colorcore_py.MODE_ENUMERATE},
+                       {"mode": _colorcore_py.MODE_ENUMERATE, "fixed": fixed}):
+            kwargs["budget"] = rng.choice((rng.randint(0, 30), 300))
+            got = _colorcore_py.search(adj, k, **kwargs)
+            assert got == _frame_array_search(adj, k, **kwargs), (adj, k, kwargs)
+            outcomes.add((got[0], "mode" in kwargs, bool(got[1])))
+    # every status, mode and empty or non-empty answer: a first-mode search
+    # stopped by its budget answers None
+    assert outcomes == set(product((0, 1), (False, True), (False, True))) - {
+        (1, False, True)}
+
+
 def test_python_kernel_refuses_bits_outside_the_graph():
     for n in (1, 7, 8, 9, 17):
         for row in (1 << n, 1 << (n + 20), -1):
@@ -342,7 +497,7 @@ def test_compiled_kernel_refuses_bits_outside_the_graph(compiled_kernel):
                 compiled_kernel.search([row] + [0] * (n - 1), 3)
 
 
-def test_backends_agree(compiled_kernel):
+def test_backends_agree(compiled_kernel, monkeypatch):
     rng = random.Random(8)
     for _ in range(300):
         g = random_graph(rng.randint(0, 40), rng.random() * 0.5, rng)
@@ -385,3 +540,18 @@ def test_backends_agree(compiled_kernel):
     for n, k in ((3001, 3), (1201, 2)):
         adj = cycle_graph(n).adjacency_bitsets()
         assert compiled_kernel.search(adj, k) == _colorcore_py.search(adj, k)
+    # every search test_python_kernel_node_counts_are_pinned makes: the 13
+    # whose node counts it pins (the composite probes, the kappa = 12
+    # region's free search and anchor patterns, the half graphs and the long
+    # cycle) and any its composite builds make
+    search, searched = _colorcore_py.search, []
+
+    def both(adj, k, **kwargs):
+        got = search(adj, k, **kwargs)
+        assert compiled_kernel.search(adj, k, **kwargs) == got
+        searched.append(k)
+        return got
+
+    monkeypatch.setattr(_colorcore_py, "search", both)
+    test_python_kernel_node_counts_are_pinned()
+    assert len(searched) >= 13
