@@ -19,7 +19,7 @@ from kdiameter.clustering import (
     min_enclosing_ball,
     two_cluster,
 )
-from kdiameter.coloring import BudgetExceeded, DEFAULT_BUDGET, count_colorings_total
+from kdiameter.coloring import DEFAULT_BUDGET, count_colorings_total
 from kdiameter.edgecolor import edge_coloring
 from kdiameter.gadgets import (
     build_composite,
@@ -52,7 +52,7 @@ from kdiameter.sphere import (
     completeness_clustering,
     remark_clustering,
     remark_diameter_within_bound,
-    verify_anchor_separation,
+    separation_answer,
 )
 
 
@@ -207,15 +207,11 @@ def _kappa12_region():
 def criterion_6(budget=DEFAULT_BUDGET, seed=0):
     """Anchor separation on the kappa=12 region at threshold 163/125."""
     instance = _kappa12_region()
-    stats = {"nodes": 0}
-    try:
-        holds, witness = verify_anchor_separation(
-            instance, threshold=SEPARATION_THRESHOLD, budget=budget, stats=stats)
-    except BudgetExceeded:
-        return {"ok": False, "verdict": "budget_exceeded",
-                "nodes": stats["nodes"]}
+    holds, _, nodes = separation_answer(instance, SEPARATION_THRESHOLD, budget)
+    if holds == "budget_exceeded":
+        return {"ok": False, "verdict": holds, "nodes": nodes}
     return {"ok": holds and len(instance.points) == 270,
-            "points": len(instance.points), "nodes": stats["nodes"]}
+            "points": len(instance.points), "nodes": nodes}
 
 
 def criterion_7(budget=DEFAULT_BUDGET, seed=0):

@@ -37,9 +37,7 @@ from kdiameter.sphere import (
     SEPARATION_THRESHOLD,
     build_P_G,
     build_region_instance,
-    kappa_sweep,
-    sweep_csv,
-    verify_anchor_separation,
+    separation_answer,
 )
 
 EXIT_OK = 0
@@ -250,24 +248,15 @@ def cmd_sphere_region(args):
 def cmd_sphere_verify(args):
     instance = build_region_instance((0, 1, 2), args.kappa)
     threshold = _parse_fraction(args.t)
-    stats = {"nodes": 0}
-    try:
-        holds, witness = verify_anchor_separation(
-            instance, threshold=threshold, budget=args.budget_nodes,
-            stats=stats)
-    except BudgetExceeded as e:
-        report = _report(args, "sphere verify-lemma53", kappa=args.kappa,
-                         threshold=_exact_value(threshold),
-                         verdicts={"separation_holds": "budget_exceeded"},
-                         nodes=e.nodes)
-        _emit(report, args)
-        return EXIT_BUDGET
+    holds, witness, nodes = separation_answer(instance, threshold,
+                                              args.budget_nodes)
+    found = {} if holds == "budget_exceeded" else {"witness": witness}
     report = _report(args, "sphere verify-lemma53", kappa=args.kappa,
                      threshold=_exact_value(threshold),
-                     verdicts={"separation_holds": holds},
-                     witness=witness, nodes=stats["nodes"])
+                     verdicts={"separation_holds": holds}, nodes=nodes,
+                     **found)
     _emit(report, args)
-    return EXIT_OK if holds else EXIT_REFUTED
+    return {True: EXIT_OK, False: EXIT_REFUTED}.get(holds, EXIT_BUDGET)
 
 
 def cmd_sphere_reduce(args):
@@ -282,15 +271,22 @@ def cmd_sphere_reduce(args):
 
 
 def cmd_sphere_sweep(args):
-    """Write the sweep's CSV: exit 2 if any row exhausted its budget,
-    otherwise 0."""
+    """Write one CSV row per (kappa, t) answer: exit 2 if any row exhausted
+    its budget, otherwise 0."""
     kappas = _parse_kappas(args.kappa)
     thresholds = [_parse_fraction(t) for t in args.t_grid.split(",")]
-    rows = kappa_sweep(kappas, thresholds, budget=args.budget_nodes)
-    _emit_text(sweep_csv(rows), args)
-    if any(row["separation_holds"] == "budget_exceeded" for row in rows):
-        return EXIT_BUDGET
-    return EXIT_OK
+    lines = ["kappa,t_num,t_den,separation_holds,nodes_explored"]
+    exhausted = False
+    for kappa in kappas:
+        instance = build_region_instance((0, 1, 2), kappa)
+        for t in thresholds:
+            holds, _, nodes = separation_answer(instance, t, args.budget_nodes)
+            verdict = {True: "yes", False: "no"}.get(holds, holds)
+            lines.append(f"{kappa},{t.numerator},{t.denominator},"
+                         f"{verdict},{nodes}")
+            exhausted |= holds == "budget_exceeded"
+    _emit_text("\n".join(lines) + "\n", args)
+    return EXIT_BUDGET if exhausted else EXIT_OK
 
 
 def cmd_cluster(args):

@@ -352,7 +352,10 @@ class Pointset:
     def from_dict(cls, d):
         metric = d["metric"]
         points = [point_from_json(metric, p) for p in d["points"]]
-        return cls(metric, points, d.get("labels"))
+        labels = d.get("labels")
+        if not isinstance(labels, (list, type(None))):  # "ab" is not ("a", "b")
+            raise ValueError("labels must be null or a list")
+        return cls(metric, points, labels)
 
 
 def point_to_json(metric, p):

@@ -123,18 +123,22 @@ def build_threshold_graph(table, threshold_sq):
     return threshold_graph_at(table, table.rank_above(threshold_sq))
 
 
-def verify_anchor_separation(instance, threshold=SEPARATION_THRESHOLD,
-                             budget=DEFAULT_BUDGET, stats=None):
-    """Check that the threshold graph is 3-colorable and that every proper
-    3-coloring gives the three anchors pairwise distinct colors.
+def separation_answer(instance, threshold=SEPARATION_THRESHOLD,
+                      budget=DEFAULT_BUDGET):
+    """Whether the threshold graph is 3-colorable and every proper 3-coloring
+    gives the three anchors pairwise distinct colors, as (holds, witness,
+    nodes).
 
-    Returns (True, None) or (False, witness) where the witness is either
-    None (not 3-colorable at all) or a proper coloring merging two anchors.
-    The forall direction runs on the anchor support: each of the anchor
-    color patterns that repeats a color is tested for extendability.
+    `holds` is True, False, or "budget_exceeded" when one coloring search
+    ran out of `budget` nodes.  The witness is a proper coloring merging two
+    anchors when there is one, else None.  `nodes` is the question's total
+    over all its searches, the exhausted one included.
+
     The threshold graph is read once from the instance's pair table as
     neighbor bitsets (`PairTable.bitsets_at`), which the first coloring and
-    every anchor pattern of the forall check share.
+    every anchor pattern of the forall check share.  The forall direction
+    runs on the anchor support: each of the anchor color patterns that
+    repeats a color is tested for extendability.
     """
     if len(instance.regions) != 1:
         raise ValueError("separation check applies to single-region instances")
@@ -144,9 +148,25 @@ def verify_anchor_separation(instance, threshold=SEPARATION_THRESHOLD,
     table = distinct_distances(instance.pointset())
     adj = table.bitsets_at(table.rank_above(threshold ** 2))
     anchors = [instance.anchor_index[axis] for axis in instance.regions[0]]
-    if find_coloring(adj, 3, budget=budget, stats=stats) is None:
-        return False, None
-    return forall_colorings(adj, 3, anchors, budget=budget, stats=stats)
+    stats = {"nodes": 0}
+    try:
+        if find_coloring(adj, 3, budget=budget, stats=stats) is None:
+            return False, None, stats["nodes"]
+        holds, witness = forall_colorings(adj, 3, anchors, budget=budget,
+                                          stats=stats)
+    except BudgetExceeded:
+        return "budget_exceeded", None, stats["nodes"]
+    return holds, witness, stats["nodes"]
+
+
+def verify_anchor_separation(instance, threshold=SEPARATION_THRESHOLD,
+                             budget=DEFAULT_BUDGET):
+    """`separation_answer` as (holds, witness); an exhausted budget raises
+    `BudgetExceeded` carrying the question's node total."""
+    holds, witness, nodes = separation_answer(instance, threshold, budget)
+    if holds == "budget_exceeded":
+        raise BudgetExceeded(nodes)
+    return holds, witness
 
 
 # ---------------------------------------------------------------------------
@@ -230,41 +250,3 @@ def clustering_to_coloring(instance, hypergraph, clustering):
     return [clustering.assignment[instance.anchor_index[v]]
             for v in range(hypergraph.n)]
 
-
-# ---------------------------------------------------------------------------
-# conjecture frontier sweep
-
-
-def kappa_sweep(kappas, thresholds, budget=DEFAULT_BUDGET):
-    """Probe anchor separation across (kappa, threshold) pairs.
-
-    Returns rows of dicts with CSV-ready fields; budget-exceeded rows are
-    kept and marked rather than dropped.
-    """
-    rows = []
-    for kappa in kappas:
-        instance = build_region_instance((0, 1, 2), kappa)
-        for t in thresholds:
-            t = Fraction(t)
-            stats = {"nodes": 0}
-            try:
-                holds, _ = verify_anchor_separation(instance, t, budget, stats)
-                verdict = "yes" if holds else "no"
-            except BudgetExceeded:
-                verdict = "budget_exceeded"
-            rows.append({
-                "kappa": kappa,
-                "t_num": t.numerator,
-                "t_den": t.denominator,
-                "separation_holds": verdict,
-                "nodes_explored": stats["nodes"],
-            })
-    return rows
-
-
-def sweep_csv(rows):
-    header = ["kappa", "t_num", "t_den", "separation_holds", "nodes_explored"]
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(row[h]) for h in header))
-    return "\n".join(lines) + "\n"

@@ -393,6 +393,11 @@ BAD_INPUTS = {
         '"1": "11"', '"1": "11", "1": "01"'),
     "pointset_repeated_key.json":
         '{"pointset": {"metric": "l1_int", "points": [[0], [1]], "metric": "l1_int"}}',
+    # read as the labels ("a", "b") and ("x", "y") if any iterable passed
+    "labels_string.json": json.dumps({"metric": "l1_int",
+                                      "points": [[0], [1]], "labels": "ab"}),
+    "labels_object.json": json.dumps({"metric": "l1_int", "points": [[0], [1]],
+                                      "labels": {"x": 1, "y": 2}}),
     "gadget_repeated_key.json": json.dumps(
         {"gadget": build_gadget_H().to_dict()}).replace(
         '"removed_edge"', '"removed_edge": [6, 10], "removed_edge"'),
@@ -453,6 +458,8 @@ BAD_INPUTS = {
     ["embedding", "verify", "--embedding", "emb_repeated_key.json"],
     ["cluster", "exact", "--pointset", "pointset_repeated_key.json"],
     ["gadget", "verify", "--gadget", "gadget_repeated_key.json"],
+    ["cluster", "exact", "--pointset", "labels_string.json", "--k", "2"],
+    ["cluster", "two", "--pointset", "labels_object.json"],
 ], ids=["lp-cap", "self-loop", "malformed-json", "mixed-lengths", "k7",
         "kappa0", "kappa-range", "composite-not-cubic", "composite-bridge",
         "composite-empty-build", "composite-empty-embed",
@@ -472,7 +479,8 @@ BAD_INPUTS = {
         "hypergraph-float-vertex", "embedding-key-not-decimal",
         "graph-repeated-key", "hypergraph-repeated-key",
         "embedding-repeated-key", "pointset-repeated-key",
-        "gadget-repeated-key"])
+        "gadget-repeated-key", "pointset-labels-string",
+        "pointset-labels-object"])
 def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
     for name, text in BAD_INPUTS.items():
         (tmp_path / name).write_text(text)
@@ -511,6 +519,8 @@ def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
         assert "bad hypergraph in hyperedge_float.json: a vertex must" in lines[0]
     if "emb_key_not_decimal.json" in argv:
         assert "image vertex '01' is not one of 0..1" in lines[0]
+    if "labels_string.json" in argv or "labels_object.json" in argv:
+        assert "labels must be null or a list" in lines[0]
     if "repeated_key" in argv[-1]:
         assert lines[0].endswith("is repeated"), lines[0]
     if argv[:3] == ["gadget", "verify", "--gadget"]:

@@ -35,6 +35,7 @@ from kdiameter.sphere import (
     build_region_instance,
     completeness_clustering,
     remark_clustering,
+    separation_answer,
     verify_anchor_separation,
 )
 
@@ -813,15 +814,11 @@ def test_solvers_interleaved_on_one_table_match_fresh_ones(kappa):
     thresholds = [Fraction(163, 125), 1, Fraction(3, 2), Fraction(6, 5),
                   Fraction(9, 5)]
 
-    def separation(instance, t):
-        stats = {"nodes": 0}
-        return verify_anchor_separation(instance, t, stats=stats), stats
-
-    steps = [lambda inst, t=t: separation(inst, t) for t in thresholds]
+    steps = [lambda inst, t=t: separation_answer(inst, t) for t in thresholds]
     steps += [lambda inst: exact_cluster(inst.pointset(), 3),
               lambda inst: two_cluster(inst.pointset()),
               lambda inst: gonzalez_cluster(inst.pointset(), 3)]
-    steps += [lambda inst, t=t: separation(inst, t)
+    steps += [lambda inst, t=t: separation_answer(inst, t)
               for t in reversed(thresholds)]
     shared = build_region_instance((0, 1, 2), kappa)
     for step in steps:

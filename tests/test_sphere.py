@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,13 +9,14 @@ from kdiameter.acceptance import (
     criterion_7,
     criterion_8,
 )
+from kdiameter.cli import main
 from kdiameter.clustering import (
     distinct_distances,
     exact_cluster,
     gonzalez_cluster,
     two_cluster,
 )
-from kdiameter.coloring import find_coloring
+from kdiameter.coloring import BudgetExceeded, find_coloring
 from kdiameter.geometry import PairTable
 from kdiameter.graphs import Graph, Hypergraph, complete_graph, incidence_hypergraph
 from kdiameter.sphere import (
@@ -26,11 +28,10 @@ from kdiameter.sphere import (
     clustering_to_coloring,
     coloring_to_clustering,
     completeness_clustering,
-    kappa_sweep,
     region_points,
     remark_clustering,
     remark_diameter_within_bound,
-    sweep_csv,
+    separation_answer,
     verify_anchor_separation,
 )
 
@@ -91,10 +92,10 @@ def test_threshold_graph_matches_per_pair_exceeds():
 
 def test_anchor_separation_holds_at_kappa12():
     inst = build_region_instance((0, 1, 2), 12)
-    stats = {"nodes": 0}
-    holds, witness = verify_anchor_separation(inst, stats=stats)
-    assert holds and witness is None
-    assert stats["nodes"] > 0
+    holds, witness, nodes = separation_answer(inst)
+    assert holds is True and witness is None
+    assert nodes == 1044
+    assert verify_anchor_separation(inst) == (True, None)
 
 
 def test_anchor_separation_fails_at_small_kappa():
@@ -151,16 +152,60 @@ def test_coloring_to_clustering_rejects_non_rainbow():
         coloring_to_clustering(inst, h, [0, 0, 1])
 
 
-def test_sweep_matches_single_verifications():
-    thresholds = [1, Fraction(5, 4), Fraction(163, 125), Fraction(3, 2)]
-    rows = kappa_sweep([2, 3, 4], thresholds)
-    for row in rows:
-        stats = {"nodes": 0}
-        holds, _ = verify_anchor_separation(
-            build_region_instance((0, 1, 2), row["kappa"]),
-            threshold=Fraction(row["t_num"], row["t_den"]), stats=stats)
-        assert row["separation_holds"] == ("yes" if holds else "no")
-        assert row["nodes_explored"] == stats["nodes"]
+def _run(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().out
+
+
+def test_sweep_matches_single_verifications(capsys):
+    """Every `sphere sweep` row is the `verify-lemma53` report for its
+    (kappa, t), verdict, node total and exhaustion alike, whatever the
+    budget."""
+    grid = [(1, 1), (163, 125), (3, 2)]
+    csv_verdict = {True: "yes", False: "no",
+                   "budget_exceeded": "budget_exceeded"}
+    for budget in ([], ["--budget-nodes", "0"], ["--budget-nodes", "30"],
+                   ["--budget-nodes", "272"]):
+        code, out = _run(capsys, "sphere", "sweep", "--kappa", "2,4,12",
+                         "--t-grid", ",".join(f"{n}/{d}" for n, d in grid),
+                         *budget)
+        header, *rows = out.splitlines()
+        assert header == "kappa,t_num,t_den,separation_holds,nodes_explored"
+        assert [row.split(",")[:3] for row in rows] == [
+            [str(kappa), str(n), str(d)] for kappa in (2, 4, 12)
+            for n, d in grid]
+        single_codes = []
+        for row in rows:
+            kappa, n, d, verdict, nodes = row.split(",")
+            single, text = _run(capsys, "sphere", "verify-lemma53",
+                                "--kappa", kappa, "--t", f"{n}/{d}", *budget)
+            single_codes.append(single)
+            report = json.loads(text)
+            assert (verdict, int(nodes)) == (
+                csv_verdict[report["verdicts"]["separation_holds"]],
+                report["nodes"]), (budget, row)
+            assert ("witness" in report) is (verdict != "budget_exceeded")
+        assert code == (2 if 2 in single_codes else 0), budget
+
+
+def test_separation_reports_count_the_whole_question(capsys):
+    """At kappa=12, t=163/125 and a budget of 272 nodes, the searches before
+    the exhausted one explore 332 nodes: both commands and the library
+    report the question's total, 605, and not the last search's 273."""
+    code, out = _run(capsys, "sphere", "verify-lemma53", "--kappa", "12",
+                     "--t", "163/125", "--budget-nodes", "272")
+    report = json.loads(out)
+    assert (code, report["nodes"]) == (2, 605)
+    assert report["verdicts"] == {"separation_holds": "budget_exceeded"}
+    assert _run(capsys, "sphere", "sweep", "--kappa", "12", "--t-grid",
+                "163/125", "--budget-nodes", "272") == (2, (
+                    "kappa,t_num,t_den,separation_holds,nodes_explored\n"
+                    "12,163,125,budget_exceeded,605\n"))
+    inst = build_region_instance((0, 1, 2), 12)
+    assert separation_answer(inst, budget=272) == ("budget_exceeded", None, 605)
+    with pytest.raises(BudgetExceeded) as exhausted:
+        verify_anchor_separation(inst, budget=272)
+    assert exhausted.value.nodes == 605
 
 
 def _count_tables(monkeypatch):
@@ -191,23 +236,16 @@ def test_one_pair_table_per_pointset(monkeypatch):
     completeness_clustering(inst)
     remark_clustering(inst)
     assert built == [len(inst.points)]
-    built.clear()
-    kappa_sweep([2, 3, 4], [1, SEPARATION_THRESHOLD, Fraction(3, 2)])
-    assert built == [3 * (kappa + 1) * (kappa + 2) // 2 - 3
-                     for kappa in (2, 3, 4)]
+    # a sweep builds one table per kappa, whatever the budget
+    for budget in ("0", "272", "1000000000"):
+        built.clear()
+        main(["sphere", "sweep", "--kappa", "2..4", "--t-grid",
+              "1,163/125,3/2", "--budget-nodes", budget])
+        assert built == [3 * (kappa + 1) * (kappa + 2) // 2 - 3
+                         for kappa in (2, 3, 4)]
     # acceptance criteria 6-8 ask about one kappa=12 region
     built.clear()
     _kappa12_region.cache_clear()
     assert all(criterion()["ok"]
                for criterion in (criterion_6, criterion_7, criterion_8))
     assert built == [270]
-
-
-def test_sweep_csv_shape():
-    rows = kappa_sweep([2, 3], [Fraction(163, 125)])
-    csv = sweep_csv(rows)
-    lines = csv.strip().split("\n")
-    assert lines[0] == "kappa,t_num,t_den,separation_holds,nodes_explored"
-    assert len(lines) == 3
-    for row in rows:
-        assert row["separation_holds"] in ("yes", "no", "budget_exceeded")
