@@ -188,6 +188,17 @@ def test_sweep_matches_single_verifications(capsys):
         assert code == (2 if 2 in single_codes else 0), budget
 
 
+def test_sweep_csv_shape(capsys):
+    code, out = _run(capsys, "sphere", "sweep", "--kappa", "2,3",
+                     "--t-grid", "163/125")
+    lines = out.strip().split("\n")
+    assert code == 0
+    assert lines[0] == "kappa,t_num,t_den,separation_holds,nodes_explored"
+    assert len(lines) == 3
+    for line in lines[1:]:
+        assert line.split(",")[3] in ("yes", "no", "budget_exceeded")
+
+
 def test_separation_reports_count_the_whole_question(capsys):
     """At kappa=12, t=163/125 and a budget of 272 nodes, the searches before
     the exhausted one explore 332 nodes: both commands and the library
