@@ -28,7 +28,12 @@ from kdiameter.gadgets import (
     stitch_embedding,
     stitch_slot_maps,
 )
-from kdiameter.geometry import IntVector, Pointset, hamming_distance
+from kdiameter.geometry import (
+    IntVector,
+    Pointset,
+    SqDistance,
+    hamming_distance,
+)
 from kdiameter.graphs import (
     Graph,
     complete_bipartite_graph,
@@ -51,7 +56,6 @@ from kdiameter.sphere import (
     build_region_instance,
     completeness_clustering,
     remark_clustering,
-    remark_diameter_within_bound,
     separation_answer,
 )
 
@@ -228,7 +232,8 @@ def criterion_8(budget=DEFAULT_BUDGET, seed=0):
     negative b and c axis points land in one cluster."""
     instance = _kappa12_region()
     clustering = remark_clustering(instance)
-    bound = remark_diameter_within_bound(clustering)
+    # 1 - (-1)/sqrt(1*2) = 1 + sqrt(2)/2, order key 1/2
+    bound = clustering.diameter <= SqDistance(-1, 1, 2)
     eb = instance.anchor_index[1]
     ec = instance.anchor_index[2]
     together = clustering.assignment[eb] == clustering.assignment[ec]

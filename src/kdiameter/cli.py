@@ -6,6 +6,12 @@ unreadable input file, or any ValueError the library raises on bad input
 (the library owns every bound on its inputs).  Reports are JSON
 with sorted keys and no timestamps, so identical inputs give identical
 bytes; the repro-all summary additionally records wall-clock per criterion.
+
+Each `cmd_*` returns (exit code, output) and writes nothing: the output is
+the report dict, or the CSV text of `sphere sweep`.  `main` is the one
+writer, to `--out` and to stdout.  A command that raises (`BudgetExceeded`,
+a usage error) returns no output, so `main` prints one stderr line and
+writes no report.
 """
 
 from __future__ import annotations
@@ -47,7 +53,8 @@ EXIT_USAGE = 3
 
 
 class _UsageError(Exception):
-    pass
+    """A bad argument or input file.  Not a ValueError: argparse replaces a
+    ValueError from a `type=` parser with a message of its own."""
 
 
 def _parse_file(path, what, parse):
@@ -69,31 +76,25 @@ def _graph_from_text(text):
     return Graph.from_edge_list_text(text)
 
 
-def _load_graph(path):
-    return _parse_file(path, "graph", _graph_from_text)
+def _from_report(key, from_dict):
+    """A parser of JSON text into `from_dict` of its `key` section (a
+    report), or of the whole payload when it has none."""
+    def parse(text):
+        payload = json_loads(text)
+        return from_dict(payload[key] if key in payload else payload)
+    return parse
 
 
-def _unwrap(payload, key):
-    """A report's `key` section, or the payload itself when it has none."""
-    return payload[key] if key in payload else payload
+_PARSERS = {"graph": _graph_from_text,
+            "gadget": _from_report("gadget", GadgetH.from_dict),
+            "embedding": Embedding.from_json,
+            "hypergraph": Hypergraph.from_json,
+            "pointset": _from_report("pointset", Pointset.from_dict)}
 
 
-def _load_gadget(path):
-    return _parse_file(path, "gadget", lambda text: GadgetH.from_dict(
-        _unwrap(json_loads(text), "gadget")))
-
-
-def _load_embedding(path):
-    return _parse_file(path, "embedding", Embedding.from_json)
-
-
-def _load_hypergraph(path):
-    return _parse_file(path, "hypergraph", Hypergraph.from_json)
-
-
-def _load_pointset(path):
-    return _parse_file(path, "pointset", lambda text: Pointset.from_dict(
-        _unwrap(json_loads(text), "pointset")))
+def _load(kind, path):
+    """The `kind` (a key of `_PARSERS`) read from the file at `path`."""
+    return _parse_file(path, kind, _PARSERS[kind])
 
 
 def _parse_fraction(s):
@@ -156,18 +157,16 @@ def _write_stdout(text):
         os.dup2(devnull, sys.stdout.fileno())
 
 
-def _emit(report, args):
-    _emit_text(json.dumps(report, sort_keys=True, indent=2, default=str) + "\n",
-               args)
-
-
-def _emit_text(text, args):
-    """Write `text` to `--out`, and to stdout too with `--json` or no `--out`."""
+def _emit(output, args):
+    """Write a command's output, a report dict as sorted JSON or text as it
+    is, to `--out`, and to stdout too with `--json` or no `--out`."""
+    if isinstance(output, dict):
+        output = json.dumps(output, sort_keys=True, indent=2, default=str) + "\n"
     if args.out:
         with open(args.out, "w") as f:
-            f.write(text)
+            f.write(output)
     if args.json or not args.out:
-        _write_stdout(text)
+        _write_stdout(output)
 
 
 def _report(args, command, **fields):
@@ -182,26 +181,23 @@ def _report(args, command, **fields):
 
 def cmd_gadget_build(args):
     gadget = build_gadget_H(budget=args.budget_nodes)
-    report = _report(args, "gadget build", gadget=gadget.to_dict(),
-                     verdicts={"certified": True})
-    _emit(report, args)
-    return EXIT_OK
+    return EXIT_OK, _report(args, "gadget build", gadget=gadget.to_dict(),
+                            verdicts={"certified": True})
 
 
 def cmd_gadget_verify(args):
     if args.gadget:
-        gadget = _load_gadget(args.gadget)
+        gadget = _load("gadget", args.gadget)
     else:
         gadget = build_gadget_H(budget=args.budget_nodes)
     ok = verify_gadget(gadget, budget=args.budget_nodes)
-    report = _report(args, "gadget verify", gadget=gadget.to_dict(),
-                     verdicts={"certified": ok})
-    _emit(report, args)
-    return EXIT_OK if ok else EXIT_REFUTED
+    return (EXIT_OK if ok else EXIT_REFUTED), _report(
+        args, "gadget verify", gadget=gadget.to_dict(),
+        verdicts={"certified": ok})
 
 
 def _composite_from_args(args):
-    J = _load_graph(args.graph)
+    J = _load("graph", args.graph)
     gadget = build_gadget_H(budget=args.budget_nodes)
     # refuses a J that is not cubic and bridgeless before any loop over J.n
     slot_maps = stitch_slot_maps(J)
@@ -211,38 +207,36 @@ def _composite_from_args(args):
 
 def cmd_composite_build(args):
     _, gadget, comp = _composite_from_args(args)
-    report = _report(args, "composite build",
-                     gadget=gadget.to_dict(),
-                     composite={"graph": comp.graph.to_dict(),
-                                "slot_maps": [list(m) for m in comp.slot_maps]},
-                     verdicts={"built": True})
-    _emit(report, args)
-    return EXIT_OK
+    return EXIT_OK, _report(
+        args, "composite build", gadget=gadget.to_dict(),
+        composite={"graph": comp.graph.to_dict(),
+                   "slot_maps": [list(m) for m in comp.slot_maps]},
+        verdicts={"built": True})
+
+
+def _verified(args, command, result, **fields):
+    """Exit code and report of an embedding check `result`."""
+    return (EXIT_OK if result["ok"] else EXIT_REFUTED), _report(
+        args, command, verdicts={"verified": result["ok"]},
+        achieved_ratio=_exact_value(result["achieved_ratio"]),
+        worst_edge_pair=result["worst_edge_pair"],
+        worst_nonedge_pair=result["worst_nonedge_pair"], **fields)
 
 
 def cmd_composite_embed(args):
     J, gadget, comp = _composite_from_args(args)
     library = oriented_embedding_library(gadget)
     emb = stitch_embedding(comp, J, library=library)
-    result = verify_embedding(emb)
-    report = _report(args, "composite embed",
+    return _verified(args, "composite embed", verify_embedding(emb),
                      q=emb.short, long=emb.long,
-                     verdicts={"verified": result["ok"]},
-                     achieved_ratio=_exact_value(result["achieved_ratio"]),
-                     worst_edge_pair=result["worst_edge_pair"],
-                     worst_nonedge_pair=result["worst_nonedge_pair"],
                      pointset=emb.pointset.to_dict())
-    _emit(report, args)
-    return EXIT_OK if result["ok"] else EXIT_REFUTED
 
 
 def cmd_sphere_region(args):
     instance = build_region_instance(tuple(args.axes), args.kappa)
-    report = _report(args, "sphere region", kappa=args.kappa,
-                     points=len(instance.points),
-                     pointset=instance.pointset().to_dict())
-    _emit(report, args)
-    return EXIT_OK
+    return EXIT_OK, _report(args, "sphere region", kappa=args.kappa,
+                            points=len(instance.points),
+                            pointset=instance.pointset().to_dict())
 
 
 def cmd_sphere_verify(args):
@@ -251,28 +245,25 @@ def cmd_sphere_verify(args):
     holds, witness, nodes = separation_answer(instance, threshold,
                                               args.budget_nodes)
     found = {} if holds == "budget_exceeded" else {"witness": witness}
-    report = _report(args, "sphere verify-lemma53", kappa=args.kappa,
-                     threshold=_exact_value(threshold),
-                     verdicts={"separation_holds": holds}, nodes=nodes,
-                     **found)
-    _emit(report, args)
-    return {True: EXIT_OK, False: EXIT_REFUTED}.get(holds, EXIT_BUDGET)
+    code = {True: EXIT_OK, False: EXIT_REFUTED}.get(holds, EXIT_BUDGET)
+    return code, _report(
+        args, "sphere verify-lemma53", kappa=args.kappa,
+        threshold=_exact_value(threshold),
+        verdicts={"separation_holds": holds}, nodes=nodes, **found)
 
 
 def cmd_sphere_reduce(args):
-    hypergraph = _load_hypergraph(args.hypergraph)
+    hypergraph = _load("hypergraph", args.hypergraph)
     instance = build_P_G(hypergraph, kappa=args.kappa)
-    report = _report(args, "sphere reduce", kappa=args.kappa,
-                     regions=len(instance.regions),
-                     points=len(instance.points),
-                     pointset=instance.pointset().to_dict())
-    _emit(report, args)
-    return EXIT_OK
+    return EXIT_OK, _report(args, "sphere reduce", kappa=args.kappa,
+                            regions=len(instance.regions),
+                            points=len(instance.points),
+                            pointset=instance.pointset().to_dict())
 
 
 def cmd_sphere_sweep(args):
-    """Write one CSV row per (kappa, t) answer: exit 2 if any row exhausted
-    its budget, otherwise 0."""
+    """One CSV row per (kappa, t) answer: exit 2 if any row exhausted its
+    budget, otherwise 0."""
     kappas = _parse_kappas(args.kappa)
     thresholds = [_parse_fraction(t) for t in args.t_grid.split(",")]
     lines = ["kappa,t_num,t_den,separation_holds,nodes_explored"]
@@ -285,12 +276,11 @@ def cmd_sphere_sweep(args):
             lines.append(f"{kappa},{t.numerator},{t.denominator},"
                          f"{verdict},{nodes}")
             exhausted |= holds == "budget_exceeded"
-    _emit_text("\n".join(lines) + "\n", args)
-    return EXIT_BUDGET if exhausted else EXIT_OK
+    return (EXIT_BUDGET if exhausted else EXIT_OK), "\n".join(lines) + "\n"
 
 
 def cmd_cluster(args):
-    pointset = _load_pointset(args.pointset)
+    pointset = _load("pointset", args.pointset)
     try:
         if args.mode == "exact":
             clustering = exact_cluster(pointset, args.k, budget=args.budget_nodes)
@@ -300,16 +290,14 @@ def cmd_cluster(args):
             clustering = two_cluster(pointset)
     except ValueError as e:
         raise _UsageError(f"pointset {args.pointset}: {e}")
-    report = _report(args, f"cluster {args.mode}", k=clustering.k,
-                     assignment=clustering.assignment,
-                     diameter=_exact_value(clustering.diameter),
-                     witness_pair=clustering.witness_pair)
-    _emit(report, args)
-    return EXIT_OK
+    return EXIT_OK, _report(args, f"cluster {args.mode}", k=clustering.k,
+                            assignment=clustering.assignment,
+                            diameter=_exact_value(clustering.diameter),
+                            witness_pair=clustering.witness_pair)
 
 
 def cmd_embeddability(args):
-    result = max_embeddability(_load_graph(args.graph))
+    result = max_embeddability(_load("graph", args.graph))
     cert = {"unbounded": result["unbounded"], "verified": result["certified"]}
     if result["ratio"] is not None:
         cert["r_num"] = result["ratio"].numerator
@@ -318,22 +306,14 @@ def cmd_embeddability(args):
         cert["q"] = result["embedding"].short
         cert["image"] = {str(v): w.to_string()
                          for v, w in enumerate(result["embedding"].image)}
-    report = _report(args, "embeddability", certificate=cert,
-                     verdicts={"certified": result["certified"]})
-    _emit(report, args)
-    return EXIT_OK if result["certified"] else EXIT_REFUTED
+    ok = result["certified"]
+    return (EXIT_OK if ok else EXIT_REFUTED), _report(
+        args, "embeddability", certificate=cert, verdicts={"certified": ok})
 
 
 def cmd_embedding_verify(args):
-    emb = _load_embedding(args.embedding)
-    result = verify_embedding(emb)
-    report = _report(args, "embedding verify",
-                     verdicts={"verified": result["ok"]},
-                     achieved_ratio=_exact_value(result["achieved_ratio"]),
-                     worst_edge_pair=result["worst_edge_pair"],
-                     worst_nonedge_pair=result["worst_nonedge_pair"])
-    _emit(report, args)
-    return EXIT_OK if result["ok"] else EXIT_REFUTED
+    emb = _load("embedding", args.embedding)
+    return _verified(args, "embedding verify", verify_embedding(emb))
 
 
 def cmd_repro_all(args):
@@ -362,12 +342,9 @@ def cmd_repro_all(args):
                         "seconds": round(time.perf_counter() - start, 3),
                         "details": {k: v for k, v in result.items()
                                     if k != "ok"}})
-    report = _report(args, "repro-all", criteria=summary,
-                     verdicts={"all_pass": not (failed or exhausted)})
-    _emit(report, args)
-    if failed:
-        return EXIT_REFUTED
-    return EXIT_BUDGET if exhausted else EXIT_OK
+    code = EXIT_REFUTED if failed else EXIT_BUDGET if exhausted else EXIT_OK
+    return code, _report(args, "repro-all", criteria=summary,
+                         verdicts={"all_pass": code == EXIT_OK})
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +427,9 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code, output = args.func(args)
+        _emit(output, args)
+        return code
     except (_UsageError, OSError, ValueError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

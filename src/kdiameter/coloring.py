@@ -33,7 +33,12 @@ ENUMERATION_GUARD_NODES = 2**30
 
 
 class BudgetExceeded(RuntimeError):
-    """The node budget ran out before the search concluded either way."""
+    """The node budget ran out before the search concluded either way.
+
+    `.nodes` counts the nodes of the search that ran out, the one that broke
+    the budget included, and not those of earlier searches; only
+    `sphere.verify_anchor_separation` raises it with a whole question's
+    total."""
 
     def __init__(self, nodes):
         super().__init__(f"search budget exceeded after {nodes} nodes")

@@ -224,12 +224,6 @@ class SqDistance:
         self.n2 = n2
         self.big_n = n1 * n2
 
-    def exceeds_one_plus_half_sqrt2(self):
-        """Decide self > 1 + sqrt(2)/2 exactly (the coordinate-rule diameter
-        bound, whose order key is 1/2)."""
-        num, den = sphere_key(self)
-        return 2 * num > den
-
     def _cmp(self, other, op):
         """`op` on the order keys of self and `other`, which must be exact:
         a float gives NotImplemented, so == is False and < raises TypeError."""

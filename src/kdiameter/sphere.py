@@ -216,12 +216,6 @@ def remark_clustering(instance):
     return make_clustering(instance.pointset(), assignment, 3)
 
 
-def remark_diameter_within_bound(clustering):
-    """Exact check that the squared diameter is at most 1 + sqrt(2)/2."""
-    d = clustering.diameter
-    return d == 0 or not d.exceeds_one_plus_half_sqrt2()
-
-
 def coloring_to_clustering(instance, hypergraph, coloring):
     """Turn a proper rainbow 3-coloring of the hypergraph into the explicit
     3-clustering of the instance: for each region, family v joins the

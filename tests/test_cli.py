@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from collections import Counter
@@ -13,7 +14,7 @@ import pytest
 import kdiameter
 
 from kdiameter import acceptance
-from kdiameter.cli import main
+from kdiameter.cli import build_parser, main
 from kdiameter.coloring import BudgetExceeded
 from kdiameter.clustering import MAX_POINTS
 from kdiameter.gadgets import build_gadget_H
@@ -225,6 +226,24 @@ def test_sphere_sweep_exhausted_budget_exits_2(capsys):
     assert run(capsys, *argv)[0] == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["cluster", "exact", "--pointset", "region.json"],
+    ["gadget", "build"],
+    ["composite", "embed", "--graph", "K4.json"],
+], ids=["cluster-exact", "gadget-build", "composite-embed"])
+def test_exhausted_search_writes_no_report(argv, tmp_path, capsys,
+                                           monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("K4.json").write_text(json.dumps(complete_graph(4).to_dict()))
+    assert run(capsys, "sphere", "region", "--kappa", "3",
+               "--out", "region.json")[0] == 0
+    code = main([*argv, "--budget-nodes", "0", "--out", "report.json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "budget exceeded after 1 nodes\n"
+    assert not Path("report.json").exists()
+
+
 def _verdict(argv, out):
     """What a run concluded, apart from node counts and timings."""
     if argv[:2] == ["sphere", "sweep"]:
@@ -325,6 +344,26 @@ def test_threads_flag_is_gone(capsys):
     assert main(["repro-all", "--threads", "2"]) == 3
 
 
+def _readme_block(heading, language):
+    """The first fenced `language` block under `heading` in the README."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split(f"\n{heading}\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_cli_lines_parse():
+    lines = [line for line in _readme_block("## CLI", "sh").splitlines()
+             if line.startswith("kdiameter ")]
+    assert len(lines) == 11
+    for line in lines:
+        assert callable(build_parser().parse_args(shlex.split(line)[1:]).func)
+
+
+def test_readme_example_prints_3_2(capsys):
+    exec(_readme_block("## Example", "python"), {})
+    assert capsys.readouterr().out == "3/2\n"
+
+
 def embedding_file(**changes):
     """A Hamming embedding of P3 as JSON, with `changes` applied."""
     embedding = {"graph": path_graph(3).to_dict(), "metric": "hamming",
@@ -404,6 +443,14 @@ BAD_INPUTS = {
 }
 
 
+# the whole message of an argparse `type=` parser's refusal, which argparse
+# would replace by its own ("invalid _parse_budget value: '-5'") were the
+# refusal a ValueError
+TYPE_ERRORS = {("--budget-nodes", "-5"): "bad budget '-5': must be at least 0",
+               ("--kappa", "0"): "bad kappa '0': must be at least 1",
+               ("--kappa", "x"): "bad kappa 'x': not an integer"}
+
+
 @pytest.mark.parametrize("argv", [
     ["embeddability", "--graph", "graph_over_lp_cap"],
     ["embeddability", "--graph", "self_loop.json"],
@@ -460,6 +507,9 @@ BAD_INPUTS = {
     ["gadget", "verify", "--gadget", "gadget_repeated_key.json"],
     ["cluster", "exact", "--pointset", "labels_string.json", "--k", "2"],
     ["cluster", "two", "--pointset", "labels_object.json"],
+    ["sphere", "sweep", "--kappa", "2", "--t-grid", "1", "--budget-nodes", "-5"],
+    ["sphere", "region", "--kappa", "0"],
+    ["sphere", "verify-lemma53", "--kappa", "x"],
 ], ids=["lp-cap", "self-loop", "malformed-json", "mixed-lengths", "k7",
         "kappa0", "kappa-range", "composite-not-cubic", "composite-bridge",
         "composite-empty-build", "composite-empty-embed",
@@ -480,7 +530,8 @@ BAD_INPUTS = {
         "graph-repeated-key", "hypergraph-repeated-key",
         "embedding-repeated-key", "pointset-repeated-key",
         "gadget-repeated-key", "pointset-labels-string",
-        "pointset-labels-object"])
+        "pointset-labels-object", "sweep-budget-negative", "region-kappa0",
+        "kappa-not-an-integer"])
 def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
     for name, text in BAD_INPUTS.items():
         (tmp_path / name).write_text(text)
@@ -525,6 +576,9 @@ def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
         assert lines[0].endswith("is repeated"), lines[0]
     if argv[:3] == ["gadget", "verify", "--gadget"]:
         assert f"bad gadget in {argv[3]}: " in lines[0]
+    for (flag, value), message in TYPE_ERRORS.items():
+        if flag in argv and argv[argv.index(flag) + 1] == value:
+            assert lines[0] == "usage error: " + message
 
 
 # a million vertices in a file of a few dozen bytes

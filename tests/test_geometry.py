@@ -191,12 +191,15 @@ def test_sq_distance_total_order():
         assert abs(approx(x) - approx(y)) < 1e-9
 
 
-def test_exceeds_one_plus_half_sqrt2_against_high_precision():
+def test_one_plus_half_sqrt2_bound_against_high_precision():
+    # the coordinate-rule diameter bound 1 + sqrt(2)/2 = 1 - (-1)/sqrt(1*2)
+    bound = SqDistance(-1, 1, 2)
+    assert sphere_key(bound) == (1, 2)
     rng = random.Random(5)
     outcomes = set()
     for _ in range(600):
         p, q = _random_lattice_point(rng), _random_lattice_point(rng)
-        exceeds = sphere_point_sq_distance(p, q).exceeds_one_plus_half_sqrt2()
+        exceeds = sphere_point_sq_distance(p, q) > bound
         with mpmath.workdps(60):
             gap = _mpmath_sq_distance(p, q) - (1 + mpmath.sqrt(2) / 2)
             tie = abs(gap) < mpmath.mpf(10) ** -40

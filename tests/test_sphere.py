@@ -17,7 +17,7 @@ from kdiameter.clustering import (
     two_cluster,
 )
 from kdiameter.coloring import BudgetExceeded, find_coloring
-from kdiameter.geometry import PairTable
+from kdiameter.geometry import PairTable, SqDistance
 from kdiameter.graphs import Graph, Hypergraph, complete_graph, incidence_hypergraph
 from kdiameter.sphere import (
     SEPARATION_THRESHOLD,
@@ -30,7 +30,6 @@ from kdiameter.sphere import (
     completeness_clustering,
     region_points,
     remark_clustering,
-    remark_diameter_within_bound,
     separation_answer,
     verify_anchor_separation,
 )
@@ -127,7 +126,7 @@ def test_completeness_clustering_diameter_at_most_one():
 def test_remark_clustering_bound_and_anchor_grouping():
     inst = build_region_instance((0, 1, 2), 6)
     cl = remark_clustering(inst)
-    assert remark_diameter_within_bound(cl)
+    assert cl.diameter <= SqDistance(-1, 1, 2)   # 1 + sqrt(2)/2
     eb = inst.index_of[axis_key(1)]
     ec = inst.index_of[axis_key(2)]
     assert cl.assignment[eb] == cl.assignment[ec]
