@@ -43,7 +43,7 @@ STATUS_BUDGET = 1
 def search(adj, k, fixed=None, mode=MODE_FIRST, budget=10**9):
     """Backtracking search over proper k-colorings.
 
-    adj    -- list of neighbor bitsets (int), one per vertex
+    adj    -- sequence of neighbor bitsets (int), one per vertex
     fixed  -- per-vertex preassigned color, or -1 or None for a free vertex
     mode   -- MODE_FIRST returns the first proper coloring found;
               MODE_ENUMERATE collects colorings (canonical representatives

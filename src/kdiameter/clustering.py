@@ -6,18 +6,17 @@ candidate diameter, which is how the exact solver works.  A pointset is
 immutable and ranks its pairs once by exact distance, in its pair table
 (`geometry.PairTable`), which every solver asking about it shares; each
 threshold graph is a prefix of the ranked pair list.  The table itself
-keeps that prefix as one list of neighbor bitsets, the coloring kernel's
-input, and moves it between ranks by XORing in only the pairs between the
-new prefix and the nearest one it knows (`PairTable.bitsets_at`): the last
-rank asked, whichever solver asked, the empty graph, or a graph it keeps at
-evenly spaced prefixes; no `Graph` is built on the way.  The search is
-bracketed from below by Gonzalez's farthest-first traversal, which reads
-ranks: its k seeds and the point farthest from them are k+1 points
-pairwise at least `far` apart, so no k-clustering has a smaller diameter,
-and the first probe is the rank of `far`.  Where that bound is the
-optimum, one probe finds it.  The traversal is kept with the pair table,
-seed by seed, so the solvers asking about one pointset read one row of
-ranks per seed between them.
+gives that prefix as a tuple of neighbor bitsets, the coloring kernel's
+input, and keeps it (`PairTable.bitsets_at`): a rank asked for again,
+whichever solver asked, moves no pairs, and a new one XORs in only the
+pairs between its prefix and the nearest kept one, or the empty graph; no
+`Graph` is built on the way.  The search is bracketed from below by
+Gonzalez's farthest-first traversal, which reads ranks: its k seeds and the
+point farthest from them are k+1 points pairwise at least `far` apart, so
+no k-clustering has a smaller diameter, and the first probe is the rank of
+`far`.  Where that bound is the optimum, one probe finds it.  The traversal
+is kept with the pair table, seed by seed, so the solvers asking about one
+pointset read one row of ranks per seed between them.
 The least colorable rank, and the bitsets the kernel sees there, do not
 depend on the order of the probes, so the answers are the plain
 bisection's.  Every clustering, whichever solver made it, gets its diameter

@@ -354,7 +354,7 @@ def _readme_block(heading, language):
 def test_readme_cli_lines_parse():
     lines = [line for line in _readme_block("## CLI", "sh").splitlines()
              if line.startswith("kdiameter ")]
-    assert len(lines) == 11
+    assert len(lines) == 14
     for line in lines:
         assert callable(build_parser().parse_args(shlex.split(line)[1:]).func)
 
@@ -437,6 +437,10 @@ BAD_INPUTS = {
                                       "points": [[0], [1]], "labels": "ab"}),
     "labels_object.json": json.dumps({"metric": "l1_int", "points": [[0], [1]],
                                       "labels": {"x": 1, "y": 2}}),
+    # read as the 1-bit points 0, 1, 1, 0, or as the keys, if any iterable passed
+    "points_string.json": json.dumps({"metric": "hamming", "points": "0110"}),
+    "points_object.json": json.dumps({"metric": "hamming",
+                                      "points": {"01": 1, "10": 2}}),
     "gadget_repeated_key.json": json.dumps(
         {"gadget": build_gadget_H().to_dict()}).replace(
         '"removed_edge"', '"removed_edge": [6, 10], "removed_edge"'),
@@ -507,6 +511,8 @@ TYPE_ERRORS = {("--budget-nodes", "-5"): "bad budget '-5': must be at least 0",
     ["gadget", "verify", "--gadget", "gadget_repeated_key.json"],
     ["cluster", "exact", "--pointset", "labels_string.json", "--k", "2"],
     ["cluster", "two", "--pointset", "labels_object.json"],
+    ["cluster", "exact", "--k", "2", "--pointset", "points_string.json"],
+    ["cluster", "two", "--pointset", "points_object.json"],
     ["sphere", "sweep", "--kappa", "2", "--t-grid", "1", "--budget-nodes", "-5"],
     ["sphere", "region", "--kappa", "0"],
     ["sphere", "verify-lemma53", "--kappa", "x"],
@@ -530,7 +536,8 @@ TYPE_ERRORS = {("--budget-nodes", "-5"): "bad budget '-5': must be at least 0",
         "graph-repeated-key", "hypergraph-repeated-key",
         "embedding-repeated-key", "pointset-repeated-key",
         "gadget-repeated-key", "pointset-labels-string",
-        "pointset-labels-object", "sweep-budget-negative", "region-kappa0",
+        "pointset-labels-object", "pointset-points-string",
+        "pointset-points-object", "sweep-budget-negative", "region-kappa0",
         "kappa-not-an-integer"])
 def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
     for name, text in BAD_INPUTS.items():
@@ -572,6 +579,8 @@ def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
         assert "image vertex '01' is not one of 0..1" in lines[0]
     if "labels_string.json" in argv or "labels_object.json" in argv:
         assert "labels must be null or a list" in lines[0]
+    if "points_string.json" in argv or "points_object.json" in argv:
+        assert "points must be a list" in lines[0]
     if "repeated_key" in argv[-1]:
         assert lines[0].endswith("is repeated"), lines[0]
     if argv[:3] == ["gadget", "verify", "--gadget"]:

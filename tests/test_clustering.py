@@ -29,7 +29,14 @@ from kdiameter.gadgets import (
     stitch_embedding,
     stitch_slot_maps,
 )
-from kdiameter.geometry import BitVector, IntVector, Pointset, SqDistance, pair_rows
+from kdiameter.geometry import (
+    _KEPT,
+    BitVector,
+    IntVector,
+    Pointset,
+    SqDistance,
+    pair_rows,
+)
 from kdiameter.graphs import Graph, complete_graph, incidence_hypergraph, petersen_graph
 from kdiameter.sphere import (
     build_region_instance,
@@ -119,6 +126,10 @@ def _walk_pointsets(rng):
     return pointsets
 
 
+def _graph_at(table, rank):
+    return tuple(threshold_graph_at(table, rank).adjacency_bitsets())
+
+
 def test_bitsets_at_follow_any_walk_of_ranks():
     rng = random.Random(47)
     restarts = 0
@@ -130,33 +141,43 @@ def test_bitsets_at_follow_any_walk_of_ranks():
         for _ in range(16):
             walk += [rng.randint(0, top)] * rng.randint(1, 2)
         walk += [top, rng.randint(0, top), 0]
-        at = 0
         for rank in walk:
-            assert table.bitsets_at(rank) == (
-                threshold_graph_at(table, rank).adjacency_bitsets())
-            # a move to a prefix shorter than the move rebuilds from empty
-            stop = table.above[rank]
-            restarts += 0 < stop < abs(stop - at)
-            at = stop
-        # the walk to the full graph (rank 0) kept the graph at every
-        # multiple of the step; from here on every walk starts from the
-        # nearest one, and a kept graph stays what it was when kept
-        total, step = len(table.pairs), table._step
-        assert all(graph is not None for graph in table._kept[:total // step + 1])
-        edges = [rank for rank in range(top + 1)   # prefix at or next to a multiple
-                 if min(table.above[rank] % step, -table.above[rank] % step) <= 1]
-        walk = edges + [rng.randint(0, top) for _ in range(16)]
-        rng.shuffle(walk)
-        for rank in walk + [top, 0, top]:
+            stop, kept = table.above[rank], dict(table._graphs)
             moved = table.moved
-            assert table.bitsets_at(rank) == (
-                threshold_graph_at(table, rank).adjacency_bitsets())
-            stop = table.above[rank]
-            if -(-stop // step) * step <= total:   # kept on both sides
-                assert table.moved - moved <= step // 2
-            else:
-                assert table.moved - moved < step
+            adj = table.bitsets_at(rank)
+            assert type(adj) is tuple and adj == _graph_at(table, rank)
+            if stop in kept:   # asked for before: the kept tuple, no pairs
+                assert adj is kept[stop] and table.moved == moved
+            else:   # from the nearest kept prefix, or the empty graph
+                near = min(abs(stop - m) for m in [0, *kept])
+                assert table.moved - moved == near
+                restarts += 0 < stop == near
     assert restarts
+
+
+def test_bitsets_at_keeps_at_most_kept_graphs():
+    """A walk over more distinct prefixes than `_KEPT` keeps the last
+    `_KEPT` graphs it was given, and every graph stays correct."""
+    ps = Pointset("l1_int", [IntVector([i * i]) for i in range(12)])
+    table = distinct_distances(ps)
+    ranks = list(range(1, len(table.keys) + 1))
+    assert len(ranks) > _KEPT
+    random.Random(53).shuffle(ranks)
+    given = {rank: table.bitsets_at(rank) for rank in ranks}
+    assert len(table._graphs) == _KEPT
+    assert list(table._graphs) == [table.above[r] for r in ranks[-_KEPT:]]
+    for rank in ranks:
+        assert given[rank] == table.bitsets_at(rank) == _graph_at(table, rank)
+
+
+def test_bitsets_at_two_ranks_at_once():
+    """Two graphs read off one table stay what they were when given."""
+    ps = build_region_instance((0, 1, 2), 4).pointset()
+    table = distinct_distances(ps)
+    for rank in range(len(table.keys)):
+        low, high = table.bitsets_at(rank), table.bitsets_at(rank + 1)
+        assert list(low) == threshold_graph_at(table, rank).adjacency_bitsets()
+        assert list(high) == threshold_graph_at(table, rank + 1).adjacency_bitsets()
 
 
 def _separation_and_clusterings(region):
@@ -172,17 +193,17 @@ def _separation_and_clusterings(region):
 
 def test_pair_moves_on_the_kappa12_region():
     """The pairs the pair table XORs on the kappa = 12 region, counted
-    by `PairTable.moved`: kept prefix graphs make the bisection's walks
-    start near each probe."""
+    by `PairTable.moved`: each probe starts from the nearest graph the
+    table kept, and a graph asked for again moves no pairs."""
     ps = build_region_instance((0, 1, 2), 12).pointset()
     two_cluster(ps)
-    assert ps.table.moved == 18_695
+    assert ps.table.moved == 32_154
     region = build_region_instance((0, 1, 2), 12)
     table = distinct_distances(region.pointset())
     _separation_and_clusterings(region)
-    assert table.moved == 19_616
+    assert table.moved == 31_887
     _separation_and_clusterings(region)
-    assert table.moved == 19_616 + 3_726
+    assert table.moved == 31_887 + 0
 
 
 def test_kappa12_region_clusterings():
