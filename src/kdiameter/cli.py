@@ -280,12 +280,16 @@ def cmd_sphere_sweep(args):
 
 
 def cmd_cluster(args):
+    """`--k` defaults to 3 for `exact` and `gonzalez`; `two` takes only 2."""
+    if args.mode == "two" and args.k not in (None, 2):
+        raise _UsageError(f"cluster two is 2-clustering: --k {args.k} is not 2")
+    k = 3 if args.k is None else args.k
     pointset = _load("pointset", args.pointset)
     try:
         if args.mode == "exact":
-            clustering = exact_cluster(pointset, args.k, budget=args.budget_nodes)
+            clustering = exact_cluster(pointset, k, budget=args.budget_nodes)
         elif args.mode == "gonzalez":
-            clustering = gonzalez_cluster(pointset, args.k)
+            clustering = gonzalez_cluster(pointset, k)
         else:
             clustering = two_cluster(pointset)
     except ValueError as e:
@@ -405,7 +409,7 @@ def build_parser():
     p = sub.add_parser("cluster", parents=[common])
     p.add_argument("mode", choices=("exact", "gonzalez", "two"))
     p.add_argument("--pointset", required=True)
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--k", type=int, default=None)
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("embeddability", parents=[common])

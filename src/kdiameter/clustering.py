@@ -26,7 +26,8 @@ points share a cluster, so one exact distance is evaluated per clustering.
 A solver's coloring splits every pair above the rank it solved at, so its
 scan starts there.
 `two_cluster` 2-colors each probe one BFS layer at a time, a layer being a
-bitset, and stops at the first edge inside a layer.
+bitset, and stops at the first edge inside a layer; it is also
+`exact_cluster`'s k = 2, so the kernel serves k = 1, 3 and 4 only.
 """
 
 from __future__ import annotations
@@ -138,14 +139,21 @@ def exact_cluster(pointset, k, budget=DEFAULT_BUDGET):
 
     The optimum is either 0 or an attained pairwise distance, so searching
     the sorted distinct distances for the least k-colorable threshold is
-    exact.
+    exact.  k = 2 is `two_cluster`, which reads no budget; every other k
+    colors each probe with the kernel, each search under `budget` nodes,
+    and an exhausted budget raises `BudgetExceeded` with the nodes of every
+    probe.
     """
     n = len(_checked(pointset, k))
+    if k == 2:
+        return two_cluster(pointset)
     # at the overall diameter the graph is edgeless: one cluster when k < n,
     # as the kernel colors an edgeless graph
     top = list(range(n)) if k >= n else [0] * n
+    stats = {}
     coloring, rank = _least_colorable(
-        pointset, k, lambda adj: find_coloring(adj, k, budget=budget), top)
+        pointset, k,
+        lambda adj: find_coloring(adj, k, budget=budget, stats=stats), top)
     return _witnessed(pointset, coloring, k, rank)
 
 
@@ -160,7 +168,8 @@ def _checked(pointset, k):
 
 def two_cluster(pointset):
     """Optimal 2-clustering in polynomial time: the threshold graph must be
-    bipartite, checked by a layered BFS 2-coloring instead of backtracking."""
+    bipartite, checked by a layered BFS 2-coloring instead of backtracking.
+    `exact_cluster(pointset, 2)` is this, after its own input checks."""
     coloring, rank = _least_colorable(pointset, 2, _bipartition,
                                       [0] * len(pointset))
     return _witnessed(pointset, coloring, 2, rank)

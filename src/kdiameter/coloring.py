@@ -35,10 +35,8 @@ ENUMERATION_GUARD_NODES = 2**30
 class BudgetExceeded(RuntimeError):
     """The node budget ran out before the search concluded either way.
 
-    `.nodes` counts the nodes of the search that ran out, the one that broke
-    the budget included, and not those of earlier searches; only
-    `sphere.verify_anchor_separation` raises it with a whole question's
-    total."""
+    `.nodes` counts every node of the library call that ran out, over all
+    the searches it made, the node that broke the budget included."""
 
     def __init__(self, nodes):
         super().__init__(f"search budget exceeded after {nodes} nodes")
@@ -54,11 +52,13 @@ def find_coloring(adj, k, fixed=None, budget=DEFAULT_BUDGET, stats=None):
     respecting `fixed` (per-vertex color or -1), or None.
 
     `stats`, when given, is a dict whose "nodes" entry accumulates the
-    number of search nodes explored."""
+    number of search nodes explored; a caller running several searches
+    passes them one `stats`, and an exhausted budget raises with its total.
+    `budget` caps this search alone."""
     status, payload, nodes = _kernel.search(
         adj, k, fixed=fixed, mode=_kernel.MODE_FIRST, budget=budget)
     if stats is not None:
-        stats["nodes"] = stats.get("nodes", 0) + nodes
+        nodes = stats["nodes"] = stats.get("nodes", 0) + nodes
     if status == _kernel.STATUS_BUDGET:
         raise BudgetExceeded(nodes)
     return payload
@@ -102,8 +102,10 @@ def forall_colorings(adj, k, support, budget=DEFAULT_BUDGET, stats=None):
     repeats a color is tested for extendability to a proper coloring by one
     search with the support pinned.  The witness of the first extendable one
     keeps the pattern's colors and renames the colors it leaves unused in
-    reverse.
+    reverse.  The pattern searches share one `stats` (the caller's, if
+    given), so an exhausted budget raises with their total.
     """
+    stats = {} if stats is None else stats
     patterns = [()]
     for _ in support:
         patterns = [p + (c,) for p in patterns

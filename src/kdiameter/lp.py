@@ -333,9 +333,6 @@ def max_embeddability(graph):
         return {"unbounded": True, "ratio": None, "certified": True,
                 "embedding": None, "dual": None}
     optimal = dual_certifies(lp, result.ratio, result.dual)
-    if not result.weights or result.ratio <= 0:
-        return {"unbounded": False, "ratio": result.ratio, "certified": optimal,
-                "embedding": None, "dual": result.dual}
     embedding = extract_integer_embedding(graph, result)
     report = verify_embedding(embedding)
     certified = (optimal and report["ok"]

@@ -49,6 +49,10 @@ def test_gadget_build_and_verify(tmp_path, capsys):
     assert report["gadget"]["removed_edge"] == [6, 10]
     code, _ = run(capsys, "gadget", "verify", "--gadget", str(out))
     assert code == 0
+    # with no --gadget, verify checks the gadget build makes
+    code, verified = run(capsys, "gadget", "verify")
+    assert code == 0
+    assert json.loads(verified)["gadget"] == report["gadget"]
 
 
 def test_reports_are_byte_identical(tmp_path, capsys):
@@ -194,6 +198,16 @@ def test_sphere_sweep_json_prints_the_csv_it_writes(tmp_path, capsys):
     assert printed and printed == out.read_text()
     assert run(capsys, "sphere", "sweep", "--kappa", "2", "--t-grid", "1",
                "--out", str(out)) == (0, "")
+
+
+@pytest.mark.parametrize("long, expected", [
+    ([3, 2], 0), ([5, 2], 1), ([1, 0], 3)])
+def test_embedding_thresholds_as_fractions(long, expected, tmp_path, capsys):
+    # P3's edges land at distances 3 and 2, its non-edge at 1
+    path = tmp_path / "emb.json"
+    path.write_text(embedding_file(image={"0": "000", "1": "111", "2": "001"},
+                                   short=[1, 1], long=long))
+    assert main(["embedding", "verify", "--embedding", str(path)]) == expected
 
 
 def test_embeddability(tmp_path, capsys):
@@ -468,6 +482,7 @@ TYPE_ERRORS = {("--budget-nodes", "-5"): "bad budget '-5': must be at least 0",
     ["composite", "build", "--graph", "empty.json"],
     ["composite", "embed", "--graph", "empty.json"],
     ["cluster", "gonzalez", "--pointset", "points.json", "--k", "0"],
+    ["cluster", "two", "--pointset", "points.json", "--k", "7"],
     ["sphere", "region", "--kappa", "2", "--axes", "0", "0", "1"],
     ["sphere", "region", "--kappa", "2", "--axes", "-1", "0", "1"],
     ["gadget", "verify", "--gadget", "no_removed_edge.json"],
@@ -519,7 +534,7 @@ TYPE_ERRORS = {("--budget-nodes", "-5"): "bad budget '-5': must be at least 0",
 ], ids=["lp-cap", "self-loop", "malformed-json", "mixed-lengths", "k7",
         "kappa0", "kappa-range", "composite-not-cubic", "composite-bridge",
         "composite-empty-build", "composite-empty-embed",
-        "gonzalez-k0", "axes-repeated", "axes-negative", "gadget-no-removed-edge",
+        "gonzalez-k0", "two-k7", "axes-repeated", "axes-negative", "gadget-no-removed-edge",
         "not-an-embedding", "exact-over-cap", "t-negative", "t-zero",
         "t-grid-negative", "kappa-range-empty", "embedding-missing-vertex",
         "embedding-vertex-out-of-range", "embedding-mixed-lengths",
@@ -581,6 +596,8 @@ def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
         assert "labels must be null or a list" in lines[0]
     if "points_string.json" in argv or "points_object.json" in argv:
         assert "points must be a list" in lines[0]
+    if argv[:2] == ["cluster", "two"] and "--k" in argv:
+        assert lines[0] == "usage error: cluster two is 2-clustering: --k 7 is not 2"
     if "repeated_key" in argv[-1]:
         assert lines[0].endswith("is repeated"), lines[0]
     if argv[:3] == ["gadget", "verify", "--gadget"]:

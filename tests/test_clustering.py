@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from collections import deque
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 
 from kdiameter import clustering
 from kdiameter.acceptance import brute_force_cluster_diameter, random_int_pointset
+from kdiameter.cli import main
 from kdiameter.clustering import (
     MAX_POINTS,
     _bipartition,
@@ -21,7 +23,7 @@ from kdiameter.clustering import (
     threshold_graph_at,
     two_cluster,
 )
-from kdiameter.coloring import find_coloring
+from kdiameter.coloring import BudgetExceeded, find_coloring
 from kdiameter.gadgets import (
     build_composite,
     build_gadget_H,
@@ -38,6 +40,7 @@ from kdiameter.geometry import (
     pair_rows,
 )
 from kdiameter.graphs import Graph, complete_graph, incidence_hypergraph, petersen_graph
+from kdiameter.hadamard import linf_embedding
 from kdiameter.sphere import (
     build_region_instance,
     completeness_clustering,
@@ -386,8 +389,9 @@ def test_exact_cluster_k_range():
 
 def test_exact_cluster_refuses_more_than_max_points():
     ps = Pointset("l1_int", [IntVector([i]) for i in range(MAX_POINTS + 1)])
-    with pytest.raises(ValueError):
-        exact_cluster(ps, 3)
+    for k in (2, 3):
+        with pytest.raises(ValueError):
+            exact_cluster(ps, k)
 
 
 def test_two_cluster_optimal():
@@ -745,8 +749,66 @@ def test_bracketed_driver_matches_plain_bisection(composites):
     assert {len(ps) for ps in pointsets} >= set(range(1, 15))
     for ps in pointsets + list(composites.values()):
         for k in (1, 2, 3, 4):
-            assert _same(exact_cluster(ps, k), _plain_exact(ps, k)), (ps, k)
+            plain = _plain_two(ps) if k == 2 else _plain_exact(ps, k)
+            assert _same(exact_cluster(ps, k), plain), (ps, k)
         assert _same(two_cluster(ps), _plain_two(ps)), ps
+
+
+def test_exact_cluster_at_k2_is_two_cluster(composites):
+    """Assignment, diameter and witness, each pointset's `two_cluster` run
+    on a fresh copy of it."""
+    pointsets = (_bracket_pointsets(random.Random(67))
+                 + _bracket_pointsets(random.Random(71))
+                 + list(composites.values()))
+    assert len(pointsets) == 184
+    for ps in pointsets:
+        fresh = Pointset(ps.metric, ps.points)
+        assert _same(exact_cluster(ps, 2), two_cluster(fresh)), ps
+
+
+def _stars_and_c5(stars):
+    """The l-infinity image of `stars` disjoint K1,3 and one C5: a threshold
+    graph with stars + 1 components, the C5 odd."""
+    n = 4 * stars + 5
+    edges = [(4 * s, 4 * s + leaf) for s in range(stars) for leaf in (1, 2, 3)]
+    edges += [(4 * stars + i, 4 * stars + (i + 1) % 5) for i in range(5)]
+    return Pointset("linf_int", linf_embedding(Graph(n, edges)).image)
+
+
+def test_exact_cluster_at_k2_searches_no_coloring(monkeypatch, tmp_path, capsys):
+    """The kernel, which backtracks across components, would search
+    2^(stars+3) - 4 nodes here and run out of a budget of 10^4."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the coloring kernel was searched")
+
+    monkeypatch.setattr(clustering, "find_coloring", refuse)
+    ps = _stars_and_c5(20)
+    assert len(ps) == 85
+    got = exact_cluster(ps, 2, budget=10**4)
+    assert got.diameter == 2
+    assert _same(got, two_cluster(Pointset(ps.metric, ps.points)))
+    path = tmp_path / "stars.json"
+    path.write_text(json.dumps(ps.to_dict()))
+    reports = []
+    for argv in (["exact", "--k", "2", "--budget-nodes", "10000"], ["two"]):
+        assert main(["cluster", *argv, "--pointset", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        reports.append([report[key] for key in
+                        ("k", "assignment", "diameter", "witness_pair")])
+    assert reports[0] == reports[1] and reports[0][2] == 2
+
+
+def test_exhausted_exact_cluster_counts_every_probe(tmp_path, capsys):
+    """The probes search 3 nodes, then 10 that break a budget of 9."""
+    ps = random_int_pointset(random.Random(9))
+    with pytest.raises(BudgetExceeded) as exhausted:
+        exact_cluster(ps, 3, budget=9)
+    assert exhausted.value.nodes == 13
+    path = tmp_path / "ps.json"
+    path.write_text(json.dumps(ps.to_dict()))
+    assert main(["cluster", "exact", "--k", "3", "--budget-nodes", "9",
+                 "--pointset", str(path)]) == 2
+    assert capsys.readouterr().err == "budget exceeded after 13 nodes\n"
 
 
 def test_farthest_first_bound_is_sound(composites):
@@ -849,10 +911,10 @@ def test_solvers_interleaved_on_one_table_match_fresh_ones(kappa):
 def test_bound_saves_probes(composites, monkeypatch):
     calls = []
 
-    def counting(adj, k, **kwargs):
-        stats = {}
+    def counting(adj, k, stats, **kwargs):
+        before = stats.get("nodes", 0)
         got = find_coloring(adj, k, stats=stats, **kwargs)
-        calls.append((got is not None, stats["nodes"]))
+        calls.append((got is not None, stats["nodes"] - before))
         return got
 
     monkeypatch.setattr(clustering, "find_coloring", counting)

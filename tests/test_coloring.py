@@ -226,6 +226,19 @@ def test_forall_vacuous_on_uncolorable():
     assert holds and witness is None
 
 
+def test_exhausted_forall_counts_every_pattern():
+    """On the kappa = 12 region at the paper's t, the first anchor pattern
+    searches 62 nodes and the second breaks a budget of 100 at its 101st:
+    the check raises with both."""
+    region = build_region_instance((0, 1, 2), 12)
+    table = distinct_distances(region.pointset())
+    adj = table.bitsets_at(table.rank_above(SEPARATION_THRESHOLD ** 2))
+    anchors = [region.anchor_index[axis] for axis in (0, 1, 2)]
+    with pytest.raises(BudgetExceeded) as exhausted:
+        forall_colorings(adj, 3, anchors, budget=100)
+    assert exhausted.value.nodes == 62 + 101
+
+
 def test_rainbow_modes():
     # a rainbow coloring is a proper coloring of the constraint graph
     h = Hypergraph(4, [(0, 1, 2), (1, 2, 3)])

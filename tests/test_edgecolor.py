@@ -84,6 +84,11 @@ def test_edge_coloring_infeasible():
     assert edge_coloring(petersen_graph(), 3) is None
 
 
+def test_edge_coloring_below_max_degree_searches_nothing():
+    # any search would exhaust a budget of 0 at its first node
+    assert edge_coloring(complete_graph(4), 2, budget=0) is None
+
+
 def test_three_edge_coloring_of_cubic_graph_with_a_two_edge_cut():
     # two K4-minus-edge blocks joined by two edges: cubic and bridgeless
     edges = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3),

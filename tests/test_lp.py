@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -318,3 +319,21 @@ def test_single_vertex_unbounded():
     result = max_embeddability(Graph(1))
     assert result["unbounded"] and result["certified"]
     assert result["ratio"] is None
+
+
+def test_every_small_graph_is_unbounded_or_certified_with_an_embedding():
+    """Each of the 1,099 labeled graphs on 1 to 5 vertices.  A bounded
+    optimum has an edge and a non-edge, and equal weight on every cut puts
+    every pair at one positive distance, so its ratio is at least 1 and its
+    weights are positive: there is always an embedding to extract."""
+    ratios = []
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            graph = Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+            result = max_embeddability(graph)
+            if result["unbounded"]:
+                continue
+            assert result["certified"] and result["embedding"] is not None, graph
+            ratios.append(result["ratio"])
+    assert min(ratios) == Fraction(3, 2)

@@ -218,6 +218,21 @@ def test_separation_reports_count_the_whole_question(capsys):
     assert exhausted.value.nodes == 605
 
 
+def test_uncolorable_threshold_graph_refutes_separation(capsys):
+    """At kappa = 2 and t = 1/1000 the threshold graph is not 3-colorable:
+    separation fails with no witness after the free search alone."""
+    code, out = _run(capsys, "sphere", "verify-lemma53", "--kappa", "2",
+                     "--t", "1/1000")
+    report = json.loads(out)
+    assert code == 1
+    assert report["verdicts"] == {"separation_holds": False}
+    assert (report["witness"], report["nodes"]) == (None, 3)
+    assert _run(capsys, "sphere", "sweep", "--kappa", "2",
+                "--t-grid", "1/1000") == (0, (
+                    "kappa,t_num,t_den,separation_holds,nodes_explored\n"
+                    "2,1,1000,no,3\n"))
+
+
 def _count_tables(monkeypatch):
     """A list that gains one entry per `PairTable` built from now on."""
     built = []
