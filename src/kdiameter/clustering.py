@@ -45,7 +45,7 @@ from kdiameter.geometry import pair_rows
 from kdiameter.graphs import Graph
 
 MAX_K = 4   # exact_cluster's largest k
-MAX_POINTS = 400   # exact_cluster's largest pointset
+MAX_POINTS = 400   # exact_cluster's and two_cluster's largest pointset
 
 
 @dataclass
@@ -144,9 +144,9 @@ def exact_cluster(pointset, k, budget=DEFAULT_BUDGET):
     and an exhausted budget raises `BudgetExceeded` with the nodes of every
     probe.
     """
-    n = len(_checked(pointset, k))
     if k == 2:
         return two_cluster(pointset)
+    n = len(_checked(pointset, k))
     # at the overall diameter the graph is edgeless: one cluster when k < n,
     # as the kernel colors an edgeless graph
     top = list(range(n)) if k >= n else [0] * n
@@ -169,7 +169,8 @@ def _checked(pointset, k):
 def two_cluster(pointset):
     """Optimal 2-clustering in polynomial time: the threshold graph must be
     bipartite, checked by a layered BFS 2-coloring instead of backtracking.
-    `exact_cluster(pointset, 2)` is this, after its own input checks."""
+    `exact_cluster(pointset, 2)` is this; both take at most MAX_POINTS."""
+    _checked(pointset, 2)
     coloring, rank = _least_colorable(pointset, 2, _bipartition,
                                       [0] * len(pointset))
     return _witnessed(pointset, coloring, 2, rank)

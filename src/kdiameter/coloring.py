@@ -4,8 +4,9 @@ Every call takes a graph in the kernel's own input form: a sequence of
 neighbor bitsets `adj`, one int per vertex, with bit j of adj[i] set when i
 and j are adjacent.  The threshold-graph solvers read it off a pair table as
 an immutable tuple (`geometry.PairTable.bitsets_at`); a caller holding a
-`graphs.Graph` passes the list `graph.adjacency_bitsets()`.  The search's
-node order depends only on the bitsets.  A proper edge coloring is a rainbow coloring of the incidence
+`graphs.Graph` passes the list `graph.adjacency_bitsets()`, built from its
+neighbor tuples on each call.  The search's node order depends only on the
+bitsets.  A proper edge coloring is a rainbow coloring of the incidence
 hypergraph, and a rainbow coloring of a hypergraph is a proper coloring of
 its `Hypergraph.constraint_graph()`, so the same calls search it.
 

@@ -203,6 +203,7 @@ def build_composite(hypergraph, gadget, slot_maps):
         raise ValueError("hypergraph must be 3-uniform and 2-regular")
     n = hypergraph.n
     edges = set()
+    base_edges = gadget.base.edges
     provenance = [("original", v) for v in range(n)]
     for e_idx, e in enumerate(hypergraph.hyperedges):
         if sorted(slot_maps[e_idx]) != list(e):
@@ -211,7 +212,7 @@ def build_composite(hypergraph, gadget, slot_maps):
         offset = n + 12 * e_idx
         for h in range(12):
             provenance.append(("gadget", e_idx, h))
-        for u, v in gadget.base.edges:
+        for u, v in base_edges:
             edges.add((offset + u, offset + v))
         for slot, targets in enumerate(gadget.attachments):
             for t in targets:

@@ -1,5 +1,6 @@
 """Graph and hypergraph structures plus the non-coloring combinatorial tools:
-a DFS orientation that refuses bridged graphs, odd girth, file formats."""
+a DFS orientation that refuses bridged graphs, odd girth, file formats.
+A `Graph` is n plus each vertex's ascending neighbor tuple."""
 
 from __future__ import annotations
 
@@ -8,41 +9,39 @@ from math import inf
 from kdiameter.geometry import json_int, json_loads
 
 
-_NO_NEIGHBORS = frozenset()
-
-
 class Graph:
-    """Simple undirected graph on vertices 0..n-1."""
+    """Simple undirected graph on vertices 0..n-1: each vertex with an edge,
+    in order, maps to its ascending neighbor tuple, and the rest is read off
+    those, so memory follows m, not n."""
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "_adj")
 
     def __init__(self, n, edges=()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         self.n = n
-        norm = set()
+        adj = {}
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"endpoint out of range: {(u, v)}")
-            norm.add((min(u, v), max(u, v)))
-        self.edges = frozenset(norm)
-        # neighbor sets only for vertices with edges: memory follows m, not n
-        adj = {}
-        for u, v in self.edges:
             adj.setdefault(u, set()).add(v)
             adj.setdefault(v, set()).add(u)
-        self._adj = {v: frozenset(s) for v, s in adj.items()}
+        self._adj = {v: tuple(sorted(adj[v])) for v in sorted(adj)}
+
+    @property
+    def edges(self):
+        return frozenset(self.sorted_edges())
 
     def neighbors(self, v):
-        return self._adj.get(v, _NO_NEIGHBORS)
+        return self._adj.get(v, ())
 
     def degree(self, v):
         return len(self.neighbors(v))
 
     def max_degree(self):
-        return max((self.degree(v) for v in range(self.n)), default=0)
+        return max(map(len, self._adj.values()), default=0)
 
     def is_regular(self, d):
         return all(self.degree(v) == d for v in range(self.n))
@@ -51,29 +50,28 @@ class Graph:
         return v in self.neighbors(u)
 
     def sorted_edges(self):
-        return sorted(self.edges)
+        return [(u, v) for u, nbrs in self._adj.items() for v in nbrs if u < v]
 
     def remove_edge(self, u, v):
         e = (min(u, v), max(u, v))
-        if e not in self.edges:
+        if not self.has_edge(u, v):
             raise ValueError(f"no such edge {e}")
-        return Graph(self.n, self.edges - {e})
+        return Graph(self.n, (f for f in self.sorted_edges() if f != e))
 
     def adjacency_bitsets(self):
         out = [0] * self.n
-        for u, v in self.edges:
-            out[u] |= 1 << v
-            out[v] |= 1 << u
+        for v, nbrs in self._adj.items():
+            out[v] = sum(1 << w for w in nbrs)
         return out
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+        return isinstance(other, Graph) and self.n == other.n and self._adj == other._adj
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash((self.n, tuple(self._adj.items())))
 
     def __repr__(self):
-        return f"Graph(n={self.n}, m={len(self.edges)})"
+        return f"Graph(n={self.n}, m={sum(map(len, self._adj.values())) // 2})"
 
     # -- io -----------------------------------------------------------------
 
@@ -194,7 +192,7 @@ def dfs_orientation(graph):
             continue
         pre[root] = low[root] = counter
         counter += 1
-        stack = [(root, -1, iter(sorted(graph.neighbors(root))))]
+        stack = [(root, -1, iter(graph.neighbors(root)))]
         while stack:
             v, parent, it = stack[-1]
             for w in it:
@@ -202,7 +200,7 @@ def dfs_orientation(graph):
                     directed.add((v, w))
                     pre[w] = low[w] = counter
                     counter += 1
-                    stack.append((w, v, iter(sorted(graph.neighbors(w)))))
+                    stack.append((w, v, iter(graph.neighbors(w))))
                     break
                 # a visited neighbor other than the parent is an ancestor,
                 # or a descendant whose back edge to v is already directed

@@ -133,7 +133,7 @@ def verify_embedding(embedding):
     min_edge, worst_edge = None, None
     max_nonedge, worst_nonedge = None, None
     for u, row in enumerate(pair_rows(embedding.pointset)):
-        edges = sorted(v - u - 1 for v in g.neighbors(u) if v > u)
+        edges = [v - u - 1 for v in g.neighbors(u) if v > u]
         if edges:
             s = min(edges, key=row.__getitem__)
             if min_edge is None or row[s] < min_edge:

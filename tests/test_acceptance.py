@@ -8,7 +8,13 @@ import random
 
 import pytest
 
-from kdiameter.acceptance import CRITERIA, criterion_3, random_regular_graph
+from kdiameter import clustering
+from kdiameter.acceptance import (
+    CRITERIA,
+    criterion_3,
+    criterion_10,
+    random_regular_graph,
+)
 
 
 @pytest.mark.parametrize("number", sorted(CRITERIA),
@@ -23,6 +29,16 @@ def test_acceptance_criterion(number):
 def test_criterion_3_every_seed():
     for seed in range(20):
         assert criterion_3(seed=seed)["ok"], f"seed {seed}"
+
+
+def test_criterion_10_calls_two_cluster_once_per_pointset(monkeypatch):
+    """Its k = 2 exact_cluster check is two_cluster: 100 calls, not 200."""
+    calls = []
+    two_cluster = clustering.two_cluster
+    monkeypatch.setattr(clustering, "two_cluster",
+                        lambda ps: calls.append(ps) or two_cluster(ps))
+    assert criterion_10(seed=0) == {"ok": True, "pointsets": 100}
+    assert len(calls) == 100
 
 
 def test_random_regular_graph_feasible_and_infeasible():

@@ -488,6 +488,7 @@ TYPE_ERRORS = {("--budget-nodes", "-5"): "bad budget '-5': must be at least 0",
     ["gadget", "verify", "--gadget", "no_removed_edge.json"],
     ["embedding", "verify", "--embedding", "path.json"],
     ["cluster", "exact", "--pointset", "over_cap.json"],
+    ["cluster", "two", "--pointset", "over_cap.json"],
     ["sphere", "verify-lemma53", "--kappa", "2", "--t", "-1"],
     ["sphere", "verify-lemma53", "--kappa", "2", "--t", "0"],
     ["sphere", "sweep", "--kappa", "2", "--t-grid", "1,-1"],
@@ -535,7 +536,8 @@ TYPE_ERRORS = {("--budget-nodes", "-5"): "bad budget '-5': must be at least 0",
         "kappa0", "kappa-range", "composite-not-cubic", "composite-bridge",
         "composite-empty-build", "composite-empty-embed",
         "gonzalez-k0", "two-k7", "axes-repeated", "axes-negative", "gadget-no-removed-edge",
-        "not-an-embedding", "exact-over-cap", "t-negative", "t-zero",
+        "not-an-embedding", "exact-over-cap", "two-over-cap",
+        "t-negative", "t-zero",
         "t-grid-negative", "kappa-range-empty", "embedding-missing-vertex",
         "embedding-vertex-out-of-range", "embedding-mixed-lengths",
         "embedding-short-not-a-number", "embedding-empty",
@@ -629,6 +631,28 @@ def test_a_tiny_file_naming_a_huge_graph_is_refused_in_little_memory(
 
     path = tmp_path / name
     path.write_text(text)
+    tracemalloc.start()
+    try:
+        code = main([*argv, str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("argv", [["embeddability", "--graph"],
+                                  ["composite", "build", "--graph"]],
+                         ids=["embeddability", "composite-build"])
+def test_edges_to_far_vertices_are_refused_in_little_memory(
+        argv, tmp_path, capsys):
+    """200 edges i -- 999999-i in 2 KB: a graph's memory follows its edges,
+    not its largest vertex id, as neighbor bitsets' would (25.8 MiB)."""
+    import tracemalloc
+
+    path = tmp_path / "far.txt"
+    path.write_text("".join(f"{i} {HUGE_N - 1 - i}\n" for i in range(200)))
     tracemalloc.start()
     try:
         code = main([*argv, str(path)])

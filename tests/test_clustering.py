@@ -389,9 +389,12 @@ def test_exact_cluster_k_range():
 
 def test_exact_cluster_refuses_more_than_max_points():
     ps = Pointset("l1_int", [IntVector([i]) for i in range(MAX_POINTS + 1)])
+    message = f"pointset size {MAX_POINTS + 1} exceeds the cap {MAX_POINTS}"
     for k in (2, 3):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             exact_cluster(ps, k)
+    with pytest.raises(ValueError, match=message):
+        two_cluster(ps)
 
 
 def test_two_cluster_optimal():

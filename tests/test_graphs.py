@@ -1,10 +1,13 @@
 import random
+import tracemalloc
 from itertools import combinations
 from math import inf
 
 import pytest
 
 from kdiameter.acceptance import random_graph
+from kdiameter.clustering import distinct_distances
+from kdiameter.gadgets import build_composite, build_gadget_H, stitch_slot_maps
 from kdiameter.graphs import (
     Graph,
     Hypergraph,
@@ -17,6 +20,11 @@ from kdiameter.graphs import (
     odd_girth,
     path_graph,
     petersen_graph,
+)
+from kdiameter.sphere import (
+    SEPARATION_THRESHOLD,
+    build_region_instance,
+    build_threshold_graph,
 )
 
 
@@ -32,10 +40,14 @@ def test_graph_basics():
 
 
 def test_graph_rejects_bad_edges():
-    with pytest.raises(Exception):
-        Graph(3, [(0, 3)])
-    with pytest.raises(Exception):
-        Graph(3, [(1, 1)])
+    for n, edges, message in ((-1, [], "vertex count must be nonnegative"),
+                              (3, [(1, 1)], "self-loop at 1"),
+                              (3, [(0, 3)], r"endpoint out of range: \(0, 3\)"),
+                              (3, [(-1, 2)], r"endpoint out of range: \(-1, 2\)")):
+        with pytest.raises(ValueError, match=message):
+            Graph(n, edges)
+    with pytest.raises(ValueError, match=r"no such edge \(0, 2\)"):
+        path_graph(3).remove_edge(2, 0)
 
 
 def test_graph_json_roundtrip():
@@ -48,6 +60,74 @@ def test_graph_from_edge_list_text():
     g = Graph.from_edge_list_text("# triangle\n0 1\n1 2\n2 0\n")
     assert g.n == 3
     assert sorted(g.sorted_edges()) == [(0, 1), (0, 2), (1, 2)]
+
+
+def test_graph_matches_an_edge_set_oracle():
+    """Every query against a plain set of (min, max) pairs, on seeded random
+    edge lists that repeat edges and give some reversed."""
+    rng = random.Random(5)
+    for _ in range(150):
+        n = rng.randint(0, 12)
+        given = [tuple(rng.sample(range(n), 2))
+                 for _ in range(rng.randint(0, 3 * n) if n >= 2 else 0)]
+        given += [(v, u) for u, v in given if rng.random() < 0.3]
+        given += [e for e in given if rng.random() < 0.3]
+        rng.shuffle(given)
+        oracle = {(min(e), max(e)) for e in given}
+        nbrs = {v: sorted({a + b - v for a, b in oracle if v in (a, b)})
+                for v in range(-2, n + 2)}
+        g = Graph(n, given)
+        assert isinstance(g.edges, frozenset) and g.edges == oracle
+        assert g.sorted_edges() == sorted(oracle)
+        for v in range(-2, n + 2):
+            assert g.neighbors(v) == tuple(nbrs[v])
+            assert g.degree(v) == len(nbrs[v])
+            for u in range(-2, n + 2):
+                assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in oracle)
+        assert g.max_degree() == max((len(nbrs[v]) for v in range(n)), default=0)
+        bitsets = g.adjacency_bitsets()
+        assert bitsets == [sum(1 << w for w in nbrs[v]) for v in range(n)]
+        if n:
+            bitsets[0] ^= 1   # a fresh list each call
+            assert g.adjacency_bitsets()[0] == sum(1 << w for w in nbrs[0])
+        again = Graph(n, [(v, u) for u, v in reversed(given)])
+        assert again == g and hash(again) == hash(g)
+        assert g != Graph(n + 1, given) and g != oracle
+        assert g.to_dict() == {"n": n, "edges": [list(e) for e in sorted(oracle)]}
+        assert Graph.from_dict(g.to_dict()) == g
+        assert repr(g) == f"Graph(n={n}, m={len(oracle)})"
+        for u, v in sorted(oracle)[:3]:
+            smaller = g.remove_edge(v, u)
+            assert smaller == Graph(n, oracle - {(u, v)}) != g
+            assert smaller.edges == oracle - {(u, v)} and g.edges == oracle
+
+
+def _footprint(build):
+    """(the graph `build` returns, the bytes it holds)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        graph = build()
+        return graph, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_graph_memory_follows_its_neighbor_tuples():
+    """The Petersen composite's graph and the kappa = 12 threshold graph at
+    the separation ratio (4,650 edges) hold 14 KiB and 101 KiB as neighbor
+    tuples; the bounds fail an edge frozenset plus per-vertex frozensets,
+    64 KiB and 940 KiB."""
+    J = petersen_graph()
+    composite = build_composite(incidence_hypergraph(J), build_gadget_H(),
+                                stitch_slot_maps(J)).graph
+    edges = composite.sorted_edges()
+    graph, size = _footprint(lambda: Graph(composite.n, edges))
+    assert graph == composite and size < 24 * 1024
+    table = distinct_distances(build_region_instance((0, 1, 2), 12).pointset())
+    view, size = _footprint(
+        lambda: build_threshold_graph(table, SEPARATION_THRESHOLD ** 2))
+    assert len(view.edges) == 4650 and size < 160 * 1024
 
 
 def test_named_graphs():
