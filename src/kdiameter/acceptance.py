@@ -53,7 +53,7 @@ from kdiameter.lp import max_embeddability
 from kdiameter.sphere import (
     SEPARATION_THRESHOLD,
     build_region_instance,
-    completeness_clustering,
+    coloring_to_clustering,
     remark_clustering,
     separation_answer,
 )
@@ -218,9 +218,11 @@ def criterion_6(budget=DEFAULT_BUDGET, seed=0):
 
 
 def criterion_7(budget=DEFAULT_BUDGET, seed=0):
-    """Explicit family partition of the kappa=12 region has diameter <= 1."""
+    """The family partition of the kappa=12 region has diameter <= 1: the
+    rainbow coloring [0, 1, 2] of its axes turned into a clustering, family
+    v in cluster v, a point of two families in the lesser."""
     instance = _kappa12_region()
-    clustering = completeness_clustering(instance)
+    clustering = coloring_to_clustering(instance, [0, 1, 2])
     d = clustering.diameter
     within = d <= 1
     return {"ok": within, "diameter": str(d)}

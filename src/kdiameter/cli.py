@@ -35,7 +35,7 @@ from kdiameter.gadgets import (
     stitch_slot_maps,
     verify_gadget,
 )
-from kdiameter.geometry import Pointset, json_loads
+from kdiameter.geometry import Pointset, check_table_size, json_loads
 from kdiameter.graphs import Graph, Hypergraph, incidence_hypergraph
 from kdiameter.hadamard import Embedding, verify_embedding
 from kdiameter.lp import max_embeddability
@@ -43,6 +43,7 @@ from kdiameter.sphere import (
     SEPARATION_THRESHOLD,
     build_P_G,
     build_region_instance,
+    region_size,
     separation_answer,
 )
 
@@ -123,14 +124,19 @@ def _parse_budget(s):
 
 
 def _parse_kappas(s):
-    """Parse "4..16" or a comma list into a list of positive ints."""
+    """Parse "4..16" into a range, or a comma list into a list, of positive
+    ints.  A kappa whose region's pair table would be over the cap is
+    refused here, before any region is built."""
     if ".." in s:
-        lo, hi = s.split("..", 1)
-        kappas = list(range(_parse_kappa(lo), _parse_kappa(hi) + 1))
+        lo, hi = map(_parse_kappa, s.split("..", 1))
+        kappas = range(lo, hi + 1)
         if not kappas:
             raise _UsageError(f"bad kappa range {s!r}: empty")
-        return kappas
-    return [_parse_kappa(x) for x in s.split(",")]
+    else:
+        kappas = [_parse_kappa(x) for x in s.split(",")]
+        hi = max(kappas)
+    check_table_size(region_size(hi))
+    return kappas
 
 
 def _exact_value(x):
@@ -240,6 +246,7 @@ def cmd_sphere_region(args):
 
 
 def cmd_sphere_verify(args):
+    check_table_size(region_size(args.kappa))   # before any point is built
     instance = build_region_instance((0, 1, 2), args.kappa)
     threshold = _parse_fraction(args.t)
     holds, witness, nodes = separation_answer(instance, threshold,

@@ -414,6 +414,16 @@ _CROSS = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 # how many threshold graphs a pair table keeps (`bitsets_at`)
 _KEPT = 32
 
+# the most points a pair table ranks: 8,386,560 pairs
+MAX_TABLE_POINTS = 4096
+
+
+def check_table_size(n):
+    """Refuse a pair table over `n` > MAX_TABLE_POINTS points."""
+    if n > MAX_TABLE_POINTS:
+        raise ValueError(f"pointset size {n} exceeds the pair table's cap "
+                         f"{MAX_TABLE_POINTS}")
+
 
 class PairTable:
     """Every pair of a pointset, ranked once by exact distance.
@@ -426,9 +436,11 @@ class PairTable:
     pair ids i*n + j (i < j) by falling rank, and `above[r]` counts the
     pairs of rank >= r, so the pairs farther than keys[r - 1] are exactly
     pairs[:above[r]].  `rank_of` maps a `pair_rows` value to its rank.
+    A pointset over `MAX_TABLE_POINTS` is refused before any pair is read.
     """
 
     def __init__(self, pointset):
+        check_table_size(len(pointset))
         self.metric = pointset.metric
         self.n = n = len(pointset)
         buckets = defaultdict(lambda: array("q"))  # value -> ascending pair ids

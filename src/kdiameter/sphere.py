@@ -29,25 +29,14 @@ from kdiameter.coloring import (
 from kdiameter.geometry import Pointset, SphereLatticePoint
 
 SEPARATION_THRESHOLD = Fraction(163, 125)  # the 1.304 separation ratio
+MAX_INSTANCE_POINTS = 2 ** 18   # the most points an instance's regions hold
 
 
-def region_points(axes, kappa):
-    """All lattice points of the three families over `axes`, deduplicated.
-
-    Count is 3(kappa+1)(kappa+2)/2 - 3: each family contributes the
-    coefficient simplex and the three shared pure-negative axis points are
-    stored once.
-    """
-    if kappa < 1:
-        raise ValueError("kappa must be positive")
-    seen = {}
-    for pos in axes:
-        for p in _family_points(axes, pos, kappa):
-            seen.setdefault(p.key, p)
-    points = list(seen.values())
-    expected = 3 * (kappa + 1) * (kappa + 2) // 2 - 3
-    assert len(points) == expected
-    return points
+def region_size(kappa):
+    """Points of one kappa-region, 3(kappa+1)(kappa+2)/2 - 3: each family
+    contributes the coefficient simplex and the three shared pure-negative
+    axis points are stored once."""
+    return 3 * (kappa + 1) * (kappa + 2) // 2 - 3
 
 
 def _family_points(axes, pos, kappa):
@@ -57,19 +46,24 @@ def _family_points(axes, pos, kappa):
             yield SphereLatticePoint(axes, pos, (i, j, kappa - i - j), kappa)
 
 
-def axis_key(axis, negative=False):
-    return ((axis, -1 if negative else 1),)
+def axis_key(axis):
+    """The key of the anchor point e_axis."""
+    return ((axis, 1),)
 
 
 @dataclass
 class SphereInstance:
-    """Deduplicated union of per-hyperedge regions plus anchor bookkeeping."""
+    """Deduplicated union of per-hyperedge regions plus anchor bookkeeping.
+
+    `families[i]` holds the axes v, in first-seen order, of the families v
+    of the regions that point i lies in: one axis for most points, two for
+    the shared negative axis points."""
 
     kappa: int
     regions: list            # (a, b, c) axis triples
     _pointset: Pointset = field(repr=False)   # the deduplicated points
     anchor_index: dict       # axis v -> index of the point e_v
-    index_of: dict = field(repr=False)   # point key -> index
+    families: tuple = field(repr=False)   # per point, its families' axes
 
     @property
     def points(self):
@@ -80,11 +74,6 @@ class SphereInstance:
         """The instance's one `Pointset`: the same object, and so the same
         pair table, on every call."""
         return self._pointset
-
-    def family_indices(self, axes, pos):
-        """Indices of this instance's points lying in one family of a region."""
-        keys = {p.key for p in _family_points(axes, pos, self.kappa)}
-        return [self.index_of[k] for k in sorted(keys) if k in self.index_of]
 
 
 def build_region_instance(axes, kappa):
@@ -101,15 +90,30 @@ def build_P_G(hypergraph, kappa=12):
 
 def _union_instance(regions, kappa):
     """The instance over the points of `regions`, deduplicated in first-seen
-    order, whose anchors are the points e_v of the regions' axes v."""
-    seen = {}
+    order, whose anchors are the points e_v of the regions' axes v.  Each
+    region is checked to hold `region_size(kappa)` points; more than
+    `MAX_INSTANCE_POINTS` in all are refused before any point is built."""
+    if kappa < 1:
+        raise ValueError("kappa must be positive")
+    size = len(regions) * region_size(kappa)
+    if size > MAX_INSTANCE_POINTS:
+        raise ValueError(f"{len(regions)} region(s) at kappa {kappa} hold "
+                         f"{size} points, over the cap {MAX_INSTANCE_POINTS}")
+    seen = {}   # point key -> (the point, its families' axes)
     for e in regions:
-        for p in region_points(e, kappa):
-            seen.setdefault(p.key, p)
-    pointset = Pointset("l2_sphere_lattice", seen.values())
-    index_of = {key: i for i, key in enumerate(seen)}
-    anchors = {axis: index_of[axis_key(axis)] for e in regions for axis in e}
-    return SphereInstance(kappa, regions, pointset, anchors, index_of)
+        region = set()
+        for v in e:
+            for p in _family_points(e, v, kappa):
+                _, axes = seen.setdefault(p.key, (p, []))
+                if v not in axes:
+                    axes.append(v)
+                region.add(p.key)
+        assert len(region) == region_size(kappa)
+    pointset = Pointset("l2_sphere_lattice", [p for p, _ in seen.values()])
+    families = tuple(tuple(axes) for _, axes in seen.values())
+    index = {key: i for i, key in enumerate(seen)}
+    anchors = {axis: index[axis_key(axis)] for e in regions for axis in e}
+    return SphereInstance(kappa, regions, pointset, anchors, families)
 
 
 # ---------------------------------------------------------------------------
@@ -173,28 +177,6 @@ def verify_anchor_separation(instance, threshold=SEPARATION_THRESHOLD,
 # explicit clusterings
 
 
-def completeness_clustering(instance):
-    """The explicit family partition of a single region: cluster X takes
-    family X minus the one shared negative axis point handed to the next
-    cluster (A drops the negative b axis point, B the negative c, C the
-    negative a)."""
-    if len(instance.regions) != 1:
-        raise ValueError("explicit partition applies to single-region instances")
-    a, b, c = instance.regions[0]
-    drop = {0: axis_key(b, negative=True),
-            1: axis_key(c, negative=True),
-            2: axis_key(a, negative=True)}
-    assignment = [None] * len(instance.points)
-    for cluster, pos in enumerate((a, b, c)):
-        for i in instance.family_indices((a, b, c), pos):
-            if instance.points[i].key == drop[cluster]:
-                continue
-            assert assignment[i] is None or assignment[i] == cluster
-            assignment[i] = cluster
-    assert all(x is not None for x in assignment)
-    return make_clustering(instance.pointset(), assignment, 3)
-
-
 def remark_clustering(instance):
     """Min-coordinate rule partition of a single region: cluster A takes
     points whose a-coordinate is the (weak) minimum, then B by minimal b
@@ -216,31 +198,19 @@ def remark_clustering(instance):
     return make_clustering(instance.pointset(), assignment, 3)
 
 
-def coloring_to_clustering(instance, hypergraph, coloring):
-    """Turn a proper rainbow 3-coloring of the hypergraph into the explicit
-    3-clustering of the instance: for each region, family v joins the
-    cluster of v's color; points claimed by several clusters go to the
-    lowest-numbered one (the proof's set-difference tie-break)."""
-    for e in hypergraph.hyperedges:
+def coloring_to_clustering(instance, coloring):
+    """Turn a 3-coloring of the axes, rainbow on every region, into the
+    explicit 3-clustering of the instance: family v of each region joins the
+    cluster of v's color, and a point in several families goes to the least
+    of their colors (the proof's set-difference tie-break).  On the region
+    over axes (0, 1, 2), the coloring [0, 1, 2] puts -e_1, in families 0
+    and 2, in cluster 0."""
+    for e in instance.regions:
         if len({coloring[v] for v in e}) != len(e):
-            raise ValueError(f"coloring is not rainbow on hyperedge {e}")
-    claimed = [set() for _ in range(len(instance.points))]
-    for region in instance.regions:
-        for v in region:
-            cluster = coloring[v]
-            for i in instance.family_indices(region, v):
-                claimed[i].add(cluster)
-    assert all(claimed)
-    assignment = [min(cl) for cl in claimed]
+            raise ValueError(f"coloring is not rainbow on region {e}")
+    assignment = [min(coloring[v] for v in axes) for axes in instance.families]
     clustering = make_clustering(instance.pointset(), assignment, 3)
     # orthant argument: intra-cluster pairs have nonnegative inner product,
     # so squared distances stay at most 1
     assert clustering.diameter <= 1
     return clustering
-
-
-def clustering_to_coloring(instance, hypergraph, clustering):
-    """Read a hypergraph coloring off a clustering via the anchor points."""
-    return [clustering.assignment[instance.anchor_index[v]]
-            for v in range(hypergraph.n)]
-

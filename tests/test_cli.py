@@ -83,6 +83,10 @@ REPORT_DIGESTS = [
      "80408e4da5786cea73d0ffbcfaa8a996b48c93a421f803d1cc95c1adf1b66ff6"),
     (["composite", "embed", "--graph", "K4.json"],
      "31d511649a78d5ba7f8130db4be872735a74265459a8f94d2b5d0d0965d3664b"),
+    (["sphere", "region", "--kappa", "3"],
+     "25b15937f02a0bb50cba19ec697b13d396e89f9a117cefa26cf36a6243eac5d0"),
+    (["sphere", "region", "--kappa", "4", "--axes", "3", "5", "7"],
+     "1dc50c8723a8a4d3e3f17765c5ff11e0025ac9ced2f7a9a1609c4feb85eda9aa"),
     (["sphere", "verify-lemma53", "--kappa", "4"],
      "9b299911a49377e84c9fb4f1dccac0fdae895dfd8f0fa246597778b7cb8575b1"),
     (["sphere", "reduce", "--hypergraph", "K4_incidence.json"],
@@ -407,6 +411,9 @@ BAD_INPUTS = {
                                            [[[1]], [0, 5, 7], [6, 9]]}),
     "over_cap.json": json.dumps({"metric": "l1_int",
                                  "points": [[i] for i in range(MAX_POINTS + 1)]}),
+    # 200 million pairs: over the pair table's cap, which Gonzalez reads
+    "line_20000.json": json.dumps({"metric": "l1_int",
+                                   "points": [[i] for i in range(20000)]}),
     "emb_missing_vertex.json": embedding_file(image={"0": "00", "1": "11"}),
     "emb_vertex_out_of_range.json": embedding_file(
         image={"0": "00", "1": "11", "2": "01", "3": "10"}),
@@ -532,6 +539,10 @@ TYPE_ERRORS = {("--budget-nodes", "-5"): "bad budget '-5': must be at least 0",
     ["sphere", "sweep", "--kappa", "2", "--t-grid", "1", "--budget-nodes", "-5"],
     ["sphere", "region", "--kappa", "0"],
     ["sphere", "verify-lemma53", "--kappa", "x"],
+    ["sphere", "verify-lemma53", "--kappa", "200"],
+    ["sphere", "sweep", "--kappa", "1..1000000000", "--t-grid", "1"],
+    ["sphere", "region", "--kappa", "3000"],
+    ["cluster", "gonzalez", "--k", "3", "--pointset", "line_20000.json"],
 ], ids=["lp-cap", "self-loop", "malformed-json", "mixed-lengths", "k7",
         "kappa0", "kappa-range", "composite-not-cubic", "composite-bridge",
         "composite-empty-build", "composite-empty-embed",
@@ -555,7 +566,8 @@ TYPE_ERRORS = {("--budget-nodes", "-5"): "bad budget '-5': must be at least 0",
         "gadget-repeated-key", "pointset-labels-string",
         "pointset-labels-object", "pointset-points-string",
         "pointset-points-object", "sweep-budget-negative", "region-kappa0",
-        "kappa-not-an-integer"])
+        "kappa-not-an-integer", "verify-table-over-cap",
+        "sweep-table-over-cap", "region-over-cap", "gonzalez-table-over-cap"])
 def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
     for name, text in BAD_INPUTS.items():
         (tmp_path / name).write_text(text)
@@ -576,6 +588,10 @@ def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
         assert "bad pointset in no_points.json: empty pointset" in lines[0]
     if "over_cap.json" in argv:
         assert "pointset over_cap.json: pointset size" in lines[0]
+    if "200" in argv or "1..1000000000" in argv or "line_20000.json" in argv:
+        assert "exceeds the pair table's cap 4096" in lines[0], lines[0]
+    if argv == ["sphere", "region", "--kappa", "3000"]:
+        assert lines[0].endswith("over the cap 262144"), lines[0]
     if "emb_no_vertices.json" in argv:
         assert "bad embedding in emb_no_vertices.json: empty pointset" in lines[0]
     if "coeff_count.json" in argv:

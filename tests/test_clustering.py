@@ -43,7 +43,7 @@ from kdiameter.graphs import Graph, complete_graph, incidence_hypergraph, peters
 from kdiameter.hadamard import linf_embedding
 from kdiameter.sphere import (
     build_region_instance,
-    completeness_clustering,
+    coloring_to_clustering,
     remark_clustering,
     separation_answer,
     verify_anchor_separation,
@@ -306,8 +306,8 @@ def test_clustering_diameters_match_a_walk_over_all_pairs(composites):
             results.append(make_clustering(ps, assignment, k))
         clusterings += [(ps, got) for got in results]
     region = build_region_instance((0, 1, 2), 4)
-    clusterings += [(region.pointset(), completeness_clustering(region)),
-                    (region.pointset(), remark_clustering(region))]
+    clusterings += [(region.pointset(), got) for got in (
+        coloring_to_clustering(region, [0, 1, 2]), remark_clustering(region))]
     # the gap's two sides at k = 3: the Petersen composite's optimum is
     # 3q/2 = 96 (q = 64), the K4 composite's is q = 16
     for name, diameter in (("Petersen", 96), ("K4", 16)):

@@ -15,6 +15,7 @@ from kdiameter.geometry import (
     BitVector,
     DimensionMismatch,
     METRICS,
+    MAX_TABLE_POINTS,
     IntVector,
     PairTable,
     Pointset,
@@ -238,6 +239,17 @@ def test_pointset_rejects_no_points():
     for metric in METRICS:
         with pytest.raises(ValueError, match="empty pointset"):
             Pointset(metric, [])
+
+
+def test_pair_table_refuses_more_than_its_cap(monkeypatch):
+    """A pointset over MAX_TABLE_POINTS gets no table, and no pair row is
+    read for it."""
+    monkeypatch.setattr("kdiameter.geometry.pair_rows", None)
+    ps = Pointset("l1_int",
+                  [IntVector([i]) for i in range(MAX_TABLE_POINTS + 1)])
+    with pytest.raises(ValueError, match="pointset size 4097 exceeds the pair "
+                                         "table's cap 4096"):
+        ps.table
 
 
 def test_pair_table_dies_with_its_pointset():

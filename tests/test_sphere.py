@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -14,21 +15,27 @@ from kdiameter.clustering import (
     distinct_distances,
     exact_cluster,
     gonzalez_cluster,
+    make_clustering,
     two_cluster,
 )
 from kdiameter.coloring import BudgetExceeded, find_coloring
-from kdiameter.geometry import PairTable, SqDistance
-from kdiameter.graphs import Graph, Hypergraph, complete_graph, incidence_hypergraph
+from kdiameter.geometry import PairTable, SphereLatticePoint, SqDistance
+from kdiameter.graphs import (
+    Graph,
+    Hypergraph,
+    complete_graph,
+    incidence_hypergraph,
+    petersen_graph,
+)
 from kdiameter.sphere import (
+    MAX_INSTANCE_POINTS,
     SEPARATION_THRESHOLD,
     axis_key,
     build_P_G,
     build_region_instance,
     build_threshold_graph,
-    clustering_to_coloring,
     coloring_to_clustering,
-    completeness_clustering,
-    region_points,
+    region_size,
     remark_clustering,
     separation_answer,
     verify_anchor_separation,
@@ -37,10 +44,28 @@ from kdiameter.sphere import (
 
 def test_region_point_count():
     for kappa in (1, 2, 3, 6, 12):
-        pts = region_points((0, 1, 2), kappa)
-        assert len(pts) == 3 * (kappa + 1) * (kappa + 2) // 2 - 3
+        inst = build_region_instance((0, 1, 2), kappa)
+        assert len(inst.points) == region_size(kappa)
+        assert region_size(kappa) == 3 * (kappa + 1) * (kappa + 2) // 2 - 3
     with pytest.raises(ValueError):
-        region_points((0, 1, 2), 0)
+        build_region_instance((0, 1, 2), 0)
+
+
+def test_instances_over_the_point_cap_are_refused():
+    """The cap counts regions x region_size(kappa) before any point is
+    built, so these refusals take no time."""
+    assert region_size(416) <= MAX_INSTANCE_POINTS < region_size(417)
+    for kappa in (417, 3000, 10 ** 9):
+        with pytest.raises(ValueError, match="over the cap 262144"):
+            build_region_instance((0, 1, 2), kappa)
+    h = Hypergraph(3 * 1000, [(3 * i, 3 * i + 1, 3 * i + 2)
+                              for i in range(1000)])
+    assert 1000 * region_size(12) > MAX_INSTANCE_POINTS
+    with pytest.raises(ValueError, match=r"1000 region\(s\) at kappa 12"):
+        build_P_G(h, kappa=12)
+    # the Petersen reduction at the paper's kappa stays well under the cap
+    petersen = build_P_G(incidence_hypergraph(petersen_graph()), kappa=12)
+    assert len(petersen.points) == 2670
 
 
 def test_region_instance_anchors():
@@ -53,7 +78,7 @@ def test_region_instance_anchors():
 def test_build_P_G_deduplicates_shared_axes():
     h = Hypergraph(4, [(0, 1, 2), (1, 2, 3)])
     inst = build_P_G(h, kappa=3)
-    single = len(region_points((0, 1, 2), 3))
+    single = region_size(3)
     assert len(inst.points) < 2 * single
     assert set(inst.anchor_index) == {0, 1, 2, 3}
     # the shared negative axis points appear exactly once
@@ -117,18 +142,24 @@ def test_anchor_separation_refuses_non_positive_threshold():
 
 
 def test_completeness_clustering_diameter_at_most_one():
-    inst = build_region_instance((0, 1, 2), 6)
-    cl = completeness_clustering(inst)
-    d = cl.diameter
-    assert d == 0 or not d > 1
+    """The completeness direction's clustering of each region, criterion 7's
+    construction: squared diameter exactly 1 and the three anchors in three
+    clusters."""
+    for kappa in range(2, 13):
+        inst = build_region_instance((0, 1, 2), kappa)
+        cl = coloring_to_clustering(inst, [0, 1, 2])
+        assert cl.diameter == 1, kappa
+        assert [cl.assignment[inst.anchor_index[v]] for v in (0, 1, 2)] == [
+            0, 1, 2]
 
 
 def test_remark_clustering_bound_and_anchor_grouping():
     inst = build_region_instance((0, 1, 2), 6)
     cl = remark_clustering(inst)
     assert cl.diameter <= SqDistance(-1, 1, 2)   # 1 + sqrt(2)/2
-    eb = inst.index_of[axis_key(1)]
-    ec = inst.index_of[axis_key(2)]
+    eb = inst.anchor_index[1]
+    ec = inst.anchor_index[2]
+    assert inst.points[eb].key == axis_key(1)
     assert cl.assignment[eb] == cl.assignment[ec]
 
 
@@ -138,8 +169,10 @@ def test_coloring_clustering_roundtrip():
     inst = build_P_G(h, kappa=3)
     coloring = find_coloring(h.constraint_graph().adjacency_bitsets(), 3)
     assert coloring is not None
-    cl = coloring_to_clustering(inst, h, coloring)
-    back = clustering_to_coloring(inst, h, cl)
+    cl = coloring_to_clustering(inst, coloring)
+    # each anchor e_v lies in the families v alone, so it gets v's color
+    back = [cl.assignment[inst.anchor_index[v]] for v in range(h.n)]
+    assert back == coloring
     for e in h.hyperedges:
         assert len({back[v] for v in e}) == 3
 
@@ -147,8 +180,94 @@ def test_coloring_clustering_roundtrip():
 def test_coloring_to_clustering_rejects_non_rainbow():
     h = Hypergraph(3, [(0, 1, 2)])
     inst = build_P_G(h, kappa=2)
-    with pytest.raises(ValueError):
-        coloring_to_clustering(inst, h, [0, 0, 1])
+    with pytest.raises(ValueError, match="not rainbow on region"):
+        coloring_to_clustering(inst, [0, 0, 1])
+    # two regions: a coloring rainbow on one region but not the other
+    inst = build_P_G(Hypergraph(4, [(0, 1, 2), (1, 2, 3)]), kappa=2)
+    for coloring in ([0, 1, 2, 1], [0, 0, 1, 2], [1, 1, 1, 1]):
+        with pytest.raises(ValueError, match="not rainbow on region"):
+            coloring_to_clustering(inst, coloring)
+    assert coloring_to_clustering(inst, [0, 1, 2, 0]).diameter <= 1
+
+
+def _prism_graph():
+    return Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                     (0, 3), (1, 4), (2, 5)])
+
+
+def _wagner_graph():
+    return Graph(8, [(i, (i + 1) % 8) for i in range(8)]
+                 + [(i, i + 4) for i in range(4)])
+
+
+CUBIC_GRAPHS = {"K4": complete_graph(4), "Petersen": petersen_graph(),
+                "prism": _prism_graph(), "Wagner": _wagner_graph()}
+
+REGION_AXES = [(0, 1, 2), (2, 0, 1), (3, 5, 7), (7, 3, 5)]
+
+
+def _family_indices(instance, axes, pos):
+    """The indices of the instance's points in family `pos` of the region
+    over `axes`, found by regenerating that family's points."""
+    index_of = {p.key: i for i, p in enumerate(instance.points)}
+    keys = {SphereLatticePoint(axes, pos, (i, j, instance.kappa - i - j),
+                               instance.kappa).key
+            for i in range(instance.kappa + 1)
+            for j in range(instance.kappa + 1 - i)}
+    return [index_of[k] for k in sorted(keys) if k in index_of]
+
+
+def _regenerated_families(instance):
+    """Each point's families' axes, in first-seen order, region by region."""
+    families = [[] for _ in instance.points]
+    for region in instance.regions:
+        for v in region:
+            for i in _family_indices(instance, region, v):
+                if v not in families[i]:
+                    families[i].append(v)
+    return [tuple(axes) for axes in families]
+
+
+def _instances():
+    for axes in REGION_AXES:
+        for kappa in range(1, 13):
+            yield build_region_instance(axes, kappa)
+    for J in CUBIC_GRAPHS.values():
+        for kappa in range(1, 5):
+            yield build_P_G(incidence_hypergraph(J), kappa)
+
+
+def test_families_match_regenerated_family_points():
+    for inst in _instances():
+        assert list(inst.families) == _regenerated_families(inst), inst
+        assert len(inst.families) == len(inst.points)
+        # every anchor lies in its own families only, every shared negative
+        # axis point in two
+        for v, i in inst.anchor_index.items():
+            assert inst.families[i] == (v,)
+
+
+def test_coloring_to_clustering_matches_regenerated_families():
+    """Every relabelling of each P_G coloring gives the clustering in which
+    each point takes the least color of the families it is found in by
+    regenerating every family's points."""
+    for name in ("K4", "prism", "Wagner"):
+        h = incidence_hypergraph(CUBIC_GRAPHS[name])
+        coloring = find_coloring(h.constraint_graph().adjacency_bitsets(), 3)
+        assert coloring is not None
+        for kappa in range(1, 5):
+            inst = build_P_G(h, kappa)
+            families = _regenerated_families(inst)
+            for perm in permutations(range(3)):
+                relabelled = [perm[c] for c in coloring]
+                want = make_clustering(
+                    inst.pointset(),
+                    [min(relabelled[v] for v in axes) for axes in families], 3)
+                got = coloring_to_clustering(inst, relabelled)
+                assert (got.assignment, repr(got.diameter),
+                        got.witness_pair) == (want.assignment,
+                                              repr(want.diameter),
+                                              want.witness_pair), (name, kappa)
 
 
 def _run(capsys, *argv):
@@ -258,7 +377,7 @@ def test_one_pair_table_per_pointset(monkeypatch):
     exact_cluster(ps, 3)
     two_cluster(ps)
     gonzalez_cluster(ps, 3)
-    completeness_clustering(inst)
+    coloring_to_clustering(inst, [0, 1, 2])
     remark_clustering(inst)
     assert built == [len(inst.points)]
     # a sweep builds one table per kappa, whatever the budget
