@@ -118,13 +118,6 @@ def verify_gadget(gadget, budget=DEFAULT_BUDGET):
 # oriented embeddings: stored letter pairs, checked on use
 
 
-@dataclass
-class OrientedGadgetEmbedding:
-    orientation: tuple
-    pairs: list          # 15 entries of (letter1, sign1, letter2, sign2)
-    fresh_count: int
-
-
 # the designated gadget's oriented embeddings, one per slot pattern that
 # stitch_slot_maps produces (minority block last): body vertex h's pair
 # (letter1, sign1, letter2, sign2), with fresh letters 3 and 4; auxiliary
@@ -149,12 +142,13 @@ def _pair_word(code, l1, s1, l2, s2):
 
 
 def oriented_embedding_library(gadget):
-    """The stored orientations that embed this gadget, keyed by orientation.
+    """The stored orientations that embed this gadget, each mapped to its 12
+    body pairs from `ORIENTED_BODIES`.
 
     An orientation is kept when each role letter appears among body pairs
-    only at its oriented block, and its 15 pairs, written over
-    `hadamard_code(8)`, 3/2-embed the verification graph: with distances in
-    units of q/2, every edge at >= 3 and every non-edge at <= 2.
+    only at its oriented block, and its body pairs with the auxiliary pairs,
+    written over `hadamard_code(8)`, 3/2-embed the verification graph: with
+    distances in units of q/2, every edge at >= 3 and every non-edge at <= 2.
     """
     graph = gadget.verification_graph()
     code = hadamard_code(8)
@@ -168,9 +162,7 @@ def oriented_embedding_library(gadget):
         image = [_pair_word(code, *pair) for pair in pairs]
         if verify_embedding(Embedding(graph, Pointset("hamming", image),
                                       short=8, long=12))["ok"]:
-            fresh = {p[i] for p in body for i in (0, 2) if p[i] >= ROLE_LETTERS}
-            library[orientation] = OrientedGadgetEmbedding(orientation, pairs,
-                                                           len(fresh))
+            library[orientation] = body
     return library
 
 
@@ -257,7 +249,7 @@ def stitch_embedding(composite, J, library):
     vertices' codewords and fresh letters by copy-local codewords.  q is the
     least power of two covering the letter budget (vertex count plus fresh
     letters per copy).  `library` is `oriented_embedding_library`'s map
-    from orientation to oriented gadget embedding.
+    from orientation to body pairs.
     """
     hypergraph = composite.source
     sigma = edge_orientations(J)
@@ -278,23 +270,24 @@ def stitch_embedding(composite, J, library):
                              f"{pattern}: the gadget is not the designated "
                              "one, or a stored pair failed the check")
         per_edge.append(library[pattern])
-    fresh_max = max(emb.fresh_count for emb in per_edge)
-    total_letters = n + fresh_max * len(per_edge)
+    # every stored body numbers its fresh letters from ROLE_LETTERS up
+    fresh = 1 + max(max(l1, l2) for body in ORIENTED_BODIES.values()
+                    for l1, _, l2, _ in body) - ROLE_LETTERS
+    total_letters = n + fresh * len(per_edge)
     q = next_power_of_two(max(2, total_letters))
     code = hadamard_code(q)
 
     def global_letter(e_idx, letter):
         if letter < ROLE_LETTERS:
             return composite.slot_maps[e_idx][letter]
-        return n + fresh_max * e_idx + (letter - ROLE_LETTERS)
+        return n + fresh * e_idx + (letter - ROLE_LETTERS)
 
     image = [None] * composite.graph.n
     for v in range(n):
         image[v] = _pair_word(code, v, 1, v, -1)
-    for e_idx, emb in enumerate(per_edge):
+    for e_idx, body in enumerate(per_edge):
         offset = composite.gadget_offset(e_idx)
-        for h in range(12):
-            l1, s1, l2, s2 = emb.pairs[h]
+        for h, (l1, s1, l2, s2) in enumerate(body):
             image[offset + h] = _pair_word(code, global_letter(e_idx, l1), s1,
                                            global_letter(e_idx, l2), s2)
     return Embedding(composite.graph, Pointset("hamming", image),

@@ -224,6 +224,18 @@ def test_embeddability(tmp_path, capsys):
     assert cert["verified"] and not cert["unbounded"]
 
 
+def test_gadget_base_embeddability(tmp_path, capsys):
+    # the 12-vertex gadget base (Chvatal minus edge (6, 10)) certifies at
+    # 12/7, above the 3/2 of the gadget's oriented embeddings
+    path = tmp_path / "gadget_base.json"
+    path.write_text(json.dumps(build_gadget_H().base.to_dict()))
+    code, out = run(capsys, "embeddability", "--graph", str(path))
+    assert code == 0
+    cert = json.loads(out)["certificate"]
+    assert (cert["r_num"], cert["r_den"]) == (12, 7)
+    assert cert["verified"] and not cert["unbounded"]
+
+
 def test_repro_all_exhausted_budget_exits_2(capsys):
     code, out = run(capsys, "repro-all", "--budget-nodes", "10")
     report = json.loads(out)

@@ -211,13 +211,17 @@ def test_pair_moves_on_the_kappa12_region():
 
 def test_kappa12_region_clusterings():
     """The exact 3-clustering and the 2-clustering of the kappa = 12
-    region, as the `sphere` benchmark workload checks them."""
+    region, as the `sphere` benchmark workload checks them, and Gonzalez's
+    3-clustering: squared diameter 2 where the optimum's is 1, ratio
+    sqrt(2)."""
     ps = build_region_instance((0, 1, 2), 12).pointset()
     for cl, diameter, witness, digest in (
             (exact_cluster(ps, 3), SqDistance(0, 1, 1), (0, 12),
              "f91723b78760a89a1d41466a1b29dbe92764e9eb2f3ecf36477d1fbe656f1347"),
             (two_cluster(ps), SqDistance(-19, 74, 5), (97, 189),
-             "e98ac2f5f3825efc78a37cfc050f36aa1460dd487881faa56588844e4b9f2387")):
+             "e98ac2f5f3825efc78a37cfc050f36aa1460dd487881faa56588844e4b9f2387"),
+            (gonzalez_cluster(ps, 3), SqDistance(-1, 1, 1), (90, 180),
+             "0895ffcc9b9352f3a7c820a4220b251c874a9d3e3816f5ff71dc44ebc9b6bb0a")):
         assert repr(cl.diameter) == repr(diameter)
         assert cl.witness_pair == witness
         assert hashlib.sha256(bytes(cl.assignment)).hexdigest() == digest

@@ -14,7 +14,6 @@ from kdiameter.gadgets import (
     ORIENTED_BODIES,
     ROLE_LETTERS,
     GadgetH,
-    OrientedGadgetEmbedding,
     build_composite,
     build_gadget_H,
     edge_orientations,
@@ -102,16 +101,17 @@ def test_library_orientations(gadget, library):
     def word(letter, sign):
         return (code.plus_words if sign > 0 else code.minus_words)[letter]
 
-    for orientation, emb in library.items():
-        assert emb.orientation == orientation
-        assert emb.fresh_count == 2
+    for orientation, body in library.items():
+        assert body == ORIENTED_BODIES[orientation] and len(body) == 12
+        assert {p[i] for p in body for i in (0, 2)} - {0, 1, 2} == {3, 4}
         # each role letter appears among body pairs only at its oriented
         # block position
-        for l1, _, l2, _ in emb.pairs[:12]:
+        for l1, _, l2, _ in body:
             assert l1 >= 3 or orientation[l1] == 1
             assert l2 >= 3 or orientation[l2] == 2
+        pairs = body + tuple((r, 1, r, -1) for r in range(3))
         image = [word(l1, s1).concat(word(l2, s2))
-                 for l1, s1, l2, s2 in emb.pairs]
+                 for l1, s1, l2, s2 in pairs]
         report = verify_embedding(Embedding(gadget.verification_graph(),
                                             Pointset("hamming", image),
                                             short=8, long=12))
@@ -137,8 +137,9 @@ def _pair_distance_units(p, r):
 
 
 def search_oriented_embedding(gadget, orientation, max_fresh=6):
-    """The first oriented 3/2-embedding of the gadget in search order, or
-    None if there is none within max_fresh fresh letters.
+    """The 12 body pairs of the first oriented 3/2-embedding of the gadget
+    in search order, or None if there is none within max_fresh fresh
+    letters.
 
     Auxiliary role r maps to (letter_r+, letter_r-); body vertices may use
     letter_r (either sign) only at block position orientation[r], plus
@@ -198,9 +199,7 @@ def search_oriented_embedding(gadget, orientation, max_fresh=6):
 
     for fresh_cap in range(max_fresh + 1):
         if rec(0, 0, list(AUX), fresh_cap):
-            fresh = {p[i] for p in pairs for i in (0, 2) if p[i] >= ROLE_LETTERS}
-            return OrientedGadgetEmbedding(tuple(orientation), list(pairs),
-                                           len(fresh))
+            return tuple(pairs[:12])
     return None
 
 

@@ -216,10 +216,10 @@ def test_column_generation_matches_the_full_solve(monkeypatch):
             assert report["ok"] and report["achieved_ratio"] == got["ratio"]
 
 
-@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("n", [8, 9, 12])
 def test_cycle_master_holds_fewer_columns_than_cuts(n, monkeypatch):
     # the master prices cuts in one per round; a fall-back to the dense
-    # program over every cut would hold them all
+    # program over every cut would hold them all (2,047 at C12)
     solves = []
 
     def spied(rows, rhs, objective, stats=None, price=None):

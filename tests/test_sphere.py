@@ -317,6 +317,30 @@ def test_sweep_csv_shape(capsys):
         assert line.split(",")[3] in ("yes", "no", "budget_exceeded")
 
 
+def test_kappa12_separation_frontier(capsys):
+    """t*(12)^2 = 1 + sqrt(361/732), so t* ~ 1.304707 lies between
+    6523/5000 and 6524/5000: separation holds at the first and fails at the
+    second, with a proper coloring of the threshold graph that merges two
+    anchors."""
+    below, above = Fraction(6523, 5000), Fraction(6524, 5000)
+    assert (below ** 2 - 1) ** 2 < Fraction(361, 732) < (above ** 2 - 1) ** 2
+    code, out = _run(capsys, "sphere", "verify-lemma53", "--kappa", "12",
+                     "--t", "6523/5000")
+    report = json.loads(out)
+    assert (code, report["verdicts"], report["witness"]) == (
+        0, {"separation_holds": True}, None)
+    code, out = _run(capsys, "sphere", "verify-lemma53", "--kappa", "12",
+                     "--t", "6524/5000")
+    report = json.loads(out)
+    assert (code, report["verdicts"]) == (1, {"separation_holds": False})
+    witness = report["witness"]
+    inst = build_region_instance((0, 1, 2), 12)
+    graph = build_threshold_graph(distinct_distances(inst.pointset()),
+                                  above ** 2)
+    assert all(witness[u] != witness[v] for u, v in graph.edges)
+    assert len({witness[inst.anchor_index[a]] for a in (0, 1, 2)}) < 3
+
+
 def test_separation_reports_count_the_whole_question(capsys):
     """At kappa=12, t=163/125 and a budget of 272 nodes, the searches before
     the exhausted one explore 332 nodes: both commands and the library
