@@ -43,6 +43,7 @@ from kdiameter.sphere import (
     SEPARATION_THRESHOLD,
     build_P_G,
     build_region_instance,
+    check_threshold,
     region_size,
     separation_answer,
 )
@@ -247,12 +248,15 @@ def cmd_sphere_region(args):
 
 def cmd_sphere_verify(args):
     check_table_size(region_size(args.kappa))   # before any point is built
+    threshold = check_threshold(_parse_fraction(args.t))
     instance = build_region_instance((0, 1, 2), args.kappa)
-    threshold = _parse_fraction(args.t)
-    holds, witness, nodes = separation_answer(instance, threshold,
-                                              args.budget_nodes)
-    found = {} if holds == "budget_exceeded" else {"witness": witness}
-    code = {True: EXIT_OK, False: EXIT_REFUTED}.get(holds, EXIT_BUDGET)
+    try:
+        holds, witness, nodes = separation_answer(instance, threshold,
+                                                  args.budget_nodes)
+        code = EXIT_OK if holds else EXIT_REFUTED
+        found = {"witness": witness}
+    except BudgetExceeded as e:
+        holds, nodes, code, found = "budget_exceeded", e.nodes, EXIT_BUDGET, {}
     return code, _report(
         args, "sphere verify-lemma53", kappa=args.kappa,
         threshold=_exact_value(threshold),
@@ -261,7 +265,10 @@ def cmd_sphere_verify(args):
 
 def cmd_sphere_reduce(args):
     hypergraph = _load("hypergraph", args.hypergraph)
-    instance = build_P_G(hypergraph, kappa=args.kappa)
+    try:
+        instance = build_P_G(hypergraph, kappa=args.kappa)
+    except ValueError as e:
+        raise _UsageError(f"hypergraph {args.hypergraph}: {e}")
     return EXIT_OK, _report(args, "sphere reduce", kappa=args.kappa,
                             regions=len(instance.regions),
                             points=len(instance.points),
@@ -270,19 +277,24 @@ def cmd_sphere_reduce(args):
 
 def cmd_sphere_sweep(args):
     """One CSV row per (kappa, t) answer: exit 2 if any row exhausted its
-    budget, otherwise 0."""
+    budget, otherwise 0.  Every kappa and t is checked before any region is
+    built."""
     kappas = _parse_kappas(args.kappa)
-    thresholds = [_parse_fraction(t) for t in args.t_grid.split(",")]
+    thresholds = [check_threshold(_parse_fraction(t))
+                  for t in args.t_grid.split(",")]
     lines = ["kappa,t_num,t_den,separation_holds,nodes_explored"]
     exhausted = False
     for kappa in kappas:
         instance = build_region_instance((0, 1, 2), kappa)
         for t in thresholds:
-            holds, _, nodes = separation_answer(instance, t, args.budget_nodes)
-            verdict = {True: "yes", False: "no"}.get(holds, holds)
+            try:
+                holds, _, nodes = separation_answer(instance, t,
+                                                    args.budget_nodes)
+                verdict = "yes" if holds else "no"
+            except BudgetExceeded as e:
+                verdict, nodes, exhausted = "budget_exceeded", e.nodes, True
             lines.append(f"{kappa},{t.numerator},{t.denominator},"
                          f"{verdict},{nodes}")
-            exhausted |= holds == "budget_exceeded"
     return (EXIT_BUDGET if exhausted else EXIT_OK), "\n".join(lines) + "\n"
 
 

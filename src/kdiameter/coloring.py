@@ -34,7 +34,8 @@ ENUMERATION_GUARD_NODES = 2**30
 
 
 class BudgetExceeded(RuntimeError):
-    """The node budget ran out before the search concluded either way.
+    """The node budget ran out before the search concluded either way; no
+    library call returns a verdict in its place.
 
     `.nodes` counts every node of the library call that ran out, over all
     the searches it made, the node that broke the budget included."""
@@ -93,8 +94,8 @@ def forall_colorings(adj, k, support, budget=DEFAULT_BUDGET, stats=None):
     """Check that every proper k-coloring of the graph with neighbor bitsets
     `adj` is rainbow on `support`, a list of distinct vertices.
 
-    Returns (True, None) or (False, counterexample_coloring).  Vacuously true
-    when no proper coloring exists.
+    Returns a counterexample, a proper coloring that repeats a color on
+    `support`, or None; vacuously None when no proper coloring exists.
 
     Proper colorings are closed under renaming colors, so only the partition
     of the support into color classes matters.  The check walks those
@@ -121,5 +122,5 @@ def forall_colorings(adj, k, support, budget=DEFAULT_BUDGET, stats=None):
         base = find_coloring(adj, k, fixed=fixed, budget=budget, stats=stats)
         if base is not None:
             relabel = [*range(used), *range(k - 1, used - 1, -1)]
-            return False, [relabel[c] for c in base]
-    return True, None
+            return [relabel[c] for c in base]
+    return None

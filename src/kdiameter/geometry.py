@@ -27,7 +27,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property, cmp_to_key, total_ordering
 from math import gcd
 
 
@@ -211,6 +211,7 @@ def _surd_key(m, big_n):
     return -m * abs(m) // g, big_n // g
 
 
+@total_ordering
 class SqDistance:
     """Exact squared Euclidean distance 1 - m/sqrt(n1*n2) between sphere points."""
 
@@ -238,15 +239,6 @@ class SqDistance:
 
     def __lt__(self, other):
         return self._cmp(other, operator.lt)
-
-    def __le__(self, other):
-        return self._cmp(other, operator.le)
-
-    def __gt__(self, other):
-        return self._cmp(other, operator.gt)
-
-    def __ge__(self, other):
-        return self._cmp(other, operator.ge)
 
     def __repr__(self):
         return f"SqDistance(m={self.m}, n1={self.n1}, n2={self.n2})"

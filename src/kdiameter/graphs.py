@@ -106,6 +106,8 @@ class Hypergraph:
     __slots__ = ("n", "hyperedges")
 
     def __init__(self, n, hyperedges):
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
         self.n = n
         norm = []
         for e in hyperedges:

@@ -22,7 +22,6 @@ from kdiameter.clustering import (
 )
 from kdiameter.coloring import (
     DEFAULT_BUDGET,
-    BudgetExceeded,
     find_coloring,
     forall_colorings,
 )
@@ -82,6 +81,8 @@ def build_region_instance(axes, kappa):
 
 def build_P_G(hypergraph, kappa=12):
     """Union of one kappa-region per hyperedge over the shared axis universe."""
+    if not hypergraph.hyperedges:
+        raise ValueError("hypergraph has no hyperedges")
     for e in hypergraph.hyperedges:
         if len(e) != 3:
             raise ValueError(f"hyperedge {e} is not a triple")
@@ -127,16 +128,25 @@ def build_threshold_graph(table, threshold_sq):
     return threshold_graph_at(table, table.rank_above(threshold_sq))
 
 
+def check_threshold(threshold):
+    """`threshold` as a Fraction, refused unless it is positive."""
+    threshold = Fraction(threshold)
+    if threshold <= 0:
+        raise ValueError("threshold must be positive")
+    return threshold
+
+
 def separation_answer(instance, threshold=SEPARATION_THRESHOLD,
                       budget=DEFAULT_BUDGET):
     """Whether the threshold graph is 3-colorable and every proper 3-coloring
     gives the three anchors pairwise distinct colors, as (holds, witness,
     nodes).
 
-    `holds` is True, False, or "budget_exceeded" when one coloring search
-    ran out of `budget` nodes.  The witness is a proper coloring merging two
-    anchors when there is one, else None.  `nodes` is the question's total
-    over all its searches, the exhausted one included.
+    `holds` is a bool.  The witness is a proper coloring merging two anchors
+    when there is one, else None.  `nodes` is the question's total over all
+    its searches.  When one coloring search runs out of `budget` nodes,
+    `BudgetExceeded` propagates, its `.nodes` that same total, the exhausted
+    search included.
 
     The threshold graph is read once from the instance's pair table as
     neighbor bitsets (`PairTable.bitsets_at`), which the first coloring and
@@ -146,31 +156,21 @@ def separation_answer(instance, threshold=SEPARATION_THRESHOLD,
     """
     if len(instance.regions) != 1:
         raise ValueError("separation check applies to single-region instances")
-    threshold = Fraction(threshold)
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    threshold = check_threshold(threshold)
     table = distinct_distances(instance.pointset())
     adj = table.bitsets_at(table.rank_above(threshold ** 2))
     anchors = [instance.anchor_index[axis] for axis in instance.regions[0]]
     stats = {"nodes": 0}
-    try:
-        if find_coloring(adj, 3, budget=budget, stats=stats) is None:
-            return False, None, stats["nodes"]
-        holds, witness = forall_colorings(adj, 3, anchors, budget=budget,
-                                          stats=stats)
-    except BudgetExceeded:
-        return "budget_exceeded", None, stats["nodes"]
-    return holds, witness, stats["nodes"]
+    if find_coloring(adj, 3, budget=budget, stats=stats) is None:
+        return False, None, stats["nodes"]
+    witness = forall_colorings(adj, 3, anchors, budget=budget, stats=stats)
+    return witness is None, witness, stats["nodes"]
 
 
 def verify_anchor_separation(instance, threshold=SEPARATION_THRESHOLD,
                              budget=DEFAULT_BUDGET):
-    """`separation_answer` as (holds, witness); an exhausted budget raises
-    `BudgetExceeded` carrying the question's node total."""
-    holds, witness, nodes = separation_answer(instance, threshold, budget)
-    if holds == "budget_exceeded":
-        raise BudgetExceeded(nodes)
-    return holds, witness
+    """`separation_answer` without its node total, as (holds, witness)."""
+    return separation_answer(instance, threshold, budget)[:2]
 
 
 # ---------------------------------------------------------------------------

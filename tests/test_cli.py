@@ -435,6 +435,8 @@ BAD_INPUTS = {
     "emb_no_vertices.json": embedding_file(graph={"n": 0, "edges": []}, image={}),
     "no_points.json": json.dumps({"metric": "l1_int", "points": []}),
     "pairs_hypergraph.json": json.dumps({"n": 3, "hyperedges": [[0, 1], [1, 2]]}),
+    "negative_n_hypergraph.json": json.dumps({"n": -1, "hyperedges": []}),
+    "no_hyperedges.json": json.dumps({"n": 4, "hyperedges": []}),
     "coeff_count.json": json.dumps({"metric": "l2_sphere_lattice", "points": [
         {"axes": [0, 1, 2], "pos": 0, "coeffs": [3, 0, 0], "kappa": 3},
         {"axes": [0, 1, 2], "pos": 0, "coeffs": [1, 2], "kappa": 3}]}),
@@ -555,6 +557,8 @@ TYPE_ERRORS = {("--budget-nodes", "-5"): "bad budget '-5': must be at least 0",
     ["sphere", "sweep", "--kappa", "1..1000000000", "--t-grid", "1"],
     ["sphere", "region", "--kappa", "3000"],
     ["cluster", "gonzalez", "--k", "3", "--pointset", "line_20000.json"],
+    ["sphere", "reduce", "--hypergraph", "negative_n_hypergraph.json"],
+    ["sphere", "reduce", "--hypergraph", "no_hyperedges.json"],
 ], ids=["lp-cap", "self-loop", "malformed-json", "mixed-lengths", "k7",
         "kappa0", "kappa-range", "composite-not-cubic", "composite-bridge",
         "composite-empty-build", "composite-empty-embed",
@@ -579,7 +583,8 @@ TYPE_ERRORS = {("--budget-nodes", "-5"): "bad budget '-5': must be at least 0",
         "pointset-labels-object", "pointset-points-string",
         "pointset-points-object", "sweep-budget-negative", "region-kappa0",
         "kappa-not-an-integer", "verify-table-over-cap",
-        "sweep-table-over-cap", "region-over-cap", "gonzalez-table-over-cap"])
+        "sweep-table-over-cap", "region-over-cap", "gonzalez-table-over-cap",
+        "reduce-negative-n", "reduce-no-hyperedges"])
 def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
     for name, text in BAD_INPUTS.items():
         (tmp_path / name).write_text(text)
@@ -628,6 +633,12 @@ def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
         assert "points must be a list" in lines[0]
     if argv[:2] == ["cluster", "two"] and "--k" in argv:
         assert lines[0] == "usage error: cluster two is 2-clustering: --k 7 is not 2"
+    if "negative_n_hypergraph.json" in argv:
+        assert lines[0] == ("usage error: bad hypergraph in negative_n_hypergraph"
+                            ".json: vertex count must be nonnegative")
+    if "no_hyperedges.json" in argv:
+        assert lines[0] == ("usage error: hypergraph no_hyperedges.json: "
+                            "hypergraph has no hyperedges")
     if "repeated_key" in argv[-1]:
         assert lines[0].endswith("is repeated"), lines[0]
     if argv[:3] == ["gadget", "verify", "--gadget"]:

@@ -13,7 +13,7 @@ import pytest
 from kdiameter import _colorcore_py
 from kdiameter._colorcore_py import MODE_FIRST, STATUS_BUDGET, STATUS_OK
 from kdiameter.acceptance import random_graph
-from kdiameter.clustering import distinct_distances
+from kdiameter.clustering import distinct_distances, exact_cluster
 from kdiameter.coloring import (
     BudgetExceeded,
     EnumerationGuard,
@@ -22,12 +22,14 @@ from kdiameter.coloring import (
     find_coloring,
     forall_colorings,
 )
+from kdiameter.edgecolor import edge_coloring
 from kdiameter.gadgets import (
     build_composite,
     build_gadget_H,
     oriented_embedding_library,
     stitch_embedding,
     stitch_slot_maps,
+    verify_gadget,
 )
 from kdiameter.geometry import Pointset
 from kdiameter.graphs import (
@@ -39,7 +41,12 @@ from kdiameter.graphs import (
     incidence_hypergraph,
     petersen_graph,
 )
-from kdiameter.sphere import SEPARATION_THRESHOLD, build_region_instance
+from kdiameter.sphere import (
+    SEPARATION_THRESHOLD,
+    build_region_instance,
+    separation_answer,
+    verify_anchor_separation,
+)
 
 
 def is_proper(graph, coloring, k):
@@ -71,15 +78,15 @@ def forall_by_enumeration(adj, k, support):
     for canonical in enumerate_colorings(adj, k):
         for coloring in expand_coloring(canonical, k):
             if not rainbow_on(coloring, support):
-                return False, coloring
-    return True, None
+                return coloring
+    return None
 
 
 def forall_by_products(adj, k, support, stats):
     """Reference forall on a support: every one of the k^m support
     assignments that repeats a color is tested for extendability through
-    its first-use color pattern, searched once and cached, and the witness
-    is renamed to realize the assignment itself."""
+    its first-use color pattern, searched once and cached, and the
+    counterexample is renamed to realize the assignment itself."""
     cache = {}
     for assignment in product(range(k), repeat=len(support)):
         if rainbow_on(dict(zip(support, assignment)), support):
@@ -99,8 +106,8 @@ def forall_by_products(adj, k, support, stats):
             for c in range(k):
                 if c not in relabel:
                     relabel[c] = remaining.pop()
-            return False, [relabel[c] for c in cache[pattern]]
-    return True, None
+            return [relabel[c] for c in cache[pattern]]
+    return None
 
 
 def test_chromatic_facts():
@@ -163,6 +170,37 @@ def test_budget_exceeded():
         find_coloring(chvatal_graph().adjacency_bitsets(), 4, budget=3)
 
 
+# every library call that runs a coloring search, given the kappa = 2 region,
+# its threshold graph at t = 1 and a budget
+SEARCHES = {
+    "find_coloring": lambda r, adj, b: find_coloring(adj, 3, budget=b),
+    "forall_colorings": lambda r, adj, b: forall_colorings(
+        adj, 3, list(r.anchor_index.values()), budget=b),
+    "enumerate_colorings": lambda r, adj, b: enumerate_colorings(adj, 3,
+                                                                 budget=b),
+    "exact_cluster": lambda r, adj, b: exact_cluster(r.pointset(), 3, budget=b),
+    "edge_coloring": lambda r, adj, b: edge_coloring(petersen_graph(), 3,
+                                                     budget=b),
+    "build_gadget_H": lambda r, adj, b: build_gadget_H(budget=b),
+    "verify_gadget": lambda r, adj, b: verify_gadget(build_gadget_H(), budget=b),
+    "separation_answer": lambda r, adj, b: separation_answer(r, budget=b),
+    "verify_anchor_separation": lambda r, adj, b: verify_anchor_separation(
+        r, budget=b),
+}
+
+
+@pytest.mark.parametrize("name", SEARCHES)
+def test_every_search_reports_exhaustion_by_raising(name):
+    """An exhausted budget is only ever `BudgetExceeded`, never a returned
+    verdict, and it counts the node that broke the budget."""
+    region = build_region_instance((0, 1, 2), 2)
+    table = distinct_distances(region.pointset())
+    adj = table.bitsets_at(table.rank_above(1))
+    with pytest.raises(BudgetExceeded) as exhausted:
+        SEARCHES[name](region, adj, 0)
+    assert exhausted.value.nodes >= 1
+
+
 def test_stats_accumulate_nodes():
     stats = {}
     find_coloring(petersen_graph().adjacency_bitsets(), 3, stats=stats)
@@ -176,10 +214,9 @@ def test_forall_with_and_without_support_agree():
         adj = g.adjacency_bitsets()
         support = rng.sample(range(g.n), min(3, g.n))
         plain = forall_by_enumeration(adj, 3, support)
-        fast = forall_colorings(adj, 3, support)
-        assert plain[0] == fast[0]
-        if not fast[0]:
-            witness = fast[1]
+        witness = forall_colorings(adj, 3, support)
+        assert (plain is None) == (witness is None)
+        if witness is not None:
             assert is_proper(g, witness, 3) and not rainbow_on(witness, support)
 
 
@@ -203,11 +240,11 @@ def test_forall_tries_each_failing_pattern_once():
             for m in (1, 2, 3, 4):
                 # m > k leaves no rainbow pattern: every one is searched
                 support = rng.sample(range(g.n), m)
-                holds, witness = agree(g.adjacency_bitsets(), k, support)
-                if not holds:
+                witness = agree(g.adjacency_bitsets(), k, support)
+                if witness is not None:
                     assert is_proper(g, witness, k)
                     assert not rainbow_on(witness, support)
-                verdicts.add((m > k, holds))
+                verdicts.add((m > k, witness is None))
     assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
     for kappa in range(1, 9):
         region = build_region_instance((0, 1, 2), kappa)
@@ -221,9 +258,8 @@ def test_forall_tries_each_failing_pattern_once():
 def test_forall_vacuous_on_uncolorable():
     # every pattern of four vertices in three colors repeats one, and none
     # extends to a proper coloring of K4
-    holds, witness = forall_colorings(complete_graph(4).adjacency_bitsets(), 3,
-                                      [0, 1, 2, 3])
-    assert holds and witness is None
+    assert forall_colorings(complete_graph(4).adjacency_bitsets(), 3,
+                            [0, 1, 2, 3]) is None
 
 
 def test_exhausted_forall_counts_every_pattern():
@@ -249,9 +285,9 @@ def test_rainbow_modes():
     everything = enumerate_colorings(g.adjacency_bitsets(), 3)
     assert everything and all(len({c[v] for v in e}) == 3
                               for c in everything for e in h.hyperedges)
-    holds, _ = forall_colorings(g.adjacency_bitsets(), 3, [0, 3])
-    assert not holds  # colors of 0 and 3 can coincide across hyperedges
-    assert forall_colorings(g.adjacency_bitsets(), 3, [0, 1, 2]) == (True, None)
+    # colors of 0 and 3 can coincide across hyperedges
+    assert forall_colorings(g.adjacency_bitsets(), 3, [0, 3]) is not None
+    assert forall_colorings(g.adjacency_bitsets(), 3, [0, 1, 2]) is None
 
 
 def test_search_depth_is_not_limited_by_recursion():

@@ -355,10 +355,10 @@ def test_separation_reports_count_the_whole_question(capsys):
                     "kappa,t_num,t_den,separation_holds,nodes_explored\n"
                     "12,163,125,budget_exceeded,605\n"))
     inst = build_region_instance((0, 1, 2), 12)
-    assert separation_answer(inst, budget=272) == ("budget_exceeded", None, 605)
-    with pytest.raises(BudgetExceeded) as exhausted:
-        verify_anchor_separation(inst, budget=272)
-    assert exhausted.value.nodes == 605
+    for answer in (separation_answer, verify_anchor_separation):
+        with pytest.raises(BudgetExceeded) as exhausted:
+            answer(inst, budget=272)
+        assert exhausted.value.nodes == 605
 
 
 def test_uncolorable_threshold_graph_refutes_separation(capsys):
@@ -417,3 +417,23 @@ def test_one_pair_table_per_pointset(monkeypatch):
     assert all(criterion()["ok"]
                for criterion in (criterion_6, criterion_7, criterion_8))
     assert built == [270]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--kappa", "50", "--t-grid", "163/125,0"],
+    ["sweep", "--kappa", "2,50", "--t-grid", "1,-1/2"],
+    ["verify-lemma53", "--kappa", "50", "--t", "0"],
+])
+def test_non_positive_threshold_is_refused_before_any_region(
+        argv, monkeypatch, capsys):
+    """Every threshold is checked before the first region is built, so a
+    bad one late in the grid costs no search of the rows before it."""
+    def refuse(*args):
+        raise AssertionError("a region was built")
+
+    monkeypatch.setattr("kdiameter.cli.build_region_instance", refuse)
+    monkeypatch.setattr(PairTable, "__init__", refuse)
+    assert main(["sphere", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: threshold must be positive\n"
