@@ -24,7 +24,7 @@ import time
 from fractions import Fraction
 
 from kdiameter import __version__
-from kdiameter.clustering import exact_cluster, gonzalez_cluster, two_cluster
+from kdiameter.clustering import exact_cluster, gonzalez_cluster
 from kdiameter.coloring import BudgetExceeded, DEFAULT_BUDGET
 from kdiameter.gadgets import (
     GadgetH,
@@ -193,10 +193,7 @@ def cmd_gadget_build(args):
 
 
 def cmd_gadget_verify(args):
-    if args.gadget:
-        gadget = _load("gadget", args.gadget)
-    else:
-        gadget = build_gadget_H(budget=args.budget_nodes)
+    gadget = _load("gadget", args.gadget)
     ok = verify_gadget(gadget, budget=args.budget_nodes)
     return (EXIT_OK if ok else EXIT_REFUTED), _report(
         args, "gadget verify", gadget=gadget.to_dict(),
@@ -299,18 +296,15 @@ def cmd_sphere_sweep(args):
 
 
 def cmd_cluster(args):
-    """`--k` defaults to 3 for `exact` and `gonzalez`; `two` takes only 2."""
-    if args.mode == "two" and args.k not in (None, 2):
-        raise _UsageError(f"cluster two is 2-clustering: --k {args.k} is not 2")
-    k = 3 if args.k is None else args.k
+    """Exact or Gonzalez k-clustering of the `--pointset` file; `exact --k 2`
+    is 2-clustering and searches no coloring."""
     pointset = _load("pointset", args.pointset)
     try:
         if args.mode == "exact":
-            clustering = exact_cluster(pointset, k, budget=args.budget_nodes)
-        elif args.mode == "gonzalez":
-            clustering = gonzalez_cluster(pointset, k)
+            clustering = exact_cluster(pointset, args.k,
+                                       budget=args.budget_nodes)
         else:
-            clustering = two_cluster(pointset)
+            clustering = gonzalez_cluster(pointset, args.k)
     except ValueError as e:
         raise _UsageError(f"pointset {args.pointset}: {e}")
     return EXIT_OK, _report(args, f"cluster {args.mode}", k=clustering.k,
@@ -395,7 +389,7 @@ def build_parser():
     gadget.add_parser("build", parents=[common]).set_defaults(
         func=cmd_gadget_build)
     p = gadget.add_parser("verify", parents=[common])
-    p.add_argument("--gadget", default=None)
+    p.add_argument("--gadget", required=True)
     p.set_defaults(func=cmd_gadget_verify)
 
     composite = sub.add_parser("composite").add_subparsers(dest="sub",
@@ -426,9 +420,9 @@ def build_parser():
     p.set_defaults(func=cmd_sphere_sweep)
 
     p = sub.add_parser("cluster", parents=[common])
-    p.add_argument("mode", choices=("exact", "gonzalez", "two"))
+    p.add_argument("mode", choices=("exact", "gonzalez"))
     p.add_argument("--pointset", required=True)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=int, default=3)
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("embeddability", parents=[common])

@@ -1,12 +1,15 @@
+import argparse
 import copy
 import hashlib
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
 from collections import Counter
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -47,12 +50,11 @@ def test_gadget_build_and_verify(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["verdicts"]["certified"]
     assert report["gadget"]["removed_edge"] == [6, 10]
-    code, _ = run(capsys, "gadget", "verify", "--gadget", str(out))
-    assert code == 0
-    # with no --gadget, verify checks the gadget build makes
-    code, verified = run(capsys, "gadget", "verify")
+    code, verified = run(capsys, "gadget", "verify", "--gadget", str(out))
     assert code == 0
     assert json.loads(verified)["gadget"] == report["gadget"]
+    # verify checks a file only: `gadget build` certifies what it builds
+    assert run(capsys, "gadget", "verify") == (3, "")
 
 
 def test_reports_are_byte_identical(tmp_path, capsys):
@@ -95,8 +97,8 @@ REPORT_DIGESTS = [
      "d5ae9f46bdd671d49fa08dcbe0e42416e4a18f3d727a6b7b9e34c4566cbf9135"),
     (["cluster", "exact", "--pointset", "region.json"],
      "9b124f0b71825290bd7934324c05f6ffaa278ba1653c07038c3b3cd7759bd3e3"),
-    (["cluster", "two", "--pointset", "region.json"],
-     "2291dc9ca42d284f96cdf46d545a5f30373cf58894ed0744c5092adb4fe23aa9"),
+    (["cluster", "exact", "--k", "2", "--pointset", "region.json"],
+     "210bd6cb72bac444ad7287234bcbe1f4ec0b827419512071a0bc8c225b9909f3"),
     (["cluster", "gonzalez", "--pointset", "region.json"],
      "9523cbfd98ae99f0a7fd414cb53862d63bd7a67f0658a651710c2367238deff2"),
     (["embeddability", "--graph", "P7.json"],
@@ -389,6 +391,45 @@ def test_readme_cli_lines_parse():
         assert callable(build_parser().parse_args(shlex.split(line)[1:]).func)
 
 
+def _parser_words(parser, path=()):
+    """(command paths, flags) the parser accepts: a path is the words before
+    any flag, such as ("cluster", "exact"), ("gadget", "verify") or
+    ("repro-all",)."""
+    paths, flags = {path}, set()
+    for action in parser._actions:
+        flags.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                sub_paths, sub_flags = _parser_words(sub, path + (name,))
+                paths |= sub_paths
+                flags |= sub_flags
+        elif not action.option_strings and action.choices:
+            paths |= {path + (choice,) for choice in action.choices}
+    return paths, flags
+
+
+def test_readme_cli_text_names_only_accepted_commands_and_flags():
+    """Each `command` or `--flag` quoted in the CLI section's text, outside
+    the example block, is one the parser accepts."""
+    paths, flags = _parser_words(build_parser())
+    commands = {path[0] for path in paths if path}
+
+    def refused(span):
+        words = span.split()
+        path = tuple(takewhile(lambda w: not w.startswith("--"), words))
+        named = {w for w in words if w.startswith("--")}
+        return (path and path[0] in commands and path not in paths
+                or not named <= flags)
+
+    assert refused("cluster two") and refused("gadget verify --file")
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", section,
+                                            flags=re.S))
+    assert {"cluster exact", "gadget verify", "--budget-nodes"} <= set(spans)
+    assert [span for span in spans if refused(span)] == []
+
+
 def test_readme_example_prints_3_2(capsys):
     exec(_readme_block("## Example", "python"), {})
     assert capsys.readouterr().out == "3/2\n"
@@ -503,13 +544,12 @@ TYPE_ERRORS = {("--budget-nodes", "-5"): "bad budget '-5': must be at least 0",
     ["composite", "build", "--graph", "empty.json"],
     ["composite", "embed", "--graph", "empty.json"],
     ["cluster", "gonzalez", "--pointset", "points.json", "--k", "0"],
-    ["cluster", "two", "--pointset", "points.json", "--k", "7"],
     ["sphere", "region", "--kappa", "2", "--axes", "0", "0", "1"],
     ["sphere", "region", "--kappa", "2", "--axes", "-1", "0", "1"],
     ["gadget", "verify", "--gadget", "no_removed_edge.json"],
     ["embedding", "verify", "--embedding", "path.json"],
     ["cluster", "exact", "--pointset", "over_cap.json"],
-    ["cluster", "two", "--pointset", "over_cap.json"],
+    ["cluster", "exact", "--k", "2", "--pointset", "over_cap.json"],
     ["sphere", "verify-lemma53", "--kappa", "2", "--t", "-1"],
     ["sphere", "verify-lemma53", "--kappa", "2", "--t", "0"],
     ["sphere", "sweep", "--kappa", "2", "--t-grid", "1,-1"],
@@ -524,11 +564,11 @@ TYPE_ERRORS = {("--budget-nodes", "-5"): "bad budget '-5': must be at least 0",
     ["cluster", "exact", "--pointset", "points.json", "--out", "."],
     ["gadget", "build", "--budget-nodes", "-5"],
     ["cluster", "exact", "--pointset", "no_points.json"],
-    ["cluster", "two", "--pointset", "no_points.json"],
+    ["cluster", "exact", "--k", "2", "--pointset", "no_points.json"],
     ["cluster", "gonzalez", "--pointset", "no_points.json"],
     ["sphere", "reduce", "--hypergraph", "pairs_hypergraph.json"],
     ["embeddability", "--graph", "empty.json"],
-    ["cluster", "two", "--pointset", "negative_axis.json"],
+    ["cluster", "exact", "--k", "2", "--pointset", "negative_axis.json"],
     ["cluster", "exact", "--pointset", "coeff_count.json"],
     ["embedding", "verify", "--embedding", "emb_image_list.json"],
     ["embedding", "verify", "--embedding", "emb_unknown_metric.json"],
@@ -547,9 +587,9 @@ TYPE_ERRORS = {("--budget-nodes", "-5"): "bad budget '-5': must be at least 0",
     ["cluster", "exact", "--pointset", "pointset_repeated_key.json"],
     ["gadget", "verify", "--gadget", "gadget_repeated_key.json"],
     ["cluster", "exact", "--pointset", "labels_string.json", "--k", "2"],
-    ["cluster", "two", "--pointset", "labels_object.json"],
+    ["cluster", "exact", "--k", "2", "--pointset", "labels_object.json"],
     ["cluster", "exact", "--k", "2", "--pointset", "points_string.json"],
-    ["cluster", "two", "--pointset", "points_object.json"],
+    ["cluster", "exact", "--k", "2", "--pointset", "points_object.json"],
     ["sphere", "sweep", "--kappa", "2", "--t-grid", "1", "--budget-nodes", "-5"],
     ["sphere", "region", "--kappa", "0"],
     ["sphere", "verify-lemma53", "--kappa", "x"],
@@ -559,10 +599,13 @@ TYPE_ERRORS = {("--budget-nodes", "-5"): "bad budget '-5': must be at least 0",
     ["cluster", "gonzalez", "--k", "3", "--pointset", "line_20000.json"],
     ["sphere", "reduce", "--hypergraph", "negative_n_hypergraph.json"],
     ["sphere", "reduce", "--hypergraph", "no_hyperedges.json"],
+    # 2-clustering is `cluster exact --k 2`, and `gadget verify` needs a file
+    ["cluster", "two", "--pointset", "points.json"],
+    ["gadget", "verify"],
 ], ids=["lp-cap", "self-loop", "malformed-json", "mixed-lengths", "k7",
         "kappa0", "kappa-range", "composite-not-cubic", "composite-bridge",
         "composite-empty-build", "composite-empty-embed",
-        "gonzalez-k0", "two-k7", "axes-repeated", "axes-negative", "gadget-no-removed-edge",
+        "gonzalez-k0", "axes-repeated", "axes-negative", "gadget-no-removed-edge",
         "not-an-embedding", "exact-over-cap", "two-over-cap",
         "t-negative", "t-zero",
         "t-grid-negative", "kappa-range-empty", "embedding-missing-vertex",
@@ -584,7 +627,8 @@ TYPE_ERRORS = {("--budget-nodes", "-5"): "bad budget '-5': must be at least 0",
         "pointset-points-object", "sweep-budget-negative", "region-kappa0",
         "kappa-not-an-integer", "verify-table-over-cap",
         "sweep-table-over-cap", "region-over-cap", "gonzalez-table-over-cap",
-        "reduce-negative-n", "reduce-no-hyperedges"])
+        "reduce-negative-n", "reduce-no-hyperedges", "cluster-two",
+        "gadget-verify-no-file"])
 def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
     for name, text in BAD_INPUTS.items():
         (tmp_path / name).write_text(text)
@@ -592,7 +636,7 @@ def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
     result = subprocess.run([sys.executable, "-m", "kdiameter.cli", *argv],
                             cwd=tmp_path, env=env, capture_output=True,
                             text=True, timeout=60)
-    assert result.returncode == 3
+    assert (result.returncode, result.stdout) == (3, "")
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("usage error: ")
     if "malformed.json" in argv:
@@ -631,8 +675,12 @@ def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
         assert "labels must be null or a list" in lines[0]
     if "points_string.json" in argv or "points_object.json" in argv:
         assert "points must be a list" in lines[0]
-    if argv[:2] == ["cluster", "two"] and "--k" in argv:
-        assert lines[0] == "usage error: cluster two is 2-clustering: --k 7 is not 2"
+    # the prefix only: argparse quotes the choices differently across Pythons
+    if argv[:2] == ["cluster", "two"]:
+        assert lines[0].startswith("usage error: argument mode: invalid choice")
+    if argv == ["gadget", "verify"]:
+        assert lines[0].startswith(
+            "usage error: the following arguments are required: --gadget")
     if "negative_n_hypergraph.json" in argv:
         assert lines[0] == ("usage error: bad hypergraph in negative_n_hypergraph"
                             ".json: vertex count must be nonnegative")
@@ -727,7 +775,7 @@ def _fuzz_seeds():
          incidence_hypergraph(complete_graph(4)).to_dict()),
         (["cluster", "exact", "--k", "2", "--pointset"],
          {"metric": "hamming", "points": ["0011", "0101", "1111", "0000"]}),
-        (["cluster", "two", "--pointset"],
+        (["cluster", "exact", "--k", "2", "--pointset"],
          {"metric": "l1_int", "points": [[0, 1], [2, 3], [5, 0]],
           "labels": ["a", "b", "c"]}),
         (["cluster", "gonzalez", "--k", "2", "--pointset"],

@@ -793,16 +793,16 @@ def test_exact_cluster_at_k2_searches_no_coloring(monkeypatch, tmp_path, capsys)
     assert len(ps) == 85
     got = exact_cluster(ps, 2, budget=10**4)
     assert got.diameter == 2
-    assert _same(got, two_cluster(Pointset(ps.metric, ps.points)))
+    want = two_cluster(Pointset(ps.metric, ps.points))
+    assert _same(got, want)
     path = tmp_path / "stars.json"
     path.write_text(json.dumps(ps.to_dict()))
-    reports = []
-    for argv in (["exact", "--k", "2", "--budget-nodes", "10000"], ["two"]):
-        assert main(["cluster", *argv, "--pointset", str(path)]) == 0
-        report = json.loads(capsys.readouterr().out)
-        reports.append([report[key] for key in
-                        ("k", "assignment", "diameter", "witness_pair")])
-    assert reports[0] == reports[1] and reports[0][2] == 2
+    assert main(["cluster", "exact", "--k", "2", "--budget-nodes", "10000",
+                 "--pointset", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [report[key] for key in
+            ("k", "assignment", "diameter", "witness_pair")] == [
+        2, want.assignment, 2, list(want.witness_pair)]
 
 
 def test_exhausted_exact_cluster_counts_every_probe(tmp_path, capsys):

@@ -19,7 +19,12 @@ from kdiameter.clustering import (
     two_cluster,
 )
 from kdiameter.coloring import BudgetExceeded, find_coloring
-from kdiameter.geometry import PairTable, SphereLatticePoint, SqDistance
+from kdiameter.geometry import (
+    PairTable,
+    SphereLatticePoint,
+    SqDistance,
+    sphere_key,
+)
 from kdiameter.graphs import (
     Graph,
     Hypergraph,
@@ -122,6 +127,17 @@ def test_anchor_separation_holds_at_kappa12():
     assert verify_anchor_separation(inst) == (True, None)
 
 
+def test_kappa12_is_the_least_kappa_that_separates():
+    """The paper's choice of kappa: at t = 163/125 anchor separation fails
+    for every kappa from 1 to 11 and holds at 12 and 13."""
+    answers = {kappa: separation_answer(build_region_instance((0, 1, 2), kappa),
+                                        Fraction(163, 125))
+               for kappa in range(1, 14)}
+    assert {kappa: a[0] for kappa, a in answers.items()} == {
+        kappa: kappa >= 12 for kappa in range(1, 14)}
+    assert (answers[12][2], answers[13][2]) == (1044, 703)
+
+
 def test_anchor_separation_fails_at_small_kappa():
     inst = build_region_instance((0, 1, 2), 4)
     holds, witness = verify_anchor_separation(inst)
@@ -154,13 +170,22 @@ def test_completeness_clustering_diameter_at_most_one():
 
 
 def test_remark_clustering_bound_and_anchor_grouping():
-    inst = build_region_instance((0, 1, 2), 6)
-    cl = remark_clustering(inst)
-    assert cl.diameter <= SqDistance(-1, 1, 2)   # 1 + sqrt(2)/2
-    eb = inst.anchor_index[1]
-    ec = inst.anchor_index[2]
-    assert inst.points[eb].key == axis_key(1)
-    assert cl.assignment[eb] == cl.assignment[ec]
+    """The construction's ceiling: for kappa = 1..16 the coordinate rule
+    puts the anchors e_1 and e_2 in one cluster, apart from e_0, at squared
+    diameter at most 1 + sqrt(2)/2 (order key 1/2), so no such region proves
+    a factor above sqrt(1 + 1/sqrt(2)).  The key is 1/2 at even kappa and
+    1/2 - 1/(kappa^2 - 2 kappa + 3) at odd kappa."""
+    for kappa in range(1, 17):
+        inst = build_region_instance((0, 1, 2), kappa)
+        cl = remark_clustering(inst)
+        assert cl.diameter <= SqDistance(-1, 1, 2)   # 1 + sqrt(2)/2
+        ea, eb, ec = (inst.anchor_index[v] for v in (0, 1, 2))
+        assert inst.points[eb].key == axis_key(1)
+        assert cl.assignment[eb] == cl.assignment[ec] != cl.assignment[ea]
+        key = Fraction(*sphere_key(cl.diameter))
+        half = Fraction(1, 2)
+        assert key == (half - Fraction(1, kappa ** 2 - 2 * kappa + 3)
+                       if kappa % 2 else half), kappa
 
 
 def test_coloring_clustering_roundtrip():
