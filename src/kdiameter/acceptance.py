@@ -228,7 +228,7 @@ def criterion_7(budget=DEFAULT_BUDGET, seed=0):
 
 def criterion_8(budget=DEFAULT_BUDGET, seed=0):
     """Coordinate-rule clustering: squared diameter <= 1 + sqrt(2)/2 and the
-    negative b and c axis points land in one cluster."""
+    anchors e_b and e_c, the region's axis points b and c, share a cluster."""
     instance = _kappa12_region()
     clustering = remark_clustering(instance)
     # 1 - (-1)/sqrt(1*2) = 1 + sqrt(2)/2, order key 1/2

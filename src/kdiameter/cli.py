@@ -37,7 +37,7 @@ from kdiameter.gadgets import (
 )
 from kdiameter.geometry import Pointset, check_table_size, json_loads
 from kdiameter.graphs import Graph, Hypergraph, incidence_hypergraph
-from kdiameter.hadamard import Embedding, verify_embedding
+from kdiameter.hadamard import Embedding, rational_to_json, verify_embedding
 from kdiameter.lp import max_embeddability
 from kdiameter.sphere import (
     SEPARATION_THRESHOLD,
@@ -142,10 +142,8 @@ def _parse_kappas(s):
 
 def _exact_value(x):
     """Serialize an exact scalar: int, Fraction, or squared surd."""
-    if isinstance(x, Fraction):
-        return {"num": x.numerator, "den": x.denominator}
-    if isinstance(x, int):
-        return x
+    if isinstance(x, (int, Fraction)):
+        return rational_to_json(x)
     if hasattr(x, "m"):
         return {"m": x.m, "n1": x.n1, "n2": x.n2}
     return str(x)
@@ -232,8 +230,7 @@ def cmd_composite_embed(args):
     library = oriented_embedding_library(gadget)
     emb = stitch_embedding(comp, J, library=library)
     return _verified(args, "composite embed", verify_embedding(emb),
-                     q=emb.short, long=emb.long,
-                     pointset=emb.pointset.to_dict())
+                     **emb.to_dict())
 
 
 def cmd_sphere_region(args):
@@ -314,18 +311,17 @@ def cmd_cluster(args):
 
 
 def cmd_embeddability(args):
+    """A bounded ratio's report is also the file of its embedding."""
     result = max_embeddability(_load("graph", args.graph))
-    cert = {"unbounded": result["unbounded"], "verified": result["certified"]}
+    cert = {"unbounded": result["unbounded"]}
     if result["ratio"] is not None:
         cert["r_num"] = result["ratio"].numerator
         cert["r_den"] = result["ratio"].denominator
-    if result["embedding"] is not None:
-        cert["q"] = result["embedding"].short
-        cert["image"] = {str(v): w.to_string()
-                         for v, w in enumerate(result["embedding"].image)}
+    emb = result["embedding"]
     ok = result["certified"]
     return (EXIT_OK if ok else EXIT_REFUTED), _report(
-        args, "embeddability", certificate=cert, verdicts={"certified": ok})
+        args, "embeddability", certificate=cert, verdicts={"certified": ok},
+        **(emb.to_dict() if emb is not None else {}))
 
 
 def cmd_embedding_verify(args):

@@ -19,7 +19,6 @@ from kdiameter.geometry import (
     Pointset,
     json_loads,
     pair_rows,
-    point_from_json,
 )
 from kdiameter.graphs import Graph
 
@@ -79,7 +78,8 @@ class Embedding:
         if self.pointset.metric not in TARGET_METRICS:
             raise ValueError(f"unknown target metric {self.pointset.metric!r}")
         if len(self.pointset) != self.source.n:
-            raise ValueError("image must cover every vertex")
+            raise ValueError(f"image has {len(self.pointset)} points for "
+                             f"{self.source.n} vertices")
 
     @property
     def image(self):
@@ -87,37 +87,40 @@ class Embedding:
 
     # -- serialization ------------------------------------------------------
 
+    def to_dict(self):
+        return {"graph": self.source.to_dict(),
+                "pointset": self.pointset.to_dict(),
+                "short": rational_to_json(self.short),
+                "long": rational_to_json(self.long)}
+
     @classmethod
     def from_dict(cls, d):
-        """Raises ValueError on an image that is not a JSON object or whose
-        keys are not the vertices 0..n-1 in decimal, on points of mixed
-        dimensions, and on a threshold not an integer or a [num, den] pair."""
-        metric = d["metric"]
-        graph = Graph.from_dict(d["graph"])
-        if not isinstance(d["image"], dict):
-            raise ValueError("image must be a JSON object from vertex to point")
-        points = {}
-        for key, val in d["image"].items():
-            v = int(key)
-            if str(v) != key or not 0 <= v < graph.n:
-                raise ValueError(f"image vertex {key!r} is not one of 0..{graph.n - 1}")
-            points[v] = point_from_json(metric, val)
-        # distinct keys of 0..n-1: the constructor's size check decides coverage
-        return cls(graph, Pointset(metric, [points[v] for v in sorted(points)]),
-                   _exact_from_json(d["short"]), _exact_from_json(d["long"]))
+        return cls(Graph.from_dict(d["graph"]), Pointset.from_dict(d["pointset"]),
+                   _rational_from_json(d["short"], "short"),
+                   _rational_from_json(d["long"], "long"))
 
     @classmethod
     def from_json(cls, s):
         return cls.from_dict(json_loads(s))
 
 
-def _exact_from_json(x):
-    if type(x) is int:
-        return x
-    if (isinstance(x, list) and len(x) == 2 and all(type(c) is int for c in x)
-            and x[1] > 0):
-        return Fraction(*x)
-    raise ValueError(f"threshold {x!r} is not an integer or a [num, den] pair")
+def rational_to_json(x):
+    """JSON form of an exact rational: an int as itself, a Fraction as
+    {"num", "den"}, den 1 included."""
+    if isinstance(x, Fraction):
+        return {"num": x.numerator, "den": x.denominator}
+    return x
+
+
+def _rational_from_json(obj, what):
+    """The int or Fraction whose `rational_to_json` form is `obj`."""
+    if type(obj) is int:
+        return obj
+    if (isinstance(obj, dict) and obj.keys() == {"num", "den"}
+            and all(type(c) is int for c in obj.values()) and obj["den"] > 0):
+        return Fraction(obj["num"], obj["den"])
+    raise ValueError(f"{what} {obj!r} is not an integer or a "
+                     f'{{"num", "den"}} object with den > 0')
 
 
 def verify_embedding(embedding):

@@ -84,7 +84,7 @@ REPORT_DIGESTS = [
     (["composite", "build", "--graph", "K4.json"],
      "80408e4da5786cea73d0ffbcfaa8a996b48c93a421f803d1cc95c1adf1b66ff6"),
     (["composite", "embed", "--graph", "K4.json"],
-     "31d511649a78d5ba7f8130db4be872735a74265459a8f94d2b5d0d0965d3664b"),
+     "34380e8ef8ee3e664f9c205b3ed7327be87373bfb0dfe0c77936b7dca939178e"),
     (["sphere", "region", "--kappa", "3"],
      "25b15937f02a0bb50cba19ec697b13d396e89f9a117cefa26cf36a6243eac5d0"),
     (["sphere", "region", "--kappa", "4", "--axes", "3", "5", "7"],
@@ -102,7 +102,7 @@ REPORT_DIGESTS = [
     (["cluster", "gonzalez", "--pointset", "region.json"],
      "9523cbfd98ae99f0a7fd414cb53862d63bd7a67f0658a651710c2367238deff2"),
     (["embeddability", "--graph", "P7.json"],
-     "5fb250b07e57b646a76de829c3c2352d2e332f6f9a36f62533014078a665b22d"),
+     "80d75694af0c97fa6fce668f46fc286b59bf4c23190ab54c2fa8ef88904bb01f"),
 ]
 
 
@@ -119,12 +119,14 @@ def test_report_digests(tmp_path, capsys, monkeypatch):
         assert hashlib.sha256(Path("report").read_bytes()).hexdigest() == digest, argv
 
 
-# K4's image 3-clusters at diameter q; Petersen, which is not
+# K4's image 3-clusters at diameter q = short; Petersen, which is not
 # 3-edge-colorable, only at the edge distance long = 3q/2
 @pytest.mark.parametrize("J, q, diameter_key", [
-    (complete_graph(4), 16, "q"), (petersen_graph(), 64, "long")],
+    (complete_graph(4), 16, "short"), (petersen_graph(), 64, "long")],
     ids=["k4", "petersen"])
 def test_composite_embed_then_cluster(tmp_path, capsys, J, q, diameter_key):
+    """The report is an embedding file, which `embedding verify` checks
+    to the same verdict and witnesses, and a pointset file."""
     graph_file = tmp_path / "J.json"
     graph_file.write_text(json.dumps(J.to_dict()))
     out = tmp_path / "pointset.json"
@@ -134,7 +136,13 @@ def test_composite_embed_then_cluster(tmp_path, capsys, J, q, diameter_key):
     report = json.loads(out.read_text())
     assert report["verdicts"]["verified"]
     assert report["achieved_ratio"] == {"num": 3, "den": 2}
-    assert report["q"] == q
+    assert report["short"] == q
+    code, verified = run(capsys, "embedding", "verify", "--embedding", str(out))
+    assert code == 0
+    verified = json.loads(verified)
+    for key in ("verdicts", "achieved_ratio", "worst_edge_pair",
+                "worst_nonedge_pair"):
+        assert verified[key] == report[key], key
     cl_out = tmp_path / "clustering.json"
     code, _ = run(capsys, "cluster", "exact", "--pointset", str(out),
                   "--k", "3", "--out", str(cl_out))
@@ -207,23 +215,31 @@ def test_sphere_sweep_json_prints_the_csv_it_writes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("long, expected", [
-    ([3, 2], 0), ([5, 2], 1), ([1, 0], 3)])
+    ({"num": 3, "den": 2}, 0), ({"num": 5, "den": 2}, 1),
+    ({"num": 1, "den": 0}, 3)])
 def test_embedding_thresholds_as_fractions(long, expected, tmp_path, capsys):
     # P3's edges land at distances 3 and 2, its non-edge at 1
     path = tmp_path / "emb.json"
-    path.write_text(embedding_file(image={"0": "000", "1": "111", "2": "001"},
-                                   short=[1, 1], long=long))
+    path.write_text(embedding_file(points=["000", "111", "001"],
+                                   short={"num": 1, "den": 1}, long=long))
     assert main(["embedding", "verify", "--embedding", str(path)]) == expected
 
 
 def test_embeddability(tmp_path, capsys):
+    """The report of a bounded ratio is the file of its embedding."""
     path = tmp_path / "P7.json"
     path.write_text(json.dumps(path_graph(7).to_dict()))
-    code, out = run(capsys, "embeddability", "--graph", str(path))
+    out = tmp_path / "cert.json"
+    code, _ = run(capsys, "embeddability", "--graph", str(path),
+                  "--out", str(out))
     assert code == 0
-    cert = json.loads(out)["certificate"]
+    report = json.loads(out.read_text())
+    cert = report["certificate"]
     assert (cert["r_num"], cert["r_den"]) == (5, 3)
-    assert cert["verified"] and not cert["unbounded"]
+    assert report["verdicts"]["certified"] and not cert["unbounded"]
+    code, verified = run(capsys, "embedding", "verify", "--embedding", str(out))
+    assert code == 0
+    assert json.loads(verified)["achieved_ratio"] == {"num": 5, "den": 3}
 
 
 def test_gadget_base_embeddability(tmp_path, capsys):
@@ -233,9 +249,10 @@ def test_gadget_base_embeddability(tmp_path, capsys):
     path.write_text(json.dumps(build_gadget_H().base.to_dict()))
     code, out = run(capsys, "embeddability", "--graph", str(path))
     assert code == 0
-    cert = json.loads(out)["certificate"]
+    report = json.loads(out)
+    cert = report["certificate"]
     assert (cert["r_num"], cert["r_den"]) == (12, 7)
-    assert cert["verified"] and not cert["unbounded"]
+    assert report["verdicts"]["certified"] and not cert["unbounded"]
 
 
 def test_repro_all_exhausted_budget_exits_2(capsys):
@@ -435,10 +452,12 @@ def test_readme_example_prints_3_2(capsys):
     assert capsys.readouterr().out == "3/2\n"
 
 
-def embedding_file(**changes):
-    """A Hamming embedding of P3 as JSON, with `changes` applied."""
-    embedding = {"graph": path_graph(3).to_dict(), "metric": "hamming",
-                 "short": 1, "long": 2, "image": {"0": "00", "1": "11", "2": "01"}}
+def embedding_file(metric="hamming", points=("00", "11", "01"), **changes):
+    """A Hamming embedding of P3 as JSON, in `Embedding.to_dict`'s form,
+    with its pointset's `metric` and `points` and the other `changes`."""
+    embedding = {"graph": path_graph(3).to_dict(),
+                 "pointset": {"metric": metric, "points": list(points)},
+                 "short": 1, "long": 2}
     return json.dumps({**embedding, **changes})
 
 
@@ -467,13 +486,17 @@ BAD_INPUTS = {
     # 200 million pairs: over the pair table's cap, which Gonzalez reads
     "line_20000.json": json.dumps({"metric": "l1_int",
                                    "points": [[i] for i in range(20000)]}),
-    "emb_missing_vertex.json": embedding_file(image={"0": "00", "1": "11"}),
+    "emb_missing_vertex.json": embedding_file(points=["00", "11"]),
     "emb_vertex_out_of_range.json": embedding_file(
-        image={"0": "00", "1": "11", "2": "01", "3": "10"}),
-    "emb_mixed_lengths.json": embedding_file(
-        image={"0": "00", "1": "110", "2": "01"}),
+        points=["00", "11", "01", "10"]),
+    "emb_mixed_lengths.json": embedding_file(points=["00", "110", "01"]),
     "emb_short_not_a_number.json": embedding_file(short="short"),
-    "emb_no_vertices.json": embedding_file(graph={"n": 0, "edges": []}, image={}),
+    "emb_no_vertices.json": embedding_file(graph={"n": 0, "edges": []},
+                                           points=[]),
+    # the vertex-keyed image of an earlier form, which no reader accepts
+    "emb_image_form.json": json.dumps(
+        {"graph": path_graph(3).to_dict(), "metric": "hamming",
+         "image": {"0": "00", "1": "11", "2": "01"}, "short": 1, "long": 2}),
     "no_points.json": json.dumps({"metric": "l1_int", "points": []}),
     "pairs_hypergraph.json": json.dumps({"n": 3, "hyperedges": [[0, 1], [1, 2]]}),
     "negative_n_hypergraph.json": json.dumps({"n": -1, "hyperedges": []}),
@@ -481,7 +504,6 @@ BAD_INPUTS = {
     "coeff_count.json": json.dumps({"metric": "l2_sphere_lattice", "points": [
         {"axes": [0, 1, 2], "pos": 0, "coeffs": [3, 0, 0], "kappa": 3},
         {"axes": [0, 1, 2], "pos": 0, "coeffs": [1, 2], "kappa": 3}]}),
-    "emb_image_list.json": embedding_file(image=["00", "11", "01"]),
     "negative_axis.json": json.dumps({"metric": "l2_sphere_lattice", "points": [
         {"axes": [-1, 0, 1], "pos": pos, "coeffs": coeffs, "kappa": 1}
         for pos, coeffs in ((-1, [1, 0, 0]), (0, [0, 1, 0]), (1, [0, 0, 1]))]}),
@@ -497,15 +519,12 @@ BAD_INPUTS = {
     # read as the edge (1, 3) if a boolean were an integer
     "edge_bool.json": json.dumps({"n": 4, "edges": [[0, 1], [3, True]]}),
     "hyperedge_float.json": json.dumps({"n": 3, "hyperedges": [[0, 1, 2.0]]}),
-    # "01" would silently replace vertex 1
-    "emb_key_not_decimal.json": embedding_file(
-        graph=path_graph(2).to_dict(), image={"0": "00", "1": "11", "01": "01"}),
     # a repeated key would be read as its last value
     "graph_repeated_key.json": '{"n": 3, "n": 4, "edges": [[0, 1], [2, 3]]}',
     "hypergraph_repeated_key.json":
         '{"n": 3, "hyperedges": [[0, 1, 2]], "hyperedges": [[0, 1, 2], [0, 1, 2]]}',
     "emb_repeated_key.json": embedding_file().replace(
-        '"1": "11"', '"1": "11", "1": "01"'),
+        '"short": 1', '"short": 1, "short": 2'),
     "pointset_repeated_key.json":
         '{"pointset": {"metric": "l1_int", "points": [[0], [1]], "metric": "l1_int"}}',
     # read as the labels ("a", "b") and ("x", "y") if any iterable passed
@@ -559,6 +578,7 @@ TYPE_ERRORS = {("--budget-nodes", "-5"): "bad budget '-5': must be at least 0",
     ["embedding", "verify", "--embedding", "emb_mixed_lengths.json"],
     ["embedding", "verify", "--embedding", "emb_short_not_a_number.json"],
     ["embedding", "verify", "--embedding", "emb_no_vertices.json"],
+    ["embedding", "verify", "--embedding", "emb_image_form.json"],
     # the test's own temporary directory, where a file is expected
     ["cluster", "exact", "--pointset", "."],
     ["cluster", "exact", "--pointset", "points.json", "--out", "."],
@@ -570,7 +590,6 @@ TYPE_ERRORS = {("--budget-nodes", "-5"): "bad budget '-5': must be at least 0",
     ["embeddability", "--graph", "empty.json"],
     ["cluster", "exact", "--k", "2", "--pointset", "negative_axis.json"],
     ["cluster", "exact", "--pointset", "coeff_count.json"],
-    ["embedding", "verify", "--embedding", "emb_image_list.json"],
     ["embedding", "verify", "--embedding", "emb_unknown_metric.json"],
     ["cluster", "exact", "--pointset", "unknown_metric.json"],
     ["cluster", "exact", "--pointset", "float_entry.json", "--k", "2"],
@@ -580,7 +599,6 @@ TYPE_ERRORS = {("--budget-nodes", "-5"): "bad budget '-5': must be at least 0",
     ["gadget", "verify", "--gadget", "attachments_nested.json"],
     ["embeddability", "--graph", "edge_bool.json"],
     ["sphere", "reduce", "--hypergraph", "hyperedge_float.json"],
-    ["embedding", "verify", "--embedding", "emb_key_not_decimal.json"],
     ["embeddability", "--graph", "graph_repeated_key.json"],
     ["sphere", "reduce", "--hypergraph", "hypergraph_repeated_key.json"],
     ["embedding", "verify", "--embedding", "emb_repeated_key.json"],
@@ -611,16 +629,14 @@ TYPE_ERRORS = {("--budget-nodes", "-5"): "bad budget '-5': must be at least 0",
         "t-grid-negative", "kappa-range-empty", "embedding-missing-vertex",
         "embedding-vertex-out-of-range", "embedding-mixed-lengths",
         "embedding-short-not-a-number", "embedding-empty",
-        "pointset-is-a-directory",
+        "embedding-image-form", "pointset-is-a-directory",
         "out-is-a-directory", "budget-negative", "exact-empty", "two-empty",
         "gonzalez-empty", "reduce-pairs", "lp-empty", "pointset-negative-axis",
-        "pointset-coeff-count", "embedding-image-list",
-        "embedding-unknown-metric", "pointset-unknown-metric",
+        "pointset-coeff-count", "embedding-unknown-metric", "pointset-unknown-metric",
         "pointset-float-entry", "pointset-float-coeff",
         "gadget-attachments-string", "gadget-attachments-null",
         "gadget-attachments-nested", "graph-bool-endpoint",
-        "hypergraph-float-vertex", "embedding-key-not-decimal",
-        "graph-repeated-key", "hypergraph-repeated-key",
+        "hypergraph-float-vertex", "graph-repeated-key", "hypergraph-repeated-key",
         "embedding-repeated-key", "pointset-repeated-key",
         "gadget-repeated-key", "pointset-labels-string",
         "pointset-labels-object", "pointset-points-string",
@@ -653,12 +669,21 @@ def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
         assert "exceeds the pair table's cap 4096" in lines[0], lines[0]
     if argv == ["sphere", "region", "--kappa", "3000"]:
         assert lines[0].endswith("over the cap 262144"), lines[0]
+    if "emb_missing_vertex.json" in argv:
+        assert lines[0].endswith("image has 2 points for 3 vertices"), lines[0]
+    if "emb_vertex_out_of_range.json" in argv:
+        assert lines[0].endswith("image has 4 points for 3 vertices"), lines[0]
+    if "emb_mixed_lengths.json" in argv:
+        assert lines[0].endswith("point lengths differ: [2, 3]"), lines[0]
+    if "emb_short_not_a_number.json" in argv:
+        assert "short 'short' is not an integer" in lines[0]
     if "emb_no_vertices.json" in argv:
         assert "bad embedding in emb_no_vertices.json: empty pointset" in lines[0]
+    if "emb_image_form.json" in argv:
+        assert lines[0] == ("usage error: bad embedding in emb_image_form.json: "
+                            "'pointset'")
     if "coeff_count.json" in argv:
         assert "bad pointset in coeff_count.json: coefficients" in lines[0]
-    if "emb_image_list.json" in argv:
-        assert "bad embedding in emb_image_list.json: image must" in lines[0]
     if "emb_unknown_metric.json" in argv or "unknown_metric.json" in argv:
         assert "unknown metric 'foo'" in lines[0]
     if "float_entry.json" in argv:
@@ -669,8 +694,6 @@ def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
         assert "bad graph in edge_bool.json: an endpoint must" in lines[0]
     if "hyperedge_float.json" in argv:
         assert "bad hypergraph in hyperedge_float.json: a vertex must" in lines[0]
-    if "emb_key_not_decimal.json" in argv:
-        assert "image vertex '01' is not one of 0..1" in lines[0]
     if "labels_string.json" in argv or "labels_object.json" in argv:
         assert "labels must be null or a list" in lines[0]
     if "points_string.json" in argv or "points_object.json" in argv:

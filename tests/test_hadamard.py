@@ -7,6 +7,13 @@ import pytest
 
 from kdiameter.acceptance import random_graph
 from kdiameter.edgecolor import edge_coloring
+from kdiameter.gadgets import (
+    build_composite,
+    build_gadget_H,
+    oriented_embedding_library,
+    stitch_embedding,
+    stitch_slot_maps,
+)
 from kdiameter.geometry import (
     BitVector,
     IntVector,
@@ -16,7 +23,9 @@ from kdiameter.geometry import (
 )
 from kdiameter.graphs import (
     complete_bipartite_graph,
+    complete_graph,
     cycle_graph,
+    incidence_hypergraph,
     path_graph,
 )
 from kdiameter.hadamard import (
@@ -27,6 +36,7 @@ from kdiameter.hadamard import (
     next_power_of_two,
     verify_embedding,
 )
+from kdiameter.lp import max_embeddability
 
 
 def test_next_power_of_two():
@@ -90,15 +100,23 @@ def test_verify_embedding_degenerate_ratio():
 
 
 def test_embedding_json_roundtrip():
-    emb = linf_embedding(path_graph(4))
-    back = Embedding.from_json(json.dumps({
-        "graph": emb.source.to_dict(), "metric": "linf_int",
-        "short": emb.short, "long": emb.long,
-        "image": {str(v): list(p.entries) for v, p in enumerate(emb.image)}}))
-    assert back.source == emb.source
-    assert back.image == emb.image
-    assert (back.short, back.long) == (emb.short, emb.long)
-    assert verify_embedding(back)["ok"]
+    """`from_dict` inverts `to_dict`, whose JSON is an embedding file, for
+    each construction: l-infinity, 5/4, stitched composite and LP."""
+    k44 = complete_bipartite_graph(4, 4)
+    J = complete_graph(4)
+    gadget = build_gadget_H()
+    composite = build_composite(incidence_hypergraph(J), gadget,
+                                slot_maps=stitch_slot_maps(J))
+    for emb in (linf_embedding(path_graph(4)),
+                five_fourths_embedding(k44, edge_coloring(k44, 4)),
+                stitch_embedding(composite, J,
+                                 library=oriented_embedding_library(gadget)),
+                max_embeddability(path_graph(7))["embedding"]):
+        back = Embedding.from_json(json.dumps(emb.to_dict()))
+        assert back.source == emb.source
+        assert back.pointset == emb.pointset
+        assert (back.short, back.long) == (emb.short, emb.long)
+        assert verify_embedding(back) == verify_embedding(emb)
 
 
 def test_embedding_refuses_non_target_metric():
@@ -110,7 +128,7 @@ def test_embedding_refuses_non_target_metric():
 
 def test_embedding_refuses_pointset_short_of_vertices():
     emb = linf_embedding(path_graph(4))
-    with pytest.raises(ValueError, match="cover every vertex"):
+    with pytest.raises(ValueError, match="image has 3 points for 4 vertices"):
         Embedding(emb.source, Pointset("linf_int", emb.image[:-1]),
                   short=1, long=2)
 

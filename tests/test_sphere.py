@@ -18,7 +18,7 @@ from kdiameter.clustering import (
     make_clustering,
     two_cluster,
 )
-from kdiameter.coloring import BudgetExceeded, find_coloring
+from kdiameter.coloring import BudgetExceeded, find_coloring, forall_colorings
 from kdiameter.geometry import (
     PairTable,
     SphereLatticePoint,
@@ -186,6 +186,39 @@ def test_remark_clustering_bound_and_anchor_grouping():
         half = Fraction(1, 2)
         assert key == (half - Fraction(1, kappa ** 2 - 2 * kappa + 3)
                        if kappa % 2 else half), kappa
+
+
+def test_odd_kappa_frontier_is_the_remark_clustering_key():
+    """At odd kappa from 3 to 13 the separation frontier is the remark
+    clustering's diameter key s = 1/2 - 1/(kappa^2 - 2 kappa + 3): anchor
+    separation holds on the pairs farther than the greatest key below s,
+    and fails on the pairs farther than s, where the remark clustering is a
+    proper coloring merging two anchors."""
+    below, nodes = {}, {}
+    for kappa in range(3, 14, 2):
+        inst = build_region_instance((0, 1, 2), kappa)
+        table = inst.pointset().table
+        anchors = [inst.anchor_index[v] for v in (0, 1, 2)]
+        s = Fraction(1, 2) - Fraction(1, kappa ** 2 - 2 * kappa + 3)
+        r = table.keys.index(s)
+        below[kappa] = table.keys[r - 1]
+        holding, failing = table.bitsets_at(r), table.bitsets_at(r + 1)
+        stats = {"nodes": 0}
+        assert find_coloring(holding, 3, stats=stats) is not None
+        assert forall_colorings(holding, 3, anchors, stats=stats) is None
+        nodes[kappa] = stats["nodes"]
+        assert forall_colorings(failing, 3, anchors) is not None
+        cl = remark_clustering(inst)
+        assert Fraction(*sphere_key(cl.diameter)) == s
+        for c in range(3):
+            mask = sum(1 << i for i, a in enumerate(cl.assignment) if a == c)
+            assert all(failing[i] & mask == 0 for i in range(len(failing))
+                       if mask >> i & 1), (kappa, c)
+        assert len({cl.assignment[a] for a in anchors}) < 3
+    assert below == {3: Fraction(1, 5), 5: Fraction(49, 117),
+                     7: Fraction(196, 425), 9: Fraction(576, 1189),
+                     11: Fraction(20, 41), 13: Fraction(3249, 6643)}
+    assert nodes == {3: 54, 5: 162, 7: 200, 9: 298, 11: 612, 13: 703}
 
 
 def test_coloring_clustering_roundtrip():
