@@ -175,9 +175,11 @@ def _emit(output, args):
 
 
 def _report(args, command, **fields):
+    """A report of `command`, whose `parameters` hold the value of each of
+    `--budget-nodes` and `--seed` that the command takes."""
     return {"command": command, "version": __version__,
-            "parameters": {"budget_nodes": args.budget_nodes,
-                           "seed": args.seed}, **fields}
+            "parameters": {key: value for key, value in vars(args).items()
+                           if key in ("budget_nodes", "seed")}, **fields}
 
 
 # ---------------------------------------------------------------------------
@@ -244,17 +246,12 @@ def cmd_sphere_verify(args):
     check_table_size(region_size(args.kappa))   # before any point is built
     threshold = check_threshold(_parse_fraction(args.t))
     instance = build_region_instance((0, 1, 2), args.kappa)
-    try:
-        holds, witness, nodes = separation_answer(instance, threshold,
-                                                  args.budget_nodes)
-        code = EXIT_OK if holds else EXIT_REFUTED
-        found = {"witness": witness}
-    except BudgetExceeded as e:
-        holds, nodes, code, found = "budget_exceeded", e.nodes, EXIT_BUDGET, {}
-    return code, _report(
+    holds, witness, nodes = separation_answer(instance, threshold,
+                                              args.budget_nodes)
+    return (EXIT_OK if holds else EXIT_REFUTED), _report(
         args, "sphere verify-lemma53", kappa=args.kappa,
         threshold=_exact_value(threshold),
-        verdicts={"separation_holds": holds}, nodes=nodes, **found)
+        verdicts={"separation_holds": holds}, nodes=nodes, witness=witness)
 
 
 def cmd_sphere_reduce(args):
@@ -371,29 +368,30 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget-nodes", type=_parse_budget,
-                        default=DEFAULT_BUDGET)
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None)
     common.add_argument("--json", action="store_true",
                         help="print the report to stdout even when --out is set")
+    search = argparse.ArgumentParser(add_help=False, parents=[common])
+    search.add_argument("--budget-nodes", type=_parse_budget,
+                        default=DEFAULT_BUDGET,
+                        help="cap on the nodes of each coloring search")
 
     parser = _Parser(prog="kdiameter", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     gadget = sub.add_parser("gadget").add_subparsers(dest="sub", required=True)
-    gadget.add_parser("build", parents=[common]).set_defaults(
+    gadget.add_parser("build", parents=[search]).set_defaults(
         func=cmd_gadget_build)
-    p = gadget.add_parser("verify", parents=[common])
+    p = gadget.add_parser("verify", parents=[search])
     p.add_argument("--gadget", required=True)
     p.set_defaults(func=cmd_gadget_verify)
 
     composite = sub.add_parser("composite").add_subparsers(dest="sub",
                                                            required=True)
-    p = composite.add_parser("build", parents=[common])
+    p = composite.add_parser("build", parents=[search])
     p.add_argument("--graph", required=True)
     p.set_defaults(func=cmd_composite_build)
-    p = composite.add_parser("embed", parents=[common])
+    p = composite.add_parser("embed", parents=[search])
     p.add_argument("--graph", required=True)
     p.set_defaults(func=cmd_composite_embed)
 
@@ -402,7 +400,7 @@ def build_parser():
     p.add_argument("--kappa", type=_parse_kappa, required=True)
     p.add_argument("--axes", type=int, nargs=3, default=(0, 1, 2))
     p.set_defaults(func=cmd_sphere_region)
-    p = sphere.add_parser("verify-lemma53", parents=[common])
+    p = sphere.add_parser("verify-lemma53", parents=[search])
     p.add_argument("--kappa", type=_parse_kappa, default=12)
     p.add_argument("--t", default=str(SEPARATION_THRESHOLD))
     p.set_defaults(func=cmd_sphere_verify)
@@ -410,16 +408,18 @@ def build_parser():
     p.add_argument("--hypergraph", required=True)
     p.add_argument("--kappa", type=_parse_kappa, default=12)
     p.set_defaults(func=cmd_sphere_reduce)
-    p = sphere.add_parser("sweep", parents=[common])
+    p = sphere.add_parser("sweep", parents=[search])
     p.add_argument("--kappa", required=True, help="range like 4..16 or list")
     p.add_argument("--t-grid", required=True, help="comma list of fractions")
     p.set_defaults(func=cmd_sphere_sweep)
 
-    p = sub.add_parser("cluster", parents=[common])
-    p.add_argument("mode", choices=("exact", "gonzalez"))
-    p.add_argument("--pointset", required=True)
-    p.add_argument("--k", type=int, default=3)
-    p.set_defaults(func=cmd_cluster)
+    cluster = sub.add_parser("cluster").add_subparsers(dest="mode",
+                                                       required=True)
+    for mode, flags in (("exact", search), ("gonzalez", common)):
+        p = cluster.add_parser(mode, parents=[flags])
+        p.add_argument("--pointset", required=True)
+        p.add_argument("--k", type=int, default=3)
+        p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("embeddability", parents=[common])
     p.add_argument("--graph", required=True)
@@ -431,8 +431,10 @@ def build_parser():
     p.add_argument("--embedding", required=True)
     p.set_defaults(func=cmd_embedding_verify)
 
-    sub.add_parser("repro-all", parents=[common]).set_defaults(
-        func=cmd_repro_all)
+    p = sub.add_parser("repro-all", parents=[search])
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the randomized acceptance criteria")
+    p.set_defaults(func=cmd_repro_all)
     return parser
 
 

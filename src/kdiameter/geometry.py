@@ -283,7 +283,6 @@ class Pointset:
 
     metric: str
     points: tuple
-    labels: tuple | None = None
 
     def __post_init__(self):
         if self.metric not in METRICS:
@@ -291,12 +290,6 @@ class Pointset:
         object.__setattr__(self, "points", tuple(self.points))
         if not self.points:
             raise ValueError("empty pointset")
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
-            if len(self.labels) != len(self.points):
-                raise ValueError("labels must match points")
-            if len(set(self.labels)) != len(self.labels):
-                raise ValueError("labels must be unique")
         if self.metric != "l2_sphere_lattice":
             size = "length" if self.metric == "hamming" else "dimension"
             dims = {getattr(p, size) for p in self.points}
@@ -318,32 +311,16 @@ class Pointset:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self):
-        dim = self._dimension()
-        return {
-            "metric": self.metric,
-            "dim": dim,
-            "points": [point_to_json(self.metric, p) for p in self.points],
-            "labels": self.labels,
-        }
-
-    def _dimension(self):
-        p = self.points[0]
-        if self.metric == "hamming":
-            return p.length
-        if self.metric in ("l1_int", "linf_int"):
-            return p.dimension
-        return 1 + max(a for q in self.points for a, _ in q.key)
+        return {"metric": self.metric,
+                "points": [point_to_json(self.metric, p) for p in self.points]}
 
     @classmethod
     def from_dict(cls, d):
-        metric = d["metric"]
-        points, labels = d["points"], d.get("labels")
+        """The pointset of `to_dict`'s form; other keys are ignored."""
+        metric, points = d["metric"], d["points"]
         if not isinstance(points, list):  # "0110" is not four points
             raise ValueError("points must be a list")
-        if not isinstance(labels, (list, type(None))):  # "ab" is not ("a", "b")
-            raise ValueError("labels must be null or a list")
-        points = [point_from_json(metric, p) for p in points]
-        return cls(metric, points, labels)
+        return cls(metric, [point_from_json(metric, p) for p in points])
 
 
 def point_to_json(metric, p):

@@ -80,29 +80,29 @@ def test_reports_are_byte_identical(tmp_path, capsys):
 # byte on valid input shows here
 REPORT_DIGESTS = [
     (["gadget", "build"],
-     "a00488e0254dca5a26948b2681319032161f3165859ade82c30b83ab1300ca08"),
+     "d7f351177af858405381fa61ce2b1aa2ddd005fcd4dd85a82f3f5664fa77bd09"),
     (["composite", "build", "--graph", "K4.json"],
-     "80408e4da5786cea73d0ffbcfaa8a996b48c93a421f803d1cc95c1adf1b66ff6"),
+     "2e23fe37ec9b0e2bff67957ff4bade2ba0e25ed4d144cac9fde549122c5108d7"),
     (["composite", "embed", "--graph", "K4.json"],
-     "34380e8ef8ee3e664f9c205b3ed7327be87373bfb0dfe0c77936b7dca939178e"),
+     "67635681a5fde17b5a747394ab83bece397567ca1fe2379c25e7f15dba11964f"),
     (["sphere", "region", "--kappa", "3"],
-     "25b15937f02a0bb50cba19ec697b13d396e89f9a117cefa26cf36a6243eac5d0"),
+     "bf8b520a984a4bf33e391445b98f3ed00ea859cd52e3d53296c4f0ac28a220fd"),
     (["sphere", "region", "--kappa", "4", "--axes", "3", "5", "7"],
-     "1dc50c8723a8a4d3e3f17765c5ff11e0025ac9ced2f7a9a1609c4feb85eda9aa"),
+     "fddcd4f39b918bd3065d736c973f95bc62c1893de49f55122234cefbf406c6b5"),
     (["sphere", "verify-lemma53", "--kappa", "4"],
-     "9b299911a49377e84c9fb4f1dccac0fdae895dfd8f0fa246597778b7cb8575b1"),
+     "7e113f1511b63a0301776f0d92716164b3dfa12da7275761622048b07ff28723"),
     (["sphere", "reduce", "--hypergraph", "K4_incidence.json"],
-     "2f8883c787d0edf7bcd73c2eb2929775648d960de4b991a86804c0cfd4641c56"),
+     "4e66534d2763d10dfeabcb9644a81d3bfd25feb6176eac40c578132a32526537"),
     (["sphere", "sweep", "--kappa", "2..4", "--t-grid", "163/125,3/2"],
      "d5ae9f46bdd671d49fa08dcbe0e42416e4a18f3d727a6b7b9e34c4566cbf9135"),
     (["cluster", "exact", "--pointset", "region.json"],
-     "9b124f0b71825290bd7934324c05f6ffaa278ba1653c07038c3b3cd7759bd3e3"),
+     "146ba45400a355c6da3470fef8bf9013bc2b5e1f0b0f529afd9ef93e202612a9"),
     (["cluster", "exact", "--k", "2", "--pointset", "region.json"],
-     "210bd6cb72bac444ad7287234bcbe1f4ec0b827419512071a0bc8c225b9909f3"),
+     "364e1bbaafb2c5a4dc73838add4a2e69ef257f6f8318c0cfde534f4ce11e8178"),
     (["cluster", "gonzalez", "--pointset", "region.json"],
-     "9523cbfd98ae99f0a7fd414cb53862d63bd7a67f0658a651710c2367238deff2"),
+     "8372529d67cdb344e6bb9d07f41b121d001ca277b5bbdf52ffd5772d4b630d60"),
     (["embeddability", "--graph", "P7.json"],
-     "80d75694af0c97fa6fce668f46fc286b59bf4c23190ab54c2fa8ef88904bb01f"),
+     "3d43c6065956cc04b3651f1d498139e0ebfd7552fa62beab6c960060d60d7ab8"),
 ]
 
 
@@ -279,7 +279,8 @@ def test_sphere_sweep_exhausted_budget_exits_2(capsys):
     ["cluster", "exact", "--pointset", "region.json"],
     ["gadget", "build"],
     ["composite", "embed", "--graph", "K4.json"],
-], ids=["cluster-exact", "gadget-build", "composite-embed"])
+    ["sphere", "verify-lemma53", "--kappa", "4"],
+], ids=["cluster-exact", "gadget-build", "composite-embed", "verify-lemma53"])
 def test_exhausted_search_writes_no_report(argv, tmp_path, capsys,
                                            monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -409,36 +410,37 @@ def test_readme_cli_lines_parse():
 
 
 def _parser_words(parser, path=()):
-    """(command paths, flags) the parser accepts: a path is the words before
-    any flag, such as ("cluster", "exact"), ("gadget", "verify") or
-    ("repro-all",)."""
-    paths, flags = {path}, set()
+    """{command path: the flags it takes} of the parser: a path is the words
+    before any flag, such as ("cluster", "exact"), ("gadget", "verify") or
+    ("repro-all",), and a group such as ("cluster",) takes only --help."""
+    words = {path: set()}
     for action in parser._actions:
-        flags.update(action.option_strings)
+        words[path].update(action.option_strings)
         if isinstance(action, argparse._SubParsersAction):
             for name, sub in action.choices.items():
-                sub_paths, sub_flags = _parser_words(sub, path + (name,))
-                paths |= sub_paths
-                flags |= sub_flags
-        elif not action.option_strings and action.choices:
-            paths |= {path + (choice,) for choice in action.choices}
-    return paths, flags
+                words.update(_parser_words(sub, path + (name,)))
+    return words
 
 
 def test_readme_cli_text_names_only_accepted_commands_and_flags():
-    """Each `command` or `--flag` quoted in the CLI section's text, outside
-    the example block, is one the parser accepts."""
-    paths, flags = _parser_words(build_parser())
-    commands = {path[0] for path in paths if path}
+    """Each `command`, `command --flag` or `--flag` quoted in the CLI
+    section's text, outside the example block, is one the parser accepts:
+    a flag after a command is one that command takes, and a flag alone one
+    that some command takes."""
+    words = _parser_words(build_parser())
+    commands = {path[0] for path in words if path}
 
     def refused(span):
-        words = span.split()
-        path = tuple(takewhile(lambda w: not w.startswith("--"), words))
-        named = {w for w in words if w.startswith("--")}
-        return (path and path[0] in commands and path not in paths
-                or not named <= flags)
+        spoken = span.split()
+        path = tuple(takewhile(lambda w: not w.startswith("--"), spoken))
+        named = {w for w in spoken if w.startswith("--")}
+        if path and path[0] in commands:
+            return path not in words or not named <= words[path]
+        return not named <= set().union(*words.values())
 
     assert refused("cluster two") and refused("gadget verify --file")
+    assert refused("cluster gonzalez --budget-nodes") and refused("--threads")
+    assert not refused("cluster exact --budget-nodes")
     text = (Path(__file__).parents[1] / "README.md").read_text()
     section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", section,
@@ -468,6 +470,7 @@ BAD_INPUTS = {
     "mixed.json": json.dumps({"metric": "l1_int", "points": [[0, 0], [1, 2, 3]]}),
     "points.json": json.dumps({"metric": "l1_int", "points": [[0, 0], [1, 2]]}),
     "path.json": json.dumps(path_graph(4).to_dict()),
+    "emb.json": embedding_file(),
     "empty.json": json.dumps({"n": 0, "edges": []}),
     # two K4s with one edge subdivided each, the subdivision vertices joined:
     # cubic, with the bridge (4, 9)
@@ -527,11 +530,6 @@ BAD_INPUTS = {
         '"short": 1', '"short": 1, "short": 2'),
     "pointset_repeated_key.json":
         '{"pointset": {"metric": "l1_int", "points": [[0], [1]], "metric": "l1_int"}}',
-    # read as the labels ("a", "b") and ("x", "y") if any iterable passed
-    "labels_string.json": json.dumps({"metric": "l1_int",
-                                      "points": [[0], [1]], "labels": "ab"}),
-    "labels_object.json": json.dumps({"metric": "l1_int", "points": [[0], [1]],
-                                      "labels": {"x": 1, "y": 2}}),
     # read as the 1-bit points 0, 1, 1, 0, or as the keys, if any iterable passed
     "points_string.json": json.dumps({"metric": "hamming", "points": "0110"}),
     "points_object.json": json.dumps({"metric": "hamming",
@@ -548,6 +546,15 @@ BAD_INPUTS = {
 TYPE_ERRORS = {("--budget-nodes", "-5"): "bad budget '-5': must be at least 0",
                ("--kappa", "0"): "bad kappa '0': must be at least 1",
                ("--kappa", "x"): "bad kappa 'x': not an integer"}
+
+# a flag that its command does not take, refused like any unknown flag
+REFUSED_FLAGS = [
+    ["sphere", "region", "--kappa", "3", "--seed", "1"],
+    ["cluster", "exact", "--pointset", "points.json", "--seed", "1"],
+    ["cluster", "gonzalez", "--pointset", "points.json", "--budget-nodes", "5"],
+    ["embeddability", "--graph", "path.json", "--budget-nodes", "0"],
+    ["embedding", "verify", "--embedding", "emb.json", "--seed", "2"],
+]
 
 
 @pytest.mark.parametrize("argv", [
@@ -604,8 +611,6 @@ TYPE_ERRORS = {("--budget-nodes", "-5"): "bad budget '-5': must be at least 0",
     ["embedding", "verify", "--embedding", "emb_repeated_key.json"],
     ["cluster", "exact", "--pointset", "pointset_repeated_key.json"],
     ["gadget", "verify", "--gadget", "gadget_repeated_key.json"],
-    ["cluster", "exact", "--pointset", "labels_string.json", "--k", "2"],
-    ["cluster", "exact", "--k", "2", "--pointset", "labels_object.json"],
     ["cluster", "exact", "--k", "2", "--pointset", "points_string.json"],
     ["cluster", "exact", "--k", "2", "--pointset", "points_object.json"],
     ["sphere", "sweep", "--kappa", "2", "--t-grid", "1", "--budget-nodes", "-5"],
@@ -620,6 +625,7 @@ TYPE_ERRORS = {("--budget-nodes", "-5"): "bad budget '-5': must be at least 0",
     # 2-clustering is `cluster exact --k 2`, and `gadget verify` needs a file
     ["cluster", "two", "--pointset", "points.json"],
     ["gadget", "verify"],
+    *REFUSED_FLAGS,
 ], ids=["lp-cap", "self-loop", "malformed-json", "mixed-lengths", "k7",
         "kappa0", "kappa-range", "composite-not-cubic", "composite-bridge",
         "composite-empty-build", "composite-empty-embed",
@@ -638,13 +644,13 @@ TYPE_ERRORS = {("--budget-nodes", "-5"): "bad budget '-5': must be at least 0",
         "gadget-attachments-nested", "graph-bool-endpoint",
         "hypergraph-float-vertex", "graph-repeated-key", "hypergraph-repeated-key",
         "embedding-repeated-key", "pointset-repeated-key",
-        "gadget-repeated-key", "pointset-labels-string",
-        "pointset-labels-object", "pointset-points-string",
+        "gadget-repeated-key", "pointset-points-string",
         "pointset-points-object", "sweep-budget-negative", "region-kappa0",
         "kappa-not-an-integer", "verify-table-over-cap",
         "sweep-table-over-cap", "region-over-cap", "gonzalez-table-over-cap",
         "reduce-negative-n", "reduce-no-hyperedges", "cluster-two",
-        "gadget-verify-no-file"])
+        "gadget-verify-no-file", "region-seed", "exact-seed",
+        "gonzalez-budget", "embeddability-budget", "embedding-verify-seed"])
 def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
     for name, text in BAD_INPUTS.items():
         (tmp_path / name).write_text(text)
@@ -694,8 +700,6 @@ def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
         assert "bad graph in edge_bool.json: an endpoint must" in lines[0]
     if "hyperedge_float.json" in argv:
         assert "bad hypergraph in hyperedge_float.json: a vertex must" in lines[0]
-    if "labels_string.json" in argv or "labels_object.json" in argv:
-        assert "labels must be null or a list" in lines[0]
     if "points_string.json" in argv or "points_object.json" in argv:
         assert "points must be a list" in lines[0]
     # the prefix only: argparse quotes the choices differently across Pythons
@@ -714,6 +718,9 @@ def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
         assert lines[0].endswith("is repeated"), lines[0]
     if argv[:3] == ["gadget", "verify", "--gadget"]:
         assert f"bad gadget in {argv[3]}: " in lines[0]
+    if argv in REFUSED_FLAGS:
+        assert lines[0] == ("usage error: unrecognized arguments: "
+                            + " ".join(argv[-2:]))
     for (flag, value), message in TYPE_ERRORS.items():
         if flag in argv and argv[argv.index(flag) + 1] == value:
             assert lines[0] == "usage error: " + message
@@ -783,27 +790,30 @@ FUZZ_ATOMS = (True, False, None, 0, 1, 2, -1, 1.0, 2.5, "01", " 1", "x", [], {})
 
 def _fuzz_seeds():
     """(argv before the file name, a valid input) for every command that
-    reads a file; graphs stay at 8 vertices or fewer."""
+    reads a file; graphs stay at 8 vertices or fewer, and every command that
+    searches a coloring takes a budget of 100,000 nodes."""
     sphere_points = [{"axes": [0, 1, 2], "pos": pos, "coeffs": coeffs, "kappa": 1}
                      for pos, coeffs in ((0, [1, 0, 0]), (1, [0, 1, 0]),
                                          (2, [0, 0, 1]), (0, [0, 1, 0]))]
+    capped = ["--budget-nodes", "100000"]
     return [
         (["embeddability", "--graph"], cycle_graph(5).to_dict()),
         (["embeddability", "--graph"], path_graph(4).to_dict()),
-        (["composite", "build", "--graph"], complete_graph(4).to_dict()),
-        (["composite", "embed", "--graph"], complete_graph(4).to_dict()),
-        (["gadget", "verify", "--gadget"], build_gadget_H().to_dict()),
+        (["composite", "build", *capped, "--graph"],
+         complete_graph(4).to_dict()),
+        (["composite", "embed", *capped, "--graph"],
+         complete_graph(4).to_dict()),
+        (["gadget", "verify", *capped, "--gadget"], build_gadget_H().to_dict()),
         (["embedding", "verify", "--embedding"], json.loads(embedding_file())),
         (["sphere", "reduce", "--kappa", "2", "--hypergraph"],
          incidence_hypergraph(complete_graph(4)).to_dict()),
-        (["cluster", "exact", "--k", "2", "--pointset"],
+        (["cluster", "exact", *capped, "--k", "2", "--pointset"],
          {"metric": "hamming", "points": ["0011", "0101", "1111", "0000"]}),
-        (["cluster", "exact", "--k", "2", "--pointset"],
-         {"metric": "l1_int", "points": [[0, 1], [2, 3], [5, 0]],
-          "labels": ["a", "b", "c"]}),
+        (["cluster", "exact", *capped, "--k", "2", "--pointset"],
+         {"metric": "l1_int", "points": [[0, 1], [2, 3], [5, 0]]}),
         (["cluster", "gonzalez", "--k", "2", "--pointset"],
          {"metric": "linf_int", "points": [[0], [4], [9]]}),
-        (["cluster", "exact", "--pointset"],
+        (["cluster", "exact", *capped, "--pointset"],
          {"metric": "l2_sphere_lattice", "points": sphere_points}),
     ]
 
@@ -853,7 +863,7 @@ def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys):
         if rng.random() < 0.05:
             text = text[:rng.randrange(len(text))]   # truncated JSON
         path.write_text(text)
-        code = main([*argv, str(path), "--budget-nodes", "100000"])
+        code = main([*argv, str(path)])
         err = capsys.readouterr().err
         assert code in (0, 1, 2, 3), (argv, text)
         if code == 3:

@@ -334,12 +334,11 @@ def _run(capsys, *argv):
 
 
 def test_sweep_matches_single_verifications(capsys):
-    """Every `sphere sweep` row is the `verify-lemma53` report for its
+    """Every `sphere sweep` row is what `verify-lemma53` gives for its
     (kappa, t), verdict, node total and exhaustion alike, whatever the
-    budget."""
+    budget: a report, or on exhaustion the one stderr line."""
     grid = [(1, 1), (163, 125), (3, 2)]
-    csv_verdict = {True: "yes", False: "no",
-                   "budget_exceeded": "budget_exceeded"}
+    csv_verdict = {True: "yes", False: "no"}
     for budget in ([], ["--budget-nodes", "0"], ["--budget-nodes", "30"],
                    ["--budget-nodes", "272"]):
         code, out = _run(capsys, "sphere", "sweep", "--kappa", "2,4,12",
@@ -353,14 +352,20 @@ def test_sweep_matches_single_verifications(capsys):
         single_codes = []
         for row in rows:
             kappa, n, d, verdict, nodes = row.split(",")
-            single, text = _run(capsys, "sphere", "verify-lemma53",
-                                "--kappa", kappa, "--t", f"{n}/{d}", *budget)
+            single = main(["sphere", "verify-lemma53", "--kappa", kappa,
+                           "--t", f"{n}/{d}", *budget])
             single_codes.append(single)
-            report = json.loads(text)
+            captured = capsys.readouterr()
+            if single == 2:
+                assert (verdict, captured.out, captured.err) == (
+                    "budget_exceeded", "",
+                    f"budget exceeded after {nodes} nodes\n"), (budget, row)
+                continue
+            report = json.loads(captured.out)
             assert (verdict, int(nodes)) == (
                 csv_verdict[report["verdicts"]["separation_holds"]],
                 report["nodes"]), (budget, row)
-            assert ("witness" in report) is (verdict != "budget_exceeded")
+            assert "witness" in report
         assert code == (2 if 2 in single_codes else 0), budget
 
 
@@ -403,11 +408,11 @@ def test_separation_reports_count_the_whole_question(capsys):
     """At kappa=12, t=163/125 and a budget of 272 nodes, the searches before
     the exhausted one explore 332 nodes: both commands and the library
     report the question's total, 605, and not the last search's 273."""
-    code, out = _run(capsys, "sphere", "verify-lemma53", "--kappa", "12",
-                     "--t", "163/125", "--budget-nodes", "272")
-    report = json.loads(out)
-    assert (code, report["nodes"]) == (2, 605)
-    assert report["verdicts"] == {"separation_holds": "budget_exceeded"}
+    code = main(["sphere", "verify-lemma53", "--kappa", "12",
+                 "--t", "163/125", "--budget-nodes", "272"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        2, "", "budget exceeded after 605 nodes\n")
     assert _run(capsys, "sphere", "sweep", "--kappa", "12", "--t-grid",
                 "163/125", "--budget-nodes", "272") == (2, (
                     "kappa,t_num,t_den,separation_holds,nodes_explored\n"
