@@ -7,11 +7,10 @@ unreadable input file, or any ValueError the library raises on bad input
 with sorted keys and no timestamps, so identical inputs give identical
 bytes; the repro-all summary additionally records wall-clock per criterion.
 
-Each `cmd_*` returns (exit code, output) and writes nothing: the output is
-the report dict, or the CSV text of `sphere sweep`.  `main` is the one
-writer, to `--out` and to stdout.  A command that raises (`BudgetExceeded`,
-a usage error) returns no output, so `main` prints one stderr line and
-writes no report.
+Each `cmd_*` returns (exit code, report dict) and writes nothing.  `main`
+is the one writer, to `--out` and to stdout.  A command that raises
+(`BudgetExceeded`, a usage error) returns no report, so `main` prints one
+stderr line and writes none.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ from kdiameter.sphere import (
     check_threshold,
     region_size,
     separation_answer,
+    separation_frontier,
 )
 
 EXIT_OK = 0
@@ -124,22 +124,6 @@ def _parse_budget(s):
     return _parse_int(s, "budget", 0)
 
 
-def _parse_kappas(s):
-    """Parse "4..16" into a range, or a comma list into a list, of positive
-    ints.  A kappa whose region's pair table would be over the cap is
-    refused here, before any region is built."""
-    if ".." in s:
-        lo, hi = map(_parse_kappa, s.split("..", 1))
-        kappas = range(lo, hi + 1)
-        if not kappas:
-            raise _UsageError(f"bad kappa range {s!r}: empty")
-    else:
-        kappas = [_parse_kappa(x) for x in s.split(",")]
-        hi = max(kappas)
-    check_table_size(region_size(hi))
-    return kappas
-
-
 def _exact_value(x):
     """Serialize an exact scalar: int, Fraction, or squared surd."""
     if isinstance(x, (int, Fraction)):
@@ -162,11 +146,10 @@ def _write_stdout(text):
         os.dup2(devnull, sys.stdout.fileno())
 
 
-def _emit(output, args):
-    """Write a command's output, a report dict as sorted JSON or text as it
-    is, to `--out`, and to stdout too with `--json` or no `--out`."""
-    if isinstance(output, dict):
-        output = json.dumps(output, sort_keys=True, indent=2, default=str) + "\n"
+def _emit(report, args):
+    """Write a command's report as sorted JSON to `--out`, and to stdout
+    too with `--json` or no `--out`."""
+    output = json.dumps(report, sort_keys=True, indent=2, default=str) + "\n"
     if args.out:
         with open(args.out, "w") as f:
             f.write(output)
@@ -266,27 +249,22 @@ def cmd_sphere_reduce(args):
                             pointset=instance.pointset().to_dict())
 
 
-def cmd_sphere_sweep(args):
-    """One CSV row per (kappa, t) answer: exit 2 if any row exhausted its
-    budget, otherwise 0.  Every kappa and t is checked before any region is
-    built."""
-    kappas = _parse_kappas(args.kappa)
-    thresholds = [check_threshold(_parse_fraction(t))
-                  for t in args.t_grid.split(",")]
-    lines = ["kappa,t_num,t_den,separation_holds,nodes_explored"]
-    exhausted = False
-    for kappa in kappas:
-        instance = build_region_instance((0, 1, 2), kappa)
-        for t in thresholds:
-            try:
-                holds, _, nodes = separation_answer(instance, t,
-                                                    args.budget_nodes)
-                verdict = "yes" if holds else "no"
-            except BudgetExceeded as e:
-                verdict, nodes, exhausted = "budget_exceeded", e.nodes, True
-            lines.append(f"{kappa},{t.numerator},{t.denominator},"
-                         f"{verdict},{nodes}")
-    return (EXIT_BUDGET if exhausted else EXIT_OK), "\n".join(lines) + "\n"
+def cmd_sphere_frontier(args):
+    """Exit 0 when separation holds at some threshold, otherwise 1."""
+    check_table_size(region_size(args.kappa))   # before any point is built
+    instance = build_region_instance((0, 1, 2), args.kappa)
+    lower, upper, nodes = separation_frontier(instance, args.budget_nodes)
+    ok = lower.diameter < upper.diameter
+    return (EXIT_OK if ok else EXIT_REFUTED), _report(
+        args, "sphere frontier", kappa=args.kappa, nodes=nodes,
+        lower=_clustering_fields(lower), upper=_clustering_fields(upper))
+
+
+def _clustering_fields(clustering):
+    """A clustering's report fields, apart from its k."""
+    return {"assignment": clustering.assignment,
+            "diameter": _exact_value(clustering.diameter),
+            "witness_pair": clustering.witness_pair}
 
 
 def cmd_cluster(args):
@@ -302,9 +280,7 @@ def cmd_cluster(args):
     except ValueError as e:
         raise _UsageError(f"pointset {args.pointset}: {e}")
     return EXIT_OK, _report(args, f"cluster {args.mode}", k=clustering.k,
-                            assignment=clustering.assignment,
-                            diameter=_exact_value(clustering.diameter),
-                            witness_pair=clustering.witness_pair)
+                            **_clustering_fields(clustering))
 
 
 def cmd_embeddability(args):
@@ -338,15 +314,14 @@ def cmd_repro_all(args):
         start = time.perf_counter()
         try:
             result = fn(budget=args.budget_nodes, seed=args.seed)
+            failed = failed or not result.get("ok", False)
         except BudgetExceeded as e:
+            exhausted = True
             result = {"ok": False, "verdict": "budget_exceeded",
                       "nodes": e.nodes}
         except Exception as e:  # keep independent criteria running
-            result = {"ok": False, "error": repr(e)}
-        if result.get("verdict") == "budget_exceeded":
-            exhausted = True
-        elif not result.get("ok", False):
             failed = True
+            result = {"ok": False, "error": repr(e)}
         summary.append({"criterion": num, "name": name,
                         "ok": result.get("ok", False),
                         "seconds": round(time.perf_counter() - start, 3),
@@ -408,10 +383,9 @@ def build_parser():
     p.add_argument("--hypergraph", required=True)
     p.add_argument("--kappa", type=_parse_kappa, default=12)
     p.set_defaults(func=cmd_sphere_reduce)
-    p = sphere.add_parser("sweep", parents=[search])
-    p.add_argument("--kappa", required=True, help="range like 4..16 or list")
-    p.add_argument("--t-grid", required=True, help="comma list of fractions")
-    p.set_defaults(func=cmd_sphere_sweep)
+    p = sphere.add_parser("frontier", parents=[search])
+    p.add_argument("--kappa", type=_parse_kappa, required=True)
+    p.set_defaults(func=cmd_sphere_frontier)
 
     cluster = sub.add_parser("cluster").add_subparsers(dest="mode",
                                                        required=True)
@@ -442,8 +416,8 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        code, output = args.func(args)
-        _emit(output, args)
+        code, report = args.func(args)
+        _emit(report, args)
         return code
     except (_UsageError, OSError, ValueError) as e:
         print(f"usage error: {e}", file=sys.stderr)

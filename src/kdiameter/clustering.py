@@ -102,23 +102,24 @@ def threshold_graph_at(table, rank):
     return Graph(n, (divmod(p, n) for p in table.pairs[:table.above[rank]]))
 
 
-def _least_colorable(pointset, k, color, top):
+def least_colorable(pointset, k, color, top):
     """Binary search over the candidate diameters of a pointset's pair
-    table: `(coloring, rank)`, what `color` gives at the least rank whose
-    threshold graph (as neighbor bitsets) it colors and that rank, or `top`
-    and len(keys) when only the largest candidate (no edges) works.
-    Colorability is monotone in the cutoff (larger cutoff, fewer edges).
-    The coloring splits every pair of rank >= `rank`, so the witness scan
-    of its clustering starts at pairs[above[rank]].
+    table: `(coloring, rank)`, the least rank at whose threshold graph (as
+    neighbor bitsets) `color` gives a coloring, and that coloring, or `top`
+    and len(keys) when only the largest candidate (no edges) is left.  The
+    coloring splits every pair of rank >= `rank`.
 
-    The search starts from Gonzalez's lower bound: the k farthest-first
-    seeds and the point farthest from them are k+1 points pairwise at least
-    `far` apart, so every threshold graph below `far` holds a (k+1)-clique
-    and no k-clustering has a smaller diameter.  The first probe is the
-    graph of the pairs farther than `far`, and the rest is bisected.  The
-    least colorable rank is a property of the graphs alone, and `color`
-    sees the same bitsets at a rank whatever path the search took, so the
-    answer is the plain bisection's; only the number of probes changes."""
+    `color` returns a proper k-coloring or None; it is monotone in the rank
+    (once it gives a coloring it does at every larger rank, as edges only
+    go) and None wherever the graph holds a (k+1)-clique.  The clustering
+    solvers pass a colorability search, and `sphere.separation_frontier`
+    that and a search for a proper coloring merging two anchors.  The first
+    probe is the graph of the pairs farther than Gonzalez's bound `far`:
+    the k farthest-first seeds and the point farthest from them are k+1
+    points pairwise at least `far` apart, so every graph below it holds a
+    (k+1)-clique.  The rest is bisected; `color` sees the same bitsets at a
+    rank whatever path the search took, so the answer is the plain
+    bisection's."""
     table = distinct_distances(pointset)
     lo = _farthest_first(pointset, k)[1]
     hi = len(table.keys) - 1
@@ -151,7 +152,7 @@ def exact_cluster(pointset, k, budget=DEFAULT_BUDGET):
     # as the kernel colors an edgeless graph
     top = list(range(n)) if k >= n else [0] * n
     stats = {}
-    coloring, rank = _least_colorable(
+    coloring, rank = least_colorable(
         pointset, k,
         lambda adj: find_coloring(adj, k, budget=budget, stats=stats), top)
     return _witnessed(pointset, coloring, k, rank)
@@ -171,8 +172,8 @@ def two_cluster(pointset):
     bipartite, checked by a layered BFS 2-coloring instead of backtracking.
     `exact_cluster(pointset, 2)` is this; both take at most MAX_POINTS."""
     _checked(pointset, 2)
-    coloring, rank = _least_colorable(pointset, 2, _bipartition,
-                                      [0] * len(pointset))
+    coloring, rank = least_colorable(pointset, 2, _bipartition,
+                                     [0] * len(pointset))
     return _witnessed(pointset, coloring, 2, rank)
 
 

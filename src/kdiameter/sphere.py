@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from kdiameter.clustering import (
     distinct_distances,
+    least_colorable,
     make_clustering,
     threshold_graph_at,
 )
@@ -154,17 +155,37 @@ def separation_answer(instance, threshold=SEPARATION_THRESHOLD,
     runs on the anchor support: each of the anchor color patterns that
     repeats a color is tested for extendability.
     """
-    if len(instance.regions) != 1:
-        raise ValueError("separation check applies to single-region instances")
+    anchors = _anchors(instance)
     threshold = check_threshold(threshold)
     table = distinct_distances(instance.pointset())
     adj = table.bitsets_at(table.rank_above(threshold ** 2))
-    anchors = [instance.anchor_index[axis] for axis in instance.regions[0]]
     stats = {"nodes": 0}
     if find_coloring(adj, 3, budget=budget, stats=stats) is None:
         return False, None, stats["nodes"]
     witness = forall_colorings(adj, 3, anchors, budget=budget, stats=stats)
     return witness is None, witness, stats["nodes"]
+
+
+def _anchors(instance):
+    if len(instance.regions) != 1:
+        raise ValueError("separation check applies to single-region instances")
+    return [instance.anchor_index[axis] for axis in instance.regions[0]]
+
+
+def separation_frontier(instance, budget=DEFAULT_BUDGET):
+    """The thresholds t at which separation holds, as (lower, upper,
+    nodes): those with lower.diameter <= t^2 < upper.diameter.  `lower` is
+    an optimal 3-clustering and `upper` a least-diameter one merging two
+    anchors, each from `least_colorable`; `nodes`, like
+    `BudgetExceeded.nodes`, totals both."""
+    anchors, pointset = _anchors(instance), instance.pointset()
+    stats = {"nodes": 0}
+    searches = (lambda adj: find_coloring(adj, 3, budget=budget, stats=stats),
+                lambda adj: forall_colorings(adj, 3, anchors, budget=budget,
+                                             stats=stats))
+    lower, upper = (make_clustering(pointset, least_colorable(
+        pointset, 3, search, [0] * len(pointset))[0], 3) for search in searches)
+    return lower, upper, stats["nodes"]
 
 
 def verify_anchor_separation(instance, threshold=SEPARATION_THRESHOLD,

@@ -65,8 +65,7 @@ def test_reports_are_byte_identical(tmp_path, capsys):
     p7.write_text(json.dumps(path_graph(7).to_dict()))
     for argv in (["gadget", "build"],
                  # long enough that a wall-clock column would differ
-                 ["sphere", "sweep", "--kappa", "10..12",
-                  "--t-grid", "163/125,3/2"],
+                 ["sphere", "frontier", "--kappa", "12"],
                  ["sphere", "verify-lemma53", "--kappa", "4"],
                  ["cluster", "exact", "--pointset", str(region)],
                  ["embeddability", "--graph", str(p7)]):
@@ -93,8 +92,8 @@ REPORT_DIGESTS = [
      "7e113f1511b63a0301776f0d92716164b3dfa12da7275761622048b07ff28723"),
     (["sphere", "reduce", "--hypergraph", "K4_incidence.json"],
      "4e66534d2763d10dfeabcb9644a81d3bfd25feb6176eac40c578132a32526537"),
-    (["sphere", "sweep", "--kappa", "2..4", "--t-grid", "163/125,3/2"],
-     "d5ae9f46bdd671d49fa08dcbe0e42416e4a18f3d727a6b7b9e34c4566cbf9135"),
+    (["sphere", "frontier", "--kappa", "4"],
+     "a6bd2f295fd3881a13d47df54a7ec533c57c7100c1c9087fbfd8eb3b3f1becae"),
     (["cluster", "exact", "--pointset", "region.json"],
      "146ba45400a355c6da3470fef8bf9013bc2b5e1f0b0f529afd9ef93e202612a9"),
     (["cluster", "exact", "--k", "2", "--pointset", "region.json"],
@@ -193,24 +192,35 @@ def test_sphere_region_and_reduce(tmp_path, capsys):
     assert json.loads(out_text)["regions"] == 4
 
 
-def test_sphere_sweep_csv(tmp_path, capsys):
-    out = tmp_path / "sweep.csv"
-    code, _ = run(capsys, "sphere", "sweep", "--kappa", "2..3",
-                  "--t-grid", "163/125,7/5", "--out", str(out))
+def test_sphere_frontier_report(tmp_path, capsys):
+    """Each end of the interval is a clustering of the kappa = 3 region,
+    the lower one at squared distance 1 and the upper one at 1 + sqrt(1/3)."""
+    out = tmp_path / "frontier.json"
+    code, _ = run(capsys, "sphere", "frontier", "--kappa", "3",
+                  "--out", str(out))
     assert code == 0
-    lines = out.read_text().strip().split("\n")
-    assert lines[0].startswith("kappa,t_num,t_den,separation_holds")
-    assert len(lines) == 5
+    report = json.loads(out.read_text())
+    assert set(report) == {"command", "version", "parameters", "kappa",
+                           "nodes", "lower", "upper"}
+    assert (report["command"], report["kappa"], report["parameters"]) == (
+        "sphere frontier", 3, {"budget_nodes": 10 ** 9})
+    assert report["lower"]["diameter"] == {"m": 0, "n1": 1, "n2": 1}
+    assert report["upper"]["diameter"] == {"m": -1, "n1": 3, "n2": 1}
+    for end in (report["lower"], report["upper"]):
+        assert set(end) == {"assignment", "diameter", "witness_pair"}
+        assert len(end["assignment"]) == 27
+        i, j = end["witness_pair"]
+        assert end["assignment"][i] == end["assignment"][j]
 
 
-def test_sphere_sweep_json_prints_the_csv_it_writes(tmp_path, capsys):
+def test_sphere_frontier_json_prints_the_report_it_writes(tmp_path, capsys):
     # --json prints the report to stdout as well, as every command does
-    out = tmp_path / "sweep.csv"
-    code, printed = run(capsys, "sphere", "sweep", "--kappa", "2",
-                        "--t-grid", "1", "--out", str(out), "--json")
+    out = tmp_path / "frontier.json"
+    code, printed = run(capsys, "sphere", "frontier", "--kappa", "2",
+                        "--out", str(out), "--json")
     assert code == 0
     assert printed and printed == out.read_text()
-    assert run(capsys, "sphere", "sweep", "--kappa", "2", "--t-grid", "1",
+    assert run(capsys, "sphere", "frontier", "--kappa", "2",
                "--out", str(out)) == (0, "")
 
 
@@ -265,22 +275,14 @@ def test_repro_all_exhausted_budget_exits_2(capsys):
     assert code == 2
 
 
-def test_sphere_sweep_exhausted_budget_exits_2(capsys):
-    argv = ["sphere", "sweep", "--kappa", "4..5", "--t-grid", "1,5/4"]
-    # every row is written, as before the exit code was 2
-    assert run(capsys, *argv, "--budget-nodes", "0") == (2, (
-        "kappa,t_num,t_den,separation_holds,nodes_explored\n"
-        "4,1,1,budget_exceeded,1\n4,5,4,budget_exceeded,1\n"
-        "5,1,1,budget_exceeded,1\n5,5,4,budget_exceeded,1\n"))
-    assert run(capsys, *argv)[0] == 0
-
-
 @pytest.mark.parametrize("argv", [
     ["cluster", "exact", "--pointset", "region.json"],
     ["gadget", "build"],
     ["composite", "embed", "--graph", "K4.json"],
     ["sphere", "verify-lemma53", "--kappa", "4"],
-], ids=["cluster-exact", "gadget-build", "composite-embed", "verify-lemma53"])
+    ["sphere", "frontier", "--kappa", "4"],
+], ids=["cluster-exact", "gadget-build", "composite-embed", "verify-lemma53",
+        "frontier"])
 def test_exhausted_search_writes_no_report(argv, tmp_path, capsys,
                                            monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -296,9 +298,9 @@ def test_exhausted_search_writes_no_report(argv, tmp_path, capsys,
 
 def _verdict(argv, out):
     """What a run concluded, apart from node counts and timings."""
-    if argv[:2] == ["sphere", "sweep"]:
-        return [row.split(",")[3] for row in out.splitlines()[1:]]
     report = json.loads(out)
+    if argv[:2] == ["sphere", "frontier"]:
+        return report["lower"], report["upper"]
     if argv[0] == "repro-all":
         return [(c["criterion"], c["ok"]) for c in report["criteria"]]
     if argv[0] == "cluster":
@@ -314,7 +316,7 @@ def test_budget_sweep_exits_2_or_keeps_the_verdict(tmp_path, capsys):
     commands = [["gadget", "build"],
                 ["gadget", "verify", "--gadget", str(gadget)],
                 ["sphere", "verify-lemma53", "--kappa", "4"],
-                ["sphere", "sweep", "--kappa", "4..5", "--t-grid", "1,5/4"],
+                ["sphere", "frontier", "--kappa", "4"],
                 ["cluster", "exact", "--pointset", str(region)],
                 ["repro-all"]]
     for argv in commands:
@@ -349,10 +351,12 @@ def _crash(budget, seed):
 @pytest.mark.parametrize("results, expected", [
     ([{"ok": True}], 0),
     ([{"ok": True}, _exhaust], 2),
-    ([{"ok": False, "verdict": "budget_exceeded", "nodes": 11}], 2),
+    ([_exhaust, {"ok": True}], 2),
     ([_exhaust, {"ok": False}], 1),
     ([{"ok": False}, _exhaust], 1),
     ([_exhaust, _crash], 1),
+    # only a raised BudgetExceeded is an exhausted criterion
+    ([{"ok": False, "verdict": "budget_exceeded", "nodes": 11}], 1),
 ])
 def test_repro_all_exit_code(capsys, monkeypatch, results, expected):
     criteria = {num: (f"c{num}", r if callable(r) else
@@ -367,7 +371,7 @@ def test_repro_all_exit_code(capsys, monkeypatch, results, expected):
 @pytest.mark.parametrize("argv, expected", [
     (["sphere", "region", "--kappa", "3"], 0),
     (["sphere", "verify-lemma53", "--kappa", "4", "--t", "163/125"], 1),
-    (["sphere", "sweep", "--kappa", "2", "--t-grid", "3/2"], 0),
+    (["sphere", "frontier", "--kappa", "2"], 0),
 ])
 def test_closed_stdout_keeps_the_exit_code(argv, expected):
     # a pipe whose reader is already gone, as after `| head -1`
@@ -440,7 +444,9 @@ def test_readme_cli_text_names_only_accepted_commands_and_flags():
 
     assert refused("cluster two") and refused("gadget verify --file")
     assert refused("cluster gonzalez --budget-nodes") and refused("--threads")
+    assert refused("sphere sweep") and refused("--t-grid")
     assert not refused("cluster exact --budget-nodes")
+    assert not refused("sphere frontier --budget-nodes")
     text = (Path(__file__).parents[1] / "README.md").read_text()
     section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", section,
@@ -554,6 +560,8 @@ REFUSED_FLAGS = [
     ["cluster", "gonzalez", "--pointset", "points.json", "--budget-nodes", "5"],
     ["embeddability", "--graph", "path.json", "--budget-nodes", "0"],
     ["embedding", "verify", "--embedding", "emb.json", "--seed", "2"],
+    ["sphere", "frontier", "--kappa", "2", "--t", "3/2"],
+    ["sphere", "frontier", "--kappa", "2", "--t-grid", "1,-1"],
 ]
 
 
@@ -564,7 +572,7 @@ REFUSED_FLAGS = [
     ["cluster", "exact", "--pointset", "mixed.json"],
     ["cluster", "exact", "--pointset", "points.json", "--k", "7"],
     ["sphere", "verify-lemma53", "--kappa", "0"],
-    ["sphere", "sweep", "--kappa", "4..x", "--t-grid", "1"],
+    ["sphere", "frontier", "--kappa", "4..x"],
     ["composite", "build", "--graph", "path.json"],
     ["composite", "embed", "--graph", "bridge.json"],
     ["composite", "build", "--graph", "empty.json"],
@@ -578,8 +586,8 @@ REFUSED_FLAGS = [
     ["cluster", "exact", "--k", "2", "--pointset", "over_cap.json"],
     ["sphere", "verify-lemma53", "--kappa", "2", "--t", "-1"],
     ["sphere", "verify-lemma53", "--kappa", "2", "--t", "0"],
-    ["sphere", "sweep", "--kappa", "2", "--t-grid", "1,-1"],
-    ["sphere", "sweep", "--kappa", "3..2", "--t-grid", "1"],
+    ["sphere", "sweep", "--kappa", "2", "--t-grid", "1"],
+    ["sphere", "frontier", "--kappa", "3..2"],
     ["embedding", "verify", "--embedding", "emb_missing_vertex.json"],
     ["embedding", "verify", "--embedding", "emb_vertex_out_of_range.json"],
     ["embedding", "verify", "--embedding", "emb_mixed_lengths.json"],
@@ -613,11 +621,11 @@ REFUSED_FLAGS = [
     ["gadget", "verify", "--gadget", "gadget_repeated_key.json"],
     ["cluster", "exact", "--k", "2", "--pointset", "points_string.json"],
     ["cluster", "exact", "--k", "2", "--pointset", "points_object.json"],
-    ["sphere", "sweep", "--kappa", "2", "--t-grid", "1", "--budget-nodes", "-5"],
+    ["sphere", "frontier", "--kappa", "2", "--budget-nodes", "-5"],
     ["sphere", "region", "--kappa", "0"],
     ["sphere", "verify-lemma53", "--kappa", "x"],
     ["sphere", "verify-lemma53", "--kappa", "200"],
-    ["sphere", "sweep", "--kappa", "1..1000000000", "--t-grid", "1"],
+    ["sphere", "frontier", "--kappa", "51"],
     ["sphere", "region", "--kappa", "3000"],
     ["cluster", "gonzalez", "--k", "3", "--pointset", "line_20000.json"],
     ["sphere", "reduce", "--hypergraph", "negative_n_hypergraph.json"],
@@ -632,7 +640,7 @@ REFUSED_FLAGS = [
         "gonzalez-k0", "axes-repeated", "axes-negative", "gadget-no-removed-edge",
         "not-an-embedding", "exact-over-cap", "two-over-cap",
         "t-negative", "t-zero",
-        "t-grid-negative", "kappa-range-empty", "embedding-missing-vertex",
+        "sweep-invalid-choice", "kappa-range-empty", "embedding-missing-vertex",
         "embedding-vertex-out-of-range", "embedding-mixed-lengths",
         "embedding-short-not-a-number", "embedding-empty",
         "embedding-image-form", "pointset-is-a-directory",
@@ -645,12 +653,13 @@ REFUSED_FLAGS = [
         "hypergraph-float-vertex", "graph-repeated-key", "hypergraph-repeated-key",
         "embedding-repeated-key", "pointset-repeated-key",
         "gadget-repeated-key", "pointset-points-string",
-        "pointset-points-object", "sweep-budget-negative", "region-kappa0",
+        "pointset-points-object", "frontier-budget-negative", "region-kappa0",
         "kappa-not-an-integer", "verify-table-over-cap",
-        "sweep-table-over-cap", "region-over-cap", "gonzalez-table-over-cap",
+        "frontier-table-over-cap", "region-over-cap", "gonzalez-table-over-cap",
         "reduce-negative-n", "reduce-no-hyperedges", "cluster-two",
         "gadget-verify-no-file", "region-seed", "exact-seed",
-        "gonzalez-budget", "embeddability-budget", "embedding-verify-seed"])
+        "gonzalez-budget", "embeddability-budget", "embedding-verify-seed",
+        "frontier-t", "t-grid-negative"])
 def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
     for name, text in BAD_INPUTS.items():
         (tmp_path / name).write_text(text)
@@ -671,7 +680,7 @@ def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
         assert "bad pointset in no_points.json: empty pointset" in lines[0]
     if "over_cap.json" in argv:
         assert "pointset over_cap.json: pointset size" in lines[0]
-    if "200" in argv or "1..1000000000" in argv or "line_20000.json" in argv:
+    if "200" in argv or "51" in argv or "line_20000.json" in argv:
         assert "exceeds the pair table's cap 4096" in lines[0], lines[0]
     if argv == ["sphere", "region", "--kappa", "3000"]:
         assert lines[0].endswith("over the cap 262144"), lines[0]
@@ -705,6 +714,8 @@ def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
     # the prefix only: argparse quotes the choices differently across Pythons
     if argv[:2] == ["cluster", "two"]:
         assert lines[0].startswith("usage error: argument mode: invalid choice")
+    if argv[:2] == ["sphere", "sweep"]:
+        assert lines[0].startswith("usage error: argument sub: invalid choice")
     if argv == ["gadget", "verify"]:
         assert lines[0].startswith(
             "usage error: the following arguments are required: --gadget")

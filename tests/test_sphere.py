@@ -20,6 +20,7 @@ from kdiameter.clustering import (
 )
 from kdiameter.coloring import BudgetExceeded, find_coloring, forall_colorings
 from kdiameter.geometry import (
+    MAX_TABLE_POINTS,
     PairTable,
     SphereLatticePoint,
     SqDistance,
@@ -43,6 +44,7 @@ from kdiameter.sphere import (
     region_size,
     remark_clustering,
     separation_answer,
+    separation_frontier,
     verify_anchor_separation,
 )
 
@@ -215,6 +217,8 @@ def test_odd_kappa_frontier_is_the_remark_clustering_key():
             assert all(failing[i] & mask == 0 for i in range(len(failing))
                        if mask >> i & 1), (kappa, c)
         assert len({cl.assignment[a] for a in anchors}) < 3
+        upper = separation_frontier(inst)[1]
+        assert Fraction(*sphere_key(upper.diameter)) == s
     assert below == {3: Fraction(1, 5), 5: Fraction(49, 117),
                      7: Fraction(196, 425), 9: Fraction(576, 1189),
                      11: Fraction(20, 41), 13: Fraction(3249, 6643)}
@@ -333,51 +337,83 @@ def _run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
-def test_sweep_matches_single_verifications(capsys):
-    """Every `sphere sweep` row is what `verify-lemma53` gives for its
-    (kappa, t), verdict, node total and exhaustion alike, whatever the
-    budget: a report, or on exhaustion the one stderr line."""
-    grid = [(1, 1), (163, 125), (3, 2)]
-    csv_verdict = {True: "yes", False: "no"}
-    for budget in ([], ["--budget-nodes", "0"], ["--budget-nodes", "30"],
-                   ["--budget-nodes", "272"]):
-        code, out = _run(capsys, "sphere", "sweep", "--kappa", "2,4,12",
-                         "--t-grid", ",".join(f"{n}/{d}" for n, d in grid),
-                         *budget)
-        header, *rows = out.splitlines()
-        assert header == "kappa,t_num,t_den,separation_holds,nodes_explored"
-        assert [row.split(",")[:3] for row in rows] == [
-            [str(kappa), str(n), str(d)] for kappa in (2, 4, 12)
-            for n, d in grid]
-        single_codes = []
-        for row in rows:
-            kappa, n, d, verdict, nodes = row.split(",")
-            single = main(["sphere", "verify-lemma53", "--kappa", kappa,
-                           "--t", f"{n}/{d}", *budget])
-            single_codes.append(single)
+def test_frontier_matches_single_verifications(capsys):
+    """Every `verify-lemma53` verdict is what the `sphere frontier` report
+    of its kappa gives, lower.diameter <= t^2 < upper.diameter, whatever
+    the budget: a report, or on exhaustion the one stderr line with the
+    question's total.  Under each budget the frontier itself exits 2 or
+    gives the unbounded report."""
+    grid = [Fraction(1), SEPARATION_THRESHOLD, Fraction(3, 2),
+            Fraction(6523, 5000), Fraction(6524, 5000)]
+    budgets = [[], ["--budget-nodes", "0"], ["--budget-nodes", "30"],
+               ["--budget-nodes", "272"]]
+    for kappa in (1, 2, 4, 12):
+        inst = build_region_instance((0, 1, 2), kappa)
+        argv = ["sphere", "frontier", "--kappa", str(kappa)]
+        code, out = _run(capsys, *argv)
+        report = json.loads(out)
+        lower, upper = (SqDistance(**report[end]["diameter"])
+                        for end in ("lower", "upper"))
+        assert code == (0 if lower < upper else 1) == (0 if kappa > 1 else 1)
+        for budget in budgets:
+            bounded = main([*argv, *budget])
             captured = capsys.readouterr()
-            if single == 2:
-                assert (verdict, captured.out, captured.err) == (
-                    "budget_exceeded", "",
-                    f"budget exceeded after {nodes} nodes\n"), (budget, row)
-                continue
-            report = json.loads(captured.out)
-            assert (verdict, int(nodes)) == (
-                csv_verdict[report["verdicts"]["separation_holds"]],
-                report["nodes"]), (budget, row)
-            assert "witness" in report
-        assert code == (2 if 2 in single_codes else 0), budget
+            if bounded == 2:
+                assert captured.out == "", budget
+                assert captured.err.startswith("budget exceeded after ")
+            else:
+                assert (bounded, {**json.loads(captured.out), "parameters": 0}
+                        ) == (code, {**report, "parameters": 0}), budget
+            for t in grid:
+                single = main(["sphere", "verify-lemma53", "--kappa",
+                               str(kappa), "--t", str(t), *budget])
+                captured = capsys.readouterr()
+                if single == 2:
+                    with pytest.raises(BudgetExceeded) as exhausted:
+                        separation_answer(inst, t, int(budget[1]))
+                    assert (captured.out, captured.err) == (
+                        "", f"budget exceeded after {exhausted.value.nodes}"
+                            " nodes\n"), (kappa, t, budget)
+                    continue
+                holds = json.loads(captured.out)["verdicts"]["separation_holds"]
+                assert holds == (lower <= t ** 2 < upper), (kappa, t, budget)
+                assert single == (0 if holds else 1)
 
 
-def test_sweep_csv_shape(capsys):
-    code, out = _run(capsys, "sphere", "sweep", "--kappa", "2,3",
-                     "--t-grid", "163/125")
-    lines = out.strip().split("\n")
-    assert code == 0
-    assert lines[0] == "kappa,t_num,t_den,separation_holds,nodes_explored"
-    assert len(lines) == 3
-    for line in lines[1:]:
-        assert line.split(",")[3] in ("yes", "no", "budget_exceeded")
+# s(kappa), the order key of the squared distance 1 + sqrt(s) at which
+# anchor separation stops holding on the kappa-region (ROADMAP item 3)
+FRONTIER_KEYS = {2: Fraction(1, 4), 3: Fraction(1, 3), 4: Fraction(5, 12),
+                 5: Fraction(4, 9), 6: Fraction(6, 13), 7: Fraction(9, 19),
+                 8: Fraction(529, 1100), 9: Fraction(16, 33),
+                 10: Fraction(361, 738), 11: Fraction(25, 51),
+                 12: Fraction(361, 732), 13: Fraction(36, 73)}
+
+
+def test_frontier_matches_the_paper_table(capsys):
+    """At kappa = 2..13 separation holds from squared distance 1 up to, not
+    including, 1 + sqrt(s(kappa)).  Each end is checked by the searches on
+    both sides of its rank: the graph is not 3-colorable just below the
+    lower end and is at it, and separation holds at the rank below the
+    upper end and fails at it.  At kappa = 1 the interval is empty."""
+    for kappa, s in FRONTIER_KEYS.items():
+        inst = build_region_instance((0, 1, 2), kappa)
+        lower, upper, _ = separation_frontier(inst)
+        assert lower.diameter == 1 and upper.diameter > 1
+        assert Fraction(*sphere_key(upper.diameter)) == s
+        table = inst.pointset().table
+        anchors = [inst.anchor_index[v] for v in (0, 1, 2)]
+        lo = table.rank_above(lower.diameter)
+        hi = table.rank_above(upper.diameter)
+        assert find_coloring(table.bitsets_at(lo - 1), 3) is None
+        assert find_coloring(table.bitsets_at(hi - 1), 3) is not None
+        assert forall_colorings(table.bitsets_at(hi - 1), 3, anchors) is None
+        assert forall_colorings(table.bitsets_at(hi), 3, anchors) is not None
+    lower, upper, _ = separation_frontier(build_region_instance((0, 1, 2), 1))
+    assert lower.diameter == upper.diameter
+    code, out = _run(capsys, "sphere", "frontier", "--kappa", "1")
+    report = json.loads(out)
+    assert (code, report["lower"]["diameter"]) == (1,
+                                                   report["upper"]["diameter"])
 
 
 def test_kappa12_separation_frontier(capsys):
@@ -406,22 +442,23 @@ def test_kappa12_separation_frontier(capsys):
 
 def test_separation_reports_count_the_whole_question(capsys):
     """At kappa=12, t=163/125 and a budget of 272 nodes, the searches before
-    the exhausted one explore 332 nodes: both commands and the library
-    report the question's total, 605, and not the last search's 273."""
-    code = main(["sphere", "verify-lemma53", "--kappa", "12",
-                 "--t", "163/125", "--budget-nodes", "272"])
-    captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (
-        2, "", "budget exceeded after 605 nodes\n")
-    assert _run(capsys, "sphere", "sweep", "--kappa", "12", "--t-grid",
-                "163/125", "--budget-nodes", "272") == (2, (
-                    "kappa,t_num,t_den,separation_holds,nodes_explored\n"
-                    "12,163,125,budget_exceeded,605\n"))
+    the exhausted one explore 332 nodes: the command and the library report
+    the question's total, 605, and not the last search's 273.  The frontier
+    at that budget reports its total over both ends, 1,405."""
     inst = build_region_instance((0, 1, 2), 12)
-    for answer in (separation_answer, verify_anchor_separation):
-        with pytest.raises(BudgetExceeded) as exhausted:
-            answer(inst, budget=272)
-        assert exhausted.value.nodes == 605
+    for argv, answers, total in (
+            (["verify-lemma53", "--t", "163/125"],
+             (separation_answer, verify_anchor_separation), 605),
+            (["frontier"], (separation_frontier,), 1405)):
+        code = main(["sphere", *argv, "--kappa", "12", "--budget-nodes",
+                     "272"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            2, "", f"budget exceeded after {total} nodes\n")
+        for answer in answers:
+            with pytest.raises(BudgetExceeded) as exhausted:
+                answer(inst, budget=272)
+            assert exhausted.value.nodes == total
 
 
 def test_uncolorable_threshold_graph_refutes_separation(capsys):
@@ -433,10 +470,6 @@ def test_uncolorable_threshold_graph_refutes_separation(capsys):
     assert code == 1
     assert report["verdicts"] == {"separation_holds": False}
     assert (report["witness"], report["nodes"]) == (None, 3)
-    assert _run(capsys, "sphere", "sweep", "--kappa", "2",
-                "--t-grid", "1/1000") == (0, (
-                    "kappa,t_num,t_den,separation_holds,nodes_explored\n"
-                    "2,1,1000,no,3\n"))
 
 
 def _count_tables(monkeypatch):
@@ -466,14 +499,13 @@ def test_one_pair_table_per_pointset(monkeypatch):
     gonzalez_cluster(ps, 3)
     coloring_to_clustering(inst, [0, 1, 2])
     remark_clustering(inst)
+    separation_frontier(inst)
     assert built == [len(inst.points)]
-    # a sweep builds one table per kappa, whatever the budget
+    # a frontier run builds one table, whatever the budget
     for budget in ("0", "272", "1000000000"):
         built.clear()
-        main(["sphere", "sweep", "--kappa", "2..4", "--t-grid",
-              "1,163/125,3/2", "--budget-nodes", budget])
-        assert built == [3 * (kappa + 1) * (kappa + 2) // 2 - 3
-                         for kappa in (2, 3, 4)]
+        main(["sphere", "frontier", "--kappa", "4", "--budget-nodes", budget])
+        assert built == [region_size(4)]
     # acceptance criteria 6-8 ask about one kappa=12 region
     built.clear()
     _kappa12_region.cache_clear()
@@ -482,21 +514,35 @@ def test_one_pair_table_per_pointset(monkeypatch):
     assert built == [270]
 
 
-@pytest.mark.parametrize("argv", [
-    ["sweep", "--kappa", "50", "--t-grid", "163/125,0"],
-    ["sweep", "--kappa", "2,50", "--t-grid", "1,-1/2"],
-    ["verify-lemma53", "--kappa", "50", "--t", "0"],
-])
-def test_non_positive_threshold_is_refused_before_any_region(
-        argv, monkeypatch, capsys):
-    """Every threshold is checked before the first region is built, so a
-    bad one late in the grid costs no search of the rows before it."""
+def _refuse_regions(monkeypatch):
     def refuse(*args):
         raise AssertionError("a region was built")
 
     monkeypatch.setattr("kdiameter.cli.build_region_instance", refuse)
     monkeypatch.setattr(PairTable, "__init__", refuse)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-lemma53", "--kappa", "50", "--t", "0"],
+    ["verify-lemma53", "--kappa", "50", "--t=-1/2"],
+])
+def test_non_positive_threshold_is_refused_before_any_region(
+        argv, monkeypatch, capsys):
+    """The threshold is checked before the region is built, so a bad one
+    costs no pair table of the region's 3,975 points."""
+    _refuse_regions(monkeypatch)
     assert main(["sphere", *argv]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "usage error: threshold must be positive\n"
+
+
+def test_frontier_over_the_cap_builds_no_region(monkeypatch, capsys):
+    """kappa = 51 is the least kappa whose region is over the pair table's
+    cap, and it is refused before any region or table is built."""
+    assert region_size(50) <= MAX_TABLE_POINTS < region_size(51)
+    _refuse_regions(monkeypatch)
+    assert main(["sphere", "frontier", "--kappa", "51"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", (
+        "usage error: pointset size 4131 exceeds the pair table's cap 4096\n"))
