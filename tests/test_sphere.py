@@ -525,6 +525,7 @@ def _refuse_regions(monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["verify-lemma53", "--kappa", "50", "--t", "0"],
     ["verify-lemma53", "--kappa", "50", "--t=-1/2"],
+    ["verify-lemma53", "--kappa", "2", "--t", "0/7"],
 ])
 def test_non_positive_threshold_is_refused_before_any_region(
         argv, monkeypatch, capsys):
