@@ -90,7 +90,8 @@ def count_colorings_total(adj, k, budget=DEFAULT_BUDGET):
     return total
 
 
-def forall_colorings(adj, k, support, budget=DEFAULT_BUDGET, stats=None):
+def forall_colorings(adj, k, support, budget=DEFAULT_BUDGET, stats=None,
+                     symmetric=False):
     """Check that every proper k-coloring of the graph with neighbor bitsets
     `adj` is rainbow on `support`, a list of distinct vertices.
 
@@ -106,16 +107,27 @@ def forall_colorings(adj, k, support, budget=DEFAULT_BUDGET, stats=None):
     keeps the pattern's colors and renames the colors it leaves unused in
     reverse.  The pattern searches share one `stats` (the caller's, if
     given), so an exhausted budget raises with their total.
+
+    `symmetric` states that every permutation of `support` extends to an
+    automorphism of the graph.  Patterns with the same multiset of class
+    sizes then extend together, so only the first of each is searched; it
+    is the first extendable one whenever any is, so the witness is the same.
     """
     stats = {} if stats is None else stats
     patterns = [()]
     for _ in support:
         patterns = [p + (c,) for p in patterns
                     for c in range(min(max(p, default=-1) + 2, k))]
+    orbits = set()
     for pattern in patterns:
         used = max(pattern, default=-1) + 1
         if used == len(pattern):
             continue
+        if symmetric:
+            sizes = tuple(sorted(map(pattern.count, range(used))))
+            if sizes in orbits:
+                continue
+            orbits.add(sizes)
         fixed = [-1] * len(adj)
         for v, c in zip(support, pattern):
             fixed[v] = c

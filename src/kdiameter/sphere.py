@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from kdiameter.clustering import (
     distinct_distances,
@@ -74,6 +75,23 @@ class SphereInstance:
         """The instance's one `Pointset`: the same object, and so the same
         pair table, on every call."""
         return self._pointset
+
+    @cached_property
+    def symmetric(self):
+        """Whether this is one region over axes (a, b, c) whose point keys
+        are closed under swapping axes a, b and axes b, c.  Those swaps
+        generate every permutation of the axes, and each is an isometry
+        permuting the anchors, so an automorphism of every threshold graph.
+        Computed on first use, then kept."""
+        if len(self.regions) != 1:
+            return False
+        a, b, c = self.regions[0]
+        keys = {p.key for p in self.points}
+        for swap in ({a: b, b: a}, {b: c, c: b}):
+            for key in keys:
+                if tuple(sorted((swap.get(x, x), v) for x, v in key)) not in keys:
+                    return False
+        return True
 
 
 def build_region_instance(axes, kappa):
@@ -150,20 +168,21 @@ def separation_answer(instance, threshold=SEPARATION_THRESHOLD,
     search included.
 
     The threshold graph is read once from the instance's pair table as
-    neighbor bitsets (`PairTable.bitsets_at`), which the first coloring and
-    every anchor pattern of the forall check share.  The forall direction
-    runs on the anchor support: each of the anchor color patterns that
-    repeats a color is tested for extendability.
+    neighbor bitsets (`PairTable.bitsets_at`), which every search shares.
+    The anchor patterns that repeat a color are searched first, one per
+    orbit when the instance is `symmetric`; a witness shows colorability,
+    so the free search runs only when none extends.
     """
     anchors = _anchors(instance)
     threshold = check_threshold(threshold)
     table = distinct_distances(instance.pointset())
     adj = table.bitsets_at(table.rank_above(threshold ** 2))
     stats = {"nodes": 0}
-    if find_coloring(adj, 3, budget=budget, stats=stats) is None:
-        return False, None, stats["nodes"]
-    witness = forall_colorings(adj, 3, anchors, budget=budget, stats=stats)
-    return witness is None, witness, stats["nodes"]
+    witness = forall_colorings(adj, 3, anchors, budget=budget, stats=stats,
+                               symmetric=instance.symmetric)
+    holds = (witness is None
+             and find_coloring(adj, 3, budget=budget, stats=stats) is not None)
+    return holds, witness, stats["nodes"]
 
 
 def _anchors(instance):
@@ -182,7 +201,8 @@ def separation_frontier(instance, budget=DEFAULT_BUDGET):
     stats = {"nodes": 0}
     searches = (lambda adj: find_coloring(adj, 3, budget=budget, stats=stats),
                 lambda adj: forall_colorings(adj, 3, anchors, budget=budget,
-                                             stats=stats))
+                                             stats=stats,
+                                             symmetric=instance.symmetric))
     lower, upper = (make_clustering(pointset, least_colorable(
         pointset, 3, search, [0] * len(pointset))[0], 3) for search in searches)
     return lower, upper, stats["nodes"]

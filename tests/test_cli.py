@@ -89,11 +89,11 @@ REPORT_DIGESTS = [
     (["sphere", "region", "--kappa", "4", "--axes", "3", "5", "7"],
      "fddcd4f39b918bd3065d736c973f95bc62c1893de49f55122234cefbf406c6b5"),
     (["sphere", "verify-lemma53", "--kappa", "4"],
-     "7e113f1511b63a0301776f0d92716164b3dfa12da7275761622048b07ff28723"),
+     "ddd36423b1d25cfc1de02d18f9e4b779a8d9ba38eb197a118c07a55e5793b081"),
     (["sphere", "reduce", "--hypergraph", "K4_incidence.json"],
      "4e66534d2763d10dfeabcb9644a81d3bfd25feb6176eac40c578132a32526537"),
     (["sphere", "frontier", "--kappa", "4"],
-     "a6bd2f295fd3881a13d47df54a7ec533c57c7100c1c9087fbfd8eb3b3f1becae"),
+     "d9d958ea03983dd18f5857d2746abb72d74b8291dead6f658726aecb5157f7a7"),
     (["cluster", "exact", "--pointset", "region.json"],
      "146ba45400a355c6da3470fef8bf9013bc2b5e1f0b0f529afd9ef93e202612a9"),
     (["cluster", "exact", "--k", "2", "--pointset", "region.json"],

@@ -327,8 +327,10 @@ def test_python_kernel_node_counts_are_pinned():
         image = stitch_embedding(composite, J, library=library).image
         table = distinct_distances(Pointset("hamming", image))
         cases.append((table.bitsets_at(3), 3, {}, want))
-    # verify_anchor_separation on the kappa = 12 region at the paper's t:
-    # the free search, then each anchor pattern forall_colorings refutes
+    # the kappa = 12 region at the paper's t: the free search and each anchor
+    # pattern forall_colorings refutes.  On this symmetric region separation
+    # searches only (0,0,0) and (0,0,1); the (0,1,0) and (0,1,1) pins record
+    # that the patterns it skips are refuted too
     region = build_region_instance((0, 1, 2), 12)
     table = distinct_distances(region.pointset())
     adj = table.bitsets_at(table.rank_above(SEPARATION_THRESHOLD ** 2))

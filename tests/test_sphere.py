@@ -22,6 +22,7 @@ from kdiameter.coloring import BudgetExceeded, find_coloring, forall_colorings
 from kdiameter.geometry import (
     MAX_TABLE_POINTS,
     PairTable,
+    Pointset,
     SphereLatticePoint,
     SqDistance,
     sphere_key,
@@ -36,6 +37,7 @@ from kdiameter.graphs import (
 from kdiameter.sphere import (
     MAX_INSTANCE_POINTS,
     SEPARATION_THRESHOLD,
+    SphereInstance,
     axis_key,
     build_P_G,
     build_region_instance,
@@ -125,7 +127,7 @@ def test_anchor_separation_holds_at_kappa12():
     inst = build_region_instance((0, 1, 2), 12)
     holds, witness, nodes = separation_answer(inst)
     assert holds is True and witness is None
-    assert nodes == 1044
+    assert nodes == 609
     assert verify_anchor_separation(inst) == (True, None)
 
 
@@ -137,7 +139,132 @@ def test_kappa12_is_the_least_kappa_that_separates():
                for kappa in range(1, 14)}
     assert {kappa: a[0] for kappa, a in answers.items()} == {
         kappa: kappa >= 12 for kappa in range(1, 14)}
-    assert (answers[12][2], answers[13][2]) == (1044, 703)
+    assert (answers[12][2], answers[13][2]) == (609, 527)
+
+
+MERGING_PATTERNS = ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1))
+
+
+def _record_searches(monkeypatch, anchors):
+    """A list that gains, for each coloring search from now on, its anchor
+    pattern, or None for a free search."""
+    ran = []
+
+    def recording(adj, k, fixed=None, **kwargs):
+        ran.append(None if fixed is None else tuple(fixed[a] for a in anchors))
+        return find_coloring(adj, k, fixed=fixed, **kwargs)
+
+    monkeypatch.setattr("kdiameter.coloring.find_coloring", recording)
+    monkeypatch.setattr("kdiameter.sphere.find_coloring", recording)
+    return ran
+
+
+def _check_against_full_walk(monkeypatch, inst, threshold):
+    """`separation_answer` gives the verdict and witness of the free search
+    plus the unreduced `forall_colorings`.  It searches the merging patterns,
+    only (0,0,0) and (0,0,1) on a symmetric instance, up to the first that
+    extends, then the free search if none does, and its node total is those
+    searches' nodes, each counted here on its own.  Returns the verdict."""
+    anchors = [inst.anchor_index[v] for v in inst.regions[0]]
+    table = distinct_distances(inst.pointset())
+    adj = table.bitsets_at(table.rank_above(threshold ** 2))
+    extends, nodes = {}, {}
+    for pattern in (None, *MERGING_PATTERNS):
+        fixed = None
+        if pattern is not None:
+            fixed = [-1] * table.n
+            for v, c in zip(anchors, pattern):
+                fixed[v] = c
+        stats = {}
+        extends[pattern] = find_coloring(adj, 3, fixed=fixed,
+                                         stats=stats) is not None
+        nodes[pattern] = stats["nodes"]
+    witness = forall_colorings(adj, 3, anchors)
+    searched = MERGING_PATTERNS
+    if inst.symmetric:
+        # the orbit of (0,0,1) extends together
+        assert len({extends[p] for p in MERGING_PATTERNS[1:]}) == 1
+        searched = MERGING_PATTERNS[:2]
+    first = next((i for i, p in enumerate(searched) if extends[p]), None)
+    with monkeypatch.context() as m:
+        ran = _record_searches(m, anchors)
+        holds, got, total = separation_answer(inst, threshold)
+    assert (holds, got) == (extends[None] and witness is None, witness)
+    assert ran == ([*searched, None] if first is None
+                   else list(searched[:first + 1])), threshold
+    assert total == sum(nodes[p] for p in ran)
+    return holds
+
+
+def _thresholds_at_every_rank(table):
+    """One positive rational t per rank r >= 1 of `table` whose threshold
+    graph is the one at r, found by bisection."""
+    for rank in range(1, len(table.keys) + 1):
+        lo, hi = Fraction(0), Fraction(2)
+        while True:
+            t = (lo + hi) / 2
+            got = table.rank_above(t * t)
+            if got == rank:
+                yield t
+                break
+            lo, hi = (t, hi) if got < rank else (lo, t)
+
+
+def test_orbit_reduced_separation_agrees_with_the_full_walk(monkeypatch):
+    """On every rank of the kappa = 1..8 regions and at the kappa = 12 pins,
+    the symmetric regions' questions match the full walk."""
+    for kappa in range(1, 9):
+        inst = build_region_instance((0, 1, 2), kappa)
+        for t in _thresholds_at_every_rank(distinct_distances(inst.pointset())):
+            _check_against_full_walk(monkeypatch, inst, t)
+    inst = build_region_instance((0, 1, 2), 12)
+    for t in (1, Fraction(5, 4), SEPARATION_THRESHOLD, Fraction(6523, 5000),
+              Fraction(6524, 5000), Fraction(4, 3), Fraction(3, 2)):
+        _check_against_full_walk(monkeypatch, inst, t)
+
+
+def test_asymmetric_instance_searches_every_merging_pattern(monkeypatch):
+    """With one non-anchor point dropped the region is not symmetric, and
+    every rank's question matches the full walk over all four patterns:
+    where separation holds, after searching each of them."""
+    region = build_region_instance((0, 1, 2), 6)
+    drop = len(region.points) - 1
+    assert drop not in region.anchor_index.values()
+    points = [p for i, p in enumerate(region.points) if i != drop]
+    index = {p.key: i for i, p in enumerate(points)}
+    inst = SphereInstance(
+        region.kappa, region.regions, Pointset("l2_sphere_lattice", points),
+        {v: index[axis_key(v)] for v in region.anchor_index},
+        region.families[:drop] + region.families[drop + 1:])
+    assert not inst.symmetric
+    verdicts = {_check_against_full_walk(monkeypatch, inst, t)
+                for t in _thresholds_at_every_rank(
+                    distinct_distances(inst.pointset()))}
+    assert verdicts == {False, True}
+
+
+def test_regions_are_symmetric():
+    """Every region over (0, 1, 2) passes the symmetry check, which is
+    computed once and kept; a union of two regions does not."""
+    for kappa in range(1, 14):
+        inst = build_region_instance((0, 1, 2), kappa)
+        assert inst.symmetric is True and "symmetric" in vars(inst)
+    assert not build_P_G(Hypergraph(4, [(0, 1, 2), (1, 2, 3)]), 2).symmetric
+
+
+def test_kappa12_separation_search_counts_are_pinned(monkeypatch):
+    """(searches, nodes) of each kappa = 12 question of the `sphere`
+    benchmark workload: a holding verdict searches (0,0,0), (0,0,1) and the
+    free search, and a failing one stops at (0,0,0), which extends."""
+    inst = build_region_instance((0, 1, 2), 12)
+    ran = _record_searches(monkeypatch, list(inst.anchor_index.values()))
+    counts = []
+    for t in (1, Fraction(5, 4), SEPARATION_THRESHOLD, Fraction(4, 3),
+              Fraction(3, 2)):
+        ran.clear()
+        nodes = separation_answer(inst, t)[2]
+        counts.append((len(ran), nodes))
+    assert counts == [(3, 275), (3, 285), (3, 609), (1, 267), (1, 267)]
 
 
 def test_anchor_separation_fails_at_small_kappa():
@@ -441,15 +568,16 @@ def test_kappa12_separation_frontier(capsys):
 
 
 def test_separation_reports_count_the_whole_question(capsys):
-    """At kappa=12, t=163/125 and a budget of 272 nodes, the searches before
-    the exhausted one explore 332 nodes: the command and the library report
-    the question's total, 605, and not the last search's 273.  The frontier
-    at that budget reports its total over both ends, 1,405."""
+    """At kappa=12, t=163/125 and a budget of 272 nodes, anchor pattern
+    (0,0,0) explores 62 nodes and (0,0,1) breaks the budget at its 273rd:
+    the command and the library report the question's total, 335, and not
+    the last search's 273.  The frontier at that budget reports its total
+    over both ends, 1,286."""
     inst = build_region_instance((0, 1, 2), 12)
     for argv, answers, total in (
             (["verify-lemma53", "--t", "163/125"],
-             (separation_answer, verify_anchor_separation), 605),
-            (["frontier"], (separation_frontier,), 1405)):
+             (separation_answer, verify_anchor_separation), 335),
+            (["frontier"], (separation_frontier,), 1286)):
         code = main(["sphere", *argv, "--kappa", "12", "--budget-nodes",
                      "272"])
         captured = capsys.readouterr()
@@ -463,7 +591,8 @@ def test_separation_reports_count_the_whole_question(capsys):
 
 def test_uncolorable_threshold_graph_refutes_separation(capsys):
     """At kappa = 2 and t = 1/1000 the threshold graph is not 3-colorable:
-    separation fails with no witness after the free search alone."""
+    separation fails with no witness: the two anchor patterns searched stop
+    at once on adjacent anchors, and the free search finds no coloring."""
     code, out = _run(capsys, "sphere", "verify-lemma53", "--kappa", "2",
                      "--t", "1/1000")
     report = json.loads(out)
